@@ -12,6 +12,12 @@ fn main() {
         println!("{:12} {}", p.label(), spec.description);
     }
 
+    // One trace and one stats pass per program, shared by both tables.
+    let stats: Vec<TraceStats> = Program::ALL
+        .iter()
+        .map(|p| TraceStats::compute(&p.generate()))
+        .collect();
+
     println!("\nTable 6: Allocation Behavior of Programs Measured");
     println!("measured [paper]\n");
     let mut t = TextTable::new([
@@ -22,9 +28,8 @@ fn main() {
         "Alloc Rate (KB/s)",
         "Collections",
     ]);
-    for p in Program::ALL {
+    for (p, stats) in Program::ALL.iter().zip(&stats) {
         let prof = p.paper_profile();
-        let stats = TraceStats::compute(&p.generate());
         t.row([
             p.label().to_string(),
             format!("{}", prof.source_lines),
@@ -39,8 +44,7 @@ fn main() {
     }
     println!("{}", t.render());
     println!("(object count / mean size, synthetic traces)");
-    for p in Program::ALL {
-        let stats = TraceStats::compute(&p.generate());
+    for (p, stats) in Program::ALL.iter().zip(&stats) {
         println!(
             "{:12} {:>9} objects, mean {:>5.1} bytes",
             p.label(),

@@ -1,19 +1,21 @@
 //! Deterministic workload builders shared by the hot-path kernel
 //! microbenches (`benches/fenwick.rs`, `benches/block_decode.rs`,
-//! `benches/tail_walk.rs`).
+//! `benches/tail_walk.rs`, `benches/trace_stats.rs`).
 //!
 //! The benches exist to keep the block-structured fast paths honest: the
 //! branchless Fenwick kernels in [`dtb_core::fenwick`], the chunked
 //! [`EventSource::next_block`](dtb_trace::EventSource::next_block)
-//! decoders, and the autovectorizable threatened-tail reductions in
-//! [`dtb_core::soa`]. The smoke tests below pin each kernel's results on
-//! the same large inputs the benches time, so a bench can never drift
+//! decoders, the autovectorizable threatened-tail reductions in
+//! [`dtb_core::soa`], and the streaming `No GC` / `LIVE` kernel in
+//! [`dtb_trace::stats`]. The smoke tests below pin each kernel's results
+//! on the same large inputs the benches time, so a bench can never drift
 //! into measuring a wrong kernel.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use dtb_core::fenwick::Fenwick;
+use dtb_trace::{CompiledTrace, ObjectId, TraceBuilder};
 
 /// A tiny deterministic generator (SplitMix64) so workloads are
 /// reproducible without pulling the `rand` stand-in into the benches.
@@ -83,6 +85,51 @@ pub fn build_fenwick(n: usize, seed: u64) -> Fenwick {
     tree
 }
 
+/// A churn trace of `n` objects: each dies within 64 allocations of its
+/// birth, except roughly one in eight, which is immortal.
+pub fn churn_trace(n: usize, seed: u64) -> CompiledTrace {
+    let mut rng = Mix::new(seed);
+    let mut b = TraceBuilder::new("churn");
+    let mut due: Vec<Vec<ObjectId>> = vec![Vec::new(); 64];
+    for (i, size) in sizes(n, seed).into_iter().enumerate() {
+        let id = b.alloc(size);
+        let r = rng.next();
+        if !r.is_multiple_of(8) {
+            due[(i + (r >> 8) as usize % 64) % 64].push(id);
+        }
+        for dead in std::mem::take(&mut due[i % 64]) {
+            b.free(dead);
+        }
+    }
+    b.finish().compile().expect("builder traces are valid")
+}
+
+/// The adversarial shape for a pending-death queue: `n` objects, none of
+/// which dies before the second half of the trace. Each allocation of
+/// the second half frees one first-half object, so those deaths land at
+/// distinct late clocks; the second half dies together at the end.
+pub fn die_at_end_trace(n: usize, seed: u64) -> CompiledTrace {
+    let mut b = TraceBuilder::new("die-at-end");
+    let sizes = sizes(n, seed);
+    let (early, late) = sizes.split_at(n / 2);
+    let early: Vec<ObjectId> = early.iter().map(|&s| b.alloc(s)).collect();
+    let mut doomed = early.into_iter();
+    let late: Vec<ObjectId> = late
+        .iter()
+        .map(|&s| {
+            let id = b.alloc(s);
+            if let Some(dead) = doomed.next() {
+                b.free(dead);
+            }
+            id
+        })
+        .collect();
+    for id in doomed.chain(late) {
+        b.free(id);
+    }
+    b.finish().compile().expect("builder traces are valid")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,5 +186,41 @@ mod tests {
         }
         assert_eq!((bytes, count), (ref_bytes, ref_count));
         assert_eq!(sum_sizes(&s), s.iter().map(|&x| x as u64).sum::<u64>());
+    }
+
+    /// Pins the streaming stats kernel against a scalar reference — every
+    /// birth and death as a delta, all of them sorted, folded in order —
+    /// on both bench shapes.
+    #[test]
+    fn trace_stats_match_scalar_reference_at_bench_size() {
+        use dtb_core::stats::WeightedStats;
+        use dtb_trace::stats::TraceStats;
+        for trace in [churn_trace(N, 13), die_at_end_trace(N, 17)] {
+            let mut deltas: Vec<(u64, i64)> = Vec::new();
+            for l in trace.lives() {
+                deltas.push((l.birth.as_u64(), l.size as i64));
+                if let Some(d) = l.death {
+                    deltas.push((d.as_u64(), -(l.size as i64)));
+                }
+            }
+            deltas.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
+            let (mut live, mut nogc) = (WeightedStats::new(), WeightedStats::new());
+            let (mut level, mut prev) = (0i64, 0u64);
+            let end = trace.end.as_u64();
+            for (t, delta) in deltas.into_iter().chain([(end, 0)]) {
+                if t > prev {
+                    live.record(level as f64, (t - prev) as f64);
+                    nogc.record((prev + t) as f64 / 2.0, (t - prev) as f64);
+                    prev = t;
+                }
+                level += delta;
+                live.record(level as f64, 0.0);
+            }
+            let stats = TraceStats::compute_compiled(&trace);
+            assert_eq!(stats.live_mean.as_u64(), live.mean().unwrap() as u64);
+            assert_eq!(stats.live_max.as_u64(), live.max().unwrap() as u64);
+            assert_eq!(stats.nogc_mean.as_u64(), nogc.mean().unwrap() as u64);
+            assert_eq!(stats.object_count, N);
+        }
     }
 }

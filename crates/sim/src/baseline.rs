@@ -3,6 +3,11 @@
 //! These are not collectors: `No GC` is the memory a program would use if
 //! nothing were ever reclaimed (the allocation ramp itself), and `LIVE` is
 //! the exact reachable storage over time — the floor no collector can beat.
+//!
+//! Both rows read one [`TraceStats`], computed by its single streaming
+//! kernel whether the trace is in memory or streamed, so a column needs
+//! it only once ([`baseline_report`]); the executor shares it between a
+//! column's two baseline cells.
 
 use crate::metrics::SimReport;
 use dtb_core::history::ScavengeHistory;
@@ -14,8 +19,9 @@ use dtb_trace::{EventSource, SourceError};
 
 /// Builds a baseline row (no pauses, no tracing, no collections) from
 /// precomputed trace statistics. The two baseline rows differ only in
-/// which memory profile they read off the stats.
-fn report_from_stats(row: Row, stats: &TraceStats) -> SimReport {
+/// which memory profile they read off the stats: [`Row::NoGc`] reads the
+/// allocation ramp, any other row the live curve.
+pub fn baseline_report(row: Row, stats: &TraceStats) -> SimReport {
     let (mem_mean, mem_max) = match row {
         Row::NoGc => (stats.nogc_mean, stats.nogc_max),
         _ => (stats.live_mean, stats.live_max),
@@ -40,7 +46,7 @@ fn report_from_stats(row: Row, stats: &TraceStats) -> SimReport {
 /// ramp average) and the max is the total allocation. There are no pauses
 /// and no tracing.
 pub fn no_gc_report(trace: &CompiledTrace) -> SimReport {
-    report_from_stats(Row::NoGc, &TraceStats::compute_compiled(trace))
+    baseline_report(Row::NoGc, &TraceStats::compute_compiled(trace))
 }
 
 /// The `LIVE` row: exact reachable bytes over time.
@@ -48,12 +54,12 @@ pub fn no_gc_report(trace: &CompiledTrace) -> SimReport {
 /// The unreachable floor: a collector with a perfect, free oracle would
 /// hold memory at this curve.
 pub fn live_report(trace: &CompiledTrace) -> SimReport {
-    report_from_stats(Row::Live, &TraceStats::compute_compiled(trace))
+    baseline_report(Row::Live, &TraceStats::compute_compiled(trace))
 }
 
-/// [`no_gc_report`] over a streaming [`EventSource`]: bit-identical to
-/// the in-memory row (see [`TraceStats::compute_source`]) without ever
-/// materializing the trace.
+/// [`no_gc_report`] over a streaming [`EventSource`]: the same kernel
+/// ([`TraceStats::compute_source`]), so bit-identical to the in-memory
+/// row, without ever materializing the trace.
 ///
 /// # Errors
 ///
@@ -62,7 +68,7 @@ pub fn live_report(trace: &CompiledTrace) -> SimReport {
 pub fn no_gc_report_source(
     source: &mut (impl EventSource + ?Sized),
 ) -> Result<SimReport, SourceError> {
-    Ok(report_from_stats(
+    Ok(baseline_report(
         Row::NoGc,
         &TraceStats::compute_source(source)?,
     ))
@@ -78,7 +84,7 @@ pub fn no_gc_report_source(
 pub fn live_report_source(
     source: &mut (impl EventSource + ?Sized),
 ) -> Result<SimReport, SourceError> {
-    Ok(report_from_stats(
+    Ok(baseline_report(
         Row::Live,
         &TraceStats::compute_source(source)?,
     ))

@@ -41,7 +41,7 @@
 //! assert!(dtbfm.total_traced <= full.total_traced);
 //! ```
 
-use crate::baseline::{live_report, live_report_source, no_gc_report, no_gc_report_source};
+use crate::baseline::baseline_report;
 use crate::curve::MemoryCurve;
 use crate::engine::{RunControl, Sim, SimBudget, SimConfig, SimRun};
 use crate::error::SimError;
@@ -55,13 +55,14 @@ use dtb_trace::ckp::{checksum, CkpError};
 use dtb_trace::ctc::CtcError;
 use dtb_trace::event::CompiledTrace;
 use dtb_trace::programs::Program;
+use dtb_trace::stats::TraceStats;
 use dtb_trace::{EventSource, SourceError};
 use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -806,10 +807,26 @@ impl Evaluation {
             }
         };
 
+        // A column's `No GC` and `LIVE` cells read one `TraceStats`,
+        // computed by whichever of them runs first.
+        let baseline_stats: Vec<OnceLock<TraceStats>> =
+            targets.iter().map(|_| OnceLock::new()).collect();
         // Flatten the matrix into jobs addressed by (column, row) index,
-        // skipping cells reused from the journal.
+        // skipping cells reused from the journal. Each column dispatches
+        // as `[No GC, policies…, LIVE]`, so `LIVE` finds the stats `No GC`
+        // computed while the policies ran. Results merge by key, so the
+        // table keeps its row order.
+        let row_order: Vec<usize> = if self.baselines {
+            let (no_gc, live) = (rows.len() - 2, rows.len() - 1);
+            std::iter::once(no_gc)
+                .chain(0..no_gc)
+                .chain(std::iter::once(live))
+                .collect()
+        } else {
+            (0..rows.len()).collect()
+        };
         let jobs: Vec<(usize, usize)> = (0..targets.len())
-            .flat_map(|c| (0..rows.len()).map(move |r| (c, r)))
+            .flat_map(|c| row_order.iter().map(move |&r| (c, r)))
             .filter(|key| !reused.contains_key(key))
             .collect();
         let total = jobs.len();
@@ -829,6 +846,7 @@ impl Evaluation {
             let (outcome, attempts) = run_cell_supervised(
                 &targets[c],
                 traces[c].as_deref(),
+                &baseline_stats[c],
                 &names[c],
                 &rows[r],
                 &self.policy_cfg,
@@ -974,6 +992,7 @@ fn check_journal_compat(found: &JournalHeader, expected: &JournalHeader) -> Resu
 fn run_cell_supervised(
     target: &Target,
     trace: Option<&CompiledTrace>,
+    stats: &OnceLock<TraceStats>,
     name: &str,
     spec: &RowSpec,
     policy_cfg: &PolicyConfig,
@@ -997,6 +1016,7 @@ fn run_cell_supervised(
             run_cell(
                 target,
                 trace,
+                stats,
                 name,
                 spec,
                 policy_cfg,
@@ -1045,11 +1065,13 @@ fn run_cell_supervised(
 /// panics (from the policy, a custom factory, the engine, or a streaming
 /// source) both land in [`CellOutcome::Failed`]. When `cancel` is set,
 /// policy rows run under a [`RunControl`] that polls it between events
-/// (the deadline watchdog's hook).
+/// (the deadline watchdog's hook). Baseline rows read the column's
+/// shared `stats`, computing them if no sibling cell has yet.
 #[allow(clippy::too_many_arguments)]
 fn run_cell(
     target: &Target,
     trace: Option<&CompiledTrace>,
+    stats: &OnceLock<TraceStats>,
     name: &str,
     spec: &RowSpec,
     policy_cfg: &PolicyConfig,
@@ -1073,57 +1095,35 @@ fn run_cell(
             .threads(threads),
         None => Sim::new(*sim_cfg).threads(threads),
     };
-    let attempt = catch_unwind(AssertUnwindSafe(|| match target {
-        Target::Stream { make, .. } => {
-            // Each cell consumes its own cursor: sources are stateful.
-            let mut source = make();
-            let source = &mut *source;
+    let resident = || trace.expect("non-stream targets resolve a trace");
+    let attempt = catch_unwind(AssertUnwindSafe(|| {
+        // Each cell consumes its own cursor: sources are stateful.
+        let simulate = |policy: &mut dyn TbPolicy| match target {
+            Target::Stream { make, .. } => sim().run(&mut *make(), policy),
+            _ => sim().run_trace(resident(), policy),
+        };
+        match spec {
+            RowSpec::Kind(kind) => simulate(&mut kind.build(policy_cfg)),
+            RowSpec::Custom { row, build } => {
+                simulate(&mut build(policy_cfg)).map(|mut run| {
+                    // The evaluation row names the report, not the
+                    // policy's own `name()` — a factory may wrap a stock
+                    // collector.
+                    run.report.policy = row.clone();
+                    run
+                })
+            }
+            RowSpec::NoGc | RowSpec::Live => column_stats(stats, || match target {
+                Target::Stream { make, .. } => TraceStats::compute_source(&mut *make()),
+                _ => Ok(TraceStats::compute_compiled(resident())),
+            })
+            .map(|stats| baseline_run(baseline_report(spec.row(), stats)))
             // Stats failures carry no allocation clock; report them at
             // zero rather than inventing one.
-            let at_start = |source| SimError::Source {
+            .map_err(|source| SimError::Source {
                 at: VirtualTime::ZERO,
                 source,
-            };
-            match spec {
-                RowSpec::Kind(kind) => {
-                    let mut policy = kind.build(policy_cfg);
-                    sim().run(source, &mut policy)
-                }
-                RowSpec::Custom { row, build } => {
-                    let mut policy = build(policy_cfg);
-                    sim().run(source, &mut policy).map(|mut run| {
-                        run.report.policy = row.clone();
-                        run
-                    })
-                }
-                RowSpec::NoGc => no_gc_report_source(source)
-                    .map(baseline_run)
-                    .map_err(at_start),
-                RowSpec::Live => live_report_source(source)
-                    .map(baseline_run)
-                    .map_err(at_start),
-            }
-        }
-        _ => {
-            let trace = trace.expect("non-stream targets resolve a trace");
-            match spec {
-                RowSpec::Kind(kind) => {
-                    let mut policy = kind.build(policy_cfg);
-                    sim().run_trace(trace, &mut policy)
-                }
-                RowSpec::Custom { row, build } => {
-                    let mut policy = build(policy_cfg);
-                    sim().run_trace(trace, &mut policy).map(|mut run| {
-                        // The evaluation row names the report, not the
-                        // policy's own `name()` — a factory may wrap a
-                        // stock collector.
-                        run.report.policy = row.clone();
-                        run
-                    })
-                }
-                RowSpec::NoGc => Ok(baseline_run(no_gc_report(trace))),
-                RowSpec::Live => Ok(baseline_run(live_report(trace))),
-            }
+            }),
         }
     }));
     match attempt {
@@ -1139,6 +1139,21 @@ fn run_cell(
             cause: FailureCause::Panic(panic_message(payload.as_ref())),
         }),
     }
+}
+
+/// The column's baseline statistics, computed on first use. Only a
+/// success is kept: a failed computation leaves `slot` empty, so a retry
+/// (or the sibling baseline cell) computes afresh instead of inheriting
+/// a transient failure.
+fn column_stats(
+    slot: &OnceLock<TraceStats>,
+    compute: impl FnOnce() -> Result<TraceStats, SourceError>,
+) -> Result<&TraceStats, SourceError> {
+    if let Some(stats) = slot.get() {
+        return Ok(stats);
+    }
+    let stats = compute()?;
+    Ok(slot.get_or_init(|| stats))
 }
 
 /// Stringifies a caught panic payload (the common `&str` / `String` cases;

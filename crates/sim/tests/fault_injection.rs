@@ -221,3 +221,23 @@ fn corrupted_trace_fails_only_its_column() {
         }
     }
 }
+
+#[test]
+fn flaky_store_fails_the_stats_kernel_with_its_own_typed_error() {
+    use dtb_sim::fault::FlakyStore;
+    use dtb_trace::stats::TraceStats;
+    use dtb_trace::{CompiledSource, EventSource};
+    let trace = Program::Cfrac.compiled();
+    // The block path must surface exactly the error a record-by-record
+    // read meets first.
+    let expected = FlakyStore::new(CompiledSource::new(&trace), FlakyStore::<()>::fuse(1))
+        .next_record()
+        .expect_err("a charged fuse fails the first read");
+    let mut flaky = FlakyStore::new(CompiledSource::new(&trace), FlakyStore::<()>::fuse(1));
+    assert_eq!(TraceStats::compute_source(&mut flaky), Err(expected));
+    // The spent fuse lets the very same source stream normally.
+    assert_eq!(
+        TraceStats::compute_source(&mut flaky),
+        Ok(TraceStats::compute_compiled(&trace))
+    );
+}

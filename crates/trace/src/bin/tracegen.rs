@@ -108,7 +108,7 @@ fn main() -> ExitCode {
             dtb_obs::emit(|| dtb_obs::Event::TraceSynthesized {
                 name: program.label().to_string(),
                 events: trace.events.len() as u64,
-                allocated: TraceStats::compute(&trace).total_allocated.as_u64(),
+                allocated: trace.total_allocated().as_u64(),
             });
             dtb_obs::flush();
             println!(

@@ -2,12 +2,10 @@
 //! `No GC` rows of Table 2.
 
 use crate::event::{CompiledTrace, Trace};
-use crate::source::{EventSource, SourceError};
+use crate::source::{CompiledSource, EventBlock, EventSource, SourceError, DEFAULT_BLOCK_EVENTS};
 use dtb_core::stats::WeightedStats;
 use dtb_core::time::Bytes;
 use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Summary statistics of one workload trace.
 ///
@@ -57,78 +55,26 @@ impl TraceStats {
         TraceStats::compute_compiled(&compiled)
     }
 
-    /// Computes statistics for an already-compiled trace.
+    /// Computes statistics for an already-compiled trace: the streaming
+    /// kernel ([`TraceStats::compute_source`]) over a [`CompiledSource`].
     pub fn compute_compiled(c: &CompiledTrace) -> TraceStats {
-        // Sweep births (+size) and deaths (−size) in clock order to build
-        // the live curve; weight each level by how long it holds.
-        let mut deltas: Vec<(u64, i64)> = Vec::with_capacity(c.len() * 2);
-        for l in c.lives() {
-            deltas.push((l.birth.as_u64(), l.size as i64));
-            if let Some(d) = l.death {
-                deltas.push((d.as_u64(), -(l.size as i64)));
-            }
-        }
-        // At equal clock values process births (+) before deaths (−):
-        // zero-lifetime objects (freed at their own birth instant) must not
-        // drive the level negative.
-        deltas.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
-
-        let mut live = WeightedStats::new();
-        let mut nogc = WeightedStats::new();
-        let mut level: i64 = 0;
-        let mut prev_t: u64 = 0;
-        for (t, delta) in deltas {
-            if t > prev_t {
-                live.record(level as f64, (t - prev_t) as f64);
-                // "No GC" memory at clock t is t itself (everything ever
-                // allocated); average the ramp segment.
-                nogc.record((prev_t + t) as f64 / 2.0, (t - prev_t) as f64);
-                prev_t = t;
-            }
-            level += delta;
-            debug_assert!(level >= 0, "live bytes went negative");
-            live.record(level as f64, 0.0); // spikes count toward the max
-        }
-        let end = c.end.as_u64();
-        if end > prev_t {
-            live.record(level as f64, (end - prev_t) as f64);
-            nogc.record((prev_t + end) as f64 / 2.0, (end - prev_t) as f64);
-        }
-
-        let total = c.total_allocated();
-        let object_count = c.len();
-        TraceStats {
-            name: c.meta.name.clone(),
-            total_allocated: total,
-            object_count,
-            mean_object_size: if object_count == 0 {
-                0.0
-            } else {
-                total.as_u64() as f64 / object_count as f64
-            },
-            live_mean: Bytes::new(live.mean().unwrap_or(0.0) as u64),
-            live_max: Bytes::new(live.max().unwrap_or(0.0) as u64),
-            nogc_mean: Bytes::new(nogc.mean().unwrap_or(0.0) as u64),
-            nogc_max: total,
-            exec_seconds: c.meta.exec_seconds,
-            alloc_rate: if c.meta.exec_seconds > 0.0 {
-                total.as_u64() as f64 / c.meta.exec_seconds
-            } else {
-                0.0
-            },
-            collections_at_1mb: total.as_u64() / 1_000_000,
-        }
+        TraceStats::compute_source(&mut CompiledSource::new(c))
+            .expect("an in-memory source never fails")
     }
 
-    /// Computes statistics from a streaming [`EventSource`] in O(live set)
-    /// memory.
+    /// Computes statistics from a streaming [`EventSource`] in O(live set
+    /// + one block) memory.
     ///
-    /// Bit-identical to [`TraceStats::compute_compiled`] on the same
-    /// records: the in-memory version sorts all birth/death deltas and
-    /// folds them in `(clock, +before −, smaller deaths first)` order, and
-    /// this version reproduces exactly that fold order with a pending-death
-    /// min-heap merged against the birth stream — so the floating-point
-    /// accumulation, which is order-sensitive, agrees to the last bit.
+    /// The live curve is a sweep over every birth (+size) and death
+    /// (−size) in clock order, births before deaths at an equal clock
+    /// (a zero-lifetime object must not drive the level negative); each
+    /// level is weighted by how long it holds. Births arrive sorted, a
+    /// block at a time ([`EventSource::next_block`]). Pending deaths wait
+    /// in a radix heap; per block, only the deaths due by the block's
+    /// last birth are taken out, sorted, and merged with the block's
+    /// births. The weighted means accumulate in clock order whatever the
+    /// block size, so the result is bit-identical for every source and
+    /// block size.
     ///
     /// # Errors
     ///
@@ -137,48 +83,36 @@ impl TraceStats {
         source: &mut (impl EventSource + ?Sized),
     ) -> Result<TraceStats, SourceError> {
         let meta = source.meta().clone();
-        let mut sweep = LiveSweep {
-            live: WeightedStats::new(),
-            nogc: WeightedStats::new(),
-            level: 0,
-            prev_t: 0,
-        };
-        // Pending deaths: min-heap of (death clock, size). Its size is the
-        // number of currently live-or-dying objects — the live set — not
-        // the trace length.
-        let mut pending: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
+        let mut block = EventBlock::new(DEFAULT_BLOCK_EVENTS);
+        let mut sweep = LevelSweep::default();
+        let mut pending = DeathQueue::default();
+        let mut due: Vec<(u64, u32)> = Vec::new();
         let mut object_count: usize = 0;
-        while let Some(l) = source.next_record()? {
-            let birth = l.birth.as_u64();
-            // Deltas strictly before this birth…
-            while let Some(&Reverse((death, size))) = pending.peek() {
-                if death >= birth {
-                    break;
+        while source.next_block(&mut block) > 0 {
+            if let Some(e) = block.take_error() {
+                return Err(e);
+            }
+            let (births, sizes, deaths) = (block.births(), block.sizes(), block.deaths());
+            for (&death, &size) in deaths.iter().zip(sizes) {
+                if death != EventBlock::NO_DEATH {
+                    pending.push(death, size);
                 }
-                pending.pop();
-                sweep.apply(death, -(size as i64));
             }
-            // …then the birth itself (births sort before equal-clock
-            // deaths)…
-            sweep.apply(birth, l.size as i64);
-            if let Some(d) = l.death {
-                pending.push(Reverse((d.as_u64(), l.size)));
-            }
-            // …then deaths at exactly this clock, smallest first.
-            while let Some(&Reverse((death, size))) = pending.peek() {
-                if death > birth {
-                    break;
-                }
-                pending.pop();
-                sweep.apply(death, -(size as i64));
-            }
-            object_count += 1;
+            let last = *births.last().expect("a filled block is non-empty");
+            pending.drain_through(last, &mut due);
+            due.sort_unstable_by_key(|&(death, _)| death);
+            sweep.merge(births, sizes, &due);
+            due.clear();
+            object_count += births.len();
         }
-        while let Some(Reverse((death, size))) = pending.pop() {
-            sweep.apply(death, -(size as i64));
+        if let Some(e) = block.take_error() {
+            return Err(e);
         }
+        pending.drain_all(&mut due);
+        due.sort_unstable_by_key(|&(death, _)| death);
+        sweep.merge(&[], &[], &due);
         let total = Bytes::new(source.end().as_u64());
-        sweep.finish(total.as_u64());
+        sweep.advance(total.as_u64());
 
         Ok(TraceStats {
             name: meta.name,
@@ -190,7 +124,7 @@ impl TraceStats {
                 total.as_u64() as f64 / object_count as f64
             },
             live_mean: Bytes::new(sweep.live.mean().unwrap_or(0.0) as u64),
-            live_max: Bytes::new(sweep.live.max().unwrap_or(0.0) as u64),
+            live_max: Bytes::new(sweep.peak as u64),
             nogc_mean: Bytes::new(sweep.nogc.mean().unwrap_or(0.0) as u64),
             nogc_max: total,
             exec_seconds: meta.exec_seconds,
@@ -204,35 +138,127 @@ impl TraceStats {
     }
 }
 
-/// The live/no-GC level sweep shared by the streaming path; folds deltas
-/// exactly like the loop in [`TraceStats::compute_compiled`].
-struct LiveSweep {
+/// The live and no-GC level sweep: folds births and deaths in clock
+/// order into the two weighted means and the peak live level.
+#[derive(Default)]
+struct LevelSweep {
     live: WeightedStats,
     nogc: WeightedStats,
     level: i64,
+    /// Highest level reached, spikes included: a level that holds for
+    /// zero clock units counts toward the max but not the mean.
+    peak: i64,
     prev_t: u64,
 }
 
-impl LiveSweep {
-    fn apply(&mut self, t: u64, delta: i64) {
+impl LevelSweep {
+    /// Closes the segment `[prev_t, t)`, weighting its level by its
+    /// length. "No GC" memory at clock `t` is `t` itself (everything ever
+    /// allocated), so its segment value is the ramp's midpoint.
+    #[inline]
+    fn advance(&mut self, t: u64) {
         if t > self.prev_t {
-            self.live
-                .record(self.level as f64, (t - self.prev_t) as f64);
-            self.nogc
-                .record((self.prev_t + t) as f64 / 2.0, (t - self.prev_t) as f64);
+            let weight = (t - self.prev_t) as f64;
+            self.live.record(self.level as f64, weight);
+            self.nogc.record((self.prev_t + t) as f64 / 2.0, weight);
             self.prev_t = t;
         }
-        self.level += delta;
-        debug_assert!(self.level >= 0, "live bytes went negative");
-        self.live.record(self.level as f64, 0.0); // spikes count toward the max
     }
 
-    fn finish(&mut self, end: u64) {
-        if end > self.prev_t {
-            self.live
-                .record(self.level as f64, (end - self.prev_t) as f64);
-            self.nogc
-                .record((self.prev_t + end) as f64 / 2.0, (end - self.prev_t) as f64);
+    /// Folds one block's births with the deaths due by its last birth
+    /// (`due`, sorted by clock; every one at or before that birth):
+    /// deaths strictly before a birth go first, deaths at its clock
+    /// after it.
+    fn merge(&mut self, births: &[u64], sizes: &[u32], due: &[(u64, u32)]) {
+        let mut next = 0;
+        for (&birth, &size) in births.iter().zip(sizes) {
+            while let Some(&(death, freed)) = due.get(next).filter(|d| d.0 < birth) {
+                self.die(death, freed);
+                next += 1;
+            }
+            self.advance(birth);
+            self.level += i64::from(size);
+            self.peak = self.peak.max(self.level);
+        }
+        for &(death, freed) in &due[next..] {
+            self.die(death, freed);
+        }
+    }
+
+    #[inline]
+    fn die(&mut self, t: u64, size: u32) {
+        self.advance(t);
+        self.level -= i64::from(size);
+        debug_assert!(self.level >= 0, "live bytes went negative");
+    }
+}
+
+/// Pending deaths as a monotone radix heap keyed by death clock.
+///
+/// Every queued clock is compared with `last`, the clock the queue was
+/// last drained through: bucket 0 holds clocks `<= last`, bucket `b > 0`
+/// those whose highest bit differing from `last` is bit `b - 1`. Births
+/// are strictly increasing, so a new death is never earlier than the
+/// last drain, which keeps the layout valid (a stream out of birth order
+/// gets wrong statistics, never a panic). Draining through `limit`
+/// empties every bucket below `limit`'s own, and splits that one bucket:
+/// due clocks go out, the rest move to strictly lower buckets. Buckets
+/// above it are untouched, so a drain costs its output plus moves that
+/// each lower an entry's bucket — at most 64 per entry over its life —
+/// never a scan of the whole pending set.
+struct DeathQueue {
+    last: u64,
+    buckets: [Vec<(u64, u32)>; 65],
+}
+
+impl Default for DeathQueue {
+    fn default() -> DeathQueue {
+        DeathQueue {
+            last: 0,
+            buckets: std::array::from_fn(|_| Vec::new()),
+        }
+    }
+}
+
+impl DeathQueue {
+    #[inline]
+    fn bucket(last: u64, clock: u64) -> usize {
+        if clock <= last {
+            0
+        } else {
+            (u64::BITS - (clock ^ last).leading_zeros()) as usize
+        }
+    }
+
+    #[inline]
+    fn push(&mut self, clock: u64, size: u32) {
+        self.buckets[Self::bucket(self.last, clock)].push((clock, size));
+    }
+
+    /// Moves every queued death with clock `<= limit` into `out`, in no
+    /// particular order.
+    fn drain_through(&mut self, limit: u64, out: &mut Vec<(u64, u32)>) {
+        let split = Self::bucket(self.last, limit);
+        for bucket in &mut self.buckets[..split] {
+            out.append(bucket);
+        }
+        self.last = limit;
+        let mut straddling = std::mem::take(&mut self.buckets[split]);
+        for &(clock, size) in &straddling {
+            if clock <= limit {
+                out.push((clock, size));
+            } else {
+                self.buckets[Self::bucket(limit, clock)].push((clock, size));
+            }
+        }
+        straddling.clear();
+        self.buckets[split] = straddling;
+    }
+
+    /// Moves every queued death into `out`.
+    fn drain_all(&mut self, out: &mut Vec<(u64, u32)>) {
+        for bucket in &mut self.buckets {
+            out.append(bucket);
         }
     }
 }
@@ -285,63 +311,6 @@ mod tests {
         }
         let s = TraceStats::compute(&b.finish());
         assert_eq!(s.collections_at_1mb, 2);
-    }
-
-    #[test]
-    fn streaming_stats_bit_identical_to_in_memory() {
-        use crate::lifetime::{LifetimeDist, SizeDist};
-        use crate::source::CompiledSource;
-        use crate::synth::{ClassSpec, WorkloadSpec};
-        // A mixture with churn, immortals, and zero-lifetime spikes — the
-        // shapes that stress delta ordering and f64 accumulation.
-        let mut b = TraceBuilder::new("mix");
-        let a = b.alloc(100);
-        b.free(a); // zero-lifetime spike at its own birth clock
-        b.alloc(50);
-        let c2 = b.alloc(300);
-        let c3 = b.alloc(16);
-        b.free(c3);
-        b.free(c2); // two deaths at the same clock, different sizes
-        b.alloc(7);
-        let small = b.finish().compile().unwrap();
-
-        let generated = WorkloadSpec {
-            name: "gen".into(),
-            description: String::new(),
-            exec_seconds: 2.0,
-            total_alloc: 400_000,
-            initial_permanent: 30_000,
-            initial_object_size: 700,
-            classes: vec![
-                ClassSpec::new(
-                    "short",
-                    0.85,
-                    SizeDist::Uniform { min: 16, max: 256 },
-                    LifetimeDist::Exponential { mean: 3_000.0 },
-                ),
-                ClassSpec::new("imm", 0.15, SizeDist::Fixed(128), LifetimeDist::Immortal),
-            ],
-            phase_period: None,
-            seed: 5,
-        }
-        .generate()
-        .unwrap()
-        .compile()
-        .unwrap();
-
-        for trace in [&small, &generated] {
-            let resident = TraceStats::compute_compiled(trace);
-            let streamed = TraceStats::compute_source(&mut CompiledSource::new(trace)).unwrap();
-            assert_eq!(streamed, resident);
-        }
-    }
-
-    #[test]
-    fn streaming_stats_on_empty_source() {
-        use crate::source::CompiledSource;
-        let t = TraceBuilder::new("e").finish().compile().unwrap();
-        let s = TraceStats::compute_source(&mut CompiledSource::new(&t)).unwrap();
-        assert_eq!(s, TraceStats::compute_compiled(&t));
     }
 
     #[test]
