@@ -635,7 +635,7 @@ impl Evaluation {
     }
 
     /// Writes a durable journal to `dir/run.journal`: one fsync'd,
-    /// checksummed line per completed cell (see [`crate::journal`]).
+    /// checksummed record per completed cell (see [`crate::journal`]).
     /// Replaces any journal already in `dir`; use
     /// [`resume`](Evaluation::resume) to continue one instead.
     pub fn journal(mut self, dir: impl Into<PathBuf>) -> Evaluation {

@@ -14,9 +14,8 @@ use dtb_core::error::{boundary_from_f64, PolicyError};
 use dtb_core::policy::{ScavengeContext, TbPolicy};
 use dtb_core::time::{Bytes, VirtualTime};
 use dtb_trace::ctc::CtcError;
+use dtb_trace::record_log::FaultFuse;
 use dtb_trace::{EventSource, ObjectLife, SourceError, TraceMeta};
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Always proposes a NaN boundary. The framework's float→clock gate
@@ -184,7 +183,7 @@ impl<S: EventSource> EventSource for SlowAfter<S> {
 /// shard I/O error while the shared fuse holds charges.
 ///
 /// The fuse ([`FlakyStore::fuse`]) is decremented across every source
-/// built from it — clone the `Arc` into a source factory and the first
+/// built from it — clone it into a source factory and the first
 /// `fuse` reads *of the whole cell*, retries included, fail; the retry
 /// that finds the fuse empty streams normally. That is exactly the shape
 /// of a store that recovers after a hiccup, and the executor's retry
@@ -193,19 +192,19 @@ impl<S: EventSource> EventSource for SlowAfter<S> {
 #[derive(Debug)]
 pub struct FlakyStore<S> {
     inner: S,
-    fuse: Arc<AtomicU32>,
+    fuse: FaultFuse,
 }
 
 impl<S> FlakyStore<S> {
     /// Wraps `inner`; each `next_record` consumes one charge from `fuse`
     /// and fails until it is empty.
-    pub fn new(inner: S, fuse: Arc<AtomicU32>) -> FlakyStore<S> {
+    pub fn new(inner: S, fuse: FaultFuse) -> FlakyStore<S> {
         FlakyStore { inner, fuse }
     }
 
     /// A fuse holding `charges` failures, to share across a factory.
-    pub fn fuse(charges: u32) -> Arc<AtomicU32> {
-        Arc::new(AtomicU32::new(charges))
+    pub fn fuse(charges: u32) -> FaultFuse {
+        FaultFuse::charges(charges)
     }
 }
 
@@ -219,11 +218,7 @@ impl<S: EventSource> EventSource for FlakyStore<S> {
     }
 
     fn next_record(&mut self) -> Result<Option<ObjectLife>, SourceError> {
-        let tripped = self
-            .fuse
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
-            .is_ok();
-        if tripped {
+        if self.fuse.trip() {
             return Err(SourceError::Shard(CtcError::Io {
                 path: std::path::PathBuf::from(self.meta().name.clone()),
                 message: "injected transient i/o fault".to_string(),

@@ -1,37 +1,24 @@
-//! Durable run journal: append-only, fsync'd, checksummed cell records.
+//! Durable run journal: one fsync'd record per completed cell.
 //!
 //! An [`Evaluation`](crate::exec::Evaluation) given a journal directory
-//! writes one line per completed cell to `run.journal`, each fsync'd
+//! appends one record per completed cell to `run.journal`, each fsync'd
 //! before the next cell starts, so a crash — even `SIGKILL` — loses at
 //! most the cell that was in flight. Resuming
 //! ([`Evaluation::resume`](crate::exec::Evaluation::resume)) reads the
 //! journal back, skips every completed cell, recomputes failed ones, and
 //! appends the new outcomes to the same file.
 //!
-//! # On-disk format
-//!
-//! Plain text, one record per line:
-//!
-//! ```text
-//! {checksum:016x} H {header json}
-//! {checksum:016x} C {cell json}
-//! ...
-//! ```
-//!
-//! The checksum is FNV-1a ([`dtb_trace::ckp::checksum`]) over the JSON
-//! bytes. The first line is the [`JournalHeader`] (matrix shape and
-//! configuration, guarding against resuming someone else's journal);
-//! every further line is a [`JournalCell`]. A torn final line — the
-//! signature of a crash mid-write — is silently dropped and truncated
-//! away on resume; a corrupt *interior* line is a typed
-//! [`CkpError`], never a panic.
+//! The file is a [`record_log`](dtb_trace::record_log), which owns the
+//! framing, checksums and crash semantics. Each record is a one-byte
+//! tag and a JSON payload: `H` + the [`JournalHeader`] (matrix shape and
+//! configuration, guarding against resuming someone else's journal)
+//! first, then `C` + a [`JournalCell`] per outcome.
 
 use crate::engine::{SimConfig, SimRun};
 use dtb_core::policy::PolicyConfig;
-use dtb_trace::ckp::{checksum, CkpError};
+use dtb_trace::ckp::CkpError;
+use dtb_trace::record_log::{self, FaultFuse, RecordLog};
 use serde::{Deserialize, Serialize};
-use std::fs::{File, OpenOptions};
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// File name of the journal inside its run directory.
@@ -40,12 +27,15 @@ pub const JOURNAL_FILE: &str = "run.journal";
 /// Format version written by this build.
 pub const JOURNAL_VERSION: u32 = 1;
 
+const HEADER_TAG: u8 = b'H';
+const CELL_TAG: u8 = b'C';
+
 /// The journal file inside a run directory.
 pub fn journal_path(dir: impl AsRef<Path>) -> PathBuf {
     dir.as_ref().join(JOURNAL_FILE)
 }
 
-/// First line of every journal: the shape and configuration of the
+/// First record of every journal: the shape and configuration of the
 /// evaluation that wrote it. A resume refuses a journal whose header
 /// disagrees with the configured evaluation.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -62,7 +52,7 @@ pub struct JournalHeader {
     pub sim: SimConfig,
 }
 
-/// One journal line: the final outcome of one matrix cell.
+/// One journal record: the final outcome of one matrix cell.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct JournalCell {
     /// Column (workload) name of the cell.
@@ -88,23 +78,14 @@ impl JournalCell {
     }
 }
 
-/// One parsed journal line.
-#[derive(Clone, Debug, PartialEq)]
-pub enum JournalLine {
-    /// The header line.
-    Header(JournalHeader),
-    /// A cell outcome line.
-    Cell(JournalCell),
-}
-
 /// A fully parsed journal.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Journal {
-    /// The header line.
+    /// The header record.
     pub header: JournalHeader,
-    /// Every cell line, in write order. A cell may appear more than once
-    /// (a resumed run re-recording a previously failed cell); the last
-    /// occurrence wins.
+    /// Every cell record, in write order. A cell may appear more than
+    /// once (a resumed run re-recording a previously failed cell); the
+    /// last occurrence wins.
     pub cells: Vec<JournalCell>,
     /// Byte length of the valid prefix of the file. Anything past this
     /// is a torn tail from a crash; [`JournalWriter::resume`] truncates
@@ -122,20 +103,6 @@ impl Journal {
     }
 }
 
-fn io_err(path: &Path, e: std::io::Error) -> CkpError {
-    CkpError::Io {
-        path: path.to_path_buf(),
-        message: e.to_string(),
-    }
-}
-
-fn encode<T: Serialize>(path: &Path, value: &T) -> Result<String, CkpError> {
-    serde_json::to_string(value).map_err(|e| CkpError::BadPayload {
-        path: path.to_path_buf(),
-        reason: format!("cannot encode journal line: {e}"),
-    })
-}
-
 fn bad(path: &Path, reason: impl Into<String>) -> CkpError {
     CkpError::BadPayload {
         path: path.to_path_buf(),
@@ -143,34 +110,28 @@ fn bad(path: &Path, reason: impl Into<String>) -> CkpError {
     }
 }
 
-/// Appends checksummed lines to a `run.journal`, fsync'ing each one
-/// before returning — once [`JournalWriter::cell`] returns, that cell
-/// survives any crash.
+/// Appends fsync'd records to a `run.journal` — once
+/// [`JournalWriter::cell`] returns, that cell survives any crash.
 #[derive(Debug)]
 pub struct JournalWriter {
-    file: File,
-    path: PathBuf,
+    log: RecordLog,
 }
 
 impl JournalWriter {
     /// Starts a fresh journal in `dir` (creating the directory, replacing
-    /// any previous journal) and writes the header line.
+    /// any previous journal) and writes the header record.
     ///
     /// # Errors
     ///
-    /// [`CkpError::Io`] on filesystem failure; [`CkpError::BadPayload`]
-    /// if the header cannot be encoded.
+    /// [`CkpError::Io`] on filesystem failure.
     pub fn create(
         dir: impl AsRef<Path>,
         header: &JournalHeader,
     ) -> Result<JournalWriter, CkpError> {
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir).map_err(|e| io_err(dir, e))?;
-        let path = journal_path(dir);
-        let file = File::create(&path).map_err(|e| io_err(&path, e))?;
-        let mut writer = JournalWriter { file, path };
-        let json = encode(&writer.path, header)?;
-        writer.line(b'H', &json)?;
+        let mut writer = JournalWriter {
+            log: RecordLog::create(journal_path(dir))?,
+        };
+        writer.append(HEADER_TAG, header)?;
         Ok(writer)
     }
 
@@ -180,154 +141,88 @@ impl JournalWriter {
     ///
     /// # Errors
     ///
-    /// [`CkpError::Io`] on filesystem failure.
+    /// [`CkpError::Io`] on filesystem failure, [`CkpError::Mismatch`]
+    /// when the file no longer matches `journal`.
     pub fn resume(dir: impl AsRef<Path>, journal: &Journal) -> Result<JournalWriter, CkpError> {
-        let path = journal_path(dir.as_ref());
-        let file = OpenOptions::new()
-            .append(true)
-            .open(&path)
-            .map_err(|e| io_err(&path, e))?;
-        file.set_len(journal.valid_len)
-            .map_err(|e| io_err(&path, e))?;
-        file.sync_data().map_err(|e| io_err(&path, e))?;
-        Ok(JournalWriter { file, path })
+        let (log, replay) = RecordLog::open(journal_path(dir))?;
+        if replay.valid_len != journal.valid_len {
+            return Err(CkpError::Mismatch {
+                what: "journal length",
+                expected: journal.valid_len.to_string(),
+                found: replay.valid_len.to_string(),
+            });
+        }
+        Ok(JournalWriter { log })
     }
 
     /// Appends one cell outcome and fsyncs it.
     ///
     /// # Errors
     ///
-    /// [`CkpError::Io`] on filesystem failure; [`CkpError::BadPayload`]
-    /// if the cell cannot be encoded.
+    /// [`CkpError::Io`] on filesystem failure (or an injected fault).
     pub fn cell(&mut self, cell: &JournalCell) -> Result<(), CkpError> {
-        let json = encode(&self.path, cell)?;
-        self.line(b'C', &json)
+        self.append(CELL_TAG, cell)
     }
 
-    fn line(&mut self, tag: u8, json: &str) -> Result<(), CkpError> {
-        let line = format!(
-            "{:016x} {} {json}\n",
-            checksum(json.as_bytes()),
-            tag as char
-        );
-        self.file
-            .write_all(line.as_bytes())
-            .map_err(|e| io_err(&self.path, e))?;
-        // Durability before progress: the executor only moves to the next
-        // cell once this line is on disk.
-        self.file.sync_data().map_err(|e| io_err(&self.path, e))
+    /// Arms a fault fuse over later cell appends (see
+    /// [`RecordLog::inject_fault`]).
+    pub fn inject_fault(&mut self, fault: FaultFuse) {
+        self.log.inject_fault(fault);
+    }
+
+    fn append<T: Serialize>(&mut self, tag: u8, value: &T) -> Result<(), CkpError> {
+        let json = serde_json::to_string(value).expect("journal records serialize infallibly");
+        let mut record = Vec::with_capacity(1 + json.len());
+        record.push(tag);
+        record.extend_from_slice(json.as_bytes());
+        self.log.append(&record)
     }
 }
 
-/// Parses one journal line: `{16 hex} {tag} {json}`.
-fn parse_line(path: &Path, raw: &[u8]) -> Result<JournalLine, CkpError> {
-    if raw.len() < 19 {
-        return Err(bad(path, "journal line shorter than its framing"));
-    }
-    let hex = std::str::from_utf8(&raw[..16]).map_err(|_| bad(path, "checksum is not hex"))?;
-    let expected = u64::from_str_radix(hex, 16).map_err(|_| bad(path, "checksum is not hex"))?;
-    if raw[16] != b' ' || raw[18] != b' ' {
-        return Err(bad(path, "journal line framing is malformed"));
-    }
-    let json_bytes = &raw[19..];
-    let found = checksum(json_bytes);
-    if found != expected {
-        return Err(CkpError::ChecksumMismatch {
-            path: path.to_path_buf(),
-            expected,
-            found,
-        });
-    }
-    let json =
-        std::str::from_utf8(json_bytes).map_err(|_| bad(path, "journal payload is not UTF-8"))?;
-    match raw[17] {
-        b'H' => serde_json::from_str(json)
-            .map(JournalLine::Header)
-            .map_err(|e| bad(path, format!("cannot decode journal header: {e}"))),
-        b'C' => serde_json::from_str(json)
-            .map(JournalLine::Cell)
-            .map_err(|e| bad(path, format!("cannot decode journal cell: {e}"))),
-        other => Err(bad(
-            path,
-            format!("unknown journal line tag {:?}", other as char),
-        )),
-    }
+/// Decodes one tagged record's JSON payload.
+fn decode<T: Deserialize>(path: &Path, json: &[u8]) -> Result<T, CkpError> {
+    std::str::from_utf8(json)
+        .map_err(|e| e.to_string())
+        .and_then(|text| serde_json::from_str(text).map_err(|e| e.to_string()))
+        .map_err(|e| bad(path, format!("cannot decode journal record: {e}")))
 }
 
 /// Reads and verifies the journal in `dir`.
 ///
-/// A torn **final** line (crash mid-write) is dropped: the journal is
+/// A torn final record (crash mid-write) is dropped: the journal is
 /// valid up to it and [`Journal::valid_len`] records where the good
-/// prefix ends. Damage anywhere *before* the final line is interior
-/// corruption and a typed error.
+/// prefix ends.
 ///
 /// # Errors
 ///
 /// [`CkpError::Io`] when the file cannot be read (including when it does
-/// not exist), [`CkpError::ChecksumMismatch`] / [`CkpError::BadPayload`]
-/// on interior corruption, and [`CkpError::BadPayload`] when the first
-/// line is not a valid header.
+/// not exist), the record log's typed errors on damage, and
+/// [`CkpError::BadPayload`] when the records are not a header followed
+/// by cells.
 pub fn read_journal(dir: impl AsRef<Path>) -> Result<Journal, CkpError> {
     let path = journal_path(dir.as_ref());
-    let data = std::fs::read(&path).map_err(|e| io_err(&path, e))?;
-
-    // Split into (offset, bytes, terminated) lines by hand: the torn-tail
-    // rule needs byte offsets and needs to know whether the newline made
-    // it to disk.
-    let mut header: Option<JournalHeader> = None;
-    let mut cells = Vec::new();
-    let mut valid_len = 0u64;
-    let mut pos = 0usize;
-    while pos < data.len() {
-        let (line, next, terminated) = match data[pos..].iter().position(|b| *b == b'\n') {
-            Some(i) => (&data[pos..pos + i], pos + i + 1, true),
-            None => (&data[pos..], data.len(), false),
-        };
-        let last = next >= data.len();
-        match parse_line(&path, line) {
-            Ok(parsed) if terminated => {
-                match (parsed, header.is_some()) {
-                    (JournalLine::Header(h), false) => header = Some(h),
-                    (JournalLine::Header(_), true) => {
-                        return Err(bad(&path, "second header line in journal"))
-                    }
-                    (JournalLine::Cell(c), true) => cells.push(c),
-                    (JournalLine::Cell(_), false) => {
-                        return Err(bad(&path, "journal does not start with a header line"))
-                    }
-                }
-                valid_len = next as u64;
-            }
-            // A line that parses but never got its newline, or fails to
-            // parse *at the very end*: the torn tail of a crash. Ignore.
-            Ok(_) | Err(_) if last => break,
-            // Corruption with valid data after it is not a torn tail.
-            Err(e) => return Err(e),
-            Ok(_) => unreachable!("non-last lines are terminated"),
-        }
-        pos = next;
-    }
-
-    let header = header.ok_or_else(|| bad(&path, "journal has no header line"))?;
+    let replay = record_log::replay(&path)?;
+    let mut records = replay.records.iter();
+    let header = match records.next().map(|r| r.split_first()) {
+        Some(Some((&HEADER_TAG, json))) => decode(&path, json)?,
+        _ => return Err(bad(&path, "journal does not start with a header record")),
+    };
+    let cells = records
+        .map(|r| match r.split_first() {
+            Some((&CELL_TAG, json)) => decode(&path, json),
+            _ => Err(bad(&path, "journal record after the header is not a cell")),
+        })
+        .collect::<Result<_, _>>()?;
     Ok(Journal {
         header,
         cells,
-        valid_len,
+        valid_len: replay.valid_len,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dtb_core::policy::PolicyConfig;
-    use std::path::PathBuf;
-
-    fn temp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("dtb-journal-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
 
     fn header() -> JournalHeader {
         JournalHeader {
@@ -339,11 +234,11 @@ mod tests {
         }
     }
 
-    fn cell(row: &str, attempts: u32) -> JournalCell {
+    fn cell(row: &str) -> JournalCell {
         JournalCell {
             column: "CFRAC".into(),
             row: row.into(),
-            attempts,
+            attempts: 2,
             elapsed_ns: 12_345,
             run: None,
             failure: Some("injected".into()),
@@ -351,78 +246,33 @@ mod tests {
     }
 
     #[test]
-    fn journal_round_trips() {
-        let dir = temp_dir("rt");
+    fn journal_round_trips_across_a_resume() {
+        let dir = std::env::temp_dir().join(format!("dtb-journal-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let err = read_journal(&dir).unwrap_err();
+        assert!(matches!(err, CkpError::Io { .. }), "{err}");
         let mut w = JournalWriter::create(&dir, &header()).unwrap();
-        w.cell(&cell("FULL", 1)).unwrap();
-        w.cell(&cell("No GC", 2)).unwrap();
+        w.cell(&cell("FULL")).unwrap();
+        drop(w);
+        let first = read_journal(&dir).unwrap();
+        let mut w = JournalWriter::resume(&dir, &first).unwrap();
+        w.cell(&cell("No GC")).unwrap();
         drop(w);
         let j = read_journal(&dir).unwrap();
         assert_eq!(j.header, header());
-        assert_eq!(j.cells.len(), 2);
-        assert_eq!(j.cells[1].attempts, 2);
-        assert_eq!(
-            j.valid_len,
-            std::fs::metadata(journal_path(&dir)).unwrap().len()
-        );
+        assert_eq!(j.cells, vec![cell("FULL"), cell("No GC")]);
         assert_eq!(j.cell("CFRAC", "No GC"), Some(&j.cells[1]));
         assert_eq!(j.cell("CFRAC", "absent"), None);
-    }
-
-    #[test]
-    fn torn_tail_is_dropped_and_truncated() {
-        let dir = temp_dir("torn");
-        let mut w = JournalWriter::create(&dir, &header()).unwrap();
-        w.cell(&cell("FULL", 1)).unwrap();
-        drop(w);
-        let path = journal_path(&dir);
-        let clean_len = std::fs::metadata(&path).unwrap().len();
-        // Simulate a crash mid-write: half a line, no newline.
-        let mut data = std::fs::read(&path).unwrap();
-        data.extend_from_slice(b"0123456789abcdef C {\"column\":\"CF");
-        std::fs::write(&path, &data).unwrap();
-
-        let j = read_journal(&dir).unwrap();
-        assert_eq!(j.cells.len(), 1);
-        assert_eq!(j.valid_len, clean_len);
-
-        // Resuming truncates the tail away and appends cleanly.
-        let mut w = JournalWriter::resume(&dir, &j).unwrap();
-        w.cell(&cell("No GC", 1)).unwrap();
-        drop(w);
-        let j = read_journal(&dir).unwrap();
-        assert_eq!(j.cells.len(), 2);
-        assert_eq!(j.cells[1].row, "No GC");
-    }
-
-    #[test]
-    fn interior_corruption_is_a_typed_error() {
-        let dir = temp_dir("interior");
-        let mut w = JournalWriter::create(&dir, &header()).unwrap();
-        w.cell(&cell("FULL", 1)).unwrap();
-        w.cell(&cell("No GC", 1)).unwrap();
-        drop(w);
-        let path = journal_path(&dir);
-        let mut data = std::fs::read(&path).unwrap();
-        // Flip a byte in the middle line's payload (not the last line).
-        let second_line = data.iter().position(|b| *b == b'\n').unwrap() + 30;
-        data[second_line] ^= 0x20;
-        std::fs::write(&path, &data).unwrap();
-        assert!(matches!(
-            read_journal(&dir).unwrap_err(),
-            CkpError::ChecksumMismatch { .. } | CkpError::BadPayload { .. }
-        ));
-    }
-
-    #[test]
-    fn missing_or_headerless_journals_are_typed_errors() {
-        let dir = temp_dir("missing");
-        assert!(matches!(
-            read_journal(&dir).unwrap_err(),
-            CkpError::Io { .. }
-        ));
+        // A stale read no longer describes the file: refused, not mixed.
+        let err = JournalWriter::resume(&dir, &first).unwrap_err();
+        assert!(matches!(err, CkpError::Mismatch { .. }), "{err}");
+        // A journal torn before its header, and the old text format.
         std::fs::write(journal_path(&dir), b"").unwrap();
         let err = read_journal(&dir).unwrap_err();
         assert!(matches!(err, CkpError::BadPayload { .. }), "{err}");
+        std::fs::write(journal_path(&dir), b"0123456789abcdef H {}\n").unwrap();
+        let err = read_journal(&dir).unwrap_err();
+        assert!(matches!(err, CkpError::BadMagic { .. }), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -40,7 +40,7 @@
 //!   container, with bit-identical resume via
 //!   [`RunControl::resuming`](engine::RunControl::resuming).
 //! * [`journal`] — the durable evaluation journal: one fsync'd,
-//!   checksummed line per completed matrix cell, so
+//!   checksummed record per completed matrix cell, so
 //!   [`Evaluation::resume`](exec::Evaluation::resume) survives crashes
 //!   (even `SIGKILL`) losing at most the cell in flight.
 //! * [`run`] — migration notes for the removed free-function runners

@@ -9,7 +9,7 @@ use dtb_core::policy::{PolicyKind, Row};
 use dtb_sim::baseline::{live_report, no_gc_report};
 use dtb_sim::exec::{Evaluation, Matrix, RetryPolicy};
 use dtb_sim::fault::FlakyStore;
-use dtb_sim::journal::journal_path;
+use dtb_sim::journal::{read_journal, JournalWriter};
 use dtb_trace::programs::Program;
 use dtb_trace::{collect_source, SynthSource, TraceBuilder, WorkloadSpec};
 use std::path::PathBuf;
@@ -113,17 +113,18 @@ fn resume_reusing_no_gc_and_recomputing_live_gives_the_same_matrix() {
     let first = evaluation().parallelism(2).journal(&dir).run();
     assert!(first.is_complete());
 
-    // Drop every `LIVE` line: the resumed run reuses `No GC` from the
+    // Drop every `LIVE` record: the resumed run reuses `No GC` from the
     // journal, so the `LIVE` cell must compute the stats itself.
-    let path = journal_path(&dir);
-    let journal = std::fs::read_to_string(&path).expect("read journal");
-    let kept: String = journal
-        .lines()
-        .filter(|line| !line.contains(r#""row":"LIVE""#))
-        .map(|line| format!("{line}\n"))
-        .collect();
-    assert!(kept.len() < journal.len(), "journal names its LIVE rows");
-    std::fs::write(&path, kept).expect("rewrite journal");
+    let journal = read_journal(&dir).expect("read journal");
+    let live = Row::Live.to_string();
+    assert!(
+        journal.cells.iter().any(|c| c.row == live),
+        "journal names its LIVE rows"
+    );
+    let mut rewritten = JournalWriter::create(&dir, &journal.header).expect("rewrite journal");
+    for cell in journal.cells.iter().filter(|c| c.row != live) {
+        rewritten.cell(cell).expect("rewrite journal");
+    }
 
     let recomputed = Arc::new(Mutex::new(Vec::new()));
     let seen = recomputed.clone();

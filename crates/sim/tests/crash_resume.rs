@@ -6,7 +6,7 @@
 //! (filtered to [`crash_child_worker`]) with the journal directory in an
 //! environment variable, waits until the child's journal records at
 //! least two completed cells, and `SIGKILL`s it — no destructors, no
-//! flushes, possibly a torn line mid-write. The resumed evaluation must
+//! flushes, possibly a torn record mid-write. The resumed evaluation must
 //! reuse every journaled cell verbatim, recompute only the missing
 //! ones, and match the clean run bit for bit.
 
@@ -56,14 +56,9 @@ fn crash_child_worker() {
         .run();
 }
 
-/// Counts fully-written (newline-terminated) cell lines in the journal.
-fn journaled_cells(path: &Path) -> usize {
-    let Ok(data) = std::fs::read(path) else {
-        return 0;
-    };
-    data.split_inclusive(|b| *b == b'\n')
-        .filter(|line| line.ends_with(b"\n") && line.len() > 18 && &line[16..19] == b" C ")
-        .count()
+/// Counts durably journaled cells (a torn final record is not one).
+fn journaled_cells(dir: &Path) -> usize {
+    read_journal(dir).map_or(0, |journal| journal.cells.len())
 }
 
 #[test]
@@ -79,9 +74,8 @@ fn sigkilled_run_resumes_to_the_clean_matrix() {
         .expect("spawn crash child");
 
     // Wait for two durable cells, then kill without ceremony.
-    let journal = journal_path(&dir);
     let deadline = Instant::now() + Duration::from_secs(60);
-    while journaled_cells(&journal) < 2 {
+    while journaled_cells(&dir) < 2 {
         assert!(Instant::now() < deadline, "child never journaled two cells");
         assert!(
             child.try_wait().expect("child status").is_none(),

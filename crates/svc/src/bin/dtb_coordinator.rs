@@ -27,7 +27,7 @@ fn usage() -> ! {
          --retries N        transient-failure retries per cell beyond the first attempt (default 2)\n\
          --idle-ms N        poll backoff handed to idle workers in ms (default 100)\n\
          --quota T=N        cap tenant T's cells at N simulation events (repeatable)\n\
-         --results FILE     append-only results store behind GET /results (DTBRES01)\n\
+         --results FILE     durable results store behind GET /results (a DTBLOG01 record log)\n\
          --fault-journal-writes N   chaos: fail the next N journal finalization writes\n\
          --fault-results-writes N   chaos: tear the next N results-store appends"
     );

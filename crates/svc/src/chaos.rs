@@ -14,56 +14,20 @@
 //! event stream has no gaps or duplicates within any epoch, and
 //! [`journal_exactly_once`] proves no cell was ever finalized twice.
 
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
+pub use dtb_trace::record_log::FaultFuse;
 
-// ───────────────────────── fault fuses ─────────────────────────
-
-/// A chargeable fault trigger, shared between the planner and the code
-/// path it sabotages. Mirrors `fault::FlakyStore`'s fuse model: each
-/// [`trip`](FaultFuse::trip) consumes one charge and reports `true`
-/// (inject the fault) until the charges run out; an unarmed fuse never
-/// trips. Cloning shares the charge pool.
-#[derive(Clone, Debug, Default)]
-pub struct FaultFuse(Option<Arc<AtomicU32>>);
-
-impl FaultFuse {
-    /// A fuse that never trips.
-    pub fn none() -> FaultFuse {
-        FaultFuse(None)
-    }
-
-    /// A fuse with `n` charges: the next `n` trips inject.
-    pub fn charges(n: u32) -> FaultFuse {
-        FaultFuse(Some(Arc::new(AtomicU32::new(n))))
-    }
-
-    /// Consumes one charge. `true` = inject the fault now.
-    pub fn trip(&self) -> bool {
-        match &self.0 {
-            None => false,
-            Some(left) => left
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
-                .is_ok(),
-        }
-    }
-
-    /// Charges left (0 for an unarmed fuse).
-    pub fn remaining(&self) -> u32 {
-        self.0.as_ref().map_or(0, |n| n.load(Ordering::Relaxed))
-    }
-}
+// ───────────────────────── disk faults ─────────────────────────
 
 /// Disk-write fault injection for the coordinator's durable stores.
-/// Armed fuses make the next appends fail: a tripped `journal` fuse
-/// fails the finalization write (the cell must stay open); a tripped
-/// `results` fuse tears the results append mid-record (replay must drop
-/// it).
+/// Each armed fuse tears the next appends of its record log mid-frame
+/// (see [`dtb_trace::record_log`]): a torn `journal` append fails the
+/// finalization (the cell must stay open); a torn `results` append
+/// keeps the record in memory only (recovery backfills it).
 #[derive(Clone, Debug, Default)]
 pub struct DiskFaults {
-    /// Sabotages `SweepState::finalize`'s journal append.
+    /// Armed on every sweep journal's record log.
     pub journal: FaultFuse,
-    /// Sabotages `ResultsStore::append` (torn record, no fsync).
+    /// Armed on the results store's record log.
     pub results: FaultFuse,
 }
 
@@ -221,21 +185,6 @@ pub fn journal_exactly_once(keys: &[(String, String)]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fuse_charges_are_consumed_exactly() {
-        let fuse = FaultFuse::charges(2);
-        assert!(fuse.trip());
-        assert!(fuse.trip());
-        assert!(!fuse.trip(), "third trip finds the fuse spent");
-        assert_eq!(fuse.remaining(), 0);
-        assert!(!FaultFuse::none().trip());
-        // Clones share the pool.
-        let a = FaultFuse::charges(1);
-        let b = a.clone();
-        assert!(a.trip());
-        assert!(!b.trip());
-    }
 
     #[test]
     fn plans_are_deterministic_in_the_seed() {

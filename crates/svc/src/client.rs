@@ -18,6 +18,7 @@ use crate::proto::{
 };
 use dtb_core::policy::Row;
 use dtb_sim::exec::{Cell, CellFailure, CellOutcome, Column, FailureCause, Matrix, RetryPolicy};
+use dtb_trace::ckp::checksum;
 use serde::Deserialize;
 use std::fmt;
 use std::net::TcpStream;
@@ -152,9 +153,7 @@ impl Client {
     fn exchange<Rep: Deserialize>(&mut self, req: &Request) -> Result<Rep, SvcError> {
         // Salt the deterministic backoff jitter by the route, so parallel
         // callers of different endpoints desynchronize.
-        let salt = req.path.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        });
+        let salt = checksum(req.path.as_bytes());
         let mut last: Option<SvcError> = None;
         for attempt in 0..=self.retry.max_retries {
             if attempt > 0 {

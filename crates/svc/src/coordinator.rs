@@ -158,9 +158,6 @@ struct SweepState {
     spec: SweepSpec,
     cells: Vec<CellState>,
     journal: Option<JournalWriter>,
-    /// Chaos fuse over journal appends (shared with the config's
-    /// [`DiskFaults`]); unarmed outside drills.
-    journal_fault: FaultFuse,
 }
 
 impl SweepState {
@@ -190,15 +187,6 @@ impl SweepState {
     ) -> Result<(), CkpError> {
         let cell = &mut self.cells[index];
         debug_assert!(!cell.status.is_final(), "finalize called twice on a cell");
-        if self.journal_fault.trip() {
-            // Injected disk fault: surfaces exactly like a real failed
-            // journal append — before anything hit the file, so there is
-            // no torn line and the cell stays open.
-            return Err(CkpError::Io {
-                path: PathBuf::from(format!("sweep-{}", self.id)),
-                message: "injected journal write fault".to_string(),
-            });
-        }
         if let Some(journal) = &mut self.journal {
             journal.cell(&JournalCell {
                 column: cell.program.label().to_string(),
@@ -314,6 +302,7 @@ impl State {
     /// or torn tail is not corruption), or filesystem failures.
     fn recover(config: CoordinatorConfig) -> Result<State, CkpError> {
         let results = Arc::new(ResultsStore::open_or_memory(config.results_path.as_deref()));
+        results.inject_fault(config.disk_faults.results.clone());
         let (sweep_log, epoch, logged) = match &config.journal_dir {
             None => (None, 1, Vec::new()),
             Some(dir) => {
@@ -962,7 +951,7 @@ fn rebuild_sweep(
     let rows = spec.rows();
     let mut cells = build_cells(&spec, &rows);
     let dir = journal_dir.join(format!("sweep-{id}"));
-    let journal = match read_journal(&dir) {
+    let mut journal = match read_journal(&dir) {
         Ok(journal) => {
             for jc in &journal.cells {
                 let Some(index) = cells.iter().position(|c| {
@@ -1003,12 +992,12 @@ fn rebuild_sweep(
         // trust, mirroring `Evaluation::resume`.
         Err(e) => return Err(e),
     };
+    journal.inject_fault(journal_fault);
     let sweep = SweepState {
         id,
         spec,
         cells,
         journal: Some(journal),
-        journal_fault,
     };
     // Backfill the results store from the journal (idempotent): a crash
     // between the journal fsync and the results append loses only the
@@ -1026,10 +1015,14 @@ fn submit(state: &mut State, spec: SweepSpec) -> Result<u64, CkpError> {
     let rows = spec.rows();
     let journal = match &state.config.journal_dir {
         None => None,
-        Some(dir) => Some(JournalWriter::create(
-            dir.join(format!("sweep-{id}")),
-            &journal_header(&spec, &rows),
-        )?),
+        Some(dir) => {
+            let mut journal = JournalWriter::create(
+                dir.join(format!("sweep-{id}")),
+                &journal_header(&spec, &rows),
+            )?;
+            journal.inject_fault(state.config.disk_faults.journal.clone());
+            Some(journal)
+        }
     };
     // Durable intake: the sweep goes into the fsync'd sweep log *before*
     // the submit is acked. On failure the id is not consumed and the
@@ -1047,7 +1040,6 @@ fn submit(state: &mut State, spec: SweepSpec) -> Result<u64, CkpError> {
         spec,
         cells,
         journal,
-        journal_fault: state.config.disk_faults.journal.clone(),
     });
     publish_event(
         &state.events,
@@ -1699,8 +1691,8 @@ mod tests {
         let task = lease_task(&mut st).unwrap();
         let req = completion(&task, Some(tiny_run()));
 
-        // The armed fuse fails the finalization write: the worker sees a
-        // 500, the cell is NOT final, and nothing reached the journal.
+        // The armed fuse tears the finalization write: the worker sees a
+        // 500, the cell is NOT final, and replay drops the torn record.
         let resp = complete(&mut st, &req);
         assert_eq!(
             resp.status,

@@ -26,11 +26,11 @@
 //! * [`events`] — the `/events` server-push channel: a bounded event
 //!   log streamed to followers over chunked transfer, with
 //!   [`follow_events`] as the tailing client;
-//! * [`results`] — the checksummed append-only store behind
+//! * [`results`] — the record-log-backed store behind
 //!   `GET /results`, serving finalized cells while a sweep still runs;
 //! * [`fault`] — deterministic network fault injection for the chaos
 //!   suites;
-//! * [`sweeplog`] — the checksummed sweep-intake log that makes
+//! * [`sweeplog`] — the sweep-intake record log that makes
 //!   submissions durable: [`Coordinator::recover`] replays it (plus the
 //!   journals and the results store) to rebuild state after a crash,
 //!   with lease **epochs** fencing out stale pre-crash workers;

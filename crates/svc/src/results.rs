@@ -1,43 +1,32 @@
 //! The queryable results store behind `GET /results`.
 //!
-//! An append-only, checksummed record file (format `DTBRES01`) plus an
-//! in-memory index. The coordinator appends one record per *finalized*
-//! cell — the same moment the journal line lands — and `/results`
-//! serves cells straight from the store, so results outlive the
-//! in-memory sweep state and can be queried while a sweep is still
-//! running (unlike `GET /sweep`, which withholds cells until the sweep
-//! is done).
+//! A [`record_log`](dtb_trace::record_log) file plus an in-memory index.
+//! The coordinator appends one record per *finalized* cell — the same
+//! moment the journal record lands — and `/results` serves cells
+//! straight from the store, so results outlive the in-memory sweep
+//! state and can be queried while a sweep is still running (unlike
+//! `GET /sweep`, which withholds cells until the sweep is done).
 //!
-//! # On-disk format
-//!
-//! The container reuses the `DTBCTC01`/`DTBCKP01` checksum discipline
-//! (FNV-1a over the payload, hex in a fixed-width header):
-//!
-//! ```text
-//! DTBRES01\n
-//! {fnv:016x} {sweep} {cell} {len}\n
-//! <len bytes of JSON payload>\n
-//! ...
-//! ```
-//!
-//! The payload is the JSON [`CellResult`]. Replay on open is tolerant
-//! of a truncated tail (a crash mid-append): records are read until the
-//! first short or checksum-failing record, and appends resume from
-//! there. The store is a serving cache — the journal remains the
-//! durability story — so append failures are reported to stderr but
-//! never fail a completion.
+//! Each record is the JSON `{"sweep":S,"cell":C,"result":{...}}` of one
+//! [`CellResult`]. The store is a serving cache — the journal remains
+//! the durability story — so append failures are reported to stderr but
+//! never fail a completion, and a file the store cannot trust is refused
+//! untouched (see [`ResultsStore::open_or_memory`]).
 
-use crate::chaos::FaultFuse;
 use crate::proto::{decode, encode, CellResult};
-use dtb_trace::ckp::checksum;
+use dtb_sim::CkpError;
+use dtb_trace::record_log::{FaultFuse, RecordLog};
+use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, Read, Write};
 use std::path::Path;
 use std::sync::Mutex;
 
-/// Magic first line of a results file.
-pub const RESULTS_MAGIC: &str = "DTBRES01";
+#[derive(Serialize, Deserialize)]
+struct ResultRecord {
+    sweep: u64,
+    cell: u64,
+    result: CellResult,
+}
 
 /// Append-only results store: file-backed when opened with a path,
 /// memory-only otherwise.
@@ -46,82 +35,56 @@ pub struct ResultsStore {
 }
 
 struct StoreInner {
-    file: Option<File>,
+    log: Option<RecordLog>,
     /// `(sweep, cell)` → finalized result. Insertion order is not kept;
     /// queries sort by cell index.
     index: HashMap<(u64, u64), CellResult>,
-    /// Chaos fuse: a tripped charge tears the next append mid-record.
-    fault: FaultFuse,
 }
 
 impl ResultsStore {
     /// A memory-only store (nothing persisted).
     pub fn memory() -> ResultsStore {
+        ResultsStore::with(None, HashMap::new())
+    }
+
+    fn with(log: Option<RecordLog>, index: HashMap<(u64, u64), CellResult>) -> ResultsStore {
         ResultsStore {
-            inner: Mutex::new(StoreInner {
-                file: None,
-                index: HashMap::new(),
-                fault: FaultFuse::none(),
-            }),
+            inner: Mutex::new(StoreInner { log, index }),
         }
     }
 
     /// Opens (or creates) a file-backed store at `path`, replaying any
-    /// existing records into the index.
+    /// existing records into the index. A torn tail is dropped and
+    /// later appends continue after the last good record.
     ///
     /// # Errors
     ///
-    /// I/O failures opening or creating the file. A corrupt or
-    /// truncated *tail* is not an error — replay stops there and later
-    /// appends continue after the last good record.
-    pub fn open(path: &Path) -> std::io::Result<ResultsStore> {
+    /// I/O failures, a file that is not a record log (wrong or older
+    /// magic), interior corruption, or a record that does not decode.
+    /// A refusal never drops a valid record: a foreign or damaged file
+    /// is left byte-for-byte untouched.
+    pub fn open(path: &Path) -> Result<ResultsStore, CkpError> {
+        let (log, replay) = RecordLog::open(path)?;
         let mut index = HashMap::new();
-        let existing = match File::open(path) {
-            Ok(f) => Some(f),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
-            Err(e) => return Err(e),
-        };
-        // Byte offset of the first byte past the last good record.
-        let mut good = 0u64;
-        if let Some(f) = existing {
-            good = replay(f, &mut index)?;
+        for record in &replay.records {
+            let r: ResultRecord = decode(record).map_err(|why| CkpError::BadPayload {
+                path: path.to_path_buf(),
+                reason: format!("results record: {why}"),
+            })?;
+            index.insert((r.sweep, r.cell), r.result);
         }
-        let mut file = OpenOptions::new()
-            .create(true)
-            .truncate(false) // keep good records; set_len drops the torn tail
-            .read(true)
-            .write(true)
-            .open(path)?;
-        file.set_len(good)?;
-        use std::io::Seek;
-        if good == 0 {
-            file.seek(std::io::SeekFrom::Start(0))?;
-            file.write_all(RESULTS_MAGIC.as_bytes())?;
-            file.write_all(b"\n")?;
-        } else {
-            file.seek(std::io::SeekFrom::Start(good))?;
-        }
-        file.sync_data()?;
-        Ok(ResultsStore {
-            inner: Mutex::new(StoreInner {
-                file: Some(file),
-                index,
-                fault: FaultFuse::none(),
-            }),
-        })
+        Ok(ResultsStore::with(Some(log), index))
     }
 
     /// Opens a file-backed store, falling back to memory-only (with a
     /// note on stderr) when the file cannot be opened — the coordinator
-    /// must come up either way.
+    /// must come up either way, and recovery backfills the memory store
+    /// from the journals.
     pub fn open_or_memory(path: Option<&Path>) -> ResultsStore {
         match path {
             None => ResultsStore::memory(),
             Some(p) => ResultsStore::open(p).unwrap_or_else(|e| {
-                eprintln!(
-                    "coordinator: results store {} unavailable ({e}); serving from memory",
-                    p.display()
-                );
+                eprintln!("coordinator: results store unavailable ({e}); serving from memory");
                 ResultsStore::memory()
             }),
         }
@@ -129,51 +92,34 @@ impl ResultsStore {
 
     /// Records one finalized cell. Idempotent per `(sweep, cell)`: a
     /// re-append of an already-stored cell is ignored (the first
-    /// durable record won, mirroring the journal's exactly-once line).
+    /// durable record won, mirroring the journal's exactly-once record).
     /// File write failures are reported to stderr, never propagated.
     pub fn append(&self, sweep: u64, cell: u64, result: &CellResult) {
         let mut inner = self.lock();
         if inner.index.contains_key(&(sweep, cell)) {
             return;
         }
-        let torn = inner.file.is_some() && inner.fault.trip();
-        if let Some(file) = &mut inner.file {
-            let payload = encode(result);
-            let header = format!(
-                "{:016x} {sweep} {cell} {}\n",
-                checksum(&payload),
-                payload.len()
-            );
-            let write = if torn {
-                // Injected crash-mid-append: the header and half the
-                // payload land, no separator, no fsync — exactly the
-                // torn tail replay is built to drop. The record stays
-                // servable from memory; recovery backfills it from the
-                // journal.
-                eprintln!("coordinator: results append torn by injected fault (sweep {sweep} cell {cell})");
-                file.write_all(header.as_bytes())
-                    .and_then(|()| file.write_all(&payload[..payload.len() / 2]))
-            } else {
-                file.write_all(header.as_bytes())
-                    .and_then(|()| file.write_all(&payload))
-                    .and_then(|()| file.write_all(b"\n"))
-                    .and_then(|()| file.sync_data())
-            };
-            if let Err(e) = write {
+        let record = ResultRecord {
+            sweep,
+            cell,
+            result: result.clone(),
+        };
+        if let Some(log) = &mut inner.log {
+            if let Err(e) = log.append(&encode(&record)) {
                 eprintln!("coordinator: results append failed ({e}); record kept in memory");
             }
         }
-        inner.index.insert((sweep, cell), result.clone());
+        inner.index.insert((sweep, cell), record.result);
     }
 
-    /// Arms a chaos fuse over appends: each tripped charge tears one
-    /// record mid-write (header and a half-payload, no separator, no
-    /// fsync) — what a crash in the middle of an append leaves behind.
-    /// Replay on the next open drops everything from the torn record on;
-    /// the coordinator's recovery backfills dropped records from the
-    /// journal, which stays the durability story.
+    /// Arms a fault fuse over appends (see
+    /// [`RecordLog::inject_fault`]): a torn record stays servable from
+    /// memory, the next append truncates it, and the coordinator's
+    /// recovery backfills it from the journal after a restart.
     pub fn inject_fault(&self, fault: FaultFuse) {
-        self.lock().fault = fault;
+        if let Some(log) = &mut self.lock().log {
+            log.inject_fault(fault);
+        }
     }
 
     /// One cell's stored result.
@@ -207,57 +153,6 @@ impl ResultsStore {
     fn lock(&self) -> std::sync::MutexGuard<'_, StoreInner> {
         self.inner.lock().unwrap_or_else(|p| p.into_inner())
     }
-}
-
-/// Replays a results file into `index`, returning the byte offset just
-/// past the last good record (0 when even the magic line is missing or
-/// wrong — the file is then rewritten from scratch).
-fn replay(file: File, index: &mut HashMap<(u64, u64), CellResult>) -> std::io::Result<u64> {
-    let mut r = BufReader::new(file);
-    let mut line = String::new();
-    if r.read_line(&mut line)? == 0 || line.trim_end() != RESULTS_MAGIC {
-        return Ok(0);
-    }
-    let mut good = line.len() as u64;
-    loop {
-        line.clear();
-        let header_len = r.read_line(&mut line)?;
-        if header_len == 0 {
-            break;
-        }
-        let Some((fnv, sweep, cell, len)) = parse_header(line.trim_end()) else {
-            break;
-        };
-        let mut payload = vec![0u8; len];
-        if r.read_exact(&mut payload).is_err() {
-            break;
-        }
-        let mut sep = [0u8; 1];
-        if r.read_exact(&mut sep).is_err() || sep[0] != b'\n' {
-            break;
-        }
-        if checksum(&payload) != fnv {
-            break;
-        }
-        let Ok(result) = decode::<CellResult>(&payload) else {
-            break;
-        };
-        index.insert((sweep, cell), result);
-        good += header_len as u64 + len as u64 + 1;
-    }
-    Ok(good)
-}
-
-fn parse_header(line: &str) -> Option<(u64, u64, u64, usize)> {
-    let mut parts = line.split(' ');
-    let fnv = u64::from_str_radix(parts.next()?, 16).ok()?;
-    let sweep = parts.next()?.parse().ok()?;
-    let cell = parts.next()?.parse().ok()?;
-    let len: usize = parts.next()?.parse().ok()?;
-    if parts.next().is_some() || len > 64 << 20 {
-        return None;
-    }
-    Some((fnv, sweep, cell, len))
 }
 
 #[cfg(test)]
@@ -306,82 +201,41 @@ mod tests {
     }
 
     #[test]
-    fn file_store_survives_reopen() {
+    fn file_store_survives_reopen_losing_only_a_torn_record() {
         let path = tempfile("reopen");
         std::fs::remove_file(&path).ok();
         {
             let store = ResultsStore::open(&path).unwrap();
             store.append(1, 0, &result("FULL", true));
-            store.append(1, 1, &result("FIXED 1.0", false));
-        }
-        let store = ResultsStore::open(&path).unwrap();
-        assert_eq!(store.len(), 2);
-        assert_eq!(store.get(1, 1).unwrap().row, "FIXED 1.0");
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn truncated_tail_is_dropped_and_appends_continue() {
-        let path = tempfile("trunc");
-        std::fs::remove_file(&path).ok();
-        {
-            let store = ResultsStore::open(&path).unwrap();
-            store.append(1, 0, &result("FULL", true));
-            store.append(1, 1, &result("FIXED 1.0", true));
-        }
-        // Chop bytes off the tail: the second record becomes garbage.
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &bytes[..bytes.len() - 7]).unwrap();
-        let store = ResultsStore::open(&path).unwrap();
-        assert_eq!(store.len(), 1, "torn tail record must be dropped");
-        store.append(1, 1, &result("FIXED 1.0", true));
-        drop(store);
-        let store = ResultsStore::open(&path).unwrap();
-        assert_eq!(store.len(), 2);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn injected_fault_tears_one_record_and_reopen_drops_it() {
-        let path = tempfile("torn");
-        std::fs::remove_file(&path).ok();
-        {
-            let store = ResultsStore::open(&path).unwrap();
-            store.append(1, 0, &result("FULL", true));
             store.inject_fault(FaultFuse::charges(1));
-            // This append is torn mid-record on disk but stays servable
-            // from the in-memory index.
             store.append(1, 1, &result("FIXED 1.0", true));
-            assert_eq!(store.len(), 2);
-            assert!(store.get(1, 1).is_some());
+            assert!(store.get(1, 1).is_some(), "torn record still servable");
+            store.append(1, 2, &result("DTB-FM", false));
         }
-        // The reopened store drops the torn record — never a garbled one.
-        let store = ResultsStore::open(&path).unwrap();
-        assert_eq!(store.len(), 1, "torn record must be dropped on replay");
-        assert!(store.get(1, 1).is_none());
-        // A journal-style backfill re-append restores it durably.
-        store.append(1, 1, &result("FIXED 1.0", true));
-        drop(store);
         let store = ResultsStore::open(&path).unwrap();
         assert_eq!(store.len(), 2);
-        assert_eq!(store.get(1, 1).unwrap().row, "FIXED 1.0");
+        assert!(store.get(1, 1).is_none());
+        assert_eq!(
+            store.get(1, 2).unwrap().failure.as_deref(),
+            Some("injected")
+        );
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn corrupt_checksum_stops_replay() {
-        let path = tempfile("corrupt");
-        std::fs::remove_file(&path).ok();
-        {
-            let store = ResultsStore::open(&path).unwrap();
+    fn foreign_files_are_refused_untouched() {
+        let path = tempfile("foreign");
+        // Not a results store at all (`--results` pointed at the wrong
+        // file), and a store in the pre-record-log format.
+        for bytes in [&b"precious user data\n"[..], b"DTBRES01\n"] {
+            std::fs::write(&path, bytes).unwrap();
+            let err = ResultsStore::open(&path).err().expect("refused");
+            assert!(matches!(err, CkpError::BadMagic { .. }), "{err}");
+            let store = ResultsStore::open_or_memory(Some(&path));
             store.append(1, 0, &result("FULL", true));
+            assert_eq!(store.len(), 1, "memory fallback still serves");
+            assert_eq!(std::fs::read(&path).unwrap(), bytes);
         }
-        let mut bytes = std::fs::read(&path).unwrap();
-        let last = bytes.len() - 2; // inside the JSON payload
-        bytes[last] ^= 0x20;
-        std::fs::write(&path, &bytes).unwrap();
-        let store = ResultsStore::open(&path).unwrap();
-        assert_eq!(store.len(), 0);
         std::fs::remove_file(&path).ok();
     }
 }

@@ -1,63 +1,45 @@
 //! The durable sweep-intake log: what makes the coordinator restartable.
 //!
-//! The per-sweep journal (PR 5) records every cell *completion*, but the
+//! The per-sweep journal records every cell *completion*, but the
 //! journal header does not carry the full [`SweepSpec`] — tenant,
 //! program set, policy list — so a journal alone cannot rebuild the
 //! coordinator's `SweepState` after a crash. This log closes the gap: a
-//! single append-only, checksummed file (`sweeps.log`) in the journal
-//! directory that records every accepted sweep **before** the submit is
-//! acked, plus one epoch line per coordinator incarnation.
+//! single [`record_log`](dtb_trace::record_log) file (`sweeps.log`) in
+//! the journal directory that records every accepted sweep **before**
+//! the submit is acked, plus one epoch record per coordinator
+//! incarnation.
 //!
-//! # On-disk format
+//! Each record is a one-byte tag and a JSON payload:
 //!
-//! One record per line, reusing the journal's checksum discipline
-//! (FNV-1a over the JSON payload, hex in a fixed-width prefix):
+//! * `E` `{"epoch":N}` — an epoch bump. Every [`SweepLog::open`] appends
+//!   one, so the highest recorded epoch is the incarnation number;
+//!   leases are fenced by it ([lease-epoch fencing](crate::coordinator)).
+//! * `S` `{"id":N,"spec":{...}}` — one accepted sweep.
 //!
-//! ```text
-//! {fnv:016x} V {"version":1}
-//! {fnv:016x} E {"epoch":1}
-//! {fnv:016x} S {"id":1,"spec":{...}}
-//! {fnv:016x} E {"epoch":2}        ← appended by the next open (restart)
-//! ```
-//!
-//! * `V` — format header, always first.
-//! * `E` — an epoch bump. Every [`SweepLog::open`] appends one, so the
-//!   count of `E` lines is the incarnation number; leases are fenced by
-//!   it ([lease-epoch fencing](crate::coordinator)).
-//! * `S` — one accepted sweep: its id and full spec.
-//!
-//! Replay mirrors `read_journal` exactly: a torn **final** line (crash
-//! mid-append) is dropped and truncated away; damage anywhere before the
-//! final line is interior corruption and a typed [`CkpError`] — the
-//! coordinator refuses to start on a log it cannot trust, but never on
-//! one that merely lost its tail.
+//! The record log owns the crash semantics: a torn final record is
+//! dropped, interior damage is a typed [`CkpError`] — the coordinator
+//! refuses to start on a log it cannot trust, but never on one that
+//! merely lost its tail.
 
-use crate::proto::SweepSpec;
+use crate::proto::{decode, encode, SweepSpec};
 use dtb_sim::CkpError;
-use dtb_trace::ckp::checksum;
+use dtb_trace::record_log::RecordLog;
 use serde::{Deserialize, Serialize};
-use std::fs::{File, OpenOptions};
-use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// File name of the sweep log inside the coordinator's journal dir.
 pub const SWEEP_LOG_FILE: &str = "sweeps.log";
 
-/// Format version written to (and required of) the `V` header line.
-pub const SWEEP_LOG_VERSION: u32 = 1;
+const EPOCH_TAG: u8 = b'E';
+const SWEEP_TAG: u8 = b'S';
 
 #[derive(Serialize, Deserialize)]
-struct VersionLine {
-    version: u32,
-}
-
-#[derive(Serialize, Deserialize)]
-struct EpochLine {
+struct EpochRecord {
     epoch: u64,
 }
 
 #[derive(Serialize, Deserialize)]
-struct SweepLine {
+struct SweepRecord {
     id: u64,
     spec: SweepSpec,
 }
@@ -66,7 +48,7 @@ struct SweepLine {
 #[derive(Debug)]
 pub struct SweepLogReplay {
     /// The epoch this incarnation runs under (highest recorded + 1; the
-    /// bump line is already on disk when [`SweepLog::open`] returns).
+    /// bump record is already on disk when [`SweepLog::open`] returns).
     pub epoch: u64,
     /// Every accepted sweep, in intake order (first record wins on a
     /// duplicated id — appends are acked once, so duplicates can only
@@ -77,58 +59,50 @@ pub struct SweepLogReplay {
 /// The open, appendable sweep log.
 #[derive(Debug)]
 pub struct SweepLog {
-    file: File,
-    path: PathBuf,
+    log: RecordLog,
 }
 
 impl SweepLog {
     /// Opens (or creates) `dir/sweeps.log`: replays existing records,
     /// truncates a torn tail, then appends — and fsyncs — an epoch-bump
-    /// line. Every open is a new epoch.
+    /// record. Every open is a new epoch.
     ///
     /// # Errors
     ///
-    /// [`CkpError::Io`] on filesystem failure, and the journal's typed
-    /// corruption errors on interior damage (a torn final line is not an
-    /// error).
+    /// [`CkpError::Io`] on filesystem failure, the record log's typed
+    /// errors on damage, and [`CkpError::BadPayload`] for a record that
+    /// verifies but does not decode.
     pub fn open(dir: &Path) -> Result<(SweepLog, SweepLogReplay), CkpError> {
-        std::fs::create_dir_all(dir).map_err(|e| io_err(dir, &e))?;
         let path = dir.join(SWEEP_LOG_FILE);
-        let (mut replay, valid_len) = match std::fs::read(&path) {
-            Ok(data) => replay_log(&path, &data)?,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => (
-                SweepLogReplay {
-                    epoch: 0,
-                    sweeps: Vec::new(),
-                },
-                0,
-            ),
-            Err(e) => return Err(io_err(&path, &e)),
+        let (log, logged) = RecordLog::open(&path)?;
+        let mut replay = SweepLogReplay {
+            epoch: 0,
+            sweeps: Vec::new(),
         };
-        let file = OpenOptions::new()
-            .create(true)
-            .truncate(false)
-            .write(true)
-            .open(&path)
-            .map_err(|e| io_err(&path, &e))?;
-        file.set_len(valid_len).map_err(|e| io_err(&path, &e))?;
-        use std::io::Seek;
-        let mut log = SweepLog { file, path };
-        log.file
-            .seek(std::io::SeekFrom::Start(valid_len))
-            .map_err(|e| io_err(&log.path, &e))?;
-        if valid_len == 0 {
-            log.append(
-                b'V',
-                &VersionLine {
-                    version: SWEEP_LOG_VERSION,
-                },
-            )?;
+        let bad = |why: String| CkpError::BadPayload {
+            path: path.clone(),
+            reason: format!("sweep-log record: {why}"),
+        };
+        for record in &logged.records {
+            match record.split_first() {
+                Some((&EPOCH_TAG, json)) => {
+                    let e: EpochRecord = decode(json).map_err(bad)?;
+                    replay.epoch = replay.epoch.max(e.epoch);
+                }
+                Some((&SWEEP_TAG, json)) => {
+                    let s: SweepRecord = decode(json).map_err(bad)?;
+                    if !replay.sweeps.iter().any(|(id, _)| *id == s.id) {
+                        replay.sweeps.push((s.id, s.spec));
+                    }
+                }
+                _ => return Err(bad("unknown record tag".to_string())),
+            }
         }
+        let mut log = SweepLog { log };
         replay.epoch += 1;
         log.append(
-            b'E',
-            &EpochLine {
+            EPOCH_TAG,
+            &EpochRecord {
                 epoch: replay.epoch,
             },
         )?;
@@ -144,241 +118,50 @@ impl SweepLog {
     /// [`CkpError::Io`] when the append or fsync fails.
     pub fn sweep(&mut self, id: u64, spec: &SweepSpec) -> Result<(), CkpError> {
         self.append(
-            b'S',
-            &SweepLine {
+            SWEEP_TAG,
+            &SweepRecord {
                 id,
                 spec: spec.clone(),
             },
         )
     }
 
-    fn append<T: Serialize>(&mut self, kind: u8, payload: &T) -> Result<(), CkpError> {
-        let json = serde_json::to_string(payload).expect("sweep-log records serialize infallibly");
-        let line = format!(
-            "{:016x} {} {json}\n",
-            checksum(json.as_bytes()),
-            kind as char
-        );
-        self.file
-            .write_all(line.as_bytes())
-            .and_then(|()| self.file.sync_data())
-            .map_err(|e| io_err(&self.path, &e))
+    fn append<T: Serialize>(&mut self, tag: u8, payload: &T) -> Result<(), CkpError> {
+        let mut record = vec![tag];
+        record.extend_from_slice(&encode(payload));
+        self.log.append(&record)
     }
-}
-
-fn io_err(path: &Path, e: &std::io::Error) -> CkpError {
-    CkpError::Io {
-        path: path.to_path_buf(),
-        message: e.to_string(),
-    }
-}
-
-fn bad(path: &Path, reason: &str) -> CkpError {
-    CkpError::BadPayload {
-        path: path.to_path_buf(),
-        reason: reason.to_string(),
-    }
-}
-
-/// One parsed line.
-enum LogLine {
-    Version(u32),
-    Epoch(u64),
-    Sweep(u64, SweepSpec),
-}
-
-fn parse_line(path: &Path, line: &[u8]) -> Result<LogLine, CkpError> {
-    let text = std::str::from_utf8(line).map_err(|_| bad(path, "sweep-log line is not UTF-8"))?;
-    // `{fnv:016x} {kind} {json}`
-    let (fnv_hex, rest) = text
-        .split_once(' ')
-        .ok_or_else(|| bad(path, "sweep-log line has no checksum field"))?;
-    let (kind, json) = rest
-        .split_once(' ')
-        .ok_or_else(|| bad(path, "sweep-log line has no kind field"))?;
-    let expected =
-        u64::from_str_radix(fnv_hex, 16).map_err(|_| bad(path, "sweep-log checksum is not hex"))?;
-    let found = checksum(json.as_bytes());
-    if expected != found {
-        return Err(CkpError::ChecksumMismatch {
-            path: path.to_path_buf(),
-            expected,
-            found,
-        });
-    }
-    let payload_err = |why: &str| bad(path, why);
-    match kind {
-        "V" => {
-            let v: VersionLine = serde_json::from_str(json)
-                .map_err(|_| payload_err("sweep-log version line does not decode"))?;
-            Ok(LogLine::Version(v.version))
-        }
-        "E" => {
-            let e: EpochLine = serde_json::from_str(json)
-                .map_err(|_| payload_err("sweep-log epoch line does not decode"))?;
-            Ok(LogLine::Epoch(e.epoch))
-        }
-        "S" => {
-            let s: SweepLine = serde_json::from_str(json)
-                .map_err(|_| payload_err("sweep-log sweep line does not decode"))?;
-            Ok(LogLine::Sweep(s.id, s.spec))
-        }
-        other => Err(payload_err(&format!("unknown sweep-log kind `{other}`"))),
-    }
-}
-
-/// Replays log bytes: records up to the first torn-tail line, plus the
-/// byte length of the valid prefix. Interior corruption is a typed
-/// error, exactly like `read_journal`.
-fn replay_log(path: &Path, data: &[u8]) -> Result<(SweepLogReplay, u64), CkpError> {
-    let mut replay = SweepLogReplay {
-        epoch: 0,
-        sweeps: Vec::new(),
-    };
-    let mut versioned = false;
-    let mut valid_len = 0u64;
-    let mut pos = 0usize;
-    while pos < data.len() {
-        let (line, next, terminated) = match data[pos..].iter().position(|b| *b == b'\n') {
-            Some(i) => (&data[pos..pos + i], pos + i + 1, true),
-            None => (&data[pos..], data.len(), false),
-        };
-        let last = next >= data.len();
-        match parse_line(path, line) {
-            Ok(parsed) if terminated => {
-                match (parsed, versioned) {
-                    (LogLine::Version(v), false) => {
-                        if v != SWEEP_LOG_VERSION {
-                            return Err(bad(
-                                path,
-                                &format!(
-                                    "sweep-log version {v} (this build reads {SWEEP_LOG_VERSION})"
-                                ),
-                            ));
-                        }
-                        versioned = true;
-                    }
-                    (LogLine::Version(_), true) => {
-                        return Err(bad(path, "second version line in sweep log"))
-                    }
-                    (LogLine::Epoch(e), true) => replay.epoch = replay.epoch.max(e),
-                    (LogLine::Sweep(id, spec), true) => {
-                        if !replay.sweeps.iter().any(|(i, _)| *i == id) {
-                            replay.sweeps.push((id, spec));
-                        }
-                    }
-                    (_, false) => {
-                        return Err(bad(path, "sweep log does not start with a version line"))
-                    }
-                }
-                valid_len = next as u64;
-            }
-            // A torn tail — an unterminated line, or an unparseable line
-            // at the very end (a crash mid-append): drop it.
-            Ok(_) | Err(_) if last => break,
-            // Corruption with valid data after it is interior damage.
-            Err(e) => return Err(e),
-            Ok(_) => unreachable!("non-last lines are terminated"),
-        }
-        pos = next;
-    }
-    Ok((replay, valid_len))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::PathBuf;
-
-    fn temp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "dtb-sweeplog-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
-
-    fn spec(tenant: &str) -> SweepSpec {
-        SweepSpec::paper(tenant)
-    }
 
     #[test]
     fn sweeps_and_epochs_round_trip_across_opens() {
-        let dir = temp_dir("roundtrip");
+        let dir = std::env::temp_dir().join(format!("dtb-sweeplog-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         {
             let (mut log, replay) = SweepLog::open(&dir).unwrap();
             assert_eq!(replay.epoch, 1, "first open is epoch 1");
             assert!(replay.sweeps.is_empty());
-            log.sweep(1, &spec("acme")).unwrap();
-            log.sweep(2, &spec("umbrella")).unwrap();
+            log.sweep(1, &SweepSpec::paper("acme")).unwrap();
+            log.sweep(2, &SweepSpec::paper("umbrella")).unwrap();
         }
         let (_log, replay) = SweepLog::open(&dir).unwrap();
         assert_eq!(replay.epoch, 2, "every open bumps the epoch");
-        assert_eq!(replay.sweeps.len(), 2);
-        assert_eq!(replay.sweeps[0].0, 1);
-        assert_eq!(replay.sweeps[0].1.tenant, "acme");
-        assert_eq!(replay.sweeps[1].1.tenant, "umbrella");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn torn_tail_is_dropped_and_truncated() {
-        let dir = temp_dir("torn");
-        {
-            let (mut log, _) = SweepLog::open(&dir).unwrap();
-            log.sweep(1, &spec("acme")).unwrap();
-            log.sweep(2, &spec("umbrella")).unwrap();
-        }
-        let path = dir.join(SWEEP_LOG_FILE);
-        let bytes = std::fs::read(&path).unwrap();
-        // Chop mid-way through the final record: sweep 2 becomes a torn
-        // tail and must vanish; sweep 1 must survive.
-        std::fs::write(&path, &bytes[..bytes.len() - 9]).unwrap();
-        let (_log, replay) = SweepLog::open(&dir).unwrap();
-        assert_eq!(replay.sweeps.len(), 1);
-        assert_eq!(replay.sweeps[0].0, 1);
-        // The torn bytes are gone from disk (replaced by the epoch bump).
-        let reread = std::fs::read(&path).unwrap();
-        assert!(reread.len() < bytes.len());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn interior_corruption_is_refused() {
-        let dir = temp_dir("interior");
-        {
-            let (mut log, _) = SweepLog::open(&dir).unwrap();
-            log.sweep(1, &spec("acme")).unwrap();
-            log.sweep(2, &spec("umbrella")).unwrap();
-        }
-        let path = dir.join(SWEEP_LOG_FILE);
-        let mut bytes = std::fs::read(&path).unwrap();
-        // Flip a byte inside the *first* sweep record: damage before the
-        // final line is interior corruption, not a torn tail.
-        let target = bytes.len() / 2;
-        bytes[target] ^= 0x41;
-        std::fs::write(&path, &bytes).unwrap();
+        let tenants: Vec<_> = replay
+            .sweeps
+            .iter()
+            .map(|(id, s)| (*id, &*s.tenant))
+            .collect();
+        assert_eq!(tenants, [(1, "acme"), (2, "umbrella")]);
+        // The pre-record-log text format: refused by magic, untouched.
+        let old = b"0123456789abcdef V {\"version\":1}\n";
+        std::fs::write(dir.join(SWEEP_LOG_FILE), old).unwrap();
         let err = SweepLog::open(&dir).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                CkpError::ChecksumMismatch { .. } | CkpError::BadPayload { .. }
-            ),
-            "{err:?}"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn empty_and_missing_logs_start_fresh() {
-        let dir = temp_dir("fresh");
-        std::fs::write(dir.join(SWEEP_LOG_FILE), b"").unwrap();
-        let (_log, replay) = SweepLog::open(&dir).unwrap();
-        assert_eq!(replay.epoch, 1);
-        assert!(replay.sweeps.is_empty());
+        assert!(matches!(err, CkpError::BadMagic { .. }), "{err}");
+        assert_eq!(std::fs::read(dir.join(SWEEP_LOG_FILE)).unwrap(), old);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

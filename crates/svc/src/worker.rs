@@ -30,6 +30,7 @@ use dtb_sim::curve::MemoryCurve;
 use dtb_sim::engine::{RunControl, Sim, SimRun};
 use dtb_sim::exec::{FailureCause, RetryPolicy, TraceCache};
 use dtb_sim::SimError;
+use dtb_trace::ckp::checksum;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread;
@@ -151,9 +152,7 @@ pub fn idle_backoff(worker: &str, retry_ms: u64, streak: u32) -> Duration {
         base_delay: Duration::from_millis(retry_ms.clamp(1, 10_000)),
         max_delay: Duration::from_secs(10),
     };
-    let salt = worker.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    });
+    let salt = checksum(worker.as_bytes());
     policy.delay(salt, streak.min(16))
 }
 

@@ -20,15 +20,22 @@ use std::path::{Path, PathBuf};
 /// Magic bytes identifying a checkpoint file (format version 1).
 pub const MAGIC: &[u8; 8] = b"DTBCKP01";
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a offset basis: the state [`fnv1a`] starts from.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
+/// Folds `bytes` into an FNV-1a `state`, so a checksum can be computed
+/// incrementally over data that arrives in pieces.
+pub fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(state, |h, b| (h ^ u64::from(*b)).wrapping_mul(FNV_PRIME))
+}
+
 /// FNV-1a over `bytes`, the checksum used by every on-disk format in
-/// this crate (and by the simulator's run journal).
+/// this workspace.
 pub fn checksum(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(FNV_OFFSET, |h, b| {
-        (h ^ u64::from(*b)).wrapping_mul(FNV_PRIME)
-    })
+    fnv1a(FNV_OFFSET, bytes)
 }
 
 /// A failure reading, writing, or interpreting a checkpoint.
@@ -46,10 +53,13 @@ pub enum CkpError {
         /// The underlying I/O error message.
         message: String,
     },
-    /// Missing or wrong magic header.
+    /// Missing or wrong magic header: not this format, or an older
+    /// version of it.
     BadMagic {
         /// Offending file.
         path: PathBuf,
+        /// The leading bytes found where the magic belongs.
+        found: Vec<u8>,
     },
     /// The file is too short to hold even an empty payload.
     Truncated {
@@ -64,6 +74,14 @@ pub enum CkpError {
         expected: u64,
         /// Checksum computed from the bytes actually read.
         found: u64,
+    },
+    /// A record log is damaged before its last frame: not a torn tail
+    /// from a crash, so no prefix of it can be trusted as complete.
+    Corrupt {
+        /// Offending file.
+        path: PathBuf,
+        /// Byte offset of the first damaged frame.
+        offset: u64,
     },
     /// The payload passed its checksum but does not decode to the
     /// consumer's schema.
@@ -91,9 +109,12 @@ impl std::fmt::Display for CkpError {
             CkpError::Io { path, message } => {
                 write!(f, "{}: i/o error: {message}", path.display())
             }
-            CkpError::BadMagic { path } => {
-                write!(f, "{}: not a checkpoint file", path.display())
-            }
+            CkpError::BadMagic { path, found } => write!(
+                f,
+                "{}: unrecognised file magic \"{}\"",
+                path.display(),
+                found.escape_ascii()
+            ),
             CkpError::Truncated { path } => {
                 write!(f, "{}: file ends mid-structure", path.display())
             }
@@ -106,6 +127,9 @@ impl std::fmt::Display for CkpError {
                 "{}: checksum mismatch (recorded {expected:#018x}, computed {found:#018x})",
                 path.display()
             ),
+            CkpError::Corrupt { path, offset } => {
+                write!(f, "{}: corrupt record at byte {offset}", path.display())
+            }
             CkpError::BadPayload { path, reason } => {
                 write!(f, "{}: bad checkpoint payload: {reason}", path.display())
             }
@@ -123,7 +147,7 @@ impl std::fmt::Display for CkpError {
 
 impl std::error::Error for CkpError {}
 
-fn io_err(path: &Path, e: std::io::Error) -> CkpError {
+pub(crate) fn io_err(path: &Path, e: std::io::Error) -> CkpError {
     CkpError::Io {
         path: path.to_path_buf(),
         message: e.to_string(),
@@ -186,6 +210,7 @@ pub fn read_blob(path: impl AsRef<Path>) -> Result<Vec<u8>, CkpError> {
     if &body[..MAGIC.len()] != MAGIC {
         return Err(CkpError::BadMagic {
             path: path.to_path_buf(),
+            found: body[..MAGIC.len()].to_vec(),
         });
     }
     Ok(body[MAGIC.len()..].to_vec())

@@ -32,6 +32,7 @@
 //! itself, and every structural field is cross-checked against the
 //! manifest when a shard is opened.
 
+use crate::ckp::{fnv1a, FNV_OFFSET};
 use crate::event::{ObjectId, ObjectLife, TraceError, TraceMeta};
 use crate::format::FormatError;
 use crate::io::{TraceEventReader, TraceIoError};
@@ -61,15 +62,6 @@ const HEADER_BYTES: usize = 8 + 1 + 4 + 8;
 
 /// Death-time sentinel for objects that live to trace end.
 const NO_DEATH: u64 = u64::MAX;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(hash, |h, b| (h ^ u64::from(*b)).wrapping_mul(FNV_PRIME))
-}
 
 /// A failure reading, writing, or converting a compiled-trace store.
 #[derive(Clone, Debug, PartialEq)]

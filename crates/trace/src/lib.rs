@@ -23,7 +23,9 @@
 //!   compiled-trace store) so traces larger than RAM simulate in
 //!   O(live set) memory;
 //! * the **checkpoint container** ([`ckp`]: the checksummed `DTBCKP01`
-//!   blob format the simulator uses to persist resumable run state).
+//!   blob format the simulator uses to persist resumable run state) and
+//!   the **record log** ([`record_log`]: the append-only `DTBLOG01`
+//!   frame log under every crash-durable store).
 //!
 //! # Example
 //!
@@ -49,6 +51,7 @@ pub mod format;
 pub mod io;
 pub mod lifetime;
 pub mod programs;
+pub mod record_log;
 pub mod source;
 pub mod stats;
 pub mod synth;
