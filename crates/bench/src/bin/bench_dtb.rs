@@ -3,7 +3,7 @@
 //! Generates a paper-scale synthetic trace (heavy short-lived churn, a
 //! medium-lived band, an immortal ramp and a permanent startup structure
 //! — the mixture that keeps a large live set resident), then runs the
-//! **six-policy matrix** through the engine up to five times:
+//! **six-policy matrix** through the engine up to four times:
 //!
 //! 1. on the incremental `OracleHeap` with the block-structured drive
 //!    loop (the headline configuration);
@@ -13,11 +13,7 @@
 //! 3. streaming the same records back from an on-disk `DTBCTC01` shard
 //!    store through `simulate_source` — must be report-identical to (1),
 //!    and its events/second is the streaming-path column;
-//! 4. through the intra-cell parallel engine (`Sim::threads(n)`, the
-//!    epoch-decomposed drive) whenever the machine has ≥ 2 hardware
-//!    threads — must also be report-identical to (1), by the determinism
-//!    contract;
-//! 5. on the scan-based `NaiveHeap` baseline (the pre-incremental
+//! 4. on the scan-based `NaiveHeap` baseline (the pre-incremental
 //!    implementation) unless `--skip-naive`.
 //!
 //! All passes must produce identical reports — the harness doubles as a
@@ -33,12 +29,8 @@
 //! bound is asserted by the dedicated `stream_smoke` binary, which never
 //! materializes a trace). With `--baseline <file>`, the run fails
 //! (exit 1) if incremental — or, when both sides recorded it, streaming
-//! or parallel — events/second drops below 70% of the recorded baseline
-//! — the CI `bench-smoke` job's regression gate.
-//! `--expect-parallel-speedup X` additionally fails the run unless the
-//! parallel pass beat the serial incremental pass by at least `X`×; CI
-//! passes it only on runners with ≥ 4 cores, since the speedup is a
-//! property of the hardware, not the code.
+//! — events/second drops below 70% of the recorded baseline — the CI
+//! `bench-smoke` job's regression gate.
 //!
 //! With `--resume <dir>`, every completed (engine × policy) cell is
 //! written to `<dir>` as a checksummed done-file; rerunning with the same
@@ -50,8 +42,7 @@
 //!
 //! ```text
 //! bench_dtb [--events N] [--out PATH] [--baseline PATH] [--skip-naive]
-//!           [--resume DIR] [--threads N] [--expect-parallel-speedup X]
-//!           [--thread-curve N] [--events-out PATH]
+//!           [--resume DIR] [--events-out PATH]
 //! ```
 //!
 //! `--events-out PATH` captures the run's telemetry stream (scavenge
@@ -59,10 +50,7 @@
 //! trace event count. Capture perturbs the timings, so the regression
 //! gate and the capture flag should not be combined.
 //!
-//! `--thread-curve N` additionally re-runs the matrix at every thread
-//! count from 1 to N and records the speedup curve in the report (schema
-//! v4) — point 1 runs through the parallel engine too, so the curve
-//! isolates scaling from engine overhead.
+//! Schema v6 is v5 without the intra-cell parallel pass and its fields.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -101,20 +89,6 @@ struct EngineTiming {
     policies: Vec<PolicyTiming>,
 }
 
-/// One point of the thread-scaling curve: the full six-policy matrix run
-/// at a fixed intra-cell thread count.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-struct ThreadCurvePoint {
-    /// Worker threads this point ran with (1 = the serial engine).
-    threads: usize,
-    /// Wall-clock seconds for the whole matrix at this thread count.
-    total_seconds: f64,
-    /// Aggregate events/second at this thread count.
-    events_per_sec: f64,
-    /// Serial-matrix seconds / this point's seconds (≥ 1 means scaling).
-    speedup: f64,
-}
-
 /// The harness output schema (`BENCH_dtb.json`).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 struct BenchReport {
@@ -137,19 +111,6 @@ struct BenchReport {
     /// (absent in pre-v2 reports; the vendored deserializer maps a
     /// missing field to `None`).
     streaming: Option<EngineTiming>,
-    /// The same matrix through the intra-cell parallel engine
-    /// (`Sim::threads(n)`); absent in pre-v3 reports and on single-core
-    /// machines, where the engine would fall back to serial anyway.
-    parallel: Option<EngineTiming>,
-    /// Worker threads the parallel pass ran with.
-    parallel_threads: Option<usize>,
-    /// incremental total seconds / parallel total seconds.
-    parallel_speedup: Option<f64>,
-    /// Speedup at each thread count from 1 to `--thread-curve N` (absent
-    /// in pre-v4 reports and when the flag is not given). Point 1 re-runs
-    /// the matrix through `Sim::threads(1)` so the curve's own baseline
-    /// shares the parallel engine's fixed costs.
-    thread_curve: Option<Vec<ThreadCurvePoint>>,
     naive: Option<EngineTiming>,
     /// naive total seconds / incremental total seconds.
     speedup: Option<f64>,
@@ -345,12 +306,6 @@ struct Args {
     baseline: Option<String>,
     skip_naive: bool,
     resume: Option<PathBuf>,
-    /// Worker threads for the parallel pass; 0 means one per core.
-    threads: usize,
-    /// Minimum parallel-over-serial speedup, enforced when set.
-    expect_parallel_speedup: Option<f64>,
-    /// Record a speedup curve at 1..=N threads (0 = off).
-    thread_curve: usize,
     /// Capture the observability event stream to this file (`--events`
     /// is taken: it is the trace event *count*).
     events_out: Option<PathBuf>,
@@ -363,9 +318,6 @@ fn parse_args() -> Result<Args, String> {
         baseline: None,
         skip_naive: false,
         resume: None,
-        threads: 0,
-        expect_parallel_speedup: None,
-        thread_curve: 0,
         events_out: None,
     };
     let mut it = std::env::args().skip(1);
@@ -381,25 +333,10 @@ fn parse_args() -> Result<Args, String> {
             "--resume" => {
                 args.resume = Some(PathBuf::from(it.next().ok_or("--resume needs a value")?));
             }
-            "--threads" => {
-                let v = it.next().ok_or("--threads needs a value")?;
-                args.threads = v.parse().map_err(|_| format!("bad --threads: {v}"))?;
-            }
-            "--thread-curve" => {
-                let v = it.next().ok_or("--thread-curve needs a value")?;
-                args.thread_curve = v.parse().map_err(|_| format!("bad --thread-curve: {v}"))?;
-            }
             "--events-out" => {
                 args.events_out = Some(PathBuf::from(
                     it.next().ok_or("--events-out needs a value")?,
                 ));
-            }
-            "--expect-parallel-speedup" => {
-                let v = it.next().ok_or("--expect-parallel-speedup needs a value")?;
-                args.expect_parallel_speedup = Some(
-                    v.parse()
-                        .map_err(|_| format!("bad --expect-parallel-speedup: {v}"))?,
-                );
             }
             other => return Err(format!("unknown flag: {other}")),
         }
@@ -414,8 +351,7 @@ fn main() -> ExitCode {
             eprintln!("bench_dtb: {e}");
             eprintln!(
                 "usage: bench_dtb [--events N] [--out PATH] [--baseline PATH] [--skip-naive] \
-                 [--resume DIR] [--threads N] [--expect-parallel-speedup X] [--thread-curve N] \
-                 [--events-out PATH]"
+                 [--resume DIR] [--events-out PATH]"
             );
             return ExitCode::FAILURE;
         }
@@ -526,91 +462,6 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    // Parallel pass: the same matrix through the epoch-decomposed
-    // intra-cell engine. Reports must be bit-identical to serial — the
-    // determinism contract — so this doubles as a differential check at
-    // benchmark scale. Skipped on single-core machines, where the engine
-    // falls back to serial and the timing would only measure noise.
-    let threads = if args.threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        args.threads
-    };
-    let mut parallel = None;
-    let mut parallel_threads = None;
-    let mut parallel_speedup = None;
-    if threads >= 2 {
-        let label = format!("parallel{threads}");
-        let result = run_matrix(&label, trace.len(), &store, |kind| {
-            let mut policy = kind.build(&policy_cfg);
-            Sim::new(sim_cfg)
-                .threads(threads)
-                .run_trace(&trace, &mut policy)
-                .map_err(|e| e.to_string())
-        });
-        let (mut timing, par_reports) = match result {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("bench_dtb: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if fast_reports != par_reports {
-            eprintln!("bench_dtb: incremental and parallel runs diverged — refusing to report");
-            return ExitCode::FAILURE;
-        }
-        timing.heap = "parallel".to_string();
-        parallel_speedup = Some(incremental.total_seconds / timing.total_seconds.max(1e-9));
-        parallel_threads = Some(threads);
-        parallel = Some(timing);
-    } else {
-        eprintln!("bench_dtb: one hardware thread — skipping the parallel pass");
-    }
-
-    // Thread-scaling curve: the whole matrix at every thread count from
-    // 1 to N. Point 1 goes through the parallel engine too, so the curve
-    // measures scaling, not serial-vs-parallel engine overhead; every
-    // point must stay report-identical to the serial pass.
-    let mut thread_curve = None;
-    if args.thread_curve > 0 {
-        let curve_base = args.thread_curve.min(64);
-        let mut points = Vec::with_capacity(curve_base);
-        let mut serial_seconds = None;
-        for t in 1..=curve_base {
-            let label = format!("curve{t}");
-            let result = run_matrix(&label, trace.len(), &store, |kind| {
-                let mut policy = kind.build(&policy_cfg);
-                Sim::new(sim_cfg)
-                    .threads(t)
-                    .run_trace(&trace, &mut policy)
-                    .map_err(|e| e.to_string())
-            });
-            let (timing, curve_reports) = match result {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("bench_dtb: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            if fast_reports != curve_reports {
-                eprintln!(
-                    "bench_dtb: {t}-thread curve point diverged from serial — refusing to report"
-                );
-                return ExitCode::FAILURE;
-            }
-            let base = *serial_seconds.get_or_insert(timing.total_seconds);
-            points.push(ThreadCurvePoint {
-                threads: t,
-                total_seconds: timing.total_seconds,
-                events_per_sec: timing.events_per_sec,
-                speedup: base / timing.total_seconds.max(1e-9),
-            });
-        }
-        thread_curve = Some(points);
-    }
-
     let mut naive = None;
     let mut speedup = None;
     if !args.skip_naive {
@@ -637,7 +488,7 @@ fn main() -> ExitCode {
     }
 
     let report = BenchReport {
-        schema: "bench_dtb/v5".to_string(),
+        schema: "bench_dtb/v6".to_string(),
         events: trace.len(),
         total_alloc_bytes: spec.total_alloc,
         trace: spec.name.clone(),
@@ -645,10 +496,6 @@ fn main() -> ExitCode {
         per_event: Some(per_event),
         block_speedup: Some(block_speedup),
         streaming: Some(streaming),
-        parallel,
-        parallel_threads,
-        parallel_speedup,
-        thread_curve,
         naive,
         speedup,
         peak_rss_bytes: peak_rss_bytes(),
@@ -667,7 +514,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     eprintln!(
-        "incremental: {:.0} events/s ({:.2}× over per-event), streaming: {:.0} events/s{}{}  → {}",
+        "incremental: {:.0} events/s ({:.2}× over per-event), streaming: {:.0} events/s{}  → {}",
         report.incremental.events_per_sec,
         report.block_speedup.unwrap_or(0.0),
         report
@@ -676,48 +523,11 @@ fn main() -> ExitCode {
             .map(|s| s.events_per_sec)
             .unwrap_or(0.0),
         report
-            .parallel
-            .as_ref()
-            .zip(report.parallel_speedup)
-            .map(|(p, s)| {
-                format!(
-                    ", parallel×{}: {:.0} events/s ({s:.2}× serial)",
-                    report.parallel_threads.unwrap_or(0),
-                    p.events_per_sec
-                )
-            })
-            .unwrap_or_default(),
-        report
             .speedup
             .map(|s| format!(", {s:.1}× over naive"))
             .unwrap_or_default(),
         args.out
     );
-
-    // Hardware gate: the parallel pass must beat serial by the demanded
-    // factor. Only meaningful on multi-core runners — CI keys the flag
-    // on the core count.
-    if let Some(min) = args.expect_parallel_speedup {
-        match report.parallel_speedup {
-            Some(s) if s >= min => {
-                eprintln!("parallel gate ok: {s:.2}× ≥ required {min:.2}×");
-            }
-            Some(s) => {
-                eprintln!(
-                    "bench_dtb: REGRESSION — parallel speedup {s:.2}× is below the required \
-                     {min:.2}×"
-                );
-                return ExitCode::FAILURE;
-            }
-            None => {
-                eprintln!(
-                    "bench_dtb: --expect-parallel-speedup given but the parallel pass did not \
-                     run (one hardware thread?)"
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-    }
 
     // Regression gate: fail when incremental — or streaming, once the
     // baseline records it — throughput drops more than 30% below the
@@ -740,9 +550,6 @@ fn main() -> ExitCode {
         )];
         if let (Some(ours), Some(theirs)) = (&report.streaming, &baseline.streaming) {
             gates.push(("streaming", ours.events_per_sec, theirs.events_per_sec));
-        }
-        if let (Some(ours), Some(theirs)) = (&report.parallel, &baseline.parallel) {
-            gates.push(("parallel", ours.events_per_sec, theirs.events_per_sec));
         }
         for (label, measured, recorded) in gates {
             if measured < recorded * 0.7 {

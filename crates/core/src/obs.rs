@@ -13,9 +13,8 @@
 //! Counters are **thread-local** because one process runs many
 //! simulation cells concurrently (the executor's worker pool): a global
 //! counter would attribute one cell's estimator traffic to another. The
-//! engine's drive loop — serial, blocked, or the parallel engine's drive
-//! pass — runs each cell's boundary decisions on a single thread, so
-//! thread-locality is exactly cell-locality.
+//! engine's drive loop runs each cell's boundary decisions on a single
+//! thread, so thread-locality is exactly cell-locality.
 
 use core::cell::Cell;
 use core::sync::atomic::{AtomicBool, Ordering};

@@ -11,8 +11,8 @@
 //! Two fields are worth calling out on [`Event::Scavenge`]:
 //!
 //! * `events` — the absolute event-stream position at the trigger, i.e.
-//!   the block-segment boundary the drive loop cut at. Identical across
-//!   the per-event, block, and parallel engines (they cut at the same
+//!   the block-segment boundary the drive loop cut at. Identical for
+//!   the per-event path and every block size (they cut at the same
 //!   triggers by construction).
 //! * `inverse_queries` — how many times the policy invoked the
 //!   estimator's inverse survival query while selecting this boundary.
@@ -52,13 +52,14 @@ impl CellOutcome {
 #[derive(Debug, Clone, PartialEq)]
 pub enum Event {
     // ── engine ──────────────────────────────────────────────────────
-    /// A simulation run began (`Sim::run` — serial, block, or parallel).
+    /// A simulation run began (`Sim::run`, per-event or block).
     RunStarted {
         /// Policy name (`TbPolicy::name`).
         policy: String,
         /// Trace/source name from the trace metadata.
         source: String,
-        /// Drive threads requested (1 = serial).
+        /// Drive threads; every run is single-threaded, so always 1.
+        /// Kept so the JSON and binary formats do not change.
         threads: u32,
         /// Block size in events (1 = per-event engine).
         block_events: u64,

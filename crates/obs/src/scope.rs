@@ -4,8 +4,7 @@
 //! `Sim::run` allocates a run id, enters a [`RunScope`] for the
 //! duration of the drive loop, and every `emit` on that thread stamps
 //! the id into `Envelope::scope`. The drive loop always executes on the
-//! calling thread — the parallel engine only fans out epoch
-//! *preparation* — so thread-locality is exactly run-locality. Threads
+//! calling thread, so thread-locality is exactly run-locality. Threads
 //! outside any run emit scope 0.
 //!
 //! The run-level probe accumulator lives here too: per-scavenge probe

@@ -13,23 +13,11 @@
 //!
 //! One builder, [`Sim`], configures and launches every kind of run;
 //! [`simulate`] and [`simulate_source`] remain as one-line conveniences
-//! for the two everyday cases. The former six free functions map onto the
-//! builder as follows (the explicit-heap variants pick the implementation
-//! by type parameter — heaps are always constructed inside the engine,
-//! sized from the source's length hint or a resume snapshot):
-//!
-//! | Before | Now |
-//! |---|---|
-//! | `simulate(t, p, &cfg)` | unchanged (= `Sim::new(cfg).run_trace(t, p)`) |
-//! | `simulate_source(s, p, &cfg)` | unchanged (= `Sim::new(cfg).run(s, p)`) |
-//! | `simulate_with_heap::<H>(t, p, &cfg)` | `Sim::new(cfg).heap::<H>().run_trace(t, p)` |
-//! | `simulate_source_with_heap::<H, _>(s, p, &cfg)` | `Sim::new(cfg).heap::<H>().run(s, p)` |
-//! | `simulate_source_resumable(s, p, &cfg, rc)` | `Sim::new(cfg).control(rc).run(s, p)` |
-//! | `simulate_source_resumable_with_heap::<H, _>(s, p, &cfg, rc)` | `Sim::new(cfg).heap::<H>().control(rc).run(s, p)` |
-//!
-//! The builder also exposes what the free functions never could without a
-//! seventh and eighth variant: [`Sim::threads`] opts a run into the
-//! deterministic intra-cell parallel engine (see [`crate::par`]).
+//! for the two everyday cases. Every run executes on one thread through
+//! one drive loop: a cell is a sequential replay (each boundary depends
+//! on the scavenges before it), and the cores are spread across cells by
+//! the [`Evaluation`](crate::exec::Evaluation) pool and the service
+//! workers.
 
 use crate::ckp::{save_checkpoint, CkpError, SimCheckpoint};
 use crate::curve::{CurvePoint, MemoryCurve};
@@ -351,16 +339,15 @@ pub fn simulate_source(
 }
 
 /// One configured simulation, ready to launch: the single entry point
-/// behind every way of running the engine (see the module docs for the
-/// migration table from the former free functions).
+/// behind every way of running the engine.
 ///
 /// A `Sim` owns its [`SimConfig`], an optional [`RunControl`] (cooperative
-/// cancellation, periodic checkpointing, resume), a heap implementation
-/// chosen by type parameter (the incremental [`OracleHeap`] unless
-/// [`Sim::heap`] overrides it — the differential suites substitute the
-/// scan-based [`crate::heap::naive::NaiveHeap`]), and a thread count for
-/// the deterministic intra-cell parallel engine. Launch with [`Sim::run`]
-/// (streaming source) or [`Sim::run_trace`] (compiled in-memory trace).
+/// cancellation, periodic checkpointing, resume) and a heap
+/// implementation chosen by type parameter (the incremental
+/// [`OracleHeap`] unless [`Sim::heap`] overrides it — the differential
+/// suites substitute the scan-based [`crate::heap::naive::NaiveHeap`]).
+/// Launch with [`Sim::run`] (streaming source) or [`Sim::run_trace`]
+/// (compiled in-memory trace).
 ///
 /// Heaps must be [`CheckpointHeap`]s so every run, whichever heap it
 /// picks, can execute under a checkpointing control.
@@ -388,19 +375,17 @@ pub fn simulate_source(
 pub struct Sim<'c, H: CheckpointHeap = OracleHeap> {
     config: SimConfig,
     control: RunControl<'c>,
-    threads: usize,
     _heap: std::marker::PhantomData<H>,
 }
 
 impl<'c> Sim<'c, OracleHeap> {
     /// A simulation of `config` physics over the incremental
-    /// [`OracleHeap`], uncontrolled and single-threaded until the other
-    /// builder methods say otherwise.
+    /// [`OracleHeap`], uncontrolled until the other builder methods say
+    /// otherwise.
     pub fn new(config: SimConfig) -> Sim<'c, OracleHeap> {
         Sim {
             config,
             control: RunControl::new(),
-            threads: 1,
             _heap: std::marker::PhantomData,
         }
     }
@@ -431,7 +416,6 @@ impl<'c, H: CheckpointHeap> Sim<'c, H> {
         Sim {
             config: self.config,
             control: self.control,
-            threads: self.threads,
             _heap: std::marker::PhantomData,
         }
     }
@@ -445,14 +429,11 @@ impl<'c, H: CheckpointHeap> Sim<'c, H> {
         self
     }
 
-    /// Runs with `n` worker threads via the deterministic per-epoch
-    /// decomposition in [`crate::par`], when the run is eligible:
-    /// allocation-triggered, not checkpointing, not resuming, and over
-    /// the default heap. Ineligible runs (and `n <= 1`) execute serially
-    /// — which is indistinguishable, because the parallel engine is
-    /// bit-identical to the serial one by construction.
-    pub fn threads(mut self, n: usize) -> Sim<'c, H> {
-        self.threads = n.max(1);
+    /// Accepted for source compatibility and ignored: every run executes
+    /// on the calling thread. A cell is a sequential replay, so cores are
+    /// spent across cells instead (see
+    /// [`Evaluation::parallelism`](crate::exec::Evaluation::parallelism)).
+    pub fn threads(self, _n: usize) -> Sim<'c, H> {
         self
     }
 
@@ -477,21 +458,14 @@ impl<'c, H: CheckpointHeap> Sim<'c, H> {
         source: &mut S,
         policy: &mut dyn TbPolicy,
     ) -> Result<SimRun, SimError> {
-        // All three execution modes (serial, block, parallel) funnel
-        // through here, and the drive loop always executes on this
-        // thread (the parallel engine only fans out epoch preparation),
-        // so one span guard covers every scavenge event of the run.
+        // The drive loop executes on this thread, so one span guard
+        // covers every scavenge event of the run.
         let span = ObsRunSpan::begin(
             policy.name(),
             &source.meta().name,
-            self.threads,
             self.control.block_events,
         );
-        let result = if self.threads > 1 && H::EPOCH_PARALLEL && self.parallel_eligible() {
-            crate::par::run_parallel(source, policy, &self.config, &self.control, self.threads)
-        } else {
-            run_serial::<H, S>(source, policy, &self.config, self.control)
-        };
+        let result = run_serial::<H, S>(source, policy, &self.config, self.control);
         span.finish(&result);
         result
     }
@@ -504,21 +478,12 @@ impl<'c, H: CheckpointHeap> Sim<'c, H> {
     ) -> Result<SimRun, SimError> {
         self.run(&mut CompiledSource::new(trace), policy)
     }
-
-    /// Parallel decomposition requires epoch boundaries that are a pure
-    /// function of the allocation prefix (so workers can find them
-    /// without simulating), and a run that neither checkpoints nor
-    /// resumes (engine state only exists at epoch granularity there).
-    fn parallel_eligible(&self) -> bool {
-        matches!(self.config.trigger, Trigger::Allocation(_))
-            && self.control.checkpoint_path.is_none()
-            && self.control.resume_from.is_none()
-    }
 }
 
-/// The serial engine: one thread, record-at-a-time, the reference
-/// semantics every other execution mode must reproduce bit-identically.
-pub(crate) fn run_serial<H: CheckpointHeap, S: EventSource + ?Sized>(
+/// The drive loop: one thread, blocks of events split into safe
+/// segments, with the per-event body (`block_events(1)`) as the
+/// reference every block size must reproduce bit-identically.
+fn run_serial<H: CheckpointHeap, S: EventSource + ?Sized>(
     source: &mut S,
     policy: &mut dyn TbPolicy,
     config: &SimConfig,
@@ -878,7 +843,7 @@ struct ObsRunSpan {
 }
 
 impl ObsRunSpan {
-    fn begin(policy: &str, source: &str, threads: usize, block_events: usize) -> ObsRunSpan {
+    fn begin(policy: &str, source: &str, block_events: usize) -> ObsRunSpan {
         if !dtb_obs::enabled() {
             return ObsRunSpan { scope: None };
         }
@@ -887,7 +852,8 @@ impl ObsRunSpan {
         dtb_obs::emit(|| dtb_obs::Event::RunStarted {
             policy: policy.to_string(),
             source: source.to_string(),
-            threads: threads as u32,
+            // Kept in the event formats; every run is single-threaded.
+            threads: 1,
             block_events: block_events as u64,
         });
         ObsRunSpan { scope: Some(scope) }
@@ -909,19 +875,17 @@ impl ObsRunSpan {
 
 /// Running totals the invariant checker reconciles against the heap.
 #[derive(Default)]
-pub(crate) struct Ledger {
-    pub(crate) events: u64,
-    pub(crate) allocated: Bytes,
-    pub(crate) reclaimed: Bytes,
-    pub(crate) prev_birth: Option<VirtualTime>,
+struct Ledger {
+    events: u64,
+    allocated: Bytes,
+    reclaimed: Bytes,
+    prev_birth: Option<VirtualTime>,
 }
 
-/// One scavenge, policy decision included — shared verbatim by the serial
-/// loop and the parallel drive ([`crate::par`]), which is what makes the
-/// two bit-identical: same f64 operation order in the metrics, same error
-/// construction, same invariant checks, same curve points.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn scavenge_now<H: SimHeap>(
+/// One scavenge, policy decision included: the policy picks the
+/// boundary from a survival view, the heap scavenges, and the metrics,
+/// curve, invariant checks and telemetry record the outcome.
+fn scavenge_now<H: SimHeap>(
     heap: &mut H,
     policy: &mut dyn TbPolicy,
     metrics: &mut MetricsCollector,
@@ -1017,9 +981,9 @@ pub(crate) fn scavenge_now<H: SimHeap>(
         // The scavenge span payload is engine-invariant: `collection`,
         // the trigger clock/event position, the outcome bytes, and the
         // inverse-query *call* count are all identical across the
-        // per-event, block, and parallel engines (the determinism suite
-        // pins this). The probe count is not — Fenwick descent vs
-        // candidate scan — so it only feeds the run-level diagnostic.
+        // per-event path and every block size (`obs_events.rs` pins
+        // this). The probe count is not — Fenwick descent vs candidate
+        // scan — so it only feeds the run-level diagnostic.
         let (inverse_calls, inverse_probes) = dtb_core::obs::take_inverse_queries();
         dtb_obs::add_run_probes(inverse_probes);
         dtb_obs::emit(|| dtb_obs::Event::Scavenge {

@@ -465,7 +465,6 @@ pub struct Evaluation {
     policy_cfg: PolicyConfig,
     sim_cfg: SimConfig,
     parallelism: usize,
-    intra_threads: usize,
     on_cell: Option<CellCallback>,
     deadline: Option<Duration>,
     retry: RetryPolicy,
@@ -491,7 +490,6 @@ impl Evaluation {
             policy_cfg: PolicyConfig::paper(),
             sim_cfg: SimConfig::paper(),
             parallelism: 0,
-            intra_threads: 1,
             on_cell: None,
             deadline: None,
             retry: RetryPolicy::NONE,
@@ -597,21 +595,6 @@ impl Evaluation {
         self
     }
 
-    /// Thread count *inside* each cell: eligible cells (allocation
-    /// trigger, default heap) run under the deterministic per-epoch
-    /// parallel engine ([`crate::par`]) with `n` threads, which is
-    /// bit-identical to a serial run for every policy. `0` means one
-    /// thread per available core; the default is `1` (serial cells).
-    ///
-    /// Composes with [`parallelism`](Evaluation::parallelism): that one
-    /// fans *cells* out across workers, this one forks *within* a cell —
-    /// the right knob when the matrix has fewer cells than the machine
-    /// has cores.
-    pub fn intra_cell_threads(mut self, n: usize) -> Evaluation {
-        self.intra_threads = n;
-        self
-    }
-
     /// Wall-clock deadline per cell: a cell still running after `limit`
     /// is cancelled by a watchdog thread (the engine polls a cancel flag
     /// between events) and reported as [`FailureCause::Deadline`] —
@@ -648,8 +631,9 @@ impl Evaluation {
     /// completed are reused verbatim (their [`SimRun`]s come from the
     /// journal, bit-identical to the original computation), failed cells
     /// are recomputed, and new outcomes append to the same journal. A
-    /// missing journal simply starts fresh, so crash-in-a-loop scripts
-    /// can pass the same directory unconditionally. The journal's header
+    /// journal with no intact record (missing, empty, or torn inside its
+    /// header) simply starts fresh, so crash-in-a-loop scripts can pass
+    /// the same directory unconditionally. The journal's header
     /// must match this evaluation's shape and configuration; a mismatch
     /// is a typed [`CkpError::Mismatch`] from
     /// [`try_run`](Evaluation::try_run).
@@ -756,29 +740,24 @@ impl Evaluation {
                     policy: self.policy_cfg,
                     sim: self.sim_cfg,
                 };
-                // A resume against a missing or zero-byte journal is a
-                // fresh start, not an error: the common case is "first
+                // A resume against a journal with no intact record —
+                // missing, empty, or torn inside its header append — is
+                // a fresh start, not an error: the common case is "first
                 // run with --resume in the launch script" (or a crash
-                // before the header line landed), and refusing it would
-                // make resume-by-default unusable. Interior corruption —
-                // a non-empty journal that does not parse — still errors:
-                // that journal *had* results and silently discarding them
-                // would be data loss.
-                let journal_file = journal_path(dir);
-                let journal_empty = match std::fs::metadata(&journal_file) {
-                    Ok(meta) => meta.len() == 0,
-                    Err(_) => true,
-                };
-                let existing = if self.resume && !journal_empty {
-                    Some(read_journal(dir)?)
-                } else {
-                    if self.resume {
+                // before the header landed), and refusing it would make
+                // resume-by-default unusable. Interior corruption still
+                // errors: that journal *had* results and silently
+                // discarding them would be data loss.
+                let existing = if self.resume {
+                    let existing = read_journal(dir)?;
+                    if existing.is_none() {
                         eprintln!(
-                            "evaluation: nothing to resume at {} (missing or empty journal); \
-                             starting a fresh run",
-                            journal_file.display()
+                            "evaluation: nothing to resume at {}; starting a fresh run",
+                            journal_path(dir).display()
                         );
                     }
+                    existing
+                } else {
                     None
                 };
                 match existing {
@@ -851,7 +830,6 @@ impl Evaluation {
                 &rows[r],
                 &self.policy_cfg,
                 &self.sim_cfg,
-                self.intra_threads,
                 self.deadline,
                 &self.retry,
                 (c * rows.len() + r) as u64,
@@ -997,7 +975,6 @@ fn run_cell_supervised(
     spec: &RowSpec,
     policy_cfg: &PolicyConfig,
     sim_cfg: &SimConfig,
-    intra_threads: usize,
     deadline: Option<Duration>,
     retry: &RetryPolicy,
     salt: u64,
@@ -1021,7 +998,6 @@ fn run_cell_supervised(
                 spec,
                 policy_cfg,
                 sim_cfg,
-                intra_threads,
                 deadline.map(|_| &*cancel),
             )
             // Watchdog drops here: the timer thread wakes and joins
@@ -1076,24 +1052,14 @@ fn run_cell(
     spec: &RowSpec,
     policy_cfg: &PolicyConfig,
     sim_cfg: &SimConfig,
-    intra_threads: usize,
     cancel: Option<&AtomicBool>,
 ) -> CellOutcome {
-    let threads = if intra_threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        intra_threads
-    };
     // RunControl::new() with no cancel flag is exactly the plain
     // `simulate` / `simulate_source` path, so uncancellable runs stay
     // bit-identical to the pre-supervision executor.
     let sim = || match cancel {
-        Some(flag) => Sim::new(*sim_cfg)
-            .control(RunControl::new().with_cancel(flag))
-            .threads(threads),
-        None => Sim::new(*sim_cfg).threads(threads),
+        Some(flag) => Sim::new(*sim_cfg).control(RunControl::new().with_cancel(flag)),
+        None => Sim::new(*sim_cfg),
     };
     let resident = || trace.expect("non-stream targets resolve a trace");
     let attempt = catch_unwind(AssertUnwindSafe(|| {
@@ -1425,6 +1391,29 @@ mod tests {
         assert_eq!(out, (0..100).map(|i| i * 3).collect::<Vec<_>>());
         assert_eq!(run_indexed(1, 5, |i| i), vec![0, 1, 2, 3, 4]);
         assert!(run_indexed(3, 0, |i| i).is_empty());
+    }
+
+    #[test]
+    fn column_contains_all_rows_in_table_order() {
+        // Use the smallest program to keep debug-build time down.
+        let matrix = Evaluation::new()
+            .programs([Program::Cfrac])
+            .policy_config(PolicyConfig::paper())
+            .sim_config(SimConfig::paper())
+            .run();
+        let reports: Vec<&SimReport> = matrix.columns()[0].reports().collect();
+        let labels: Vec<&str> = reports.iter().map(|r| r.policy.as_str()).collect();
+        assert_eq!(
+            labels,
+            ["FULL", "FIXED1", "FIXED4", "DTBMEM", "FEEDMED", "DTBFM", "No GC", "LIVE"]
+        );
+        // Sanity: every collector's memory sits between LIVE and No GC.
+        let nogc = reports[6];
+        let live = reports[7];
+        for r in &reports[..6] {
+            assert!(r.mem_max <= nogc.mem_max, "{} exceeds No GC", r.policy);
+            assert!(r.mem_mean >= live.mem_mean, "{} beats LIVE", r.policy);
+        }
     }
 
     #[test]

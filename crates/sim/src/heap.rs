@@ -15,16 +15,17 @@
 //!   birth order over the whole run, never reused. `births` maps slots to
 //!   birth times and is append-only, so any boundary `tb` resolves to a
 //!   slot split point with one binary search.
-//! - One **paired** [Fenwick tree](fenwick) over global slots partitions
-//!   the bytes still occupying memory into `[live, dead]` components per
-//!   node: live bytes belong to objects whose oracle death lies in the
-//!   future, dead bytes are dead-but-unreclaimed. A death moves bytes
-//!   from live to dead in a *single* tree walk
-//!   ([`fenwick::PairedFenwick::move_to_dead_many`] — one 16-byte node
-//!   pair per level instead of two disjoint trees); a reclaim removes
-//!   them from the dead component. Boundary aggregates (traced,
-//!   reclaimed, tenured garbage, survival) are prefix/suffix sums,
-//!   O(log n) each, and one paired descent answers both components.
+//! - One **paired** [Fenwick tree](dtb_core::fenwick) over global
+//!   slots partitions the bytes still occupying memory into
+//!   `[live, dead]` components per node: live bytes belong to objects
+//!   whose oracle death lies in the future, dead bytes are
+//!   dead-but-unreclaimed. A death moves bytes from live to dead in a
+//!   *single* tree walk ([`PairedFenwick::move_to_dead_many`] — one
+//!   16-byte node pair per level instead of two disjoint trees); a
+//!   reclaim removes them from the dead component. Boundary aggregates
+//!   (traced, reclaimed, tenured garbage, survival) are prefix/suffix
+//!   sums, O(log n) each, and one paired descent answers both
+//!   components.
 //! - Deaths are applied **lazily**, and in two stages. Inserts do no
 //!   death bookkeeping at all: the struct-of-arrays resident columns
 //!   already hold each new object's death time, so the rows appended
@@ -42,10 +43,10 @@
 //! A scavenge therefore costs O(dead tail + log n): the Fenwick sums
 //! answer the byte accounting, and the compaction walk is *narrowed* to
 //! the slot range that actually holds dead bytes — two descents of the
-//! dead tree ([`fenwick::Fenwick::lower_bound`]) bracket the first and
-//! last unreclaimed dead slots, the walk filters only residents between
-//! them, and the all-live tail beyond the last dead slot moves left with
-//! one `memmove`. A deep boundary (`FULL`, `DTBMEM`) no longer pays to
+//! dead tree ([`dtb_core::fenwick::Fenwick::lower_bound`]) bracket the
+//! first and last unreclaimed dead slots, the walk filters only
+//! residents between them, and the all-live tail beyond the last dead
+//! slot moves left with one `memmove`. A deep boundary (`FULL`, `DTBMEM`) no longer pays to
 //! re-inspect thousands of live survivors that merely sit above the
 //! split. Nothing on the scavenge path allocates; survival snapshots are
 //! borrowed views into the live index rather than freshly built vectors
@@ -65,15 +66,13 @@
 //! [`naive::NaiveHeap`], the executable specification the differential
 //! suite checks this heap against.
 
-pub(crate) mod fenwick;
 pub mod naive;
 
+use dtb_core::fenwick::PairedFenwick;
 use dtb_core::history::BoundaryCandidates;
 use dtb_core::policy::{SurvivalEstimator, SurvivalLender};
 use dtb_core::time::{Bytes, VirtualTime};
 use serde::{Deserialize, Serialize};
-
-use fenwick::PairedFenwick;
 
 /// One object in the oracle heap.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -116,15 +115,6 @@ pub struct ScavengeOutcome {
 /// pending deaths lazily — callers must present monotonically
 /// non-decreasing times, which the trace's event order guarantees.
 pub trait SimHeap: SurvivalLender {
-    /// True when the deterministic per-epoch parallel engine
-    /// ([`crate::par`]) may stand in for a serial run over this heap.
-    /// Only the incremental [`OracleHeap`] opts in: the parallel drive
-    /// reproduces *its* observable semantics, and substituting a
-    /// different heap implementation is exactly the situation (the
-    /// differential suites) where the run must exercise that heap's own
-    /// code path.
-    const EPOCH_PARALLEL: bool = false;
-
     /// An empty heap with room for `n` objects.
     fn with_capacity(n: usize) -> Self;
 
@@ -757,8 +747,6 @@ impl CheckpointHeap for OracleHeap {
 }
 
 impl SimHeap for OracleHeap {
-    const EPOCH_PARALLEL: bool = true;
-
     fn with_capacity(n: usize) -> OracleHeap {
         OracleHeap::with_capacity(n)
     }

@@ -189,23 +189,25 @@ fn decode<T: Deserialize>(path: &Path, json: &[u8]) -> Result<T, CkpError> {
 
 /// Reads and verifies the journal in `dir`.
 ///
-/// A torn final record (crash mid-write) is dropped: the journal is
-/// valid up to it and [`Journal::valid_len`] records where the good
-/// prefix ends.
+/// `Ok(None)` means there is nothing to resume: the log holds no intact
+/// record — the file is missing, empty, or was torn inside the append
+/// that carries the magic and the header. A torn final record (crash
+/// mid-write) is dropped: the journal is valid up to it and
+/// [`Journal::valid_len`] records where the good prefix ends.
 ///
 /// # Errors
 ///
-/// [`CkpError::Io`] when the file cannot be read (including when it does
-/// not exist), the record log's typed errors on damage, and
-/// [`CkpError::BadPayload`] when the records are not a header followed
-/// by cells.
-pub fn read_journal(dir: impl AsRef<Path>) -> Result<Journal, CkpError> {
+/// [`CkpError::Io`] when the file cannot be read, the record log's
+/// typed errors on damage, and [`CkpError::BadPayload`] when the records
+/// are not a header followed by cells.
+pub fn read_journal(dir: impl AsRef<Path>) -> Result<Option<Journal>, CkpError> {
     let path = journal_path(dir.as_ref());
     let replay = record_log::replay(&path)?;
     let mut records = replay.records.iter();
     let header = match records.next().map(|r| r.split_first()) {
+        None => return Ok(None),
         Some(Some((&HEADER_TAG, json))) => decode(&path, json)?,
-        _ => return Err(bad(&path, "journal does not start with a header record")),
+        Some(_) => return Err(bad(&path, "journal does not start with a header record")),
     };
     let cells = records
         .map(|r| match r.split_first() {
@@ -213,11 +215,11 @@ pub fn read_journal(dir: impl AsRef<Path>) -> Result<Journal, CkpError> {
             _ => Err(bad(&path, "journal record after the header is not a cell")),
         })
         .collect::<Result<_, _>>()?;
-    Ok(Journal {
+    Ok(Some(Journal {
         header,
         cells,
         valid_len: replay.valid_len,
-    })
+    }))
 }
 
 #[cfg(test)]
@@ -249,16 +251,21 @@ mod tests {
     fn journal_round_trips_across_a_resume() {
         let dir = std::env::temp_dir().join(format!("dtb-journal-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let err = read_journal(&dir).unwrap_err();
-        assert!(matches!(err, CkpError::Io { .. }), "{err}");
+        assert_eq!(
+            read_journal(&dir).unwrap(),
+            None,
+            "missing = nothing to resume"
+        );
+        drop(JournalWriter::create(&dir, &header()).unwrap());
+        let header_only = std::fs::read(journal_path(&dir)).unwrap();
         let mut w = JournalWriter::create(&dir, &header()).unwrap();
         w.cell(&cell("FULL")).unwrap();
         drop(w);
-        let first = read_journal(&dir).unwrap();
+        let first = read_journal(&dir).unwrap().unwrap();
         let mut w = JournalWriter::resume(&dir, &first).unwrap();
         w.cell(&cell("No GC")).unwrap();
         drop(w);
-        let j = read_journal(&dir).unwrap();
+        let j = read_journal(&dir).unwrap().unwrap();
         assert_eq!(j.header, header());
         assert_eq!(j.cells, vec![cell("FULL"), cell("No GC")]);
         assert_eq!(j.cell("CFRAC", "No GC"), Some(&j.cells[1]));
@@ -266,10 +273,15 @@ mod tests {
         // A stale read no longer describes the file: refused, not mixed.
         let err = JournalWriter::resume(&dir, &first).unwrap_err();
         assert!(matches!(err, CkpError::Mismatch { .. }), "{err}");
-        // A journal torn before its header, and the old text format.
-        std::fs::write(journal_path(&dir), b"").unwrap();
-        let err = read_journal(&dir).unwrap_err();
-        assert!(matches!(err, CkpError::BadPayload { .. }), "{err}");
+        // A crash inside the first append (magic + header frame) leaves
+        // no intact record at any offset: nothing to resume, not damage.
+        for cut in 0..header_only.len() {
+            std::fs::write(journal_path(&dir), &header_only[..cut]).unwrap();
+            assert_eq!(read_journal(&dir).unwrap(), None, "cut at {cut}");
+        }
+        std::fs::write(journal_path(&dir), &header_only).unwrap();
+        assert!(read_journal(&dir).unwrap().is_some());
+        // The old text format is someone else's file: refused.
         std::fs::write(journal_path(&dir), b"0123456789abcdef H {}\n").unwrap();
         let err = read_journal(&dir).unwrap_err();
         assert!(matches!(err, CkpError::BadMagic { .. }), "{err}");

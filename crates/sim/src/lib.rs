@@ -43,8 +43,6 @@
 //!   checksummed record per completed matrix cell, so
 //!   [`Evaluation::resume`](exec::Evaluation::resume) survives crashes
 //!   (even `SIGKILL`) losing at most the cell in flight.
-//! * [`run`] — migration notes for the removed free-function runners
-//!   (superseded by [`exec`]).
 //! * [`trigger`] — pluggable when-to-collect policies (the orthogonal
 //!   dimension the paper fixes at 1 MB of allocation).
 //! * [`sweep`] — budget sweeps producing constraint/behaviour frontiers
@@ -78,8 +76,6 @@ pub mod fault;
 pub mod heap;
 pub mod journal;
 pub mod metrics;
-pub mod par;
-pub mod run;
 pub mod sweep;
 pub mod trigger;
 

@@ -115,7 +115,9 @@ fn resume_reusing_no_gc_and_recomputing_live_gives_the_same_matrix() {
 
     // Drop every `LIVE` record: the resumed run reuses `No GC` from the
     // journal, so the `LIVE` cell must compute the stats itself.
-    let journal = read_journal(&dir).expect("read journal");
+    let journal = read_journal(&dir)
+        .expect("read journal")
+        .expect("journal holds records");
     let live = Row::Live.to_string();
     assert!(
         journal.cells.iter().any(|c| c.row == live),

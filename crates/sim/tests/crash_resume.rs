@@ -58,7 +58,10 @@ fn crash_child_worker() {
 
 /// Counts durably journaled cells (a torn final record is not one).
 fn journaled_cells(dir: &Path) -> usize {
-    read_journal(dir).map_or(0, |journal| journal.cells.len())
+    read_journal(dir)
+        .ok()
+        .flatten()
+        .map_or(0, |journal| journal.cells.len())
 }
 
 #[test]
@@ -86,7 +89,9 @@ fn sigkilled_run_resumes_to_the_clean_matrix() {
     child.kill().expect("SIGKILL the child");
     child.wait().expect("reap the child");
 
-    let survived = read_journal(&dir).expect("journal readable after SIGKILL");
+    let survived = read_journal(&dir)
+        .expect("journal readable after SIGKILL")
+        .expect("journal holds records after SIGKILL");
     let done_before = survived.cells.iter().filter(|c| c.is_completed()).count();
     assert!(
         done_before >= 2,
@@ -166,8 +171,9 @@ fn finished_journal_resumes_without_recomputing() {
 }
 
 /// Resuming against a directory with no journal — or a zero-byte one,
-/// as a crash before the header fsync leaves behind — is a fresh run
-/// with a warning, not an error. Only interior corruption is refused.
+/// or one torn inside its first append, as a crash before the header
+/// fsync leaves behind — is a fresh run with a warning, not an error.
+/// Only interior corruption is refused.
 #[test]
 fn resume_with_missing_or_empty_journal_starts_fresh() {
     let eval = || {
@@ -176,6 +182,8 @@ fn resume_with_missing_or_empty_journal_starts_fresh() {
             .policies([PolicyKind::Full])
             .baselines(false)
     };
+    let fresh = eval().run();
+    let full = |matrix: &dtb_sim::Matrix| matrix.get(Program::Cfrac, PolicyKind::Full).cloned();
 
     // Missing directory entirely.
     let dir = temp_dir("fresh-missing");
@@ -203,6 +211,39 @@ fn resume_with_missing_or_empty_journal_starts_fresh() {
         .try_run()
         .expect("fresh run over empty journal");
     assert!(matrix.is_complete());
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // Torn inside the first append: a prefix of the magic, or the magic
+    // and part of the header frame. No record is intact, so the resume
+    // is a fresh run and computes the fresh matrix.
+    let dir = temp_dir("fresh-torn");
+    let _ = eval().journal(&dir).run();
+    let bytes = std::fs::read(journal_path(&dir)).unwrap();
+    let header_len = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
+    let header_end = 8 + 12 + header_len;
+    for cut in [3, 8, 15, header_end - 1] {
+        std::fs::write(journal_path(&dir), &bytes[..cut]).unwrap();
+        let matrix = eval()
+            .resume(&dir)
+            .try_run()
+            .unwrap_or_else(|e| panic!("torn at {cut}: {e}"));
+        assert!(matrix.is_complete(), "torn at {cut}");
+        assert_eq!(full(&matrix), full(&fresh), "torn at {cut}");
+    }
+
+    // Interior damage — a flipped byte in the header frame, with a cell
+    // record after it — is still refused, and the file left as it was.
+    let _ = eval().journal(&dir).run();
+    let mut bytes = std::fs::read(journal_path(&dir)).unwrap();
+    assert!(bytes.len() > header_end, "a cell record follows the header");
+    bytes[header_end - 2] ^= 0x55;
+    std::fs::write(journal_path(&dir), &bytes).unwrap();
+    let err = eval().resume(&dir).try_run().unwrap_err();
+    assert!(
+        matches!(err, dtb_sim::CkpError::Corrupt { .. }),
+        "expected interior damage to be refused, got {err}"
+    );
+    assert_eq!(std::fs::read(journal_path(&dir)).unwrap(), bytes);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -1,14 +1,13 @@
-//! Event-order determinism for the observability bus: every execution
-//! strategy of the engine — per-event, block-structured at any block
-//! size, and the intra-cell parallel drive at any thread count — must
-//! emit the **same scavenge event sequence**: same relative sequence
-//! numbers, same payloads, in the same order.
+//! Event-order determinism for the observability bus: the engine's
+//! per-event reference path and its block-structured drive at any block
+//! size must emit the **same scavenge event sequence**: same relative
+//! sequence numbers, same payloads, in the same order.
 //!
 //! This is the telemetry face of the engine's bit-identical determinism
-//! contract (`tests/intra_cell.rs`): the scavenge span payload carries
-//! only engine-invariant quantities (trigger clock, outcome bytes,
-//! inverse-query *call* count), so a dashboard fed by a parallel run is
-//! indistinguishable from one fed by the reference per-event run.
+//! contract (`tests/block_differential.rs`): the scavenge span payload
+//! carries only engine-invariant quantities (trigger clock, outcome
+//! bytes, inverse-query *call* count), so a dashboard fed by a blocked
+//! run is indistinguishable from one fed by the reference per-event run.
 //!
 //! The bus is process-global, so the tests in this file serialize on a
 //! mutex and filter captured envelopes by run scope.
@@ -78,9 +77,8 @@ fn capture_run(
     CapturedRun { scope, envelopes }
 }
 
-/// Per-event, block (several block sizes), and parallel (several thread
-/// counts) runs all emit the same scavenge sequence — relative seq and
-/// full payload.
+/// Per-event and block (several block sizes) runs all emit the same
+/// scavenge sequence — relative seq and full payload.
 #[test]
 fn engines_emit_identical_scavenge_sequences() {
     let _guard = bus_lock();
@@ -91,12 +89,10 @@ fn engines_emit_identical_scavenge_sequences() {
             !expected.is_empty(),
             "{kind}: the reference run must scavenge at least once"
         );
-        let variants: [Variant; 5] = [
+        let variants: [Variant; 3] = [
             ("block(default)", Box::new(|sim| sim)),
             ("block(7)", Box::new(|sim| sim.block_events(7))),
             ("block(4096)", Box::new(|sim| sim.block_events(4096))),
-            ("threads(2)", Box::new(|sim| sim.threads(2))),
-            ("threads(3)", Box::new(|sim| sim.threads(3))),
         ];
         for (label, configure) in variants {
             let run = capture_run(Program::Cfrac, kind, configure);

@@ -496,7 +496,7 @@ fn main() {
 
     // 2. Exactly-once journal.
     match read_journal(args.dir.join("journal").join(format!("sweep-{sweep}"))) {
-        Ok(journal) => {
+        Ok(Some(journal)) => {
             let keys: Vec<(String, String)> = journal
                 .cells
                 .iter()
@@ -514,6 +514,7 @@ fn main() {
                 eprintln!("dtb-chaos: journal finalized every cell exactly once");
             }
         }
+        Ok(None) => violations.push("journal holds no record after the drill".to_string()),
         Err(e) => violations.push(format!("journal unreadable after the drill: {e}")),
     }
 

@@ -19,7 +19,7 @@ use std::time::Duration;
 fn usage() -> ! {
     eprintln!(
         "usage: dtb-worker --addr HOST:PORT [--name NAME] [--exit-when-done]\n\
-         \x20                 [--cell-delay-ms N] [--threads N] [--net-retries N]\n\
+         \x20                 [--cell-delay-ms N] [--net-retries N]\n\
          \x20                 [--reconnect-ms N] [--healthz HOST:PORT]\n\
          \x20                 [--fault-drop-every N] [--fault-garble-every N]\n\
          \x20                 [--fault-replay-every N] [--fault-delay-every N:MS]\n\
@@ -28,7 +28,6 @@ fn usage() -> ! {
          --name NAME           worker identity (default: worker-<pid>)\n\
          --exit-when-done      exit 0 once the coordinator reports all sweeps done\n\
          --cell-delay-ms N     pause before each cell (crash-test pacing)\n\
-         --threads N           intra-cell simulation threads (default 1)\n\
          --relay-events        relay per-scavenge telemetry into the coordinator's /events\n\
          --net-retries N       wire-failure retries per exchange (default 4)\n\
          --reconnect-ms N      ride out up to N ms of continuous coordinator outage\n\
@@ -68,7 +67,6 @@ fn parse_args() -> Args {
             "--cell-delay-ms" => {
                 config.cell_delay = Duration::from_millis(parse_num(&value("--cell-delay-ms")))
             }
-            "--threads" => config.threads = parse_num(&value("--threads")) as usize,
             "--relay-events" => config.relay_events = true,
             "--net-retries" => net_retries = parse_num(&value("--net-retries")) as u32,
             "--reconnect-ms" => {

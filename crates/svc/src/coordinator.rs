@@ -939,8 +939,9 @@ fn build_cells(spec: &SweepSpec, rows: &[Row]) -> Vec<CellState> {
 /// completion re-marks its cell `Done`/`Quarantined` — exactly-once
 /// survives the restart because `finalize` still refuses final cells),
 /// failure *class* from the results store (the journal does not carry
-/// `transient`). A missing journal is re-created fresh — the sweep was
-/// acked before its journal hit disk — but a corrupt one is refused.
+/// `transient`). A journal with no intact record (missing, or torn
+/// inside its header append) is re-created fresh — the sweep was acked
+/// before its journal hit disk — but a corrupt one is refused.
 fn rebuild_sweep(
     id: u64,
     spec: SweepSpec,
@@ -951,8 +952,8 @@ fn rebuild_sweep(
     let rows = spec.rows();
     let mut cells = build_cells(&spec, &rows);
     let dir = journal_dir.join(format!("sweep-{id}"));
-    let mut journal = match read_journal(&dir) {
-        Ok(journal) => {
+    let mut journal = match read_journal(&dir)? {
+        Some(journal) => {
             for jc in &journal.cells {
                 let Some(index) = cells.iter().position(|c| {
                     !c.status.is_final()
@@ -985,12 +986,11 @@ fn rebuild_sweep(
             }
             JournalWriter::resume(&dir, &journal)?
         }
-        // Missing (the crash landed between the sweep-log ack and the
-        // journal's first write): start it fresh, all cells open.
-        Err(CkpError::Io { .. }) => JournalWriter::create(&dir, &journal_header(&spec, &rows))?,
-        // Interior corruption: refuse to serve from a ledger we cannot
-        // trust, mirroring `Evaluation::resume`.
-        Err(e) => return Err(e),
+        // No intact record (the crash landed between the sweep-log ack
+        // and the end of the journal's first append): start it fresh,
+        // all cells open. Damage and I/O errors were refused above,
+        // mirroring `Evaluation::resume`.
+        None => JournalWriter::create(&dir, &journal_header(&spec, &rows))?,
     };
     journal.inject_fault(journal_fault);
     let sweep = SweepState {
@@ -1562,7 +1562,7 @@ mod tests {
                 CompleteStatus::Duplicate
             );
         }
-        let journal = dtb_sim::read_journal(dir.join("sweep-1")).unwrap();
+        let journal = dtb_sim::read_journal(dir.join("sweep-1")).unwrap().unwrap();
         assert_eq!(journal.cells.len(), 2);
         let mut keys: Vec<(String, String)> = journal
             .cells
@@ -1602,7 +1602,7 @@ mod tests {
         };
 
         // "Restart": a new state over the same directories.
-        let mut st = State::new(cfg);
+        let mut st = State::new(cfg.clone());
         assert_eq!(st.epoch, 2, "every open bumps the epoch");
         assert_eq!(st.recovery.sweeps, 1);
         assert_eq!(st.recovery.finalized, 1);
@@ -1637,7 +1637,7 @@ mod tests {
         assert!(st.sweeps[0].is_done());
 
         // Exactly one journal line per cell, across both incarnations.
-        let journal = dtb_sim::read_journal(dir.join("sweep-1")).unwrap();
+        let journal = dtb_sim::read_journal(dir.join("sweep-1")).unwrap().unwrap();
         assert_eq!(journal.cells.len(), 2);
         let mut keys: Vec<(String, String)> = journal
             .cells
@@ -1647,6 +1647,20 @@ mod tests {
         keys.sort();
         keys.dedup();
         assert_eq!(keys.len(), 2);
+
+        // A sweep whose journal is torn inside its first append (the
+        // crash landed between the sweep-log ack and the header's fsync)
+        // holds no record: recovery re-creates it with every cell open.
+        let torn = submit(&mut st, spec()).unwrap();
+        drop(st);
+        let path = dtb_sim::journal::journal_path(dir.join(format!("sweep-{torn}")));
+        let header = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &header[..header.len() / 2]).unwrap();
+        let st = State::new(cfg);
+        assert_eq!(st.recovery.sweeps, 2);
+        assert_eq!(st.recovery.finalized, 2, "sweep 1 is untouched");
+        assert_eq!(st.recovery.open, 2);
+        assert!(st.sweeps[1].cells.iter().all(|c| !c.status.is_final()));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1701,7 +1715,7 @@ mod tests {
             String::from_utf8_lossy(&resp.body)
         );
         assert!(!st.sweeps[0].cells[task.cell as usize].status.is_final());
-        let journal = dtb_sim::read_journal(dir.join("sweep-1")).unwrap();
+        let journal = dtb_sim::read_journal(dir.join("sweep-1")).unwrap().unwrap();
         assert!(journal.cells.is_empty(), "no torn finalization");
 
         // The fuse is spent; the worker's retry of the same completion
@@ -1710,7 +1724,7 @@ mod tests {
             status_of(&complete(&mut st, &req)),
             CompleteStatus::Recorded
         );
-        let journal = dtb_sim::read_journal(dir.join("sweep-1")).unwrap();
+        let journal = dtb_sim::read_journal(dir.join("sweep-1")).unwrap().unwrap();
         assert_eq!(journal.cells.len(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }

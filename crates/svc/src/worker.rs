@@ -47,8 +47,6 @@ pub struct WorkerConfig {
     /// Artificial pause before each cell — the crash suites use it to
     /// pace workers so a SIGKILL reliably lands mid-matrix.
     pub cell_delay: Duration,
-    /// Intra-cell simulation threads (1 = serial engine).
-    pub threads: usize,
     /// Relay per-scavenge telemetry from completed cells into the
     /// coordinator's `/events` stream (`POST /relay`). Best-effort: a
     /// failed relay never fails the cell.
@@ -65,14 +63,13 @@ pub struct WorkerConfig {
 
 impl WorkerConfig {
     /// A worker named `name` with defaults: run until drained? no —
-    /// poll forever; no cell delay; serial engine; fail fast on
-    /// coordinator loss; no health endpoint.
+    /// poll forever; no cell delay; fail fast on coordinator loss; no
+    /// health endpoint.
     pub fn new(name: impl Into<String>) -> WorkerConfig {
         WorkerConfig {
             name: name.into(),
             exit_when_done: false,
             cell_delay: Duration::ZERO,
-            threads: 1,
             relay_events: false,
             reconnect: None,
             health: None,
@@ -172,7 +169,10 @@ pub struct CellRun {
 /// Runs one leased cell to completion: compiles (or reuses) the preset
 /// trace, arms the deadline at 80% of the lease window, contains panics,
 /// and classifies any failure as transient or permanent.
-pub fn run_cell(cache: &TraceCache, task: &CellTask, threads: usize) -> CellRun {
+///
+/// The third argument is ignored: a cell always runs on the calling
+/// thread. It remains so existing callers keep compiling.
+pub fn run_cell(cache: &TraceCache, task: &CellTask, _threads: usize) -> CellRun {
     let started = Instant::now();
     // Inner error: (stringified failure, transient?).
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -200,7 +200,6 @@ pub fn run_cell(cache: &TraceCache, task: &CellTask, threads: usize) -> CellRun 
                 let cancel = Arc::new(AtomicBool::new(false));
                 let _watchdog = DeadlineGuard::arm(deadline, Arc::clone(&cancel));
                 Sim::new(task.sim)
-                    .threads(threads.max(1))
                     .control(RunControl::new().with_cancel(&cancel))
                     .run_trace(&trace, policy.as_mut())
                     .map_err(|err| (err.to_string(), classify(&err)))
@@ -371,7 +370,7 @@ pub fn run_worker(client: &mut Client, config: &WorkerConfig) -> WorkerExit {
         if !config.cell_delay.is_zero() {
             thread::sleep(config.cell_delay);
         }
-        let done = run_cell(&cache, &task, config.threads);
+        let done = run_cell(&cache, &task, 1);
         if config.relay_events {
             if let Some(run) = &done.run {
                 relay_scavenges(client, config, &task, run);

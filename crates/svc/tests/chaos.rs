@@ -294,8 +294,9 @@ fn seeded_crash_drill_recovers_bit_identical() {
     assert_matrices_match(&matrix, &local_matrix());
 
     // 2. Exactly one finalization per cell, across both incarnations.
-    let journal =
-        read_journal(journal_dir.join(format!("sweep-{sweep}"))).expect("journal reads back");
+    let journal = read_journal(journal_dir.join(format!("sweep-{sweep}")))
+        .expect("journal reads back")
+        .expect("journal holds records");
     assert_eq!(journal.cells.len() as u64, total, "one line per cell");
     let keys: Vec<(String, String)> = journal
         .cells

@@ -196,8 +196,9 @@ fn workers_ride_out_a_coordinator_restart() {
     }
 
     // Exactly-once across incarnations: one journal line per cell.
-    let journal =
-        read_journal(journal_dir.join(format!("sweep-{sweep}"))).expect("journal reads back");
+    let journal = read_journal(journal_dir.join(format!("sweep-{sweep}")))
+        .expect("journal reads back")
+        .expect("journal holds records");
     assert_eq!(journal.cells.len() as u64, total, "one line per cell");
     let distinct: HashSet<(String, String)> = journal
         .cells
@@ -270,8 +271,9 @@ fn sigkilled_worker_converges_to_the_clean_matrix() {
     assert_matrices_match(&matrix_from_sweep(&reply), &local_matrix(policies));
 
     // Exactly-once, structurally: one journal line per cell, every cell.
-    let journal =
-        read_journal(journal_dir.join(format!("sweep-{sweep}"))).expect("served journal reads");
+    let journal = read_journal(journal_dir.join(format!("sweep-{sweep}")))
+        .expect("served journal reads")
+        .expect("served journal holds records");
     assert_eq!(journal.cells.len() as u64, total, "one line per cell");
     let distinct: HashSet<(String, String)> = journal
         .cells

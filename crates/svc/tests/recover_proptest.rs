@@ -169,7 +169,7 @@ fn drive_and_check_exactly_once(coordinator: &Coordinator, dir: &Path) {
         if !path.is_dir() {
             continue;
         }
-        let Ok(journal) = read_journal(&path) else {
+        let Ok(Some(journal)) = read_journal(&path) else {
             continue;
         };
         let keys: Vec<(String, String)> = journal

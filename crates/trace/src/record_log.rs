@@ -137,17 +137,21 @@ fn parse(path: &Path, data: &[u8]) -> Result<Replay, CkpError> {
 }
 
 /// Reads and verifies the log at `path` without modifying it — safe on
-/// a file another process is appending to.
+/// a file another process is appending to. A missing file replays as an
+/// empty log, the same as a zero-byte one.
 ///
 /// # Errors
 ///
-/// [`CkpError::Io`] when the file cannot be read (including when it
-/// does not exist), [`CkpError::BadMagic`] for a file that is not a
-/// `DTBLOG01` log, [`CkpError::Corrupt`] on interior damage.
+/// [`CkpError::Io`] when the file cannot be read, [`CkpError::BadMagic`]
+/// for a file that is not a `DTBLOG01` log, [`CkpError::Corrupt`] on
+/// interior damage.
 pub fn replay(path: impl AsRef<Path>) -> Result<Replay, CkpError> {
     let path = path.as_ref();
-    let data = std::fs::read(path).map_err(|e| io_err(path, e))?;
-    parse(path, &data)
+    match std::fs::read(path) {
+        Ok(data) => parse(path, &data),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Replay::default()),
+        Err(e) => Err(io_err(path, e)),
+    }
 }
 
 /// An open log, appending after its last good record.
@@ -183,14 +187,10 @@ impl RecordLog {
     /// # Errors
     ///
     /// [`CkpError::Io`] on filesystem failure, and every error of
-    /// [`replay`] except a missing file.
+    /// [`replay`].
     pub fn open(path: impl AsRef<Path>) -> Result<(RecordLog, Replay), CkpError> {
         let path = path.as_ref();
-        let replay = match std::fs::read(path) {
-            Ok(data) => parse(path, &data)?,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Replay::default(),
-            Err(e) => return Err(io_err(path, e)),
-        };
+        let replay = replay(path)?;
         Ok((RecordLog::at(path, replay.valid_len)?, replay))
     }
 
