@@ -221,8 +221,8 @@ pub enum Event {
         /// Cells that ended quarantined.
         failed: u64,
     },
-    /// A coordinator rebuilt its state from durable storage (sweep log,
-    /// finalization journals, results store) after a restart.
+    /// A coordinator rebuilt its state from durable storage (sweep log
+    /// and finalization journals) after a restart.
     CoordinatorRecovered {
         /// The incarnation number this coordinator now runs under.
         epoch: u64,

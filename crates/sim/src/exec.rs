@@ -249,14 +249,17 @@ impl Default for RetryPolicy {
 ///
 /// Dropping the watchdog hangs up the channel, which wakes the timer
 /// thread immediately — a finished cell never waits out its deadline —
-/// and joins it, so no timer thread outlives its cell.
-struct Watchdog {
+/// and joins it, so no timer thread outlives its cell. The executor arms
+/// one per supervised cell and the service worker one per leased cell.
+pub struct Watchdog {
     disarm: Option<mpsc::Sender<()>>,
     thread: Option<thread::JoinHandle<()>>,
 }
 
 impl Watchdog {
-    fn arm(limit: Duration, cancel: Arc<AtomicBool>) -> Watchdog {
+    /// Starts the alarm: `cancel` is set once `limit` elapses, unless
+    /// the watchdog is dropped first.
+    pub fn arm(limit: Duration, cancel: Arc<AtomicBool>) -> Watchdog {
         let (disarm, expired) = mpsc::channel::<()>();
         let thread = thread::spawn(move || {
             // Timeout = the deadline passed; Disconnected = the cell
@@ -849,6 +852,7 @@ impl Evaluation {
                         CellOutcome::Completed(_) => None,
                         CellOutcome::Failed(f) => Some(f.to_string()),
                     },
+                    transient: Some(matches!(&outcome, CellOutcome::Failed(f) if f.is_transient())),
                 };
                 let result = writer.lock().unwrap_or_else(|p| p.into_inner()).cell(&line);
                 if let Err(e) = result {
@@ -1124,7 +1128,7 @@ fn column_stats(
 
 /// Stringifies a caught panic payload (the common `&str` / `String` cases;
 /// anything else gets a placeholder).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

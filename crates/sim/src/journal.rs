@@ -69,12 +69,21 @@ pub struct JournalCell {
     /// The stringified failure, when it did not. Failed cells are
     /// *recomputed* on resume, so the string is diagnostic only.
     pub failure: Option<String>,
+    /// The failure's class: `Some(true)` when it was transient (worth a
+    /// retry). Records written before the class was journaled decode as
+    /// `None`, which reads as permanent.
+    pub transient: Option<bool>,
 }
 
 impl JournalCell {
     /// True when this cell completed and its run can be reused verbatim.
     pub fn is_completed(&self) -> bool {
         self.run.is_some()
+    }
+
+    /// True when the recorded failure was transient-class.
+    pub fn is_transient(&self) -> bool {
+        self.transient == Some(true)
     }
 }
 
@@ -244,6 +253,7 @@ mod tests {
             elapsed_ns: 12_345,
             run: None,
             failure: Some("injected".into()),
+            transient: Some(true),
         }
     }
 
@@ -285,6 +295,28 @@ mod tests {
         std::fs::write(journal_path(&dir), b"0123456789abcdef H {}\n").unwrap();
         let err = read_journal(&dir).unwrap_err();
         assert!(matches!(err, CkpError::BadMagic { .. }), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_cell_record_without_a_class_reads_as_permanent() {
+        let dir = std::env::temp_dir().join(format!("dtb-journal-class-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        drop(JournalWriter::create(&dir, &header()).unwrap());
+        // A `C` record exactly as journals wrote it before the class was
+        // recorded: no `transient` field at all.
+        let (mut log, _) = RecordLog::open(journal_path(&dir)).unwrap();
+        log.append(
+            b"C{\"column\":\"CFRAC\",\"row\":\"FULL\",\"attempts\":2,\
+              \"elapsed_ns\":12345,\"run\":null,\"failure\":\"injected\"}",
+        )
+        .unwrap();
+        drop(log);
+        let j = read_journal(&dir).unwrap().unwrap();
+        let old = &j.cells[0];
+        assert_eq!(old.transient, None);
+        assert!(!old.is_transient(), "a missing class reads as permanent");
+        assert_eq!(old.failure.as_deref(), Some("injected"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -22,9 +22,9 @@
 //!    epoch, and spans every incarnation.
 //!
 //! Exit 0 = all three hold; exit 1 = a violation, with the seed and the
-//! artifact directory (coordinator/worker logs, journal, results store,
-//! followed stream) printed for replay. The same seed always replays
-//! the same schedule.
+//! artifact directory (coordinator/worker logs, journal, followed
+//! stream) printed for replay. The same seed always replays the same
+//! schedule.
 
 use dtb_core::policy::PolicyKind;
 use dtb_sim::exec::{Matrix, TraceCache};
@@ -49,7 +49,7 @@ fn usage() -> ! {
          \n\
          --seed N           chaos plan seed (default 42); a failing run replays from it\n\
          --workers N        worker processes (default 2)\n\
-         --dir PATH         artifact directory: logs, journal, results, stream (default chaos-artifacts)\n\
+         --dir PATH         artifact directory: logs, journal, stream (default chaos-artifacts)\n\
          --cell-delay-ms N  per-cell pacing so kills land mid-matrix (default 250)"
     );
     std::process::exit(2);
@@ -211,7 +211,6 @@ fn start_coordinator(
     addr: Option<&str>,
     lease_ms: u64,
     journal_faults: u32,
-    results_faults: u32,
     incarnation: u32,
 ) -> (Child, String) {
     let dir = &args.dir;
@@ -225,14 +224,9 @@ fn start_coordinator(
         "2",
         "--journal",
         &dir.join("journal").to_string_lossy(),
-        "--results",
-        &dir.join("results.bin").to_string_lossy(),
     ]);
     if journal_faults > 0 {
         cmd.args(["--fault-journal-writes", &journal_faults.to_string()]);
-    }
-    if results_faults > 0 {
-        cmd.args(["--fault-results-writes", &results_faults.to_string()]);
     }
     // A killed incarnation leaves the port in use briefly; retry the
     // whole spawn until the new one binds.
@@ -349,7 +343,7 @@ fn main() {
     let plan = ChaosPlan::from_seed(args.seed, total, args.workers);
     eprintln!(
         "dtb-chaos: seed {} over {total} cells, {} workers: kill coordinator at {:?}, \
-         kill worker {:?}, lease skew {}/{}, {} journal + {} results write faults",
+         kill worker {:?}, lease skew {}/{}, {} journal write faults",
         args.seed,
         args.workers,
         plan.coordinator_kills,
@@ -357,7 +351,6 @@ fn main() {
         plan.lease_skew.0,
         plan.lease_skew.1,
         plan.journal_faults,
-        plan.results_faults,
     );
 
     eprintln!("dtb-chaos: computing the clean reference matrix in-process…");
@@ -365,7 +358,7 @@ fn main() {
 
     // ── incarnation 1 ──
     let lease_ms = 4_000u64;
-    let (mut coordinator, addr) = start_coordinator(&args, None, lease_ms, 0, 0, 1);
+    let (mut coordinator, addr) = start_coordinator(&args, None, lease_ms, 0, 1);
 
     // The resilient follower rides every restart; its stream is both an
     // artifact and the continuity evidence.
@@ -443,14 +436,8 @@ fn main() {
                 // Restart over the same dirs on the same port, lease
                 // clock skewed, disk-write faults armed.
                 let skewed = (lease_ms.saturating_mul(num) / den).max(500);
-                let (child, rebound) = start_coordinator(
-                    &args,
-                    Some(&addr),
-                    skewed,
-                    plan.journal_faults,
-                    plan.results_faults,
-                    incarnation,
-                );
+                let (child, rebound) =
+                    start_coordinator(&args, Some(&addr), skewed, plan.journal_faults, incarnation);
                 assert_eq!(rebound, addr, "restart must reuse the address");
                 coordinator = child;
                 kills.remove(0);

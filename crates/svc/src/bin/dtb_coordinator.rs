@@ -16,10 +16,9 @@ use std::time::Duration;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: dtb-coordinator [--addr HOST:PORT] [--journal DIR] [--results FILE]\n\
+        "usage: dtb-coordinator [--addr HOST:PORT] [--journal DIR]\n\
          \x20                      [--lease-ms N] [--retries N] [--idle-ms N]\n\
-         \x20                      [--quota TENANT=EVENTS]...\n\
-         \x20                      [--fault-journal-writes N] [--fault-results-writes N]\n\
+         \x20                      [--quota TENANT=EVENTS]... [--fault-journal-writes N]\n\
          \n\
          --addr HOST:PORT   listen address (default 127.0.0.1:7077; port 0 = ephemeral)\n\
          --journal DIR      durable per-sweep journals under DIR/sweep-<id>/\n\
@@ -27,9 +26,7 @@ fn usage() -> ! {
          --retries N        transient-failure retries per cell beyond the first attempt (default 2)\n\
          --idle-ms N        poll backoff handed to idle workers in ms (default 100)\n\
          --quota T=N        cap tenant T's cells at N simulation events (repeatable)\n\
-         --results FILE     durable results store behind GET /results (a DTBLOG01 record log)\n\
-         --fault-journal-writes N   chaos: fail the next N journal finalization writes\n\
-         --fault-results-writes N   chaos: tear the next N results-store appends"
+         --fault-journal-writes N   chaos: fail the next N journal finalization writes"
     );
     std::process::exit(2);
 }
@@ -49,7 +46,6 @@ fn parse_args() -> (String, CoordinatorConfig) {
         match arg.as_str() {
             "--addr" => addr = value("--addr"),
             "--journal" => config.journal_dir = Some(value("--journal").into()),
-            "--results" => config.results_path = Some(value("--results").into()),
             "--lease-ms" => {
                 config.lease_timeout = Duration::from_millis(parse_num(&value("--lease-ms")))
             }
@@ -60,12 +56,8 @@ fn parse_args() -> (String, CoordinatorConfig) {
                 config.idle_retry = Duration::from_millis(parse_num(&value("--idle-ms")))
             }
             "--fault-journal-writes" => {
-                config.disk_faults.journal =
+                config.journal_fault =
                     FaultFuse::charges(parse_num(&value("--fault-journal-writes")) as u32)
-            }
-            "--fault-results-writes" => {
-                config.disk_faults.results =
-                    FaultFuse::charges(parse_num(&value("--fault-results-writes")) as u32)
             }
             "--quota" => {
                 let spec = value("--quota");

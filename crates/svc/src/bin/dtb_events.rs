@@ -11,7 +11,7 @@
 //! shutdown) — pipe it through `grep`/`jq` to watch a sweep fill in.
 //! With `--reconnect-ms` the tail rides out coordinator restarts,
 //! resuming from its epoch-tagged cursor with no gaps or duplicates.
-//! `results` queries the `GET /results` store and prints the reply JSON.
+//! `results` queries `GET /results` and prints the reply JSON.
 //! `status` prints the coordinator's `GET /status` snapshot: recovery
 //! epoch, per-sweep progress, and per-tenant queue depths.
 

@@ -3,8 +3,8 @@
 //! PR 2 gave single components injectable faults (`dtb_sim::fault`) and
 //! PR 7 gave the wire them (`NetFault`); this module composes them into
 //! a seeded, replayable **plan** for the whole service: kill the
-//! coordinator at scripted progress points, fail journal/results
-//! appends, partition the wire, skew the lease clock — and every run is
+//! coordinator at scripted progress points, tear journal appends,
+//! partition the wire, skew the lease clock — and every run is
 //! reproducible from its `u64` seed alone. The `dtb-chaos` binary
 //! executes a plan against real processes; the in-process drill in
 //! `tests/chaos.rs` executes one against library handles.
@@ -15,21 +15,6 @@
 //! [`journal_exactly_once`] proves no cell was ever finalized twice.
 
 pub use dtb_trace::record_log::FaultFuse;
-
-// ───────────────────────── disk faults ─────────────────────────
-
-/// Disk-write fault injection for the coordinator's durable stores.
-/// Each armed fuse tears the next appends of its record log mid-frame
-/// (see [`dtb_trace::record_log`]): a torn `journal` append fails the
-/// finalization (the cell must stay open); a torn `results` append
-/// keeps the record in memory only (recovery backfills it).
-#[derive(Clone, Debug, Default)]
-pub struct DiskFaults {
-    /// Armed on every sweep journal's record log.
-    pub journal: FaultFuse,
-    /// Armed on the results store's record log.
-    pub results: FaultFuse,
-}
 
 // ───────────────────────── seeded plans ─────────────────────────
 
@@ -79,8 +64,6 @@ pub struct ChaosPlan {
     pub net: Vec<crate::fault::FaultPlan>,
     /// Journal-append fault charges armed on the restarted coordinator.
     pub journal_faults: u32,
-    /// Results-append fault charges armed on the restarted coordinator.
-    pub results_faults: u32,
     /// Lease timeout multiplier `(num, den)` applied on restart — the
     /// "clock-skewed lease expiry" leg: the restarted coordinator
     /// measures lease windows on a faster or slower clock.
@@ -120,7 +103,6 @@ impl ChaosPlan {
             worker_kill,
             net,
             journal_faults: rng.range(1, 2) as u32,
-            results_faults: rng.range(1, 2) as u32,
             lease_skew: if rng.next_u64().is_multiple_of(2) {
                 (1, 2)
             } else {

@@ -251,8 +251,8 @@ impl Client {
         self.exchange(&Self::get(&format!("/sweep?id={id}")))
     }
 
-    /// Queries the results store: cells finalized so far, served even
-    /// while the sweep is still running.
+    /// Queries `GET /results`: cells finalized so far, served even while
+    /// the sweep is still running.
     ///
     /// # Errors
     ///
@@ -331,7 +331,7 @@ pub fn matrix_from_sweep(reply: &SweepReply) -> Matrix {
 
 /// Reassembles served cells into the executor's [`Matrix`] shape
 /// against `spec`'s (programs × rows) grid — the shared core of
-/// [`matrix_from_sweep`] (`GET /sweep`) and the `/results` store path,
+/// [`matrix_from_sweep`] (`GET /sweep`) and the `GET /results` path,
 /// so both serve bit-identical matrices.
 pub fn matrix_from_cells(spec: &SweepSpec, served: &[CellResult]) -> Matrix {
     let rows = spec.rows();

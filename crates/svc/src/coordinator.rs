@@ -47,7 +47,7 @@
 //! `SimConfig` before it ships, so an over-budget cell fails with the
 //! engine's own typed `BudgetExceeded`, exactly as it would in-process.
 
-use crate::chaos::{DiskFaults, FaultFuse};
+use crate::chaos::FaultFuse;
 use crate::events::{json_string, EventLog, HEARTBEAT};
 use crate::http::{
     read_request, write_chunk, write_chunk_end, write_chunked_head, write_response, Request,
@@ -59,7 +59,6 @@ use crate::proto::{
     SubmitRequest, SweepReply, SweepSpec, SweepStatus, TenantStatus, MAX_RELAY_LINES,
     PROTO_VERSION,
 };
-use crate::results::ResultsStore;
 use crate::sweeplog::SweepLog;
 use dtb_core::policy::Row;
 use dtb_obs::{Envelope, Event};
@@ -95,13 +94,14 @@ pub struct CoordinatorConfig {
     /// Per-tenant cell quotas, merged into every leased cell's budget.
     /// Tenants not listed get [`SimBudget::UNLIMITED`].
     pub quotas: HashMap<String, SimBudget>,
-    /// File behind the queryable results store (`GET /results`); `None`
-    /// serves results from memory only. An unopenable path degrades to
-    /// memory with a note on stderr — it never stops the coordinator.
+    /// Ignored. `GET /results` reads the sweep state, and a sweep's
+    /// journal is the one durable copy of its finalized cells; the field
+    /// remains so existing callers keep compiling.
     pub results_path: Option<PathBuf>,
-    /// Chaos-harness disk fault fuses over the durable stores. Unarmed
-    /// (the default) in production.
-    pub disk_faults: DiskFaults,
+    /// Chaos-harness fault fuse armed on every sweep journal: each trip
+    /// tears one finalization append, which must leave its cell open.
+    /// Unarmed (the default) in production.
+    pub journal_fault: FaultFuse,
 }
 
 impl Default for CoordinatorConfig {
@@ -113,7 +113,7 @@ impl Default for CoordinatorConfig {
             idle_retry: Duration::from_millis(100),
             quotas: HashMap::new(),
             results_path: None,
-            disk_faults: DiskFaults::default(),
+            journal_fault: FaultFuse::none(),
         }
     }
 }
@@ -195,6 +195,7 @@ impl SweepState {
                 elapsed_ns,
                 run: run.clone(),
                 failure: failure.clone(),
+                transient: Some(transient),
             })?;
         }
         cell.elapsed_ns = elapsed_ns;
@@ -216,7 +217,7 @@ impl SweepState {
 }
 
 /// One cell's servable final (or in-flight) state, as `GET /sweep` and
-/// the results store both shape it.
+/// `GET /results` both shape it.
 fn cell_result(cell: &CellState) -> CellResult {
     CellResult {
         column: cell.program.label().to_string(),
@@ -287,22 +288,18 @@ struct State {
     /// The `/events` log. Shared (`Arc`) so streaming connections tail
     /// it without holding the state lock.
     events: Arc<EventLog>,
-    /// The `/results` store. Shared for the same reason.
-    results: Arc<ResultsStore>,
 }
 
 impl State {
     /// A fresh or recovered state: with a `journal_dir` this replays the
-    /// sweep log, every per-sweep finalization journal, and the results
-    /// store; without one it is simply empty under epoch 1.
+    /// sweep log and every per-sweep finalization journal; without one
+    /// it is simply empty under epoch 1.
     ///
     /// # Errors
     ///
     /// Interior corruption of the sweep log or a journal (a missing file
     /// or torn tail is not corruption), or filesystem failures.
     fn recover(config: CoordinatorConfig) -> Result<State, CkpError> {
-        let results = Arc::new(ResultsStore::open_or_memory(config.results_path.as_deref()));
-        results.inject_fault(config.disk_faults.results.clone());
         let (sweep_log, epoch, logged) = match &config.journal_dir {
             None => (None, 1, Vec::new()),
             Some(dir) => {
@@ -315,13 +312,7 @@ impl State {
         let mut next_sweep = 1;
         for (id, spec) in logged {
             let dir = config.journal_dir.as_deref().expect("logged implies dir");
-            sweeps.push(rebuild_sweep(
-                id,
-                spec,
-                dir,
-                &results,
-                config.disk_faults.journal.clone(),
-            )?);
+            sweeps.push(rebuild_sweep(id, spec, dir, config.journal_fault.clone())?);
             next_sweep = next_sweep.max(id + 1);
         }
         let recovery = RecoveryReport {
@@ -356,7 +347,6 @@ impl State {
             serve_tick: 0,
             last_served: HashMap::new(),
             events,
-            results,
         })
     }
 
@@ -383,7 +373,6 @@ impl State {
         let max_attempts = 1 + self.config.retry.max_retries;
         let lease_timeout = self.config.lease_timeout;
         let events = Arc::clone(&self.events);
-        let results = Arc::clone(&self.results);
         for sweep in &mut self.sweeps {
             for i in 0..sweep.cells.len() {
                 let cell = &mut sweep.cells[i];
@@ -393,7 +382,6 @@ impl State {
                 if now < expires {
                     continue;
                 }
-                let tenant = sweep.spec.tenant.clone();
                 if cell.attempts >= max_attempts {
                     let failure = format!(
                         "lease expired after {} attempt(s) (lease timeout {lease_timeout:?})",
@@ -407,30 +395,7 @@ impl State {
                         eprintln!("coordinator: journal write failed, cell stays open: {e}");
                         continue;
                     }
-                    results.append(sweep.id, i as u64, &cell_result(&sweep.cells[i]));
-                    publish_event(
-                        &events,
-                        sweep.id,
-                        Event::CellRecorded {
-                            sweep: sweep.id,
-                            cell: i as u64,
-                            lease,
-                            worker: String::new(),
-                            tenant: tenant.clone(),
-                            ok: false,
-                        },
-                    );
-                    if sweep.is_done() {
-                        publish_event(
-                            &events,
-                            sweep.id,
-                            Event::SweepDrained {
-                                sweep: sweep.id,
-                                tenant,
-                                failed: sweep.failed(),
-                            },
-                        );
-                    }
+                    record_published(sweep, i, lease, "", false, &events);
                 } else {
                     cell.status = CellStatus::Pending;
                     publish_event(
@@ -441,7 +406,7 @@ impl State {
                             cell: i as u64,
                             lease,
                             worker: String::new(),
-                            tenant,
+                            tenant: sweep.spec.tenant.clone(),
                             cause: format!("lease expired ({lease_timeout:?})"),
                         },
                     );
@@ -510,9 +475,9 @@ impl Coordinator {
     ) -> std::io::Result<Coordinator> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        // With a journal_dir this *is* recovery: replay the sweep log,
-        // the finalization journals, and the results store. A fresh dir
-        // recovers to an empty state, so there is one startup path.
+        // With a journal_dir this *is* recovery: replay the sweep log and
+        // the finalization journals. A fresh dir recovers to an empty
+        // state, so there is one startup path.
         let state = State::recover(config).map_err(|e| {
             std::io::Error::new(
                 std::io::ErrorKind::InvalidData,
@@ -532,31 +497,6 @@ impl Coordinator {
             stop,
             thread: Some(thread),
         })
-    }
-
-    /// Binds `addr` and recovers state from `journal_dir` (sweep log +
-    /// finalization journals) and `results_path` — the restart
-    /// constructor named by the runbook. Equivalent to [`bind`] with
-    /// those paths in the config.
-    ///
-    /// [`bind`]: Coordinator::bind
-    ///
-    /// # Errors
-    ///
-    /// Bind failures, and recovery refusal on interior corruption.
-    pub fn recover(
-        addr: impl ToSocketAddrs,
-        journal_dir: PathBuf,
-        results_path: Option<PathBuf>,
-    ) -> std::io::Result<Coordinator> {
-        Coordinator::bind(
-            addr,
-            CoordinatorConfig {
-                journal_dir: Some(journal_dir),
-                results_path,
-                ..CoordinatorConfig::default()
-            },
-        )
     }
 
     /// What startup recovery rebuilt (all zeroes for a fresh state).
@@ -600,11 +540,6 @@ impl Coordinator {
     /// (and tests) can read it without a socket.
     pub fn events(&self) -> Arc<EventLog> {
         Arc::clone(&self.lock().events)
-    }
-
-    /// The results store behind `GET /results`.
-    pub fn results(&self) -> Arc<ResultsStore> {
-        Arc::clone(&self.lock().results)
     }
 
     /// Blocks until the server thread exits (a `POST /shutdown`
@@ -675,19 +610,12 @@ fn handle_connection(mut stream: TcpStream, state: &Arc<Mutex<State>>, stop: &Ar
                     let state = state.lock().unwrap_or_else(|p| p.into_inner());
                     Arc::clone(&state.events)
                 };
-                let query = |key: &str| {
-                    req.path.split_once('?').and_then(|(_, q)| {
-                        q.split('&')
-                            .find_map(|kv| kv.strip_prefix(key))
-                            .and_then(|v| v.parse::<u64>().ok())
-                    })
-                };
-                let mut from = query("from=").unwrap_or(1);
+                let mut from = query(&req.path, "from=").unwrap_or(1);
                 // A cursor from another epoch (the follower outlived a
                 // restart): its seq means nothing here, so replay the
                 // whole retained window — the follower dedupes by the
                 // epoch tag on each line. Absent epoch = current epoch.
-                if let Some(epoch) = query("epoch=") {
+                if let Some(epoch) = query(&req.path, "epoch=") {
                     if epoch != events.epoch() {
                         from = 1;
                     }
@@ -751,6 +679,15 @@ fn stream_events(mut stream: TcpStream, events: &EventLog, stop: &AtomicBool, fr
     }
 }
 
+/// The `u64` value of `key` (`"name="`) in a request path's query
+/// string, if present and numeric.
+fn query(path: &str, key: &str) -> Option<u64> {
+    let (_, q) = path.split_once('?')?;
+    q.split('&')
+        .find_map(|kv| kv.strip_prefix(key))
+        .and_then(|v| v.parse().ok())
+}
+
 /// Routes one parsed request. Total: every (method, path, body) maps to
 /// a response — malformed bodies to `400`, unknown routes to `404` —
 /// never a panic (the wire proptests hold this door shut). `GET
@@ -788,30 +725,24 @@ fn handle_request(state: &mut State, req: &Request) -> Response {
         ),
         ("GET", "/results") => {
             state.expire_leases();
-            let id = req.path.split_once('?').and_then(|(_, q)| {
-                q.split('&')
-                    .find_map(|kv| kv.strip_prefix("sweep="))
-                    .and_then(|v| v.parse::<u64>().ok())
-            });
-            let Some(id) = id else {
+            let Some(id) = query(&req.path, "sweep=") else {
                 return Response::error(400, "missing or bad `sweep` query parameter");
             };
-            let cells = state.results.sweep_cells(id);
-            let total = state
-                .sweeps
-                .iter()
-                .find(|s| s.id == id)
-                .map_or(0, |s| s.cells.len() as u64);
-            if total == 0 && cells.is_empty() {
+            let Some(sweep) = state.sweeps.iter().find(|s| s.id == id) else {
                 return Response::error(404, format!("no results for sweep {id}"));
-            }
-            let stored = cells.len() as u64;
+            };
+            let cells: Vec<CellResult> = sweep
+                .cells
+                .iter()
+                .filter(|c| c.status.is_final())
+                .map(cell_result)
+                .collect();
             Response::ok(encode(&ResultsReply {
                 sweep: id,
-                stored,
-                total,
-                complete: total > 0 && stored == total,
-                cells: cells.into_iter().map(|(_, r)| r).collect(),
+                stored: cells.len() as u64,
+                total: sweep.cells.len() as u64,
+                complete: sweep.is_done(),
+                cells,
             }))
         }
         ("GET", "/status") => {
@@ -869,12 +800,7 @@ fn handle_request(state: &mut State, req: &Request) -> Response {
         }
         ("GET", "/sweep") => {
             state.expire_leases();
-            let id = req.path.split_once('?').and_then(|(_, q)| {
-                q.split('&')
-                    .find_map(|kv| kv.strip_prefix("id="))
-                    .and_then(|v| v.parse::<u64>().ok())
-            });
-            let Some(id) = id else {
+            let Some(id) = query(&req.path, "id=") else {
                 return Response::error(400, "missing or bad `id` query parameter");
             };
             let Some(sweep) = state.sweeps.iter().find(|s| s.id == id) else {
@@ -916,8 +842,8 @@ fn journal_header(spec: &SweepSpec, rows: &[Row]) -> JournalHeader {
 }
 
 /// The program-major cell grid a spec unfolds to (the same order
-/// `submit` builds, so recovered cell indices line up with the results
-/// store and with clients that cached a sweep's shape).
+/// `submit` builds, so recovered cell indices line up with clients that
+/// cached a sweep's shape).
 fn build_cells(spec: &SweepSpec, rows: &[Row]) -> Vec<CellState> {
     let mut cells = Vec::with_capacity(spec.programs.len() * rows.len());
     for program in &spec.programs {
@@ -935,18 +861,16 @@ fn build_cells(spec: &SweepSpec, rows: &[Row]) -> Vec<CellState> {
 }
 
 /// Rebuilds one sweep's in-memory state from its durable record: cells
-/// from the logged spec, finality from the journal (each journaled
-/// completion re-marks its cell `Done`/`Quarantined` — exactly-once
-/// survives the restart because `finalize` still refuses final cells),
-/// failure *class* from the results store (the journal does not carry
-/// `transient`). A journal with no intact record (missing, or torn
+/// from the logged spec, finality and failure class from the journal
+/// (each journaled completion re-marks its cell `Done`/`Quarantined` —
+/// exactly-once survives the restart because `finalize` still refuses
+/// final cells). A journal with no intact record (missing, or torn
 /// inside its header append) is re-created fresh — the sweep was acked
 /// before its journal hit disk — but a corrupt one is refused.
 fn rebuild_sweep(
     id: u64,
     spec: SweepSpec,
     journal_dir: &Path,
-    results: &ResultsStore,
     journal_fault: FaultFuse,
 ) -> Result<SweepState, CkpError> {
     let rows = spec.rows();
@@ -976,10 +900,7 @@ fn rebuild_sweep(
                     (Some(run), _) => CellStatus::Done { run: run.clone() },
                     (None, Some(failure)) => CellStatus::Quarantined {
                         failure: failure.clone(),
-                        transient: results
-                            .get(id, index as u64)
-                            .map(|r| r.transient)
-                            .unwrap_or(false),
+                        transient: jc.is_transient(),
                     },
                     (None, None) => continue, // decodes but carries nothing
                 };
@@ -993,21 +914,12 @@ fn rebuild_sweep(
         None => JournalWriter::create(&dir, &journal_header(&spec, &rows))?,
     };
     journal.inject_fault(journal_fault);
-    let sweep = SweepState {
+    Ok(SweepState {
         id,
         spec,
         cells,
         journal: Some(journal),
-    };
-    // Backfill the results store from the journal (idempotent): a crash
-    // between the journal fsync and the results append loses only the
-    // serving-cache copy, which the journal is authoritative for.
-    for (index, cell) in sweep.cells.iter().enumerate() {
-        if cell.status.is_final() {
-            results.append(id, index as u64, &cell_result(cell));
-        }
-    }
-    Ok(sweep)
+    })
 }
 
 fn submit(state: &mut State, spec: SweepSpec) -> Result<u64, CkpError> {
@@ -1020,7 +932,7 @@ fn submit(state: &mut State, spec: SweepSpec) -> Result<u64, CkpError> {
                 dir.join(format!("sweep-{id}")),
                 &journal_header(&spec, &rows),
             )?;
-            journal.inject_fault(state.config.disk_faults.journal.clone());
+            journal.inject_fault(state.config.journal_fault.clone());
             Some(journal)
         }
     };
@@ -1135,19 +1047,17 @@ fn merge_budget(sweep: SimBudget, quota: SimBudget) -> SimBudget {
     }
 }
 
-/// Post-finalize bookkeeping shared by success and quarantine: append
-/// the cell to the results store, publish `cell_recorded`, and publish
-/// `sweep_drained` when this was the sweep's last open cell.
+/// Post-finalize bookkeeping shared by success and quarantine: publish
+/// `cell_recorded`, and `sweep_drained` when this was the sweep's last
+/// open cell.
 fn record_published(
     sweep: &SweepState,
     index: usize,
     lease: u64,
     worker: &str,
     ok: bool,
-    results: &ResultsStore,
     events: &EventLog,
 ) {
-    results.append(sweep.id, index as u64, &cell_result(&sweep.cells[index]));
     publish_event(
         events,
         sweep.id,
@@ -1177,7 +1087,6 @@ fn complete(state: &mut State, req: &CompleteRequest) -> Response {
     state.expire_leases();
     let max_attempts = 1 + state.config.retry.max_retries;
     let events = Arc::clone(&state.events);
-    let results = Arc::clone(&state.results);
     let Some(sweep) = state.sweeps.iter_mut().find(|s| s.id == req.sweep) else {
         return Response::error(404, format!("no sweep {}", req.sweep));
     };
@@ -1206,15 +1115,7 @@ fn complete(state: &mut State, req: &CompleteRequest) -> Response {
         (Some(run), _) => {
             match sweep.finalize(index, Some(run.clone()), None, false, req.elapsed_ns) {
                 Ok(()) => {
-                    record_published(
-                        sweep,
-                        index,
-                        req.lease,
-                        &req.worker,
-                        true,
-                        &results,
-                        &events,
-                    );
+                    record_published(sweep, index, req.lease, &req.worker, true, &events);
                     reply(CompleteStatus::Recorded)
                 }
                 // Journal write failed: the cell stays leased; the worker
@@ -1251,15 +1152,7 @@ fn complete(state: &mut State, req: &CompleteRequest) -> Response {
                 req.elapsed_ns,
             ) {
                 Ok(()) => {
-                    record_published(
-                        sweep,
-                        index,
-                        req.lease,
-                        &req.worker,
-                        false,
-                        &results,
-                        &events,
-                    );
+                    record_published(sweep, index, req.lease, &req.worker, false, &events);
                     reply(CompleteStatus::Recorded)
                 }
                 Err(e) => Response::error(500, format!("journal: {e}")),
@@ -1368,6 +1261,23 @@ mod tests {
         }
     }
 
+    /// `GET path`, through the request router.
+    fn get(st: &mut State, path: &str) -> Response {
+        let req = Request {
+            method: "GET".into(),
+            path: path.into(),
+            body: Vec::new(),
+        };
+        handle_request(st, &req)
+    }
+
+    /// The `GET /results?sweep=N` reply.
+    fn results_of(st: &mut State, sweep: u64) -> ResultsReply {
+        let resp = get(st, &format!("/results?sweep={sweep}"));
+        assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+        decode(&resp.body).unwrap()
+    }
+
     fn status_of(resp: &Response) -> CompleteStatus {
         assert_eq!(
             resp.status,
@@ -1466,11 +1376,13 @@ mod tests {
 
     #[test]
     fn transient_failures_requeue_then_quarantine_with_attempts() {
+        let dir = tempdir("svc-transient");
         let cfg = CoordinatorConfig {
             retry: RetryPolicy::retries(1), // 2 attempts total
+            journal_dir: Some(dir.clone()),
             ..CoordinatorConfig::default()
         };
-        let mut st = State::new(cfg);
+        let mut st = State::new(cfg.clone());
         submit(&mut st, spec()).unwrap();
 
         let fail = |st: &mut State, task: &CellTask| {
@@ -1503,11 +1415,17 @@ mod tests {
         assert!(*transient, "retries-exhausted keeps its transient class");
         assert_eq!(cell.attempts, 2);
 
-        // …and the results store preserves both verbatim.
-        let stored = st.results.get(1, t1.cell).unwrap();
-        assert_eq!(stored.failure.as_deref(), Some("connection reset by peer"));
-        assert!(stored.transient);
-        assert_eq!(stored.attempts, 2);
+        // …and `/results` serves both verbatim, before and after a
+        // restart: the journal carries the failure class.
+        for st in [&mut st, &mut State::new(cfg)] {
+            let results = results_of(st, 1);
+            assert_eq!(results.stored, 1);
+            let stored = &results.cells[0];
+            assert_eq!(stored.failure.as_deref(), Some("connection reset by peer"));
+            assert!(stored.transient, "quarantined as transient, not permanent");
+            assert_eq!(stored.attempts, 2);
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1582,7 +1500,6 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let cfg = CoordinatorConfig {
             journal_dir: Some(dir.clone()),
-            results_path: Some(dir.join("results.dtbres")),
             ..CoordinatorConfig::default()
         };
         let run = tiny_run();
@@ -1694,10 +1611,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let cfg = CoordinatorConfig {
             journal_dir: Some(dir.clone()),
-            disk_faults: DiskFaults {
-                journal: FaultFuse::charges(1),
-                ..DiskFaults::default()
-            },
+            journal_fault: FaultFuse::charges(1),
             ..CoordinatorConfig::default()
         };
         let mut st = State::new(cfg);
@@ -1790,11 +1704,18 @@ mod tests {
     }
 
     #[test]
-    fn results_store_serves_cells_before_the_sweep_is_done() {
-        let mut st = State::new(CoordinatorConfig::default());
+    fn results_serve_finalized_cells_before_the_sweep_is_done() {
+        // No journal: nothing outlives this incarnation, whatever
+        // `results_path` names.
+        let dir = tempdir("svc-results");
+        let cfg = CoordinatorConfig {
+            results_path: Some(dir.join("results.dtbres")),
+            ..CoordinatorConfig::default()
+        };
+        let mut st = State::new(cfg.clone());
         submit(&mut st, spec()).unwrap();
-        let task = lease_task(&mut st).unwrap();
-        let req = completion(&task, Some(tiny_run()));
+        let first = lease_task(&mut st).unwrap();
+        let req = completion(&first, Some(tiny_run()));
         assert_eq!(
             status_of(&complete(&mut st, &req)),
             CompleteStatus::Recorded
@@ -1802,10 +1723,36 @@ mod tests {
         // One of two cells final: /sweep withholds cells, /results serves
         // the finalized one already.
         assert!(!st.sweeps[0].is_done());
-        let cells = st.results.sweep_cells(1);
-        assert_eq!(cells.len(), 1);
-        assert_eq!(cells[0].0, task.cell);
-        assert!(cells[0].1.run.is_some());
+        let results = results_of(&mut st, 1);
+        assert_eq!((results.stored, results.total), (1, 2));
+        assert!(!results.complete);
+        assert_eq!(results.cells[0].row, first.row.to_string());
+        assert!(results.cells[0].run.is_some());
+        let last = lease_task(&mut st).unwrap();
+        complete(&mut st, &completion(&last, Some(tiny_run())));
+        assert!(results_of(&mut st, 1).complete);
+
+        // A restarted coordinator knows no sweep 1 until it hands that
+        // id out again, and then serves the new sweep's results, never
+        // the previous incarnation's.
+        let mut st = State::new(cfg);
+        assert_eq!(get(&mut st, "/results?sweep=1").status, 404);
+        submit(&mut st, spec()).unwrap();
+        let results = results_of(&mut st, 1);
+        assert_eq!((results.stored, results.total), (0, 2));
+        assert!(!results.complete);
+        let task = lease_task(&mut st).unwrap();
+        let mut req = completion(&task, None);
+        req.failure = Some("policy `FULL` failed: injected".into());
+        assert_eq!(
+            status_of(&complete(&mut st, &req)),
+            CompleteStatus::Recorded
+        );
+        let results = results_of(&mut st, 1);
+        assert_eq!(results.stored, 1);
+        assert_eq!(results.cells[0].row, task.row.to_string());
+        assert_eq!(results.cells[0].failure, req.failure);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! waiting (with heartbeats) when it catches up. The log is a live
 //! window, not a durable record — a follower that falls more than
 //! [`EventLog::capacity`] events behind skips forward (the gap is
-//! visible as a jump in `seq`); durable state lives in the journal and
-//! the results store.
+//! visible as a jump in `seq`); durable state lives in the sweep log
+//! and the journals.
 //!
 //! [`follow_events`] is the matching client: it tails a coordinator's
 //! stream and hands each event line to a callback, which is how the

@@ -26,14 +26,12 @@
 //! * [`events`] — the `/events` server-push channel: a bounded event
 //!   log streamed to followers over chunked transfer, with
 //!   [`follow_events`] as the tailing client;
-//! * [`results`] — the record-log-backed store behind
-//!   `GET /results`, serving finalized cells while a sweep still runs;
 //! * [`fault`] — deterministic network fault injection for the chaos
 //!   suites;
 //! * [`sweeplog`] — the sweep-intake record log that makes
-//!   submissions durable: [`Coordinator::recover`] replays it (plus the
-//!   journals and the results store) to rebuild state after a crash,
-//!   with lease **epochs** fencing out stale pre-crash workers;
+//!   submissions durable: [`Coordinator::bind`] over a journal
+//!   directory replays it (plus the journals) to rebuild state after a
+//!   crash, with lease **epochs** fencing out stale pre-crash workers;
 //! * [`chaos`] — seeded, replayable whole-system fault plans
 //!   ([`ChaosPlan`]) and the continuity/exactly-once verifiers the
 //!   `dtb-chaos` driver and the crash suites share.
@@ -45,18 +43,14 @@ pub mod events;
 pub mod fault;
 pub mod http;
 pub mod proto;
-pub mod results;
 pub mod sweeplog;
 pub mod worker;
 
-pub use chaos::{
-    journal_exactly_once, stream_continuity, ChaosPlan, DiskFaults, FaultFuse, SplitMix64,
-};
+pub use chaos::{journal_exactly_once, stream_continuity, ChaosPlan, FaultFuse, SplitMix64};
 pub use client::{matrix_from_cells, matrix_from_sweep, Client, SvcError, TcpTransport, Transport};
 pub use coordinator::{Coordinator, CoordinatorConfig, RecoveryReport};
 pub use events::{follow_events, follow_events_resilient, line_cursor, EventCursor, EventLog};
 pub use fault::{FaultPlan, NetFault};
 pub use proto::{SweepSpec, TenantStatus, PROTO_VERSION};
-pub use results::ResultsStore;
 pub use sweeplog::SweepLog;
 pub use worker::{idle_backoff, run_worker, serve_healthz, WorkerConfig, WorkerExit, WorkerHealth};

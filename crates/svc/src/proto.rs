@@ -301,23 +301,21 @@ pub struct RelayReply {
     pub accepted: u64,
 }
 
-/// `GET /results?sweep=N` reply: finalized cells served straight from
-/// the coordinator's results store. Unlike `GET /sweep`, cells are
-/// available as soon as each is final — a sweep can be watched filling
-/// in — and they survive coordinator queries after the in-memory sweep
-/// state would have aged out.
+/// `GET /results?sweep=N` reply: the sweep's finalized cells, read from
+/// the coordinator's sweep state (each one durable in the sweep's
+/// journal). Unlike `GET /sweep`, cells are served as soon as each is
+/// final, so a sweep can be watched filling in.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ResultsReply {
     /// The sweep id.
     pub sweep: u64,
-    /// Cells finalized (and therefore stored) so far.
+    /// Cells finalized so far.
     pub stored: u64,
-    /// Total cells in the sweep (0 when the coordinator no longer holds
-    /// the sweep's in-memory state).
+    /// Total cells in the sweep.
     pub total: u64,
-    /// True when every cell of the sweep is stored.
+    /// True when every cell of the sweep is final.
     pub complete: bool,
-    /// Stored cells in cell-index order.
+    /// Finalized cells in cell-index order.
     pub cells: Vec<CellResult>,
 }
 

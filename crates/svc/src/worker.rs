@@ -28,11 +28,11 @@ use dtb_core::policy::Row;
 use dtb_sim::baseline::{live_report, no_gc_report};
 use dtb_sim::curve::MemoryCurve;
 use dtb_sim::engine::{RunControl, Sim, SimRun};
-use dtb_sim::exec::{FailureCause, RetryPolicy, TraceCache};
+use dtb_sim::exec::{panic_message, FailureCause, RetryPolicy, TraceCache, Watchdog};
 use dtb_sim::SimError;
 use dtb_trace::ckp::checksum;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -198,7 +198,7 @@ pub fn run_cell(cache: &TraceCache, task: &CellTask, _threads: usize) -> CellRun
                 // failure instead of a lease expiry racing a late result.
                 let deadline = Duration::from_millis(task.lease_ms.saturating_mul(4) / 5);
                 let cancel = Arc::new(AtomicBool::new(false));
-                let _watchdog = DeadlineGuard::arm(deadline, Arc::clone(&cancel));
+                let _watchdog = Watchdog::arm(deadline, Arc::clone(&cancel));
                 Sim::new(task.sim)
                     .control(RunControl::new().with_cancel(&cancel))
                     .run_trace(&trace, policy.as_mut())
@@ -222,7 +222,7 @@ pub fn run_cell(cache: &TraceCache, task: &CellTask, _threads: usize) -> CellRun
             elapsed_ns,
         },
         Err(panic) => CellRun {
-            failure: Some(format!("panicked: {}", panic_message(&panic))),
+            failure: Some(format!("panicked: {}", panic_message(panic.as_ref()))),
             transient: false,
             run: None,
             elapsed_ns,
@@ -235,48 +235,6 @@ pub fn run_cell(cache: &TraceCache, task: &CellTask, _threads: usize) -> CellRun
 /// fail identically on retry.
 fn classify(err: &SimError) -> bool {
     matches!(err, SimError::Cancelled { .. }) || FailureCause::Sim(err.clone()).is_transient()
-}
-
-fn panic_message(panic: &Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = panic.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = panic.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// The worker-side deadline: same shape as the executor's watchdog — an
-/// armed timer thread that stores into the engine's cancel flag, disarmed
-/// (hung up and joined) on drop so no timer outlives its cell.
-struct DeadlineGuard {
-    disarm: Option<mpsc::Sender<()>>,
-    thread: Option<thread::JoinHandle<()>>,
-}
-
-impl DeadlineGuard {
-    fn arm(limit: Duration, cancel: Arc<AtomicBool>) -> DeadlineGuard {
-        let (disarm, expired) = mpsc::channel::<()>();
-        let thread = thread::spawn(move || {
-            if let Err(mpsc::RecvTimeoutError::Timeout) = expired.recv_timeout(limit) {
-                cancel.store(true, std::sync::atomic::Ordering::Relaxed);
-            }
-        });
-        DeadlineGuard {
-            disarm: Some(disarm),
-            thread: Some(thread),
-        }
-    }
-}
-
-impl Drop for DeadlineGuard {
-    fn drop(&mut self) {
-        drop(self.disarm.take());
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
 }
 
 /// How one worker loop ended.

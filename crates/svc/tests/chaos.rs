@@ -23,8 +23,8 @@ use dtb_svc::proto::{CompleteRequest, CompleteStatus, SweepSpec};
 use dtb_svc::worker::{run_worker, WorkerConfig, WorkerExit};
 use dtb_svc::{
     follow_events_resilient, journal_exactly_once, line_cursor, matrix_from_sweep,
-    stream_continuity, ChaosPlan, Client, Coordinator, CoordinatorConfig, DiskFaults, EventCursor,
-    FaultFuse, NetFault,
+    stream_continuity, ChaosPlan, Client, Coordinator, CoordinatorConfig, EventCursor, FaultFuse,
+    NetFault,
 };
 use dtb_trace::programs::Program;
 use std::path::PathBuf;
@@ -89,8 +89,8 @@ fn assert_matrices_match(served: &dtb_sim::exec::Matrix, local: &dtb_sim::exec::
 }
 
 /// The drill. One seed scripts the whole failure schedule: where the
-/// crash lands, the per-worker wire faults, and how many journal /
-/// results appends are sabotaged on the restarted incarnation.
+/// crash lands, the per-worker wire faults, and how many journal
+/// appends are sabotaged.
 #[test]
 fn seeded_crash_drill_recovers_bit_identical() {
     let seed = 0xC0FFEE;
@@ -99,7 +99,6 @@ fn seeded_crash_drill_recovers_bit_identical() {
     let kill_at = plan.coordinator_kills[0].min(total - 1).max(1);
 
     let journal_dir = temp_dir("drill");
-    let results_path = journal_dir.join("results.bin");
     let lease = Duration::from_secs(3);
 
     // ── incarnation A: a journal-fault charge armed from the start ──
@@ -109,11 +108,7 @@ fn seeded_crash_drill_recovers_bit_identical() {
             lease_timeout: lease,
             retry: RetryPolicy::retries(2),
             journal_dir: Some(journal_dir.clone()),
-            results_path: Some(results_path.clone()),
-            disk_faults: DiskFaults {
-                journal: FaultFuse::charges(plan.journal_faults),
-                results: FaultFuse::none(),
-            },
+            journal_fault: FaultFuse::charges(plan.journal_faults),
             ..CoordinatorConfig::default()
         },
     )
@@ -189,8 +184,7 @@ fn seeded_crash_drill_recovers_bit_identical() {
     // files — the process-level driver gets this for free from SIGKILL.
     std::thread::sleep(Duration::from_millis(300));
 
-    // ── incarnation B: same dirs, same port, skewed lease clock, a
-    // torn-results charge armed ──
+    // ── incarnation B: same dirs, same port, skewed lease clock ──
     let (num, den) = plan.lease_skew;
     let skewed = Duration::from_millis((lease.as_millis() as u64).saturating_mul(num) / den);
     let restarted = {
@@ -202,11 +196,6 @@ fn seeded_crash_drill_recovers_bit_identical() {
                     lease_timeout: skewed.max(Duration::from_millis(500)),
                     retry: RetryPolicy::retries(2),
                     journal_dir: Some(journal_dir.clone()),
-                    results_path: Some(results_path.clone()),
-                    disk_faults: DiskFaults {
-                        journal: FaultFuse::none(),
-                        results: FaultFuse::charges(plan.results_faults),
-                    },
                     ..CoordinatorConfig::default()
                 },
             ) {
@@ -328,7 +317,6 @@ fn chaos_plans_replay_from_the_seed() {
         assert_eq!(a.coordinator_kills, b.coordinator_kills);
         assert_eq!(a.worker_kill, b.worker_kill);
         assert_eq!(a.journal_faults, b.journal_faults);
-        assert_eq!(a.results_faults, b.results_faults);
         assert_eq!(a.lease_skew, b.lease_skew);
         for (x, y) in a.net.iter().zip(&b.net) {
             assert_eq!(x.drop_every, y.drop_every);

@@ -106,12 +106,10 @@ fn spawn_worker(addr: &str, name: &str) -> Child {
 #[test]
 fn workers_ride_out_a_coordinator_restart() {
     let journal_dir = temp_dir("restart");
-    let results_path = journal_dir.join("results.bin");
     let config = || CoordinatorConfig {
         lease_timeout: Duration::from_secs(4),
         retry: RetryPolicy::retries(2),
         journal_dir: Some(journal_dir.clone()),
-        results_path: Some(results_path.clone()),
         ..CoordinatorConfig::default()
     };
     let coordinator = Coordinator::bind("127.0.0.1:0", config()).expect("bind coordinator");

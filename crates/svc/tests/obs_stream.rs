@@ -1,6 +1,6 @@
-//! The observability layer end to end: a coordinator with a results
-//! store, an in-process worker relaying per-scavenge telemetry, and
-//! `/events` followers tailing the run live.
+//! The observability layer end to end: a coordinator, an in-process
+//! worker relaying per-scavenge telemetry, and `/events` followers
+//! tailing the run live.
 //!
 //! The centerpiece drives a full sweep while two followers watch: one
 //! stays to the end and must see the complete, monotone lifecycle —
@@ -19,20 +19,9 @@ use dtb_svc::{
     follow_events, matrix_from_cells, matrix_from_sweep, Client, Coordinator, CoordinatorConfig,
 };
 use dtb_trace::programs::Program;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-
-fn temp_dir(tag: &str) -> PathBuf {
-    static SEQ: AtomicUsize = AtomicUsize::new(0);
-    let n = SEQ.fetch_add(1, Ordering::Relaxed);
-    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
-        .join(format!("dtb-obs-{tag}-{}-{n}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    dir
-}
 
 /// Events of one `type` among captured follower lines (crude but
 /// sufficient: the coordinator emits compact single-line JSON).
@@ -43,16 +32,8 @@ fn lines_of<'a>(lines: &'a [String], tag: &str) -> Vec<&'a String> {
 
 #[test]
 fn followers_see_the_lifecycle_and_results_match_the_sweep() {
-    let dir = temp_dir("stream");
-    let results_path = dir.join("results.dtbres");
-    let coordinator = Coordinator::bind(
-        "127.0.0.1:0",
-        CoordinatorConfig {
-            results_path: Some(results_path.clone()),
-            ..CoordinatorConfig::default()
-        },
-    )
-    .expect("bind coordinator");
+    let coordinator =
+        Coordinator::bind("127.0.0.1:0", CoordinatorConfig::default()).expect("bind coordinator");
     let addr = coordinator.addr().to_string();
 
     // Followers attach before anything happens; `from=1` means a late
@@ -126,8 +107,8 @@ fn followers_see_the_lifecycle_and_results_match_the_sweep() {
     assert!(doomed.join().expect("doomed follower thread").is_ok());
 
     // `/results` serves every finalized cell, and reassembles into the
-    // exact matrix the sweep reply carries — the store and the in-memory
-    // sweep are two views of the same finalize events.
+    // exact matrix the sweep reply carries — both read the same sweep
+    // state.
     let results = client.results(sweep).expect("results reply");
     assert_eq!(results.sweep, sweep);
     assert_eq!(results.stored, total);
@@ -153,7 +134,6 @@ fn followers_see_the_lifecycle_and_results_match_the_sweep() {
         compared += 1;
     }
     assert_eq!(compared as u64, total);
-    assert!(results_path.exists(), "results store landed on disk");
 
     // Shutting down closes the event stream; the surviving follower
     // drains cleanly and we can audit what it saw.
@@ -199,6 +179,4 @@ fn followers_see_the_lifecycle_and_results_match_the_sweep() {
         .position(|l| l.contains("\"type\":\"sweep_drained\""))
         .unwrap();
     assert!(drained > last_recorded, "drain follows the final recording");
-
-    let _ = std::fs::remove_dir_all(&dir);
 }

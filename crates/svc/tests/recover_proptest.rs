@@ -12,10 +12,9 @@
 //!   typed refusal, never panic — and when it accepts, the journal
 //!   still ends exactly-once.
 //!
-//! The fixture triple (sweep log + finalization journal + results
-//! store) is built once by driving a real coordinator, then mutated
-//! per case; completions use synthetic failures so no case pays for a
-//! simulation.
+//! The fixture pair (sweep log + finalization journal) is built once
+//! by driving a real coordinator, then mutated per case; completions
+//! use synthetic failures so no case pays for a simulation.
 
 use dtb_core::policy::{PolicyConfig, PolicyKind};
 use dtb_sim::engine::SimConfig;
@@ -50,7 +49,6 @@ fn config_for(dir: &Path) -> CoordinatorConfig {
     CoordinatorConfig {
         retry: RetryPolicy::retries(0),
         journal_dir: Some(dir.to_path_buf()),
-        results_path: Some(dir.join("results.bin")),
         ..CoordinatorConfig::default()
     }
 }
@@ -92,7 +90,7 @@ fn complete_synthetic(coordinator: &Coordinator, task: &dtb_svc::proto::CellTask
     resp.status
 }
 
-/// One file of the fixture triple: path relative to the journal dir,
+/// One file of the fixture pair: path relative to the journal dir,
 /// plus its bytes.
 type Snapshot = Vec<(PathBuf, Vec<u8>)>;
 
@@ -109,7 +107,7 @@ fn snapshot_tree(root: &Path, prefix: &Path, out: &mut Snapshot) {
     }
 }
 
-/// Builds the valid triple once: a coordinator over real dirs, one
+/// Builds the valid pair once: a coordinator over real dirs, one
 /// submitted sweep, two of three cells finalized, then a clean
 /// shutdown. Returns every file as (relative path, bytes).
 fn fixture() -> &'static Snapshot {
@@ -133,7 +131,7 @@ fn fixture() -> &'static Snapshot {
             files.iter().any(|(p, _)| p.ends_with("sweeps.log")),
             "fixture misses the sweep log"
         );
-        assert!(files.len() >= 3, "fixture should be a triple: {files:?}");
+        assert_eq!(files.len(), 2, "fixture should be a pair: {files:?}");
         files
     })
 }
@@ -190,7 +188,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// A crash tears tails, it does not rewrite interiors: recovery over
-    /// any tail-truncated file of the triple must *succeed*, keep every
+    /// any tail-truncated file of the pair must *succeed*, keep every
     /// surviving finalization final, and drive to an exactly-once
     /// journal.
     #[test]
@@ -217,7 +215,7 @@ proptest! {
     }
 
     /// Arbitrary interior corruption: flipped bits anywhere in any file
-    /// of the triple. Recovery may accept (dropping what checksums
+    /// of the pair. Recovery may accept (dropping what checksums
     /// reject) or refuse with a typed error — but it may never panic,
     /// and acceptance still ends exactly-once.
     #[test]

@@ -1,6 +1,7 @@
 //! `DTBLOG01`: the durable, append-only record log under every store
 //! that must survive a crash record by record — the simulator's run
-//! journal, the coordinator's sweep log and its results store.
+//! journal (also the coordinator's per-sweep journal) and the
+//! coordinator's sweep log.
 //!
 //! A file is the magic [`MAGIC`], then one frame per record: `u32 len`,
 //! `u64` FNV-1a of the payload ([`checksum`]), `len` payload bytes
@@ -15,7 +16,7 @@
 
 use crate::ckp::{checksum, io_err, CkpError};
 use std::fs::{File, OpenOptions};
-use std::io::Write;
+use std::io::{ErrorKind, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -154,6 +155,17 @@ pub fn replay(path: impl AsRef<Path>) -> Result<Replay, CkpError> {
     }
 }
 
+/// Fsyncs a directory, so the entries created in it survive a crash.
+/// The empty path is the current directory.
+fn sync_dir(dir: &Path) -> std::io::Result<()> {
+    let dir = if dir.as_os_str().is_empty() {
+        Path::new(".")
+    } else {
+        dir
+    };
+    File::open(dir)?.sync_all()
+}
+
 /// An open log, appending after its last good record.
 #[derive(Debug)]
 pub struct RecordLog {
@@ -168,7 +180,8 @@ pub struct RecordLog {
 
 impl RecordLog {
     /// Creates an empty log at `path` (and its parent directory),
-    /// replacing any file there. Nothing is written until the first
+    /// replacing any file there. A new file's directory entry is made
+    /// durable at once; nothing else is written until the first
     /// [`append`](RecordLog::append), which lays down the magic and its
     /// frame in one write and one fsync.
     ///
@@ -195,16 +208,34 @@ impl RecordLog {
     }
 
     /// Opens `path` for appending with its valid prefix cut to `len`.
+    ///
+    /// Fsyncing a file does not make its directory entry durable
+    /// (fsync(2)), so when this creates the file it also fsyncs the
+    /// parent directory and every directory it had to make, up to the
+    /// first one that already existed. Without that, a power loss could
+    /// drop a freshly created log whose records were all fsync'd.
     fn at(path: &Path, len: u64) -> Result<RecordLog, CkpError> {
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir).map_err(|e| io_err(dir, e))?;
+        let dir = path.parent().unwrap_or(Path::new(""));
+        let made: Vec<&Path> = dir
+            .ancestors()
+            .take_while(|d| !d.as_os_str().is_empty() && !d.exists())
+            .collect();
+        std::fs::create_dir_all(dir).map_err(|e| io_err(dir, e))?;
+        let mut open = OpenOptions::new();
+        open.append(true);
+        let fresh = open.clone().create_new(true).open(path);
+        let created = fresh.is_ok();
+        let file = match fresh {
+            Err(e) if e.kind() == ErrorKind::AlreadyExists => open.open(path),
+            other => other,
         }
-        let file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .and_then(|file| file.set_len(len).map(|()| file))
-            .map_err(|e| io_err(path, e))?;
+        .and_then(|file| file.set_len(len).map(|()| file))
+        .map_err(|e| io_err(path, e))?;
+        if created {
+            for d in std::iter::once(dir).chain(made.iter().filter_map(|d| d.parent())) {
+                sync_dir(d).map_err(|e| io_err(d, e))?;
+            }
+        }
         Ok(RecordLog {
             file,
             path: path.to_path_buf(),

@@ -1,6 +1,5 @@
 //! Property tests for the `DTBLOG01` record log — the one place the
-//! crash semantics of the run journal, the sweep log and the results
-//! store are tested:
+//! crash semantics of the run journal and the sweep log are tested:
 //!
 //! * a crash can only shorten the file, so truncation at *any* offset
 //!   replays to a prefix of the records, and reopening appends cleanly
@@ -75,6 +74,24 @@ fn build(path: &PathBuf, records: &[Vec<u8>]) -> (Vec<u8>, Vec<usize>) {
         ends.push(std::fs::metadata(path).expect("stat log").len() as usize);
     }
     (std::fs::read(path).expect("read log"), ends)
+}
+
+/// Creating a log makes every missing directory above it; reopening an
+/// existing log keeps its records, and creating over it starts afresh.
+#[test]
+fn create_makes_missing_directories_and_open_keeps_records() {
+    let root = temp_file("dirs").with_extension("");
+    let path = root.join("a").join("b").join("x.log");
+    let mut log = RecordLog::create(&path).expect("create under missing dirs");
+    log.append(b"one").expect("append");
+    drop(log);
+    let (mut log, held) = RecordLog::open(&path).expect("reopen");
+    assert_eq!(held.records, [b"one".to_vec()]);
+    log.append(b"two").expect("append after reopen");
+    assert_eq!(replay(&path).expect("replay").records.len(), 2);
+    drop(RecordLog::create(&path).expect("create over an existing log"));
+    assert!(replay(&path).expect("replay").records.is_empty());
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 fn records() -> impl Strategy<Value = Vec<Vec<u8>>> {
