@@ -4,7 +4,7 @@
 //! easily-understood parameters**: a maximum memory budget or a pause-time
 //! budget. [`Constraint`] is that user-facing value; policies convert a
 //! pause budget into a `Trace_max` byte budget through the
-//! [`CostModel`](crate::cost::CostModel).
+//! [`CostModel`].
 
 use crate::cost::CostModel;
 use crate::time::Bytes;

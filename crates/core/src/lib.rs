@@ -5,7 +5,7 @@
 //! 1995). It is deliberately independent of any particular heap: both the
 //! trace-driven simulator (`dtb-sim`) and the real mark–sweep collector
 //! (`dtb-heap`) drive their scavenges through the same
-//! [`TbPolicy`](policy::TbPolicy) trait.
+//! [`TbPolicy`] trait.
 //!
 //! # Model
 //!

@@ -282,20 +282,20 @@ pub trait TbPolicy {
     }
 
     /// Serializes any internal state the policy carries *beyond* the
-    /// scavenge history, for checkpointing.
+    /// scavenge history; the default returns an empty buffer, since the
+    /// paper's six collectors are pure functions of the
+    /// [`ScavengeContext`].
     ///
-    /// The paper's six collectors are pure functions of the
-    /// [`ScavengeContext`] and need nothing here, so the default returns
-    /// an empty buffer. A stateful policy must override both this and
-    /// [`restore_state`](TbPolicy::restore_state) so that a simulation
-    /// resumed from a checkpoint replays identically to one that never
-    /// stopped.
+    /// The engine never calls it (a run is never resumed mid-cell). It
+    /// stays only because `benchmark/src/layers.rs` forwards it, until
+    /// that file drops the forward.
     fn save_state(&self) -> Vec<u8> {
         Vec::new()
     }
 
     /// Restores state previously produced by
-    /// [`save_state`](TbPolicy::save_state).
+    /// [`save_state`](TbPolicy::save_state). Inert like it, and kept for
+    /// the same reason.
     ///
     /// # Errors
     ///
@@ -460,7 +460,7 @@ mod tests {
 
     /// A deliberately stateful policy: alternates between full and
     /// no-op collections, so its behaviour depends on a bit of carried
-    /// state that checkpointing must preserve.
+    /// state that the save/restore seam must carry.
     struct Alternator {
         odd: bool,
     }

@@ -19,20 +19,18 @@
 //! the [`Evaluation`](crate::exec::Evaluation) pool and the service
 //! workers.
 
-use crate::ckp::{save_checkpoint, CkpError, SimCheckpoint};
 use crate::curve::{CurvePoint, MemoryCurve};
 use crate::error::{BudgetKind, InvariantViolation, SimError};
-use crate::heap::{CheckpointHeap, OracleHeap, SimHeap, SimObject};
+use crate::heap::{OracleHeap, SimHeap, SimObject};
 use crate::metrics::{MetricsCollector, SimReport};
 use crate::trigger::Trigger;
 use dtb_core::cost::CostModel;
 use dtb_core::history::ScavengeRecord;
 use dtb_core::policy::{ScavengeContext, TbPolicy};
 use dtb_core::time::{Bytes, VirtualTime};
-use dtb_trace::event::{CompiledTrace, TraceMeta};
+use dtb_trace::event::CompiledTrace;
 use dtb_trace::{CompiledSource, EventBlock, EventSource, DEFAULT_BLOCK_EVENTS};
 use serde::{Deserialize, Serialize};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Heap index preallocation cap for streaming sources: an unbounded
@@ -151,127 +149,6 @@ pub struct SimRun {
     pub curve: MemoryCurve,
 }
 
-/// How often a checkpointing run writes by default: every 10k events is
-/// a few checkpoints per second on the paper workloads, cheap next to
-/// the simulation itself.
-pub const DEFAULT_CHECKPOINT_EVERY: u64 = 10_000;
-
-/// Out-of-band controls for one engine run: cooperative cancellation,
-/// periodic checkpointing, and resuming from a prior checkpoint.
-///
-/// [`RunControl::default`] is a plain uninterruptible run — the classic
-/// entry points ([`simulate`], [`simulate_source`], …) all use it, and
-/// with it the engine's hot loop does no extra work beyond one relaxed
-/// atomic load per event.
-#[derive(Clone, Debug, Default)]
-pub struct RunControl<'a> {
-    /// When set, the engine polls this flag between events and returns
-    /// [`SimError::Cancelled`] once it reads `true`. The executor's
-    /// deadline watchdog flips it from another thread.
-    pub cancel: Option<&'a AtomicBool>,
-    /// When set, the engine atomically rewrites this file with a
-    /// [`SimCheckpoint`] every [`RunControl::checkpoint_every`] events.
-    pub checkpoint_path: Option<PathBuf>,
-    /// Checkpoint cadence in events; `0` disables periodic checkpoints
-    /// even when a path is set.
-    pub checkpoint_every: u64,
-    /// When set, the engine restores this state (and seeks the source
-    /// past it) instead of starting from scratch.
-    pub resume_from: Option<SimCheckpoint>,
-    /// Events per [`dtb_trace::EventBlock`] chunk in the serial drive
-    /// loop: `0` uses [`dtb_trace::DEFAULT_BLOCK_EVENTS`]; `1` forces the
-    /// exact per-event reference path (every event runs the full
-    /// per-event body, no segment batching). Any value produces
-    /// bit-identical results — this is a throughput knob and a
-    /// differential-testing handle, which is why it lives here and not in
-    /// the checkpoint-compared [`SimConfig`].
-    pub block_events: usize,
-}
-
-impl<'a> RunControl<'a> {
-    /// A plain run: no cancellation, no checkpoints, no resume.
-    pub fn new() -> RunControl<'a> {
-        RunControl::default()
-    }
-
-    /// Polls `flag` between events, cancelling the run once it is set.
-    pub fn with_cancel(mut self, flag: &'a AtomicBool) -> RunControl<'a> {
-        self.cancel = Some(flag);
-        self
-    }
-
-    /// Writes a checkpoint to `path` every `every` events.
-    pub fn with_checkpoints(mut self, path: impl Into<PathBuf>, every: u64) -> RunControl<'a> {
-        self.checkpoint_path = Some(path.into());
-        self.checkpoint_every = every;
-        self
-    }
-
-    /// Resumes from a previously loaded checkpoint.
-    pub fn resuming(mut self, ckp: SimCheckpoint) -> RunControl<'a> {
-        self.resume_from = Some(ckp);
-        self
-    }
-
-    /// Sets the serial drive loop's chunk size in events (see
-    /// [`RunControl::block_events`]).
-    pub fn with_block_events(mut self, n: usize) -> RunControl<'a> {
-        self.block_events = n;
-        self
-    }
-}
-
-/// Refuses to resume a checkpoint that belongs to a different run.
-///
-/// The *physics* must match — trace, policy, trigger, cost model, curve
-/// recording — because they shape every number the resumed half
-/// produces. The budget and invariant-checking knobs are deliberately
-/// not compared: interrupting a budgeted run and resuming it with a
-/// different (or no) budget is a supported workflow and cannot change
-/// any simulated value.
-fn check_resume_compat(
-    ckp: &SimCheckpoint,
-    config: &SimConfig,
-    meta: &TraceMeta,
-    policy: &str,
-) -> Result<(), CkpError> {
-    let mismatch = |what: &'static str, expected: String, found: String| {
-        Err(CkpError::Mismatch {
-            what,
-            expected,
-            found,
-        })
-    };
-    if ckp.trace != meta.name {
-        return mismatch("trace", meta.name.clone(), ckp.trace.clone());
-    }
-    if ckp.policy != policy {
-        return mismatch("policy", policy.to_string(), ckp.policy.clone());
-    }
-    if ckp.config.trigger != config.trigger {
-        return mismatch(
-            "trigger",
-            format!("{:?}", config.trigger),
-            format!("{:?}", ckp.config.trigger),
-        );
-    }
-    if ckp.config.cost != config.cost {
-        return mismatch(
-            "cost model",
-            format!("{:?}", config.cost),
-            format!("{:?}", ckp.config.cost),
-        );
-    }
-    if ckp.config.record_curve != config.record_curve {
-        return mismatch(
-            "curve recording",
-            config.record_curve.to_string(),
-            ckp.config.record_curve.to_string(),
-        );
-    }
-    Ok(())
-}
-
 /// Simulates `policy` over `trace`.
 ///
 /// Mirrors the paper's methodology: allocation events drive the clock; a
@@ -341,16 +218,16 @@ pub fn simulate_source(
 /// One configured simulation, ready to launch: the single entry point
 /// behind every way of running the engine.
 ///
-/// A `Sim` owns its [`SimConfig`], an optional [`RunControl`] (cooperative
-/// cancellation, periodic checkpointing, resume) and a heap
-/// implementation chosen by type parameter (the incremental
+/// A `Sim` owns its [`SimConfig`], an optional cancel flag
+/// ([`Sim::cancel`]), the drive loop's block size ([`Sim::block_events`])
+/// and a heap implementation chosen by type parameter (the incremental
 /// [`OracleHeap`] unless [`Sim::heap`] overrides it — the differential
 /// suites substitute the scan-based [`crate::heap::naive::NaiveHeap`]).
 /// Launch with [`Sim::run`] (streaming source) or [`Sim::run_trace`]
 /// (compiled in-memory trace).
 ///
-/// Heaps must be [`CheckpointHeap`]s so every run, whichever heap it
-/// picks, can execute under a checkpointing control.
+/// A run is all or nothing: it either reaches the end of its source or
+/// fails, and a failed or cancelled cell is rerun from its start.
 ///
 /// # Example
 ///
@@ -372,60 +249,55 @@ pub fn simulate_source(
 /// # Ok::<(), dtb_trace::event::TraceError>(())
 /// ```
 #[derive(Debug)]
-pub struct Sim<'c, H: CheckpointHeap = OracleHeap> {
+pub struct Sim<'c, H: SimHeap = OracleHeap> {
     config: SimConfig,
-    control: RunControl<'c>,
+    cancel: Option<&'c AtomicBool>,
+    block_events: usize,
     _heap: std::marker::PhantomData<H>,
 }
 
 impl<'c> Sim<'c, OracleHeap> {
     /// A simulation of `config` physics over the incremental
-    /// [`OracleHeap`], uncontrolled until the other builder methods say
-    /// otherwise.
+    /// [`OracleHeap`], uncancellable and at the default block size until
+    /// the other builder methods say otherwise.
     pub fn new(config: SimConfig) -> Sim<'c, OracleHeap> {
         Sim {
             config,
-            control: RunControl::new(),
+            cancel: None,
+            block_events: 0,
             _heap: std::marker::PhantomData,
         }
     }
 }
 
-impl<'c, H: CheckpointHeap> Sim<'c, H> {
-    /// Attaches out-of-band controls: cooperative cancellation between
-    /// events, periodic checkpoints, and resuming from a prior
-    /// checkpoint.
-    ///
-    /// Resuming is **bit-identical**: a run interrupted at any point and
-    /// resumed from its last checkpoint produces exactly the [`SimRun`] —
-    /// report, history, and curve — of a run that never stopped, for
-    /// every policy and for in-memory, synthetic, and sharded sources
-    /// alike (the checkpoint replays the engine's complete state, and the
-    /// source seeks to the recorded clock).
-    pub fn control(mut self, control: RunControl<'c>) -> Sim<'c, H> {
-        self.control = control;
+impl<'c, H: SimHeap> Sim<'c, H> {
+    /// Polls `flag` between events and fails the run with
+    /// [`SimError::Cancelled`] once it reads `true`. The executor's
+    /// deadline watchdog flips it from another thread.
+    pub fn cancel(mut self, flag: &'c AtomicBool) -> Sim<'c, H> {
+        self.cancel = Some(flag);
         self
     }
 
     /// Selects the heap implementation by type parameter.
     ///
-    /// The engine always constructs the heap itself — sized from the
-    /// source's length hint, or rebuilt from a resume snapshot — so the
-    /// builder takes a type, not a value.
-    pub fn heap<H2: CheckpointHeap>(self) -> Sim<'c, H2> {
+    /// The engine always constructs the heap itself, sized from the
+    /// source's length hint, so the builder takes a type, not a value.
+    pub fn heap<H2: SimHeap>(self) -> Sim<'c, H2> {
         Sim {
             config: self.config,
-            control: self.control,
+            cancel: self.cancel,
+            block_events: self.block_events,
             _heap: std::marker::PhantomData,
         }
     }
 
-    /// Sets the serial drive loop's chunk size in events: `0` keeps the
-    /// default ([`dtb_trace::DEFAULT_BLOCK_EVENTS`]), `1` forces the
-    /// per-event reference path. Results are bit-identical at every
-    /// setting; only throughput changes.
+    /// Sets the drive loop's chunk size in events: `0` keeps the default
+    /// ([`dtb_trace::DEFAULT_BLOCK_EVENTS`]), `1` forces the per-event
+    /// reference path. Results are bit-identical at every setting; only
+    /// throughput changes.
     pub fn block_events(mut self, n: usize) -> Sim<'c, H> {
-        self.control.block_events = n;
+        self.block_events = n;
         self
     }
 
@@ -449,10 +321,8 @@ impl<'c, H: CheckpointHeap> Sim<'c, H> {
     /// * [`SimError::Policy`] when the boundary policy returns an error.
     /// * [`SimError::BudgetExceeded`] when a [`SimBudget`] cap is hit.
     /// * [`SimError::Source`] when the source fails mid-stream.
-    /// * [`SimError::Cancelled`] when the control's cancel flag is
+    /// * [`SimError::Cancelled`] when the [`Sim::cancel`] flag is
     ///   observed.
-    /// * [`SimError::Checkpoint`] when a checkpoint cannot be written or
-    ///   the resume state belongs to a different run.
     pub fn run<S: EventSource + ?Sized>(
         self,
         source: &mut S,
@@ -460,12 +330,8 @@ impl<'c, H: CheckpointHeap> Sim<'c, H> {
     ) -> Result<SimRun, SimError> {
         // The drive loop executes on this thread, so one span guard
         // covers every scavenge event of the run.
-        let span = ObsRunSpan::begin(
-            policy.name(),
-            &source.meta().name,
-            self.control.block_events,
-        );
-        let result = run_serial::<H, S>(source, policy, &self.config, self.control);
+        let span = ObsRunSpan::begin(policy.name(), &source.meta().name, self.block_events);
+        let result = run_serial(&self, source, policy);
         span.finish(&result);
         result
     }
@@ -483,12 +349,12 @@ impl<'c, H: CheckpointHeap> Sim<'c, H> {
 /// The drive loop: one thread, blocks of events split into safe
 /// segments, with the per-event body (`block_events(1)`) as the
 /// reference every block size must reproduce bit-identically.
-fn run_serial<H: CheckpointHeap, S: EventSource + ?Sized>(
+fn run_serial<H: SimHeap, S: EventSource + ?Sized>(
+    sim: &Sim<'_, H>,
     source: &mut S,
     policy: &mut dyn TbPolicy,
-    config: &SimConfig,
-    control: RunControl<'_>,
 ) -> Result<SimRun, SimError> {
+    let (config, cancel) = (&sim.config, sim.cancel);
     if let Err(e) = config.trigger.validate() {
         return Err(SimError::Invariant {
             at: VirtualTime::ZERO,
@@ -501,74 +367,32 @@ fn run_serial<H: CheckpointHeap, S: EventSource + ?Sized>(
     // u64 event counter can never reach.
     let max_events = config.budget.max_events.unwrap_or(u64::MAX);
 
-    let mut heap;
-    let mut metrics;
-    let mut curve;
-    let mut since_gc;
-    let mut since_sample;
-    let mut clock;
-    let mut ledger;
-    match control.resume_from {
-        Some(ckp) => {
-            check_resume_compat(&ckp, config, source.meta(), policy.name()).map_err(|source| {
-                SimError::Checkpoint {
-                    at: ckp.clock,
-                    source,
-                }
-            })?;
-            policy
-                .restore_state(&ckp.policy_state)
-                .map_err(|source| SimError::Policy {
-                    at: ckp.clock,
-                    collection: ckp.metrics.history.len(),
-                    source,
-                })?;
-            source.seek(ckp.clock).map_err(|source| SimError::Source {
-                at: ckp.clock,
-                source,
-            })?;
-            heap = H::restore(&ckp.heap);
-            metrics = MetricsCollector::restore(config.cost, ckp.metrics);
-            curve = ckp.curve;
-            since_gc = ckp.since_gc;
-            since_sample = ckp.since_sample;
-            clock = ckp.clock;
-            ledger = Ledger {
-                events: ckp.events,
-                allocated: ckp.allocated,
-                reclaimed: ckp.reclaimed,
-                prev_birth: ckp.prev_birth,
-            };
-        }
-        None => {
-            // A known-length source sizes the heap index exactly; an
-            // unbounded one starts from a capped guess and grows (the
-            // dead-prefix compaction in `OracleHeap` keeps the index
-            // proportional to the resident set).
-            heap = H::with_capacity(source.len_hint().unwrap_or(0).min(MAX_PREALLOC_SLOTS));
-            metrics = MetricsCollector::new(config.cost);
-            curve = MemoryCurve::new();
-            since_gc = Bytes::ZERO;
-            since_sample = Bytes::ZERO;
-            clock = VirtualTime::ZERO;
-            ledger = Ledger::default();
-        }
-    }
+    // A known-length source sizes the heap index exactly; an unbounded
+    // one starts from a capped guess and grows (the dead-prefix
+    // compaction in `OracleHeap` keeps the index proportional to the
+    // resident set).
+    let mut heap = H::with_capacity(source.len_hint().unwrap_or(0).min(MAX_PREALLOC_SLOTS));
+    let mut metrics = MetricsCollector::new(config.cost);
+    let mut curve = MemoryCurve::new();
+    let mut since_gc = Bytes::ZERO;
+    let mut since_sample = Bytes::ZERO;
+    let mut clock = VirtualTime::ZERO;
+    let mut ledger = Ledger::default();
 
     // The drive loop pulls events in blocks and processes each block in
     // *segments*: a safe prefix — events that provably fire no trigger,
-    // curve sample, budget error, shape error, or checkpoint — batches
-    // straight into the heap's columnar bulk-insert path, and the one
-    // event at the segment boundary replays the exact per-event body.
+    // curve sample, budget error or shape error — batches straight into
+    // the heap's columnar bulk-insert path, and the one event at the
+    // segment boundary replays the exact per-event body.
     // Every boundary condition is monotone in the byte prefix sum, so the
     // safe prefix length is found by binary search / partition point over
     // one precomputed prefix-sum array per block. Results are
     // bit-identical to the per-event path at every block size; `1` keeps
     // every event on the per-event body (the differential reference).
-    let block_cap = if control.block_events == 0 {
+    let block_cap = if sim.block_events == 0 {
         DEFAULT_BLOCK_EVENTS
     } else {
-        control.block_events
+        sim.block_events
     };
     let per_event_reference = block_cap <= 1;
     let mut block = EventBlock::new(block_cap);
@@ -577,7 +401,7 @@ fn run_serial<H: CheckpointHeap, S: EventSource + ?Sized>(
     let mut pb: Vec<u64> = Vec::with_capacity(block_cap + 1);
 
     'drive: loop {
-        if let Some(flag) = control.cancel {
+        if let Some(flag) = cancel {
             if flag.load(Ordering::Relaxed) {
                 return Err(SimError::Cancelled { at: clock });
             }
@@ -607,18 +431,10 @@ fn run_serial<H: CheckpointHeap, S: EventSource + ?Sized>(
                 0
             } else {
                 // Cap the safe prefix at the first event that would hit
-                // the budget, land on a checkpoint boundary, or cross the
-                // curve sample interval.
+                // the budget or cross the curve sample interval.
                 let base = pb[idx];
                 let s_budget =
                     usize::try_from(max_events.saturating_sub(ledger.events)).unwrap_or(usize::MAX);
-                let s_ckpt = if control.checkpoint_path.is_some() && control.checkpoint_every > 0 {
-                    let every = control.checkpoint_every;
-                    let next_mult = (ledger.events / every + 1) * every;
-                    usize::try_from(next_mult - ledger.events - 1).unwrap_or(usize::MAX)
-                } else {
-                    usize::MAX
-                };
                 let s_curve = if config.record_curve {
                     let ss = since_sample.as_u64();
                     let lim = sample_every.as_u64();
@@ -626,7 +442,7 @@ fn run_serial<H: CheckpointHeap, S: EventSource + ?Sized>(
                 } else {
                     usize::MAX
                 };
-                let upper = remaining.min(s_budget).min(s_ckpt).min(s_curve);
+                let upper = remaining.min(s_budget).min(s_curve);
                 // Largest prefix the trigger provably stays quiet for:
                 // `should_collect` is monotone non-decreasing in
                 // (since_gc, mem) for a fixed last-surviving value, and
@@ -692,7 +508,7 @@ fn run_serial<H: CheckpointHeap, S: EventSource + ?Sized>(
 
             // Segment boundary (or per-event reference mode): the exact
             // per-event body, bit for bit.
-            if let Some(flag) = control.cancel {
+            if let Some(flag) = cancel {
                 if flag.load(Ordering::Relaxed) {
                     return Err(SimError::Cancelled { at: clock });
                 }
@@ -776,32 +592,6 @@ fn run_serial<H: CheckpointHeap, S: EventSource + ?Sized>(
                 )?;
             }
 
-            // Checkpoint after the event is fully processed (including
-            // any scavenge it triggered), so the saved state is always at
-            // an event boundary. The modulus runs on the global event
-            // count, so a resumed run keeps the original cadence.
-            if let Some(path) = &control.checkpoint_path {
-                if control.checkpoint_every > 0 && ledger.events % control.checkpoint_every == 0 {
-                    let ckp = SimCheckpoint {
-                        trace: source.meta().name.clone(),
-                        policy: policy.name().to_string(),
-                        config: *config,
-                        events: ledger.events,
-                        clock,
-                        since_gc,
-                        since_sample,
-                        allocated: ledger.allocated,
-                        reclaimed: ledger.reclaimed,
-                        prev_birth: ledger.prev_birth,
-                        heap: heap.snapshot(),
-                        metrics: metrics.state(),
-                        curve: curve.clone(),
-                        policy_state: policy.save_state(),
-                    };
-                    save_checkpoint(path, &ckp)
-                        .map_err(|source| SimError::Checkpoint { at: clock, source })?;
-                }
-            }
             idx += 1;
         }
 

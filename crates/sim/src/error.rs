@@ -178,22 +178,12 @@ pub enum SimError {
         source: dtb_trace::SourceError,
     },
     /// The run was cancelled from outside through
-    /// [`RunControl::cancel`](crate::engine::RunControl) — typically the
+    /// [`Sim::cancel`](crate::engine::Sim::cancel) — typically the
     /// executor's deadline watchdog. The simulation state is simply
-    /// abandoned; any checkpoint already on disk remains valid for
-    /// resuming.
+    /// abandoned; a retry reruns the cell from its start.
     Cancelled {
         /// Allocation clock when the cancellation was observed.
         at: VirtualTime,
-    },
-    /// Checkpointing failed: a mid-run checkpoint could not be written,
-    /// or a resume checkpoint belongs to a different run (wrong trace,
-    /// policy, or physics configuration).
-    Checkpoint {
-        /// Allocation clock of the checkpoint operation.
-        at: VirtualTime,
-        /// The container's or compatibility check's account of it.
-        source: dtb_trace::CkpError,
     },
 }
 
@@ -227,9 +217,6 @@ impl fmt::Display for SimError {
             SimError::Cancelled { at } => {
                 write!(f, "run cancelled at clock {}", at.as_u64())
             }
-            SimError::Checkpoint { at, source } => {
-                write!(f, "checkpoint failed at clock {}: {source}", at.as_u64())
-            }
         }
     }
 }
@@ -239,7 +226,6 @@ impl std::error::Error for SimError {
         match self {
             SimError::Policy { source, .. } => Some(source),
             SimError::Source { source, .. } => Some(source),
-            SimError::Checkpoint { source, .. } => Some(source),
             _ => None,
         }
     }

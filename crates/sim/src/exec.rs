@@ -43,7 +43,7 @@
 
 use crate::baseline::baseline_report;
 use crate::curve::MemoryCurve;
-use crate::engine::{RunControl, Sim, SimBudget, SimConfig, SimRun};
+use crate::engine::{Sim, SimBudget, SimConfig, SimRun};
 use crate::error::SimError;
 use crate::journal::{
     journal_path, read_journal, JournalCell, JournalHeader, JournalWriter, JOURNAL_VERSION,
@@ -520,9 +520,10 @@ impl Evaluation {
 
     /// Adds a streaming column: every cell in it builds a fresh
     /// [`EventSource`] from `make` and simulates it record-at-a-time
-    /// ([`simulate_source`]), so the column's trace is never materialized
-    /// in memory — sharded on-disk stores ([`dtb_trace::ShardReader`])
-    /// and unbounded generators ([`dtb_trace::SynthSource`]) both fit.
+    /// ([`simulate_source`](crate::engine::simulate_source)), so the
+    /// column's trace is never materialized in memory — sharded on-disk
+    /// stores ([`dtb_trace::ShardReader`]) and unbounded generators
+    /// ([`dtb_trace::SynthSource`]) both fit.
     /// Baseline rows stream too
     /// ([`TraceStats::compute_source`](dtb_trace::stats::TraceStats::compute_source)).
     ///
@@ -1044,8 +1045,8 @@ fn run_cell_supervised(
 /// Runs one cell with full fault isolation: typed simulation errors and
 /// panics (from the policy, a custom factory, the engine, or a streaming
 /// source) both land in [`CellOutcome::Failed`]. When `cancel` is set,
-/// policy rows run under a [`RunControl`] that polls it between events
-/// (the deadline watchdog's hook). Baseline rows read the column's
+/// policy rows poll it between events through [`Sim::cancel`] (the
+/// deadline watchdog's hook). Baseline rows read the column's
 /// shared `stats`, computing them if no sibling cell has yet.
 #[allow(clippy::too_many_arguments)]
 fn run_cell(
@@ -1058,11 +1059,8 @@ fn run_cell(
     sim_cfg: &SimConfig,
     cancel: Option<&AtomicBool>,
 ) -> CellOutcome {
-    // RunControl::new() with no cancel flag is exactly the plain
-    // `simulate` / `simulate_source` path, so uncancellable runs stay
-    // bit-identical to the pre-supervision executor.
     let sim = || match cancel {
-        Some(flag) => Sim::new(*sim_cfg).control(RunControl::new().with_cancel(flag)),
+        Some(flag) => Sim::new(*sim_cfg).cancel(flag),
         None => Sim::new(*sim_cfg),
     };
     let resident = || trace.expect("non-stream targets resolve a trace");

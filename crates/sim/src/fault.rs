@@ -173,10 +173,6 @@ impl<S: EventSource> EventSource for SlowAfter<S> {
     fn end(&self) -> VirtualTime {
         self.inner.end()
     }
-
-    fn seek(&mut self, clock: VirtualTime) -> Result<(), SourceError> {
-        self.inner.seek(clock)
-    }
 }
 
 /// Wraps an [`EventSource`], failing `next_record` with a **transient**
@@ -229,10 +225,6 @@ impl<S: EventSource> EventSource for FlakyStore<S> {
 
     fn end(&self) -> VirtualTime {
         self.inner.end()
-    }
-
-    fn seek(&mut self, clock: VirtualTime) -> Result<(), SourceError> {
-        self.inner.seek(clock)
     }
 }
 

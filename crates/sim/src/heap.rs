@@ -72,10 +72,9 @@ use dtb_core::fenwick::PairedFenwick;
 use dtb_core::history::BoundaryCandidates;
 use dtb_core::policy::{SurvivalEstimator, SurvivalLender};
 use dtb_core::time::{Bytes, VirtualTime};
-use serde::{Deserialize, Serialize};
 
 /// One object in the oracle heap.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SimObject {
     /// Birth time on the allocation clock.
     pub birth: VirtualTime,
@@ -158,37 +157,27 @@ pub trait SimHeap: SurvivalLender {
     fn scavenge(&mut self, tb: VirtualTime, now: VirtualTime) -> ScavengeOutcome;
 }
 
-/// A serializable image of a heap's observable state, for checkpointing.
-///
-/// Both heap implementations reduce to the same image: the objects still
-/// occupying memory (in birth order) plus the lazy-clock high-water mark.
-/// Everything else — Fenwick indices, the pending-death queue, slot
-/// numbering — is derived data that [`CheckpointHeap::restore`] rebuilds,
-/// which is exactly the argument for why a restored heap is observably
-/// identical: the incremental heap's own compaction already renumbers
-/// slots mid-run without disturbing a single query answer.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct HeapSnapshot {
-    /// Objects still occupying memory, in birth order.
-    pub objects: Vec<SimObject>,
-    /// The heap's query-time high-water mark: every death at or before
-    /// this instant has been applied.
-    pub clock: VirtualTime,
-}
+/// An empty heap image. Stays only because `benchmark/src/layers.rs`
+/// names it, until that file drops its [`CheckpointHeap`] forwards.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct HeapSnapshot;
 
-/// A [`SimHeap`] that can round-trip its state through a [`HeapSnapshot`].
-///
-/// The contract checkpoint/resume relies on: for any prefix of a trace,
-/// `restore(&h.snapshot())` then replaying the remaining events must
-/// produce bit-identical observables (`mem_in_use`, `live_bytes_at`,
-/// scavenge outcomes, survival queries) to never having snapshotted at
-/// all. The differential suites check this across every policy.
+/// An inert extension of [`SimHeap`] with default bodies. Stays only
+/// because `benchmark/src/layers.rs` implements it, until that file
+/// drops its forwards.
 pub trait CheckpointHeap: SimHeap {
-    /// Captures the heap's observable state.
-    fn snapshot(&self) -> HeapSnapshot;
+    /// Returns an empty [`HeapSnapshot`].
+    fn snapshot(&self) -> HeapSnapshot {
+        HeapSnapshot
+    }
 
-    /// Rebuilds a heap from a snapshot.
-    fn restore(snapshot: &HeapSnapshot) -> Self;
+    /// Returns an empty heap.
+    fn restore(_snapshot: &HeapSnapshot) -> Self
+    where
+        Self: Sized,
+    {
+        Self::with_capacity(0)
+    }
 }
 
 /// Sentinel death time for "lives to the end of the trace" in the heap's
@@ -288,9 +277,9 @@ impl OracleHeap {
     /// Births must arrive strictly increasing (the trace drives
     /// insertions in allocation order), and sizes must be nonzero (the
     /// trace layer rejects zero-sized allocations as
-    /// [`TraceError::ZeroSizedAlloc`](dtb_trace::TraceError); the scavenge
-    /// walk relies on every dead resident being visible to the byte
-    /// indices). Violations panic in debug builds.
+    /// [`TraceError::ZeroSizedAlloc`](dtb_trace::event::TraceError::ZeroSizedAlloc);
+    /// the scavenge walk relies on every dead resident being visible to
+    /// the byte indices). Violations panic in debug builds.
     pub fn insert(&mut self, obj: SimObject) {
         if let Some(&last) = self.births.last() {
             debug_assert!(
@@ -317,14 +306,16 @@ impl OracleHeap {
     }
 
     /// Inserts a whole block of objects from struct-of-arrays columns
-    /// (death times use the [`NO_DEATH`] sentinel for immortals, as in
-    /// the `DTBCTC01` record format).
+    /// (death times use the `u64::MAX` sentinel for immortals, as in
+    /// the `DTBCTC01` record format and
+    /// [`EventBlock::NO_DEATH`](dtb_trace::EventBlock::NO_DEATH)).
     ///
     /// Observably identical to inserting the objects one at a time —
     /// the Fenwick tree shape is a pure function of the slot values — but
-    /// the index appends become bulk [`Fenwick::extend`] builds and any
-    /// already-past deaths apply as one batched update. The block engine's
-    /// fast path feeds validated columns straight from the event source.
+    /// the index appends become bulk [`PairedFenwick::extend_live`]
+    /// builds and any already-past deaths apply as one batched update.
+    /// The block engine's fast path feeds validated columns straight
+    /// from the event source.
     pub fn insert_block(&mut self, births: &[u64], sizes: &[u32], deaths: &[u64]) {
         debug_assert_eq!(births.len(), sizes.len());
         debug_assert_eq!(births.len(), deaths.len());
@@ -688,12 +679,13 @@ impl SurvivalEstimator for SurvivalSnapshot<'_> {
     ///
     /// A boundary `t` fits iff `live.suffix(slots born ≤ t) <= trace_max`,
     /// i.e. iff at least `K = live.total() - trace_max` live bytes were
-    /// born at or before `t`. One [`Fenwick::lower_bound`] descent finds
-    /// `s*`, the smallest slot count covering `K` live bytes; a boundary
-    /// admits `s*` slots exactly when it is at or past the birth of slot
-    /// `s* - 1`, so the answer is the first candidate at or after that
-    /// birth time — the same suffix of fitting candidates the default
-    /// scan walks to, located by binary search instead.
+    /// born at or before `t`. One [`PairedFenwick::lower_bound_live`]
+    /// descent finds `s*`, the smallest slot count covering `K` live
+    /// bytes; a boundary admits `s*` slots exactly when it is at or past
+    /// the birth of slot `s* - 1`, so the answer is the first candidate
+    /// at or after that birth time — the same suffix of fitting
+    /// candidates the default scan walks to, located by binary search
+    /// instead.
     fn oldest_boundary_within(
         &self,
         trace_max: Bytes,
@@ -724,27 +716,7 @@ impl SurvivalLender for OracleHeap {
     }
 }
 
-impl CheckpointHeap for OracleHeap {
-    fn snapshot(&self) -> HeapSnapshot {
-        HeapSnapshot {
-            objects: self.iter_objects().collect(),
-            clock: self.clock,
-        }
-    }
-
-    fn restore(snapshot: &HeapSnapshot) -> OracleHeap {
-        // Reinserting the residents renumbers them onto fresh slots
-        // 0..n — the same rebasing `compact` performs mid-run, which
-        // preserves every observable. Advancing the clock afterwards
-        // re-applies the deaths the original heap had already drained.
-        let mut heap = OracleHeap::with_capacity(snapshot.objects.len());
-        for obj in &snapshot.objects {
-            heap.insert(*obj);
-        }
-        heap.advance_clock(snapshot.clock);
-        heap
-    }
-}
+impl CheckpointHeap for OracleHeap {}
 
 impl SimHeap for OracleHeap {
     fn with_capacity(n: usize) -> OracleHeap {

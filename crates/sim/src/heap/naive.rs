@@ -9,7 +9,7 @@
 //! outcomes, reports, and curves. It also serves as the "pre-PR engine"
 //! baseline in the `bench_dtb` perf harness.
 
-use super::{CheckpointHeap, HeapSnapshot, ScavengeOutcome, SimHeap, SimObject};
+use super::{ScavengeOutcome, SimHeap, SimObject};
 use dtb_core::policy::{SurvivalEstimator, SurvivalLender};
 use dtb_core::time::{Bytes, VirtualTime};
 
@@ -147,26 +147,6 @@ impl SurvivalLender for NaiveHeap {
 
     fn survival_view(&mut self, now: VirtualTime) -> NaiveSnapshot {
         self.survival_snapshot(now)
-    }
-}
-
-impl CheckpointHeap for NaiveHeap {
-    fn snapshot(&self) -> HeapSnapshot {
-        // The scan-based heap answers every query from the objects and
-        // the `now` argument alone; it carries no lazy clock, so the
-        // snapshot records time zero and `restore` ignores it.
-        HeapSnapshot {
-            objects: self.objects.clone(),
-            clock: VirtualTime::ZERO,
-        }
-    }
-
-    fn restore(snapshot: &HeapSnapshot) -> NaiveHeap {
-        let mut heap = NaiveHeap::with_capacity(snapshot.objects.len());
-        for obj in &snapshot.objects {
-            NaiveHeap::insert(&mut heap, *obj);
-        }
-        heap
     }
 }
 

@@ -8,7 +8,7 @@
 //! journal back, skips every completed cell, recomputes failed ones, and
 //! appends the new outcomes to the same file.
 //!
-//! The file is a [`record_log`](dtb_trace::record_log), which owns the
+//! The file is a [`record_log`], which owns the
 //! framing, checksums and crash semantics. Each record is a one-byte
 //! tag and a JSON payload: `H` + the [`JournalHeader`] (matrix shape and
 //! configuration, guarding against resuming someone else's journal)

@@ -24,25 +24,22 @@
 //! * [`baseline`] — the `No GC` and `LIVE` reference rows.
 //! * [`curve`] — Figure 2 memory-over-time series.
 //! * [`exec`] — the parallel evaluation executor: a shared
-//!   [`TraceCache`](exec::TraceCache) (each preset compiled once per
-//!   process) and the [`Evaluation`](exec::Evaluation) builder that fans
-//!   the (program × policy) matrix over a work-stealing pool with
-//!   deterministic result ordering. Streaming columns
-//!   ([`Evaluation::source`](exec::Evaluation::source)) evaluate without
-//!   materializing their trace.
+//!   [`TraceCache`] (each preset compiled once per process) and the
+//!   [`Evaluation`] builder that fans the (program × policy) matrix over
+//!   a work-stealing pool with deterministic result ordering. Streaming
+//!   columns ([`Evaluation::source`]) evaluate without materializing
+//!   their trace.
 //! * [`error`] — the typed failure taxonomy ([`error::SimError`]): policy
 //!   failures, watchdog budget trips, and engine invariant violations.
 //! * [`fault`] — adversarial policies and sources for fault-injection
 //!   tests (NaN / infinite / future boundaries, fail-after-N,
 //!   panic-after-N, slow and transiently-failing sources).
-//! * [`ckp`] — mid-run simulation checkpoints ([`SimCheckpoint`]): the
-//!   engine's complete resumable state in a checksummed `DTBCKP01`
-//!   container, with bit-identical resume via
-//!   [`RunControl::resuming`](engine::RunControl::resuming).
 //! * [`journal`] — the durable evaluation journal: one fsync'd,
 //!   checksummed record per completed matrix cell, so
 //!   [`Evaluation::resume`](exec::Evaluation::resume) survives crashes
-//!   (even `SIGKILL`) losing at most the cell in flight.
+//!   (even `SIGKILL`) losing at most the cell in flight. The cell is
+//!   the unit of recovery: a run either completes or is cancelled and
+//!   rerun from its start.
 //! * [`trigger`] — pluggable when-to-collect policies (the orthogonal
 //!   dimension the paper fixes at 1 MB of allocation).
 //! * [`sweep`] — budget sweeps producing constraint/behaviour frontiers
@@ -67,7 +64,6 @@
 #![warn(missing_docs)]
 
 pub mod baseline;
-pub mod ckp;
 pub mod curve;
 pub mod engine;
 pub mod error;
@@ -79,8 +75,8 @@ pub mod metrics;
 pub mod sweep;
 pub mod trigger;
 
-pub use ckp::{load_checkpoint, save_checkpoint, CkpError, SimCheckpoint};
-pub use engine::{simulate, simulate_source, RunControl, Sim, SimBudget, SimConfig, SimRun};
+pub use dtb_trace::CkpError;
+pub use engine::{simulate, simulate_source, Sim, SimBudget, SimConfig, SimRun};
 pub use error::{BudgetKind, InvariantViolation, SimError};
 pub use exec::{
     Cell, CellEvent, CellFailure, CellOutcome, Column, Evaluation, FailureCause, Matrix,
@@ -91,4 +87,4 @@ pub use heap::{
     CheckpointHeap, HeapSnapshot, OracleHeap, ScavengeOutcome, SimHeap, SimObject, SurvivalSnapshot,
 };
 pub use journal::{read_journal, Journal, JournalCell, JournalHeader, JournalWriter};
-pub use metrics::{MetricsState, SimReport};
+pub use metrics::SimReport;

@@ -7,26 +7,6 @@ use dtb_core::stats::{SampleStats, WeightedStats};
 use dtb_core::time::Bytes;
 use serde::{Deserialize, Serialize};
 
-/// A serializable image of a [`MetricsCollector`] mid-run, for
-/// checkpointing.
-///
-/// Everything the collector accumulates is captured exactly — the
-/// weighted memory accumulator, the raw pause samples, and the scavenge
-/// history — so a collector restored from this state finishes with a
-/// bit-identical [`SimReport`] to one that ran straight through. (The
-/// cost model is deliberately absent: it is part of the simulation
-/// configuration, and [`MetricsCollector::restore`] takes it afresh so a
-/// checkpoint cannot smuggle in a different machine model.)
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct MetricsState {
-    /// Weighted memory-in-use accumulator.
-    pub memory: WeightedStats,
-    /// Raw pause-time samples, milliseconds.
-    pub pauses: SampleStats,
-    /// Completed scavenges.
-    pub history: ScavengeHistory,
-}
-
 /// The measurements of one simulated collector run, in the units the
 /// paper's tables use.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -104,25 +84,6 @@ impl MetricsCollector {
     /// Read access to the history (the policy context borrows it).
     pub fn history(&self) -> &ScavengeHistory {
         &self.history
-    }
-
-    /// Captures the collector's accumulated state for a checkpoint.
-    pub fn state(&self) -> MetricsState {
-        MetricsState {
-            memory: self.memory,
-            pauses: self.pauses.clone(),
-            history: self.history.clone(),
-        }
-    }
-
-    /// Rebuilds a collector from checkpointed state under `cost`.
-    pub fn restore(cost: CostModel, state: MetricsState) -> MetricsCollector {
-        MetricsCollector {
-            cost,
-            memory: state.memory,
-            pauses: state.pauses,
-            history: state.history,
-        }
     }
 
     /// Finalizes the report for a program that ran `exec_seconds`.

@@ -11,16 +11,14 @@
 //!   trigger firing mid-block forces the segmented fast path to stop
 //!   exactly where the per-event path scavenges);
 //! * a trigger dense enough to fire many times inside one block;
-//! * checkpointing runs whose cadence never aligns with block
-//!   boundaries, including a resume leg;
 //! * typed errors — watchdog budgets, malformed trace shapes, and shard
 //!   corruption — which must surface with identical payloads and clocks.
 
 use dtb_core::policy::{PolicyConfig, PolicyKind};
 use dtb_core::time::Bytes;
-use dtb_sim::engine::{RunControl, Sim, SimBudget, SimConfig, SimRun};
+use dtb_sim::engine::{Sim, SimBudget, SimConfig, SimRun};
 use dtb_sim::trigger::Trigger;
-use dtb_sim::{load_checkpoint, SimError};
+use dtb_sim::SimError;
 use dtb_trace::event::CompiledTrace;
 use dtb_trace::lifetime::{LifetimeDist, SizeDist};
 use dtb_trace::{
@@ -162,8 +160,8 @@ proptest! {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Synthetic sources: the generator's own block path (lookahead
-    /// record, stride checkpoints) reproduces the reference too.
+    /// Synthetic sources: the generator read through the default
+    /// block path reproduces the reference too.
     #[test]
     fn blocked_synth_runs_match_per_event_reference(seed in 0u64..1_000) {
         let spec = WorkloadSpec {
@@ -241,88 +239,6 @@ fn trigger_denser_than_any_block_still_matches() {
             assert_eq!(reference, blocked, "{kind} block {block}");
         }
     }
-}
-
-/// Checkpoint cadence misaligned with the block size: the blocked run
-/// must write checkpoints at exactly the same events with exactly the
-/// same state, and a run resumed from a blocked checkpoint must finish
-/// identically to the straight reference.
-#[test]
-fn checkpoint_cadence_survives_blocking_and_resume() {
-    let trace = {
-        let mut b = TraceBuilder::new("ckp-blocks");
-        b.exec_seconds(1.0);
-        let mut ids = Vec::new();
-        for i in 0..3_000 {
-            ids.push(b.alloc(5_000));
-            if i % 2 == 0 {
-                if let Some(id) = ids.pop() {
-                    b.free(id);
-                }
-            }
-        }
-        b.finish().compile().unwrap()
-    };
-    let dir = temp_dir("ckp");
-    std::fs::create_dir_all(&dir).unwrap();
-    let config = SimConfig::paper().with_curve().with_invariant_checks(true);
-    let kind = PolicyKind::DtbFm;
-
-    let ref_path = dir.join("reference.ckp");
-    let reference = {
-        let mut policy = kind.build(&PolicyConfig::paper());
-        Sim::new(config)
-            .block_events(1)
-            .control(RunControl::new().with_checkpoints(&ref_path, 97))
-            .run(&mut CompiledSource::new(&trace), &mut policy)
-            .expect("reference run")
-    };
-
-    let blk_path = dir.join("blocked.ckp");
-    let blocked = {
-        let mut policy = kind.build(&PolicyConfig::paper());
-        Sim::new(config)
-            .block_events(64)
-            .control(RunControl::new().with_checkpoints(&blk_path, 97))
-            .run(&mut CompiledSource::new(&trace), &mut policy)
-            .expect("blocked run")
-    };
-    assert_eq!(reference, blocked);
-
-    // Both legs' final checkpoints sit on the same event boundary with
-    // the same engine-visible state.
-    let ref_ckp = load_checkpoint(&ref_path).expect("reference checkpoint");
-    let blk_ckp = load_checkpoint(&blk_path).expect("blocked checkpoint");
-    assert_eq!(ref_ckp.events, blk_ckp.events);
-    assert_eq!(ref_ckp.events % 97, 0);
-    assert_eq!(ref_ckp.clock, blk_ckp.clock);
-    assert_eq!(ref_ckp.allocated, blk_ckp.allocated);
-    assert_eq!(ref_ckp.reclaimed, blk_ckp.reclaimed);
-    assert_eq!(ref_ckp.since_gc, blk_ckp.since_gc);
-    assert_eq!(ref_ckp.metrics, blk_ckp.metrics);
-
-    // A budget-interrupted blocked run resumed from its checkpoint
-    // finishes bit-identically to the straight reference.
-    let int_path = dir.join("interrupted.ckp");
-    let interrupted = {
-        let mut policy = kind.build(&PolicyConfig::paper());
-        Sim::new(config.with_budget(SimBudget::events(1_500)))
-            .block_events(64)
-            .control(RunControl::new().with_checkpoints(&int_path, 97))
-            .run(&mut CompiledSource::new(&trace), &mut policy)
-    };
-    assert!(matches!(interrupted, Err(SimError::BudgetExceeded { .. })));
-    let ckp = load_checkpoint(&int_path).expect("interrupt checkpoint");
-    let resumed = {
-        let mut policy = kind.build(&PolicyConfig::paper());
-        Sim::new(config)
-            .block_events(64)
-            .control(RunControl::new().resuming(ckp))
-            .run(&mut CompiledSource::new(&trace), &mut policy)
-            .expect("resumed run")
-    };
-    assert_eq!(reference, resumed);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Typed error paths surface identically at every block size: watchdog

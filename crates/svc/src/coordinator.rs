@@ -255,7 +255,8 @@ fn publish_event(events: &EventLog, scope: u64, event: Event) {
     });
 }
 
-/// What [`State::recover`] rebuilt from durable storage.
+/// What recovery rebuilt from durable storage when [`Coordinator::bind`]
+/// started over a journal directory.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RecoveryReport {
     /// The incarnation number this coordinator now runs under.

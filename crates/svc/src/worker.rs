@@ -11,7 +11,7 @@
 //! policy errors / invariant violations / corruption / panics quarantine.
 //! Wire failures (connection reset, garbled response) never fail a cell
 //! at all — they retry inside [`Client`] with the executor's
-//! [`RetryPolicy`](dtb_sim::exec::RetryPolicy) backoff. What happens when
+//! [`RetryPolicy`] backoff. What happens when
 //! even that budget runs out is [`WorkerConfig::reconnect`]'s call: with
 //! no reconnect window the worker exits with an error (fail-fast, the
 //! pre-recovery behaviour), with one it keeps retrying under the idle
@@ -27,7 +27,7 @@ use crate::proto::{CellTask, CompleteRequest, CompleteStatus, RelayRequest, MAX_
 use dtb_core::policy::Row;
 use dtb_sim::baseline::{live_report, no_gc_report};
 use dtb_sim::curve::MemoryCurve;
-use dtb_sim::engine::{RunControl, Sim, SimRun};
+use dtb_sim::engine::{Sim, SimRun};
 use dtb_sim::exec::{panic_message, FailureCause, RetryPolicy, TraceCache, Watchdog};
 use dtb_sim::SimError;
 use dtb_trace::ckp::checksum;
@@ -200,7 +200,7 @@ pub fn run_cell(cache: &TraceCache, task: &CellTask, _threads: usize) -> CellRun
                 let cancel = Arc::new(AtomicBool::new(false));
                 let _watchdog = Watchdog::arm(deadline, Arc::clone(&cancel));
                 Sim::new(task.sim)
-                    .control(RunControl::new().with_cancel(&cancel))
+                    .cancel(&cancel)
                     .run_trace(&trace, policy.as_mut())
                     .map_err(|err| (err.to_string(), classify(&err)))
             }

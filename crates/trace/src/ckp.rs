@@ -4,11 +4,15 @@
 //! integrity conventions as the `DTBCTC01` store ([`crate::ctc`]): the
 //! 8-byte magic `DTBCKP01` (the trailing `01` is the format version),
 //! the payload bytes, and a trailing FNV-1a checksum of everything
-//! before it. The payload's schema is the *writer's* business — the
-//! simulator stores a JSON-encoded `SimCheckpoint` — so this module
-//! stays a pure container: it guarantees that what [`read_blob`]
-//! returns is byte-for-byte what [`write_blob`] stored, or a typed
-//! [`CkpError`], never a panic and never silently-corrupt bytes.
+//! before it. The payload's schema is the *writer's* business — its one
+//! writer is `bench_dtb --resume`, which stores each finished cell's
+//! JSON result as a done-file — so this module stays a pure container:
+//! it guarantees that what [`read_blob`] returns is byte-for-byte what
+//! [`write_blob`] stored, or a typed [`CkpError`], never a panic and
+//! never silently-corrupt bytes.
+//!
+//! [`CkpError`] is also the error type of the record log
+//! ([`crate::record_log`]) and of the run journals built on it.
 //!
 //! Writes are atomic: the file is assembled under a temporary name,
 //! fsync'd, and renamed into place, so a crash mid-write leaves the
@@ -38,11 +42,12 @@ pub fn checksum(bytes: &[u8]) -> u64 {
     fnv1a(FNV_OFFSET, bytes)
 }
 
-/// A failure reading, writing, or interpreting a checkpoint.
+/// A failure reading, writing, or interpreting a checkpoint file or a
+/// record log.
 ///
-/// The `Mismatch` variant is produced by *consumers* of the payload
-/// (e.g. the simulator refusing to resume a checkpoint taken on a
-/// different trace); the rest come from the container itself.
+/// The `Mismatch` variant is produced by *consumers* of the payload (a
+/// run journal whose header belongs to a different evaluation); the
+/// rest come from the container or the log itself.
 #[derive(Clone, Debug, PartialEq)]
 pub enum CkpError {
     /// Filesystem failure (the original error rendered as text so the
@@ -91,14 +96,16 @@ pub enum CkpError {
         /// What was wrong with it.
         reason: String,
     },
-    /// The checkpoint decoded but belongs to a different run (wrong
-    /// trace, policy, or configuration).
+    /// The file decoded but belongs to a different run: the run
+    /// journal's header check raises it when the journal on disk was
+    /// written by a differently shaped or configured evaluation (and
+    /// reopening raises it when the journal changed since it was read).
     Mismatch {
         /// Which field disagreed.
         what: &'static str,
         /// Value the resuming run expected.
         expected: String,
-        /// Value found in the checkpoint.
+        /// Value found on disk.
         found: String,
     },
 }

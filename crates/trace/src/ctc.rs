@@ -3,7 +3,8 @@
 //! `DTBTRC01` (see [`crate::format`]) stores the raw alloc/free event
 //! stream; compiling it resolves each object's death time. This module
 //! stores the **compiled** form on disk so simulation can stream it
-//! without ever materializing a [`CompiledTrace`]: a directory holding a
+//! without ever materializing a
+//! [`CompiledTrace`](crate::event::CompiledTrace): a directory holding a
 //! small `manifest.dtbctc` plus numbered `shard-NNNNN.dtbctc` files of
 //! birth-ordered, fixed-stride records.
 //!
@@ -616,8 +617,9 @@ pub fn write_shards(
 /// (validating the stream exactly as [`crate::event::Trace::compile`]
 /// would); pass 2 replays it again, emitting one record per allocation.
 /// Memory is O(objects) for the id → death map — far below the resident
-/// [`CompiledTrace`] plus event list — and the output is byte-for-byte
-/// the store [`write_shards`] would produce from the compiled trace.
+/// [`CompiledTrace`](crate::event::CompiledTrace) plus event list — and
+/// the output is byte-for-byte the store [`write_shards`] would produce
+/// from the compiled trace.
 ///
 /// # Errors
 ///
@@ -883,10 +885,6 @@ pub struct ShardReader {
     next_shard: usize,
     consumed: u64,
     current: Option<ShardCursor>,
-    /// One-record lookahead filled by [`EventSource::seek`]: scanning to
-    /// the target clock overshoots by one record, which is stashed here
-    /// and returned by the next `next_record` call.
-    peeked: Option<ObjectLife>,
     /// Reusable chunk buffer for [`EventSource::next_block`]: one read
     /// and one FNV pass per chunk instead of per record.
     buf: Vec<u8>,
@@ -912,7 +910,6 @@ impl ShardReader {
             next_shard: 0,
             consumed: 0,
             current: None,
-            peeked: None,
             buf: Vec::new(),
             validations: 0,
         })
@@ -931,26 +928,6 @@ impl ShardReader {
     /// untouched. [`verify_store`] never consults the memo.
     pub fn checksum_validations(&self) -> u64 {
         self.validations
-    }
-
-    /// Birth of the first record of shard `i`, probed by reading just
-    /// its header and leading record (`u64::MAX` for an empty shard,
-    /// which a well-formed writer never produces).
-    fn first_birth(&self, i: usize) -> Result<u64, CtcError> {
-        if self.manifest.shards[i].records == 0 {
-            return Ok(u64::MAX);
-        }
-        let path = shard_path(&self.dir, i);
-        let file = File::open(&path).map_err(|e| io_err(&path, e))?;
-        let mut reader = BufReader::new(file);
-        let mut header = [0u8; 8 + 1 + 4 + 8];
-        read_exact_ctc(&mut reader, &mut header, &path)?;
-        if &header[0..8] != MAGIC || header[8] != KIND_SHARD {
-            return Err(CtcError::BadMagic { path });
-        }
-        let mut raw = [0u8; RECORD_BYTES];
-        read_exact_ctc(&mut reader, &mut raw, &path)?;
-        Ok(u64::from_le_bytes(raw[8..16].try_into().expect("8 bytes")))
     }
 
     fn open_shard(&mut self) -> Result<(), CtcError> {
@@ -1051,9 +1028,6 @@ impl EventSource for ShardReader {
     }
 
     fn next_record(&mut self) -> Result<Option<ObjectLife>, SourceError> {
-        if let Some(life) = self.peeked.take() {
-            return Ok(Some(life));
-        }
         loop {
             if self.current.is_none() {
                 if self.next_shard >= self.manifest.shards.len() {
@@ -1109,9 +1083,6 @@ impl EventSource for ShardReader {
 
     fn next_block(&mut self, block: &mut EventBlock) -> usize {
         block.clear();
-        if let Some(life) = self.peeked.take() {
-            block.push(life);
-        }
         while block.len() < block.capacity() {
             if self.current.is_none() {
                 if self.next_shard >= self.manifest.shards.len() {
@@ -1202,39 +1173,6 @@ impl EventSource for ShardReader {
 
     fn end(&self) -> VirtualTime {
         self.manifest.end
-    }
-
-    fn seek(&mut self, clock: VirtualTime) -> Result<(), SourceError> {
-        // Records are in strictly increasing birth order across the whole
-        // store, so binary-search the shards by their first record's
-        // birth: everything born ≤ clock lives in shards up to and
-        // including the last shard whose first birth is ≤ clock.
-        let (mut lo, mut hi) = (0usize, self.manifest.shards.len());
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if self.first_birth(mid)? <= clock.as_u64() {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        // Restart from that shard's beginning — scanning its prefix keeps
-        // the running FNV accumulation (and thus checksum verification)
-        // intact — and discard records up to the target clock.
-        self.current = None;
-        self.peeked = None;
-        self.next_shard = lo.saturating_sub(1);
-        self.consumed = self.manifest.shards[..self.next_shard]
-            .iter()
-            .map(|s| s.records)
-            .sum();
-        while let Some(life) = self.next_record()? {
-            if life.birth > clock {
-                self.peeked = Some(life);
-                break;
-            }
-        }
-        Ok(())
     }
 }
 
@@ -1366,31 +1304,6 @@ mod tests {
             }
             std::fs::remove_dir_all(&dir).unwrap();
         }
-    }
-
-    #[test]
-    fn next_block_after_seek_surfaces_the_lookahead_first() {
-        let trace = sample_trace(120);
-        let dir = temp_dir("blkseek");
-        write_shards(&dir, &trace, 16).unwrap();
-        let clock = VirtualTime::from_bytes(trace.births()[60]);
-        let mut reader = ShardReader::open(&dir).unwrap();
-        reader.seek(clock).unwrap();
-        let mut block = EventBlock::new(32);
-        let mut got = Vec::new();
-        loop {
-            let n = reader.next_block(&mut block);
-            assert!(block.take_error().is_none());
-            if n == 0 {
-                break;
-            }
-            for i in 0..n {
-                got.push(block.life(i));
-            }
-        }
-        let expected: Vec<_> = trace.lives().filter(|l| l.birth > clock).collect();
-        assert_eq!(got, expected);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1606,52 +1519,6 @@ mod tests {
         let err = w.finish(VirtualTime::from_bytes(50)).unwrap_err();
         assert!(matches!(err, CtcError::BadManifest { .. }));
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn seek_resumes_at_arbitrary_clocks() {
-        use crate::source::EventSource;
-        let trace = sample_trace(200);
-        let dir = temp_dir("seek");
-        write_shards(&dir, &trace, 16).unwrap();
-        let all: Vec<_> = trace.lives().collect();
-        let births: Vec<u64> = trace.births().to_vec();
-        let probes = [
-            0,
-            births[0] - 1,
-            births[0],
-            births[50],
-            births[150] - 1,
-            births[199],
-            births[199] + 1000,
-        ];
-        for clock in probes {
-            let mut reader = ShardReader::open(&dir).unwrap();
-            reader.seek(VirtualTime::from_bytes(clock)).unwrap();
-            let mut tail = Vec::new();
-            while let Some(l) = reader.next_record().unwrap() {
-                tail.push(l);
-            }
-            let expected: Vec<_> = all
-                .iter()
-                .copied()
-                .filter(|l| l.birth.as_u64() > clock)
-                .collect();
-            assert_eq!(tail, expected, "seek({clock})");
-        }
-        // Seeking a partially-consumed reader repositions absolutely and
-        // keeps checksum verification working (the tail drains cleanly).
-        let mut reader = ShardReader::open(&dir).unwrap();
-        for _ in 0..77 {
-            reader.next_record().unwrap();
-        }
-        reader.seek(VirtualTime::from_bytes(births[10])).unwrap();
-        let mut n = 0;
-        while reader.next_record().unwrap().is_some() {
-            n += 1;
-        }
-        assert_eq!(n, 200 - 11);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

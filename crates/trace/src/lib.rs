@@ -15,7 +15,7 @@
 //!   matches its program's published statistics (Tables 2, 5 and 6 of the
 //!   paper): total allocation, number of collections, execution time, and
 //!   the live-storage profile (mean and maximum);
-//! * trace **serialization** ([`format`]), **statistics** ([`stats`]),
+//! * trace **serialization** ([`format`](mod@format)), **statistics** ([`stats`]),
 //!   and lifetime **analysis** ([`analysis`]: survival curves and age
 //!   demographics);
 //! * **streaming** ([`source`]: the [`EventSource`] abstraction over
@@ -23,8 +23,8 @@
 //!   compiled-trace store) so traces larger than RAM simulate in
 //!   O(live set) memory;
 //! * the **checkpoint container** ([`ckp`]: the checksummed `DTBCKP01`
-//!   blob format the simulator uses to persist resumable run state) and
-//!   the **record log** ([`record_log`]: the append-only `DTBLOG01`
+//!   blob format `bench_dtb --resume` keeps its per-cell done-files in)
+//!   and the **record log** ([`record_log`]: the append-only `DTBLOG01`
 //!   frame log under every crash-durable store).
 //!
 //! # Example

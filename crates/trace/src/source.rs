@@ -35,8 +35,7 @@ pub enum SourceError {
     /// A synthetic generator hit an impossible state (e.g. allocation
     /// clock overflow).
     Synth(String),
-    /// [`EventSource::seek`] was called on a source that cannot
-    /// reposition (the trait's default).
+    /// [`EventSource::seek`] was called; no source repositions.
     SeekUnsupported {
         /// Name of the source's trace.
         source: String,
@@ -252,14 +251,14 @@ pub trait EventSource {
     /// how many landed.
     ///
     /// Semantically a loop of [`next_record`](EventSource::next_record)
-    /// calls — and that is the default implementation — but concrete
-    /// sources override it with bulk column work: [`CompiledSource`]
-    /// copies borrowed trace columns, the `DTBCTC01`
+    /// calls — and that is the default implementation, which
+    /// [`SynthSource`] uses — but the stored sources override it with
+    /// bulk column work: [`CompiledSource`] copies borrowed trace
+    /// columns, and the `DTBCTC01`
     /// [`ShardReader`](crate::ctc::ShardReader) decodes whole shard
-    /// chunks in one pass, [`SynthSource`] generates records in a tight
-    /// loop. A mid-block failure is stashed in the block (the good
-    /// prefix is kept, per [`EventBlock`]'s deferred-error contract);
-    /// `0` with no stashed error means end of stream.
+    /// chunks in one pass. A mid-block failure is stashed in the block
+    /// (the good prefix is kept, per [`EventBlock`]'s deferred-error
+    /// contract); `0` with no stashed error means end of stream.
     fn next_block(&mut self, block: &mut EventBlock) -> usize {
         block.clear();
         while block.len() < block.capacity() {
@@ -281,17 +280,13 @@ pub trait EventSource {
     /// report it immediately.
     fn end(&self) -> VirtualTime;
 
-    /// Repositions the stream so the next
-    /// [`next_record`](EventSource::next_record) call returns the first
-    /// record with `birth > clock` (births are strictly increasing, so
-    /// `clock` = "last birth already consumed" resumes exactly where a
-    /// prior run stopped). Seeking backwards and forwards are both
-    /// allowed; checkpoint resume is the motivating caller.
+    /// Always fails with [`SourceError::SeekUnsupported`]. Stays only
+    /// because `benchmark/src/layers.rs` forwards it, until that file
+    /// drops the forward.
     ///
     /// # Errors
     ///
-    /// The default returns [`SourceError::SeekUnsupported`]; seekable
-    /// implementations propagate their own store errors.
+    /// Always [`SourceError::SeekUnsupported`].
     fn seek(&mut self, clock: VirtualTime) -> Result<(), SourceError> {
         let _ = clock;
         Err(SourceError::SeekUnsupported {
@@ -357,12 +352,6 @@ impl EventSource for CompiledSource<'_> {
     fn end(&self) -> VirtualTime {
         self.trace.end
     }
-
-    fn seek(&mut self, clock: VirtualTime) -> Result<(), SourceError> {
-        let clock = clock.as_u64();
-        self.pos = self.trace.births().partition_point(|&b| b <= clock);
-        Ok(())
-    }
 }
 
 /// Unbounded synthetic [`EventSource`]: generates a [`WorkloadSpec`]'s
@@ -387,41 +376,7 @@ pub struct SynthSource {
     clock: u64,
     next_id: u64,
     finished: bool,
-    /// One-record lookahead filled by [`EventSource::seek`]: skipping
-    /// forward overshoots by exactly one generated record, which is
-    /// stashed here and returned by the next `next_record` call.
-    peeked: Option<ObjectLife>,
-    /// Generator snapshots taken every `seek_stride` records, so `seek`
-    /// restores the nearest one and regenerates at most one stride
-    /// instead of the whole prefix.
-    seek_points: Vec<SeekPoint>,
-    /// Record count between seek points.
-    seek_stride: u64,
-    /// `next_id` at which the next seek point is captured. After a seek
-    /// restores an older snapshot this stays past the *last* recorded
-    /// point, so replaying through checkpointed territory never records
-    /// duplicates.
-    next_ckp_at: u64,
-    /// Total records ever generated, *including* regeneration work done
-    /// inside `seek` — the observable the seek-cost regression test
-    /// bounds.
-    generated: u64,
 }
-
-/// A restorable snapshot of the generator between two records. The
-/// stream is a pure function of `(rng, clock, next_id, finished)`, so
-/// restoring these four fields replays it exactly.
-struct SeekPoint {
-    clock: u64,
-    next_id: u64,
-    rng: StdRng,
-    finished: bool,
-}
-
-/// Default [`SynthSource`] seek-point stride: ~200 bytes of snapshot per
-/// 64k records keeps even multi-billion-record streams' snapshot memory
-/// trivial while making `seek` O(stride).
-pub const DEFAULT_SEEK_STRIDE: u64 = 65_536;
 
 impl SynthSource {
     /// Validates the spec and positions the stream at its first record.
@@ -430,18 +385,6 @@ impl SynthSource {
     ///
     /// Returns [`SpecError`] when the spec fails [`WorkloadSpec::validate`].
     pub fn new(spec: WorkloadSpec) -> Result<SynthSource, SpecError> {
-        SynthSource::with_seek_stride(spec, DEFAULT_SEEK_STRIDE)
-    }
-
-    /// [`SynthSource::new`] with an explicit seek-point stride (records
-    /// between generator snapshots; floored at one). Smaller strides make
-    /// [`EventSource::seek`] proportionally cheaper at the cost of more
-    /// snapshot memory.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpecError`] when the spec fails [`WorkloadSpec::validate`].
-    pub fn with_seek_stride(spec: WorkloadSpec, stride: u64) -> Result<SynthSource, SpecError> {
         spec.validate()?;
         let meta = TraceMeta {
             name: spec.name.clone(),
@@ -455,13 +398,6 @@ impl SynthSource {
             .map(|c| c.byte_fraction / c.size.mean().max(1.0))
             .collect();
         let weight_total = weights.iter().sum();
-        let stride = stride.max(1);
-        let origin = SeekPoint {
-            clock: 0,
-            next_id: 0,
-            rng: rng.clone(),
-            finished: false,
-        };
         Ok(SynthSource {
             spec,
             meta,
@@ -471,11 +407,6 @@ impl SynthSource {
             clock: 0,
             next_id: 0,
             finished: false,
-            peeked: None,
-            seek_points: vec![origin],
-            seek_stride: stride,
-            next_ckp_at: stride,
-            generated: 0,
         })
     }
 
@@ -483,28 +414,15 @@ impl SynthSource {
     pub fn emitted(&self) -> u64 {
         self.next_id
     }
+}
 
-    /// Total generation work performed, in records — unlike
-    /// [`SynthSource::emitted`] this keeps counting through `seek`'s
-    /// regeneration, so a test can assert a seek cost at most one
-    /// stride.
-    pub fn generated(&self) -> u64 {
-        self.generated
+impl EventSource for SynthSource {
+    fn meta(&self) -> &TraceMeta {
+        &self.meta
     }
 
-    /// Generates the next record, ignoring the lookahead slot. The whole
-    /// generator: startup ramp, steady-state class mixture, seek-point
-    /// capture.
-    fn gen_next(&mut self) -> Result<Option<ObjectLife>, SourceError> {
-        if self.next_id == self.next_ckp_at {
-            self.seek_points.push(SeekPoint {
-                clock: self.clock,
-                next_id: self.next_id,
-                rng: self.rng.clone(),
-                finished: self.finished,
-            });
-            self.next_ckp_at += self.seek_stride;
-        }
+    /// The generator: startup ramp, then the steady-state class mixture.
+    fn next_record(&mut self) -> Result<Option<ObjectLife>, SourceError> {
         if self.finished {
             return Ok(None);
         }
@@ -518,7 +436,6 @@ impl SynthSource {
             self.clock += size as u64;
             let id = self.next_id;
             self.next_id += 1;
-            self.generated += 1;
             return Ok(Some(ObjectLife {
                 id: ObjectId(id),
                 birth: VirtualTime::from_bytes(self.clock),
@@ -556,7 +473,6 @@ impl SynthSource {
         };
         let id = self.next_id;
         self.next_id += 1;
-        self.generated += 1;
         Ok(Some(ObjectLife {
             id: ObjectId(id),
             birth: VirtualTime::from_bytes(birth),
@@ -564,80 +480,9 @@ impl SynthSource {
             death: death.map(VirtualTime::from_bytes),
         }))
     }
-}
-
-impl EventSource for SynthSource {
-    fn meta(&self) -> &TraceMeta {
-        &self.meta
-    }
-
-    fn next_record(&mut self) -> Result<Option<ObjectLife>, SourceError> {
-        if let Some(life) = self.peeked.take() {
-            return Ok(Some(life));
-        }
-        self.gen_next()
-    }
-
-    fn next_block(&mut self, block: &mut EventBlock) -> usize {
-        block.clear();
-        if let Some(life) = self.peeked.take() {
-            block.push(life);
-        }
-        while block.len() < block.capacity() {
-            match self.gen_next() {
-                Ok(Some(life)) => block.push(life),
-                Ok(None) => break,
-                Err(e) => {
-                    block.set_error(e);
-                    break;
-                }
-            }
-        }
-        block.len()
-    }
 
     fn end(&self) -> VirtualTime {
         VirtualTime::from_bytes(self.clock)
-    }
-
-    fn seek(&mut self, clock: VirtualTime) -> Result<(), SourceError> {
-        // The stream is a pure function of the spec's seed, and the
-        // generator snapshots itself every `seek_stride` records: restore
-        // the last snapshot at or before the target clock and regenerate
-        // forward — at most one stride plus the overshoot distance, never
-        // the whole prefix. Records up to (and including) the target clock
-        // are discarded; the first overshooting record is kept in the
-        // lookahead slot so no record is lost.
-        let at = self
-            .seek_points
-            .partition_point(|p| p.clock <= clock.as_u64());
-        // Index 0 holds the origin snapshot (clock 0 <= any target), so a
-        // predecessor always exists.
-        let point = &self.seek_points[at - 1];
-        self.clock = point.clock;
-        self.next_id = point.next_id;
-        self.rng = point.rng.clone();
-        self.finished = point.finished;
-        self.peeked = None;
-        // Resume snapshotting only past the last recorded point so the
-        // replay below never records duplicates.
-        self.next_ckp_at = self
-            .seek_points
-            .last()
-            .expect("origin snapshot always present")
-            .next_id
-            + self.seek_stride;
-        loop {
-            match self.gen_next()? {
-                Some(life) if life.birth <= clock => continue,
-                Some(life) => {
-                    self.peeked = Some(life);
-                    break;
-                }
-                None => break,
-            }
-        }
-        Ok(())
     }
 }
 
@@ -788,86 +633,6 @@ mod tests {
         assert!(SynthSource::new(spec).is_err());
     }
 
-    /// Drains `src` after seeking to `clock` and checks the tail equals
-    /// the records of an untouched twin with `birth > clock`.
-    fn assert_seek_matches_skip(mut src: impl EventSource, mut twin: impl EventSource, clock: u64) {
-        let clock = VirtualTime::from_bytes(clock);
-        src.seek(clock).unwrap();
-        let mut tail = Vec::new();
-        while let Some(l) = src.next_record().unwrap() {
-            tail.push(l);
-        }
-        let mut expected = Vec::new();
-        while let Some(l) = twin.next_record().unwrap() {
-            if l.birth > clock {
-                expected.push(l);
-            }
-        }
-        assert_eq!(tail, expected, "seek({clock:?})");
-    }
-
-    #[test]
-    fn compiled_source_seek_resumes_after_clock() {
-        let c = compiled();
-        for clock in [0u64, 5, 10, 29, 30, 31, 35, 100] {
-            assert_seek_matches_skip(CompiledSource::new(&c), CompiledSource::new(&c), clock);
-        }
-        // Seeking backwards after exhaustion rewinds.
-        let mut src = CompiledSource::new(&c);
-        while src.next_record().unwrap().is_some() {}
-        src.seek(VirtualTime::ZERO).unwrap();
-        assert_eq!(
-            collect_source(&mut src).unwrap().lives().count(),
-            c.lives().count()
-        );
-    }
-
-    #[test]
-    fn synth_source_seek_resumes_after_clock() {
-        for clock in [0u64, 1, 19_999, 20_000, 150_000, 299_000, 400_000] {
-            assert_seek_matches_skip(
-                SynthSource::new(synth_spec()).unwrap(),
-                SynthSource::new(synth_spec()).unwrap(),
-                clock,
-            );
-        }
-    }
-
-    #[test]
-    fn synth_source_seek_mid_stream_discards_consumed_state() {
-        // Seek must reposition absolutely, not relative to what was read.
-        let mut a = SynthSource::new(synth_spec()).unwrap();
-        for _ in 0..500 {
-            a.next_record().unwrap();
-        }
-        assert_seek_matches_skip(a, SynthSource::new(synth_spec()).unwrap(), 40_000);
-    }
-
-    #[test]
-    fn synth_source_seek_cost_is_bounded_by_one_stride() {
-        // The stride checkpoints must make seek O(stride): restoring the
-        // nearest snapshot and replaying forward regenerates at most one
-        // stride of records (plus the single overshoot record), no matter
-        // how deep into the stream the target is.
-        let stride = 256u64;
-        let mut src = SynthSource::with_seek_stride(synth_spec(), stride).unwrap();
-        while src.next_record().unwrap().is_some() {}
-        let drained = src.generated();
-        assert!(drained > 4 * stride, "stream too short to be probative");
-        for clock in [1u64, 25_000, 150_000, 290_000] {
-            let before = src.generated();
-            src.seek(VirtualTime::from_bytes(clock)).unwrap();
-            let cost = src.generated() - before;
-            assert!(
-                cost <= stride + 1,
-                "seek({clock}) regenerated {cost} records, stride {stride}"
-            );
-        }
-        // Sanity: without checkpoints a seek near the end would have
-        // regenerated nearly the whole stream.
-        assert!(drained > 2 * (stride + 1));
-    }
-
     /// Hides an [`EventSource`]'s `next_block` override so the trait's
     /// per-record default is what gets tested.
     struct DefaultBlocking<S>(S);
@@ -881,9 +646,6 @@ mod tests {
         }
         fn end(&self) -> VirtualTime {
             self.0.end()
-        }
-        fn seek(&mut self, clock: VirtualTime) -> Result<(), SourceError> {
-            self.0.seek(clock)
         }
     }
 
@@ -929,19 +691,6 @@ mod tests {
                 SynthSource::new(synth_spec()).unwrap(),
                 cap,
             );
-        }
-    }
-
-    #[test]
-    fn next_block_after_seek_starts_with_the_lookahead_record() {
-        // A seek stashes the first overshooting record in the lookahead
-        // slot; block reads must surface it first, exactly once.
-        for cap in [1usize, 5, 64] {
-            let mut blocked = SynthSource::new(synth_spec()).unwrap();
-            blocked.seek(VirtualTime::from_bytes(40_000)).unwrap();
-            let mut recorded = SynthSource::new(synth_spec()).unwrap();
-            recorded.seek(VirtualTime::from_bytes(40_000)).unwrap();
-            assert_blocks_match_records(blocked, recorded, cap);
         }
     }
 

@@ -3,15 +3,15 @@
 //! A Rust reproduction of Barrett & Zorn's PLDI 1995 paper (technical
 //! report CU-CS-659-93). This facade crate re-exports the workspace:
 //!
-//! * [`core`](dtb_core) — the boundary-policy framework: virtual time,
+//! * [`core`] — the boundary-policy framework: virtual time,
 //!   the cost model, scavenge history, and the six collector policies of
 //!   Table 1 (`FULL`, `FIXED1`, `FIXED4`, `FEEDMED`, `DTBFM`, `DTBMEM`).
-//! * [`trace`](dtb_trace) — allocation traces: the event model, synthetic
+//! * [`trace`] — allocation traces: the event model, synthetic
 //!   workload generators calibrated to the paper's four programs, and
 //!   trace serialization.
-//! * [`sim`](dtb_sim) — the trace-driven simulator reproducing the
+//! * [`sim`] — the trace-driven simulator reproducing the
 //!   paper's methodology and its Tables 2–4 metrics.
-//! * [`heap`](dtb_heap) — a real single-threaded mark–sweep collector
+//! * [`heap`] — a real single-threaded mark–sweep collector
 //!   with per-object birth times, a write barrier, a single remembered
 //!   set, and dynamic-boundary scavenges.
 //!
