@@ -275,8 +275,9 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // Note: a capture sink buffers in the ring and the file writer, so
-    // the RSS ceiling still holds only because the bus is bounded.
+    // Note: a capture sink buffers in the bus queue and the file
+    // writer, so the RSS ceiling still holds only because the queue is
+    // bounded.
     let _capture = args
         .events_out
         .as_deref()

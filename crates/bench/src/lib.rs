@@ -20,6 +20,8 @@
 //! interruption: a journaled run that dies — even to `SIGKILL` — resumes
 //! losing at most the cells in flight.
 
+#![forbid(unsafe_code)]
+
 pub mod paper;
 pub mod table;
 
@@ -53,8 +55,7 @@ use std::path::PathBuf;
 ///   completed are reused verbatim, only the missing ones are computed
 ///   (and journaled in turn);
 /// * `--events <path>` — capture the run's full telemetry stream
-///   (per-scavenge spans, cell lifecycle) to a file: JSON lines, or the
-///   compact binary framing when the path ends in `.bin`;
+///   (per-scavenge spans, cell lifecycle) to a file as JSON lines;
 /// * `--follow <host:port>` — tail a coordinator's `GET /events`
 ///   server-push stream on stderr while the run proceeds (pairs with
 ///   `--submit` to watch the distributed workers fill the sweep in).
@@ -140,7 +141,7 @@ impl RunOpts {
     /// Installs the `--events <path>` capture sink, when asked for.
     ///
     /// The returned guard must outlive the run: dropping it uninstalls
-    /// the sink (flushing what the ring still holds). An unwritable
+    /// the sink (flushing what the bus still holds). An unwritable
     /// path is a hard error — same contract as a broken journal.
     pub fn capture(&self) -> Option<dtb_obs::SinkGuard> {
         let path = self.events.as_deref()?;
@@ -235,7 +236,7 @@ pub fn matrix_for_opts(cfg: &PolicyConfig, sim: &SimConfig, opts: &RunOpts) -> M
             std::process::exit(2);
         }
     };
-    // Drain the ring before the table prints so progress lines and the
+    // Drain the bus before the table prints so progress lines and the
     // `--events` capture are complete.
     dtb_obs::flush();
     matrix

@@ -44,6 +44,18 @@ pub(crate) struct GcBox<T: Trace + ?Sized + 'static> {
 /// The type-erased form of [`GcBox`] the collector works with.
 pub(crate) type ErasedGcBox = GcBox<dyn Trace>;
 
+impl Header {
+    /// Counts one more root. Panics instead of wrapping: a wrapped count
+    /// reads as unrooted, and the next scavenge would free a reachable
+    /// object (2³² `mem::forget(g.clone())` calls reach it).
+    fn add_root(&self) {
+        let Some(roots) = self.roots.get().checked_add(1) else {
+            panic!("Gc root count overflow");
+        };
+        self.roots.set(roots);
+    }
+}
+
 impl ErasedGcBox {
     pub(crate) fn is_threatened(&self, tb: VirtualTime) -> bool {
         self.header.birth > tb
@@ -121,7 +133,7 @@ impl<T: Trace + 'static> Deref for Gc<T> {
 impl<T: Trace + 'static> Clone for Gc<T> {
     fn clone(&self) -> Gc<T> {
         // A fresh handle lives on the stack, so it roots the target.
-        self.header().roots.set(self.header().roots.get() + 1);
+        self.header().add_root();
         Gc {
             ptr: self.ptr,
             rooted: Cell::new(true),
@@ -150,9 +162,8 @@ unsafe impl<T: Trace + 'static> Trace for Gc<T> {
 
     fn root(&self) {
         if !self.rooted.get() {
+            self.header().add_root();
             self.rooted.set(true);
-            let header = self.header();
-            header.roots.set(header.roots.get() + 1);
         }
     }
 
@@ -209,6 +220,17 @@ mod tests {
         let a = Gc::new(1u8);
         let b = Gc::new(2u8);
         assert!(a.birth() < b.birth());
+    }
+
+    #[test]
+    fn root_count_overflow_panics_instead_of_wrapping() {
+        let g = Gc::new(5u8);
+        g.header().roots.set(u32::MAX);
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| g.clone()))
+            .expect_err("a clone at u32::MAX roots must panic");
+        assert_eq!(err.downcast_ref::<&str>(), Some(&"Gc root count overflow"));
+        assert_eq!(g.header().roots.get(), u32::MAX);
+        g.header().roots.set(1);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The global event bus: a lock-free bounded MPSC ring fanned out to
-//! registered sinks by a single drainer thread.
+//! The global event bus: a bounded std channel fanned out to registered
+//! sinks by a single drainer thread.
 //!
 //! Design constraints, in order:
 //!
@@ -8,147 +8,34 @@
 //!    closure never runs, no allocation, no atomics beyond the flag.
 //!    The drainer thread does not exist until the first sink is
 //!    installed.
-//! 2. **Never block the engine.** Producers push into a bounded
-//!    lock-free ring (Vyukov MPMC algorithm, restricted here to a
-//!    single consumer). When the ring is full the event is *dropped
+//! 2. **Never block the engine.** Producers `try_send` into a bounded
+//!    [`sync_channel`]. When the queue is full the event is *dropped
 //!    and counted*, never waited on: telemetry must not perturb the
 //!    simulation it observes.
 //! 3. **Ordered delivery.** Sequence numbers are assigned from one
-//!    global counter at emit time; the drainer delivers batches in ring
+//!    global counter at emit time; the drainer delivers batches in queue
 //!    order, so a single-threaded emitter observes its own events in
 //!    order and gaps in `seq` are an explicit drop signal.
+//!
+//! The drainer polls: it takes what is queued, or sleeps 1 ms when
+//! nothing is. A drainer blocked in `recv` would make every send wake
+//! it, and engine runs emit a span about every 100 µs.
 
-use std::cell::UnsafeCell;
-use std::mem::MaybeUninit;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use crate::event::{Envelope, Event};
 use crate::sink::Sink;
 
-/// Ring capacity in envelopes. Power of two is not required; 64Ki
-/// envelopes absorb multi-millisecond sink stalls at engine emit rates.
-const RING_CAPACITY: u64 = 1 << 16;
+/// Queue capacity in envelopes; 64Ki envelopes absorb multi-millisecond
+/// sink stalls at engine emit rates.
+const QUEUE_CAPACITY: usize = 1 << 16;
 
 /// Max envelopes handed to sinks per batch.
 const DRAIN_BATCH: usize = 1024;
-
-/// One ring slot: a stamp that sequences hand-off (see [`Ring`]) and
-/// the possibly-uninitialized payload it guards.
-struct Slot {
-    stamp: AtomicU64,
-    value: UnsafeCell<MaybeUninit<Envelope>>,
-}
-
-/// Bounded multi-producer single-consumer ring (Vyukov's bounded queue
-/// with the consumer side simplified to one thread).
-///
-/// Protocol: slot `i` starts with `stamp == i`. A producer that wins
-/// the CAS on `tail` from `t` to `t+1` owns slot `t % cap`, writes the
-/// value, then publishes with `stamp = t + 1`. The consumer at `head ==
-/// h` may read slot `h % cap` iff `stamp == h + 1`, and releases it for
-/// the next lap with `stamp = h + cap`. `stamp < tail` at a push means
-/// the consumer is a full lap behind: the ring is full.
-///
-/// # Safety
-///
-/// `value` is only written by the producer that won the CAS for that
-/// exact stamp value, and only read by the single consumer after
-/// observing (Acquire) the stamp the producer released. Stamps
-/// therefore totally order every access to a slot's `value`, so no two
-/// threads touch it concurrently. `pop` must only ever be called from
-/// one thread at a time (here: the drainer, or `Drop`).
-struct Ring {
-    head: AtomicU64,
-    tail: AtomicU64,
-    slots: Box<[Slot]>,
-}
-
-// SAFETY: see the protocol description on `Ring` — the stamp protocol
-// serializes all access to each `UnsafeCell`.
-unsafe impl Sync for Ring {}
-unsafe impl Send for Ring {}
-
-impl Ring {
-    fn new(cap: u64) -> Ring {
-        assert!(cap >= 2);
-        let slots = (0..cap)
-            .map(|i| Slot {
-                stamp: AtomicU64::new(i),
-                value: UnsafeCell::new(MaybeUninit::uninit()),
-            })
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        Ring {
-            head: AtomicU64::new(0),
-            tail: AtomicU64::new(0),
-            slots,
-        }
-    }
-
-    fn cap(&self) -> u64 {
-        self.slots.len() as u64
-    }
-
-    /// Attempts to enqueue; returns the value back when the ring is full.
-    fn push(&self, value: Envelope) -> Result<(), Envelope> {
-        let mut tail = self.tail.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[(tail % self.cap()) as usize];
-            let stamp = slot.stamp.load(Ordering::Acquire);
-            if stamp == tail {
-                match self.tail.compare_exchange_weak(
-                    tail,
-                    tail + 1,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        // SAFETY: winning the CAS for `tail` grants
-                        // exclusive write access to this slot until we
-                        // publish the new stamp below.
-                        unsafe { (*slot.value.get()).write(value) };
-                        slot.stamp.store(tail + 1, Ordering::Release);
-                        return Ok(());
-                    }
-                    Err(t) => tail = t,
-                }
-            } else if stamp < tail {
-                // Consumer is a full lap behind: full.
-                return Err(value);
-            } else {
-                // Another producer claimed this slot; chase the tail.
-                tail = self.tail.load(Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Dequeues one envelope. Single-consumer: callers must ensure only
-    /// one thread pops at a time.
-    fn pop(&self) -> Option<Envelope> {
-        let head = self.head.load(Ordering::Relaxed);
-        let slot = &self.slots[(head % self.cap()) as usize];
-        let stamp = slot.stamp.load(Ordering::Acquire);
-        if stamp == head + 1 {
-            // SAFETY: the stamp says the producer published this slot
-            // and no other consumer exists; we take the value out and
-            // release the slot for the next lap.
-            let value = unsafe { (*slot.value.get()).assume_init_read() };
-            slot.stamp.store(head + self.cap(), Ordering::Release);
-            self.head.store(head + 1, Ordering::Relaxed);
-            Some(value)
-        } else {
-            None
-        }
-    }
-}
-
-impl Drop for Ring {
-    fn drop(&mut self) {
-        while self.pop().is_some() {}
-    }
-}
 
 /// Bus-wide counters, exposed by [`stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -157,12 +44,12 @@ pub struct BusStats {
     pub emitted: u64,
     /// Envelopes handed to sinks by the drainer.
     pub delivered: u64,
-    /// Envelopes dropped because the ring was full.
+    /// Envelopes dropped because the queue was full.
     pub dropped: u64,
 }
 
 struct Bus {
-    ring: Ring,
+    queue: SyncSender<Envelope>,
     seq: AtomicU64,
     delivered: AtomicU64,
     dropped: AtomicU64,
@@ -175,8 +62,9 @@ static BUS: OnceLock<&'static Bus> = OnceLock::new();
 
 fn bus() -> &'static Bus {
     BUS.get_or_init(|| {
+        let (queue, rx) = sync_channel(QUEUE_CAPACITY);
         let bus: &'static Bus = Box::leak(Box::new(Bus {
-            ring: Ring::new(RING_CAPACITY),
+            queue,
             seq: AtomicU64::new(0),
             delivered: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
@@ -186,24 +74,19 @@ fn bus() -> &'static Bus {
         }));
         std::thread::Builder::new()
             .name("dtb-obs-drain".into())
-            .spawn(move || drain_loop(bus))
+            .spawn(move || drain_loop(bus, rx))
             .expect("spawn obs drainer");
         bus
     })
 }
 
-fn drain_loop(bus: &'static Bus) {
+fn drain_loop(bus: &'static Bus, rx: Receiver<Envelope>) {
     let mut batch: Vec<Envelope> = Vec::with_capacity(DRAIN_BATCH);
     loop {
         batch.clear();
-        while batch.len() < DRAIN_BATCH {
-            match bus.ring.pop() {
-                Some(env) => batch.push(env),
-                None => break,
-            }
-        }
+        batch.extend(rx.try_iter().take(DRAIN_BATCH));
         if batch.is_empty() {
-            std::thread::park_timeout(Duration::from_millis(1));
+            std::thread::sleep(Duration::from_millis(1));
             continue;
         }
         // Snapshot the sinks so `accept` runs outside the lock: a slow
@@ -213,7 +96,9 @@ fn drain_loop(bus: &'static Bus) {
             guard.iter().map(|(_, s)| Arc::clone(s)).collect()
         };
         for sink in &sinks {
-            sink.accept(&batch);
+            // A panicking sink loses this batch; the drainer and every
+            // other sink carry on.
+            let _ = catch_unwind(AssertUnwindSafe(|| sink.accept(&batch)));
         }
         bus.delivered
             .fetch_add(batch.len() as u64, Ordering::Release);
@@ -230,8 +115,8 @@ pub fn enabled() -> bool {
 /// Emits an event. When no sink is installed this is one relaxed load
 /// and a branch: `make` never runs. When enabled, the event is stamped
 /// with the next global sequence number and the current thread's run
-/// scope and pushed (never blocking; dropped and counted if the ring is
-/// full).
+/// scope and queued (never blocking; dropped and counted if the queue
+/// is full).
 #[inline]
 pub fn emit<F: FnOnce() -> Event>(make: F) {
     if !dtb_core::obs::enabled() {
@@ -251,7 +136,7 @@ fn emit_always(event: Event) {
         scope: crate::scope::current(),
         event,
     };
-    if bus.ring.push(env).is_err() {
+    if bus.queue.try_send(env).is_err() {
         bus.dropped.fetch_add(1, Ordering::Release);
     }
 }
@@ -314,8 +199,8 @@ impl Drop for SinkGuard {
             dtb_core::obs::set_enabled(false);
         }
         // Deliver everything emitted while we were installed. Events
-        // racing with the disable flip above may still land in the
-        // ring; they go to whatever sinks remain (best effort).
+        // racing with the disable flip above may still be queued; they
+        // go to whatever sinks remain (best effort).
         flush();
         bus.sinks
             .lock()
@@ -339,79 +224,6 @@ mod tests {
 
     fn ev(n: u64) -> Event {
         Event::EvalStarted { cells: n }
-    }
-
-    #[test]
-    fn ring_preserves_fifo_under_concurrent_producers() {
-        let ring = Arc::new(Ring::new(64));
-        let producers = 4;
-        let per = 5_000u64;
-        let handles: Vec<_> = (0..producers)
-            .map(|p| {
-                let ring = Arc::clone(&ring);
-                std::thread::spawn(move || {
-                    for i in 0..per {
-                        let mut env = Envelope {
-                            seq: p * per + i,
-                            scope: p,
-                            event: ev(i),
-                        };
-                        loop {
-                            match ring.push(env) {
-                                Ok(()) => break,
-                                Err(back) => {
-                                    env = back;
-                                    std::thread::yield_now();
-                                }
-                            }
-                        }
-                    }
-                })
-            })
-            .collect();
-        let mut got = 0u64;
-        let mut last_per_scope = vec![None::<u64>; producers as usize];
-        while got < producers * per {
-            if let Some(env) = ring.pop() {
-                // Per-producer order must be preserved.
-                let slot = &mut last_per_scope[env.scope as usize];
-                if let Some(prev) = *slot {
-                    assert!(env.seq > prev, "producer {} reordered", env.scope);
-                }
-                *slot = Some(env.seq);
-                got += 1;
-            } else {
-                std::thread::yield_now();
-            }
-        }
-        assert!(ring.pop().is_none());
-        for h in handles {
-            h.join().unwrap();
-        }
-    }
-
-    #[test]
-    fn full_ring_rejects_instead_of_blocking() {
-        let ring = Ring::new(4);
-        for i in 0..4 {
-            ring.push(Envelope {
-                seq: i,
-                scope: 0,
-                event: ev(i),
-            })
-            .unwrap();
-        }
-        let back = ring
-            .push(Envelope {
-                seq: 99,
-                scope: 0,
-                event: ev(99),
-            })
-            .unwrap_err();
-        assert_eq!(back.seq, 99);
-        assert_eq!(ring.pop().unwrap().seq, 0);
-        // One slot freed: push succeeds again.
-        ring.push(back).unwrap();
     }
 
     #[test]
@@ -443,6 +255,107 @@ mod tests {
             assert_eq!(env.seq, before + 1 + i as u64);
             assert_eq!(env.event, ev(i as u64));
         }
+    }
+
+    #[test]
+    fn queue_preserves_each_scopes_order_under_concurrent_producers() {
+        let _serial = test_lock();
+        let sink = Arc::new(CaptureSink::default());
+        let guard = install(Arc::clone(&sink) as Arc<dyn Sink>);
+        let dropped = stats().dropped;
+        let (producers, per) = (4u64, 5_000u64);
+        let scopes: Vec<u64> = (0..producers)
+            .map(|_| crate::scope::next_run_id())
+            .collect();
+        let handles: Vec<_> = scopes
+            .iter()
+            .map(|&scope| {
+                std::thread::spawn(move || {
+                    let _run = crate::scope::RunScope::enter(scope);
+                    for i in 0..per {
+                        emit(|| ev(i));
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert!(flush());
+        drop(guard);
+        assert_eq!(stats().dropped, dropped, "nothing may drop below capacity");
+        let got = sink.take();
+        for scope in scopes {
+            let mine: Vec<&Envelope> = got.iter().filter(|e| e.scope == scope).collect();
+            assert_eq!(mine.len() as u64, per, "scope {scope} lost events");
+            for (i, env) in mine.iter().enumerate() {
+                assert_eq!(env.event, ev(i as u64), "scope {scope} reordered payloads");
+            }
+            assert!(
+                mine.windows(2).all(|w| w[0].seq < w[1].seq),
+                "scope {scope} reordered seqs"
+            );
+        }
+    }
+
+    #[test]
+    fn full_queue_drops_instead_of_blocking() {
+        let _serial = test_lock();
+        // The first batch parks the drainer inside `accept` until the
+        // test releases it (or 10 s pass, so a blocking emit fails the
+        // test instead of hanging it).
+        let (entered_tx, entered) = std::sync::mpsc::channel::<()>();
+        let (release, release_rx) = std::sync::mpsc::channel::<()>();
+        let gate = Mutex::new(Some((entered_tx, release_rx)));
+        let held = install(Arc::new(crate::sink::FnSink(move |_: &Envelope| {
+            let first = gate.lock().unwrap_or_else(|e| e.into_inner()).take();
+            if let Some((entered_tx, release_rx)) = first {
+                entered_tx.send(()).unwrap();
+                let _ = release_rx.recv_timeout(Duration::from_secs(10));
+            }
+        })));
+        let sink = Arc::new(CaptureSink::default());
+        let guard = install(Arc::clone(&sink) as Arc<dyn Sink>);
+        let dropped = stats().dropped;
+
+        emit(|| ev(0));
+        entered
+            .recv_timeout(Duration::from_secs(5))
+            .expect("drainer took the first event");
+        let start = Instant::now();
+        for i in 0..QUEUE_CAPACITY as u64 + 10 {
+            emit(|| ev(i + 1));
+        }
+        assert!(start.elapsed() < Duration::from_secs(5), "emit blocked");
+        assert_eq!(stats().dropped - dropped, 10);
+
+        release.send(()).unwrap();
+        assert!(flush());
+        drop(guard);
+        drop(held);
+        let got = sink.take();
+        assert_eq!(got.len(), QUEUE_CAPACITY + 1);
+        for (i, env) in got.iter().enumerate() {
+            assert_eq!(env.event, ev(i as u64));
+        }
+    }
+
+    #[test]
+    fn a_panicking_sink_does_not_stop_delivery() {
+        let _serial = test_lock();
+        let panicky = install(Arc::new(crate::sink::FnSink(|_: &Envelope| {
+            panic!("sink failure");
+        })));
+        let sink = Arc::new(CaptureSink::default());
+        let guard = install(Arc::clone(&sink) as Arc<dyn Sink>);
+        emit(|| ev(1));
+        assert!(flush(), "delivery stalled after the first panic");
+        emit(|| ev(2));
+        assert!(flush(), "delivery stalled after the second panic");
+        drop(guard);
+        drop(panicky);
+        let got: Vec<Event> = sink.take().into_iter().map(|e| e.event).collect();
+        assert_eq!(got, vec![ev(1), ev(2)]);
     }
 
     #[test]

@@ -1,43 +1,16 @@
-//! Serde-free wire encoders for [`Envelope`]: a single-line JSON object
-//! (human-greppable, used for `--events PATH` capture and the `/events`
-//! server-push wire) and a compact length-prefixed binary frame (used
-//! for `.bin` capture files), plus a binary decoder so captures can be
-//! replayed and round-tripped in tests.
-//!
-//! # Binary framing
-//!
-//! Each envelope is one frame:
-//!
-//! ```text
-//! [u8 variant tag][u64 seq][u64 scope][fields in declaration order]
-//! ```
-//!
-//! Integers are little-endian; `bool` is one byte; strings are
-//! `u16` LE byte length + UTF-8 bytes. There is no frame-level length:
-//! the tag determines the field schema, so frames are self-delimiting.
+//! The serde-free wire encoder for [`Envelope`]: one single-line JSON
+//! object per envelope. It is the one encoding: `--events PATH` capture
+//! files, the worker's relayed event lines and the `/events`
+//! server-push wire all carry it.
 
-use crate::event::{CellOutcome, Envelope, Event};
+use crate::event::{Envelope, Event};
 
-/// Binary variant tags. Stable: append-only.
-mod tag {
-    pub const RUN_STARTED: u8 = 1;
-    pub const SCAVENGE: u8 = 2;
-    pub const RUN_FINISHED: u8 = 3;
-    pub const EVAL_STARTED: u8 = 4;
-    pub const CELL_STARTED: u8 = 5;
-    pub const CELL_RETRIED: u8 = 6;
-    pub const CELL_FINISHED: u8 = 7;
-    pub const TRACE_SYNTHESIZED: u8 = 8;
-    pub const SWEEP_SUBMITTED: u8 = 9;
-    pub const CELL_LEASED: u8 = 10;
-    pub const CELL_RECORDED: u8 = 11;
-    pub const CELL_REQUEUED: u8 = 12;
-    pub const SWEEP_DRAINED: u8 = 13;
-    pub const COORDINATOR_RECOVERED: u8 = 14;
-    pub const CHAOS_INJECTED: u8 = 15;
+/// Encodes `s` as a JSON string literal, quotes included.
+pub fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    json_str(&mut out, s);
+    out
 }
-
-// ───────────────────────── JSON ─────────────────────────
 
 /// Appends `s` as a JSON string literal (quotes + escapes) to `out`.
 fn json_str(out: &mut String, s: &str) {
@@ -260,415 +233,15 @@ pub fn encode_json(env: &Envelope) -> String {
             field_u64(&mut out, "finalized", *finalized);
             field_u64(&mut out, "open", *open);
         }
-        Event::ChaosInjected { kind, target, at } => {
-            field_str(&mut out, "kind", kind);
-            field_str(&mut out, "target", target);
-            field_u64(&mut out, "at", *at);
-        }
     }
     out.push('}');
     out
 }
 
-// ───────────────────────── binary ─────────────────────────
-
-/// A malformed binary frame.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DecodeError {
-    /// The buffer ended mid-frame.
-    Truncated,
-    /// Unknown variant tag.
-    BadTag(u8),
-    /// A string field held invalid UTF-8.
-    BadUtf8,
-    /// An enum label field held an unknown value.
-    BadLabel,
-}
-
-impl std::fmt::Display for DecodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DecodeError::Truncated => write!(f, "truncated frame"),
-            DecodeError::BadTag(t) => write!(f, "unknown event tag {t}"),
-            DecodeError::BadUtf8 => write!(f, "invalid utf-8 in string field"),
-            DecodeError::BadLabel => write!(f, "unknown enum label"),
-        }
-    }
-}
-
-impl std::error::Error for DecodeError {}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    let len = u16::try_from(s.len()).unwrap_or(u16::MAX);
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&s.as_bytes()[..usize::from(len)]);
-}
-
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        let end = self.pos.checked_add(n).ok_or(DecodeError::Truncated)?;
-        if end > self.buf.len() {
-            return Err(DecodeError::Truncated);
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, DecodeError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, DecodeError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn boolean(&mut self) -> Result<bool, DecodeError> {
-        Ok(self.u8()? != 0)
-    }
-
-    fn string(&mut self) -> Result<String, DecodeError> {
-        let len = u16::from_le_bytes(self.take(2)?.try_into().unwrap());
-        let bytes = self.take(usize::from(len))?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError::BadUtf8)
-    }
-}
-
-/// Appends one envelope as a binary frame to `out`.
-pub fn encode_binary(env: &Envelope, out: &mut Vec<u8>) {
-    let t = match &env.event {
-        Event::RunStarted { .. } => tag::RUN_STARTED,
-        Event::Scavenge { .. } => tag::SCAVENGE,
-        Event::RunFinished { .. } => tag::RUN_FINISHED,
-        Event::EvalStarted { .. } => tag::EVAL_STARTED,
-        Event::CellStarted { .. } => tag::CELL_STARTED,
-        Event::CellRetried { .. } => tag::CELL_RETRIED,
-        Event::CellFinished { .. } => tag::CELL_FINISHED,
-        Event::TraceSynthesized { .. } => tag::TRACE_SYNTHESIZED,
-        Event::SweepSubmitted { .. } => tag::SWEEP_SUBMITTED,
-        Event::CellLeased { .. } => tag::CELL_LEASED,
-        Event::CellRecorded { .. } => tag::CELL_RECORDED,
-        Event::CellRequeued { .. } => tag::CELL_REQUEUED,
-        Event::SweepDrained { .. } => tag::SWEEP_DRAINED,
-        Event::CoordinatorRecovered { .. } => tag::COORDINATOR_RECOVERED,
-        Event::ChaosInjected { .. } => tag::CHAOS_INJECTED,
-    };
-    out.push(t);
-    put_u64(out, env.seq);
-    put_u64(out, env.scope);
-    match &env.event {
-        Event::RunStarted {
-            policy,
-            source,
-            threads,
-            block_events,
-        } => {
-            put_str(out, policy);
-            put_str(out, source);
-            put_u32(out, *threads);
-            put_u64(out, *block_events);
-        }
-        Event::Scavenge {
-            collection,
-            at,
-            boundary,
-            traced,
-            surviving,
-            reclaimed,
-            tenured,
-            mem_before,
-            events,
-            inverse_queries,
-        } => {
-            for v in [
-                collection,
-                at,
-                boundary,
-                traced,
-                surviving,
-                reclaimed,
-                tenured,
-                mem_before,
-                events,
-                inverse_queries,
-            ] {
-                put_u64(out, *v);
-            }
-        }
-        Event::RunFinished {
-            collections,
-            ok,
-            inverse_probes,
-        } => {
-            put_u64(out, *collections);
-            out.push(u8::from(*ok));
-            put_u64(out, *inverse_probes);
-        }
-        Event::EvalStarted { cells } => put_u64(out, *cells),
-        Event::CellStarted {
-            column,
-            row,
-            attempt,
-        } => {
-            put_str(out, column);
-            put_str(out, row);
-            put_u32(out, *attempt);
-        }
-        Event::CellRetried {
-            column,
-            row,
-            attempt,
-            delay_ns,
-            cause,
-        } => {
-            put_str(out, column);
-            put_str(out, row);
-            put_u32(out, *attempt);
-            put_u64(out, *delay_ns);
-            put_str(out, cause);
-        }
-        Event::CellFinished {
-            column,
-            row,
-            attempts,
-            elapsed_ns,
-            completed,
-            total,
-            outcome,
-            cause,
-        } => {
-            put_str(out, column);
-            put_str(out, row);
-            put_u32(out, *attempts);
-            put_u64(out, *elapsed_ns);
-            put_u64(out, *completed);
-            put_u64(out, *total);
-            put_str(out, outcome.label());
-            put_str(out, cause);
-        }
-        Event::TraceSynthesized {
-            name,
-            events,
-            allocated,
-        } => {
-            put_str(out, name);
-            put_u64(out, *events);
-            put_u64(out, *allocated);
-        }
-        Event::SweepSubmitted {
-            sweep,
-            tenant,
-            cells,
-        } => {
-            put_u64(out, *sweep);
-            put_str(out, tenant);
-            put_u64(out, *cells);
-        }
-        Event::CellLeased {
-            sweep,
-            cell,
-            lease,
-            worker,
-            tenant,
-            attempt,
-        } => {
-            put_u64(out, *sweep);
-            put_u64(out, *cell);
-            put_u64(out, *lease);
-            put_str(out, worker);
-            put_str(out, tenant);
-            put_u32(out, *attempt);
-        }
-        Event::CellRecorded {
-            sweep,
-            cell,
-            lease,
-            worker,
-            tenant,
-            ok,
-        } => {
-            put_u64(out, *sweep);
-            put_u64(out, *cell);
-            put_u64(out, *lease);
-            put_str(out, worker);
-            put_str(out, tenant);
-            out.push(u8::from(*ok));
-        }
-        Event::CellRequeued {
-            sweep,
-            cell,
-            lease,
-            worker,
-            tenant,
-            cause,
-        } => {
-            put_u64(out, *sweep);
-            put_u64(out, *cell);
-            put_u64(out, *lease);
-            put_str(out, worker);
-            put_str(out, tenant);
-            put_str(out, cause);
-        }
-        Event::SweepDrained {
-            sweep,
-            tenant,
-            failed,
-        } => {
-            put_u64(out, *sweep);
-            put_str(out, tenant);
-            put_u64(out, *failed);
-        }
-        Event::CoordinatorRecovered {
-            epoch,
-            sweeps,
-            finalized,
-            open,
-        } => {
-            put_u64(out, *epoch);
-            put_u64(out, *sweeps);
-            put_u64(out, *finalized);
-            put_u64(out, *open);
-        }
-        Event::ChaosInjected { kind, target, at } => {
-            put_str(out, kind);
-            put_str(out, target);
-            put_u64(out, *at);
-        }
-    }
-}
-
-/// Decodes one binary frame from the front of `buf`, returning the
-/// envelope and the number of bytes consumed.
-pub fn decode_binary(buf: &[u8]) -> Result<(Envelope, usize), DecodeError> {
-    let mut c = Cursor { buf, pos: 0 };
-    let t = c.u8()?;
-    let seq = c.u64()?;
-    let scope = c.u64()?;
-    let event = match t {
-        tag::RUN_STARTED => Event::RunStarted {
-            policy: c.string()?,
-            source: c.string()?,
-            threads: c.u32()?,
-            block_events: c.u64()?,
-        },
-        tag::SCAVENGE => Event::Scavenge {
-            collection: c.u64()?,
-            at: c.u64()?,
-            boundary: c.u64()?,
-            traced: c.u64()?,
-            surviving: c.u64()?,
-            reclaimed: c.u64()?,
-            tenured: c.u64()?,
-            mem_before: c.u64()?,
-            events: c.u64()?,
-            inverse_queries: c.u64()?,
-        },
-        tag::RUN_FINISHED => Event::RunFinished {
-            collections: c.u64()?,
-            ok: c.boolean()?,
-            inverse_probes: c.u64()?,
-        },
-        tag::EVAL_STARTED => Event::EvalStarted { cells: c.u64()? },
-        tag::CELL_STARTED => Event::CellStarted {
-            column: c.string()?,
-            row: c.string()?,
-            attempt: c.u32()?,
-        },
-        tag::CELL_RETRIED => Event::CellRetried {
-            column: c.string()?,
-            row: c.string()?,
-            attempt: c.u32()?,
-            delay_ns: c.u64()?,
-            cause: c.string()?,
-        },
-        tag::CELL_FINISHED => Event::CellFinished {
-            column: c.string()?,
-            row: c.string()?,
-            attempts: c.u32()?,
-            elapsed_ns: c.u64()?,
-            completed: c.u64()?,
-            total: c.u64()?,
-            outcome: {
-                let label = c.string()?;
-                CellOutcome::from_label(&label).ok_or(DecodeError::BadLabel)?
-            },
-            cause: c.string()?,
-        },
-        tag::TRACE_SYNTHESIZED => Event::TraceSynthesized {
-            name: c.string()?,
-            events: c.u64()?,
-            allocated: c.u64()?,
-        },
-        tag::SWEEP_SUBMITTED => Event::SweepSubmitted {
-            sweep: c.u64()?,
-            tenant: c.string()?,
-            cells: c.u64()?,
-        },
-        tag::CELL_LEASED => Event::CellLeased {
-            sweep: c.u64()?,
-            cell: c.u64()?,
-            lease: c.u64()?,
-            worker: c.string()?,
-            tenant: c.string()?,
-            attempt: c.u32()?,
-        },
-        tag::CELL_RECORDED => Event::CellRecorded {
-            sweep: c.u64()?,
-            cell: c.u64()?,
-            lease: c.u64()?,
-            worker: c.string()?,
-            tenant: c.string()?,
-            ok: c.boolean()?,
-        },
-        tag::CELL_REQUEUED => Event::CellRequeued {
-            sweep: c.u64()?,
-            cell: c.u64()?,
-            lease: c.u64()?,
-            worker: c.string()?,
-            tenant: c.string()?,
-            cause: c.string()?,
-        },
-        tag::SWEEP_DRAINED => Event::SweepDrained {
-            sweep: c.u64()?,
-            tenant: c.string()?,
-            failed: c.u64()?,
-        },
-        tag::COORDINATOR_RECOVERED => Event::CoordinatorRecovered {
-            epoch: c.u64()?,
-            sweeps: c.u64()?,
-            finalized: c.u64()?,
-            open: c.u64()?,
-        },
-        tag::CHAOS_INJECTED => Event::ChaosInjected {
-            kind: c.string()?,
-            target: c.string()?,
-            at: c.u64()?,
-        },
-        other => return Err(DecodeError::BadTag(other)),
-    };
-    Ok((Envelope { seq, scope, event }, c.pos))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::CellOutcome;
 
     fn samples() -> Vec<Envelope> {
         let events = vec![
@@ -773,11 +346,6 @@ mod tests {
                 finalized: 11,
                 open: 5,
             },
-            Event::ChaosInjected {
-                kind: "kill".into(),
-                target: "dtb-coordinator".into(),
-                at: 4,
-            },
         ];
         events
             .into_iter()
@@ -791,37 +359,19 @@ mod tests {
     }
 
     #[test]
-    fn binary_round_trips_every_variant() {
-        let mut buf = Vec::new();
-        let envs = samples();
-        for e in &envs {
-            encode_binary(e, &mut buf);
+    fn json_frames_every_variant_as_one_line() {
+        for env in samples() {
+            let json = encode_json(&env);
+            let head = format!(
+                "{{\"seq\":{},\"scope\":{},\"type\":\"{}\"",
+                env.seq,
+                env.scope,
+                env.event.tag()
+            );
+            assert!(json.starts_with(&head), "{json}");
+            assert!(json.ends_with('}'), "{json}");
+            assert!(!json.bytes().any(|b| b < 0x20), "{json}");
         }
-        let mut pos = 0;
-        let mut decoded = Vec::new();
-        while pos < buf.len() {
-            let (env, used) = decode_binary(&buf[pos..]).expect("decode");
-            decoded.push(env);
-            pos += used;
-        }
-        assert_eq!(decoded, envs);
-    }
-
-    #[test]
-    fn binary_truncation_is_an_error_not_a_panic() {
-        let mut buf = Vec::new();
-        for e in &samples() {
-            encode_binary(e, &mut buf);
-        }
-        for cut in 0..buf.len().min(64) {
-            // Any prefix either decodes some whole frames or errors.
-            let _ = decode_binary(&buf[..cut]);
-        }
-        assert_eq!(decode_binary(&[]), Err(DecodeError::Truncated));
-        assert!(matches!(
-            decode_binary(&[0xEE, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
-            Err(DecodeError::BadTag(0xEE))
-        ));
     }
 
     #[test]
@@ -868,5 +418,9 @@ mod tests {
         assert!(json.contains("\"a\\\"b\""));
         assert!(json.contains("\"c\\\\d\""));
         assert!(json.contains("line1\\nline2\\ttab\\u0001ctl"));
+
+        assert_eq!(json_string("plain"), "\"plain\"");
+        assert_eq!(json_string("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
+        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
     }
 }

@@ -30,20 +30,11 @@ pub enum CellOutcome {
 }
 
 impl CellOutcome {
-    /// Stable lowercase label used by both encoders.
+    /// Stable lowercase label written by the JSON encoder.
     pub fn label(self) -> &'static str {
         match self {
             CellOutcome::Completed => "completed",
             CellOutcome::Failed => "failed",
-        }
-    }
-
-    /// Inverse of [`label`](Self::label).
-    pub fn from_label(s: &str) -> Option<Self> {
-        match s {
-            "completed" => Some(CellOutcome::Completed),
-            "failed" => Some(CellOutcome::Failed),
-            _ => None,
         }
     }
 }
@@ -59,7 +50,7 @@ pub enum Event {
         /// Trace/source name from the trace metadata.
         source: String,
         /// Drive threads; every run is single-threaded, so always 1.
-        /// Kept so the JSON and binary formats do not change.
+        /// Kept so the JSON format does not change.
         threads: u32,
         /// Block size in events (1 = per-event engine).
         block_events: u64,
@@ -233,21 +224,10 @@ pub enum Event {
         /// Cells still open (re-leasable) after recovery.
         open: u64,
     },
-    /// The chaos harness injected one scripted fault.
-    ChaosInjected {
-        /// Fault kind: `kill`, `restart`, `net`, `disk_journal`,
-        /// `disk_results`, `clock_skew`.
-        kind: String,
-        /// What it hit (process name, store path, worker name).
-        target: String,
-        /// The plan's trigger point (finalized-cell count or event
-        /// index, per the kind).
-        at: u64,
-    },
 }
 
 impl Event {
-    /// Stable snake_case type tag used by both encoders.
+    /// Stable snake_case type tag (the JSON `type` field).
     pub fn tag(&self) -> &'static str {
         match self {
             Event::RunStarted { .. } => "run_started",
@@ -264,7 +244,6 @@ impl Event {
             Event::CellRequeued { .. } => "cell_requeued",
             Event::SweepDrained { .. } => "sweep_drained",
             Event::CoordinatorRecovered { .. } => "coordinator_recovered",
-            Event::ChaosInjected { .. } => "chaos_injected",
         }
     }
 }

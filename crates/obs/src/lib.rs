@@ -4,8 +4,8 @@
 //! simulation engine emits per-scavenge spans, the executor emits cell
 //! lifecycle events, the trace tools report synthesis progress, and the
 //! distributed coordinator publishes sweep/lease lifecycle — all as one
-//! typed [`Event`] enum flowing through one global bounded MPSC ring to
-//! pluggable [`Sink`]s.
+//! typed [`Event`] enum flowing through one global bounded channel to
+//! pluggable [`Sink`]s, and written out as JSON lines.
 //!
 //! # Usage
 //!
@@ -35,12 +35,9 @@
 //!
 //! Every envelope carries a bus-global monotonic `seq` (gaps = drops)
 //! and a `scope` tying engine events to the run that emitted them (see
-//! [`scope`]). Delivery to sinks is in ring order.
+//! [`scope`]). Delivery to sinks is in queue order.
 
-// The lock-free ring in `bus` is the one place this workspace uses
-// unsafe code; it is documented at each site and every unsafe operation
-// must be inside an explicitly-scoped unsafe block.
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bus;
@@ -50,7 +47,7 @@ pub mod scope;
 pub mod sink;
 
 pub use bus::{emit, enabled, flush, install, stats, BusStats, SinkGuard};
-pub use encode::{decode_binary, encode_binary, encode_json, DecodeError};
+pub use encode::{encode_json, json_string};
 pub use event::{CellOutcome, Envelope, Event};
 pub use scope::{add_run_probes, next_run_id, run_probes, RunScope};
 pub use sink::{CaptureSink, FileSink, FnSink, Sink};

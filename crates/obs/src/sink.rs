@@ -2,15 +2,16 @@
 //!
 //! The drainer thread calls [`Sink::accept`] with batches in bus
 //! order. Sinks run off the hot path but should still be quick — a
-//! stalled sink grows the ring until events start dropping (counted,
-//! never blocking the emitters).
+//! stalled sink fills the bus queue until events start dropping
+//! (counted, never blocking the emitters). A sink that panics loses
+//! only the batch it panicked on.
 
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::sync::Mutex;
 
-use crate::encode::{encode_binary, encode_json};
+use crate::encode::encode_json;
 use crate::event::Envelope;
 
 /// A consumer of delivered event batches.
@@ -64,34 +65,17 @@ impl<F: Fn(&Envelope) + Send + Sync + 'static> Sink for FnSink<F> {
     }
 }
 
-/// On-disk capture format for [`FileSink`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FileFormat {
-    /// One JSON object per line.
-    JsonLines,
-    /// Concatenated binary frames (see `encode`).
-    Binary,
-}
-
-/// Writes every envelope to a file: JSON lines by default, the compact
-/// binary framing when the path ends in `.bin`.
+/// Writes every envelope to a file as JSON lines.
 pub struct FileSink {
     writer: Mutex<BufWriter<File>>,
-    format: FileFormat,
 }
 
 impl FileSink {
-    /// Creates (truncating) the capture file. A `.bin` extension
-    /// selects the binary framing; anything else writes JSON lines.
+    /// Creates (truncating) the capture file.
     pub fn create(path: &Path) -> io::Result<FileSink> {
-        let format = match path.extension().and_then(|e| e.to_str()) {
-            Some("bin") => FileFormat::Binary,
-            _ => FileFormat::JsonLines,
-        };
         let file = File::create(path)?;
         Ok(FileSink {
             writer: Mutex::new(BufWriter::new(file)),
-            format,
         })
     }
 }
@@ -100,20 +84,9 @@ impl Sink for FileSink {
     fn accept(&self, batch: &[Envelope]) {
         let mut w = self.writer.lock().unwrap_or_else(|e| e.into_inner());
         let result = (|| -> io::Result<()> {
-            match self.format {
-                FileFormat::JsonLines => {
-                    for env in batch {
-                        w.write_all(encode_json(env).as_bytes())?;
-                        w.write_all(b"\n")?;
-                    }
-                }
-                FileFormat::Binary => {
-                    let mut buf = Vec::with_capacity(batch.len() * 64);
-                    for env in batch {
-                        encode_binary(env, &mut buf);
-                    }
-                    w.write_all(&buf)?;
-                }
+            for env in batch {
+                w.write_all(encode_json(env).as_bytes())?;
+                w.write_all(b"\n")?;
             }
             // Flush per batch so `--events PATH` captures survive an
             // abrupt exit; batches are large enough to amortize this.
@@ -128,7 +101,6 @@ impl Sink for FileSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::encode::decode_binary;
     use crate::event::Event;
 
     fn env(seq: u64) -> Envelope {
@@ -154,30 +126,17 @@ mod tests {
     fn file_sink_writes_json_lines() {
         let dir = std::env::temp_dir().join(format!("dtb-obs-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("events.jsonl");
-        let sink = FileSink::create(&path).unwrap();
-        sink.accept(&[env(1), env(2)]);
-        let text = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].starts_with("{\"seq\":1,"));
-        assert!(lines[1].contains("\"type\":\"eval_started\""));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn file_sink_writes_binary_frames_for_bin_extension() {
-        let dir = std::env::temp_dir().join(format!("dtb-obs-test-bin-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("events.bin");
-        let sink = FileSink::create(&path).unwrap();
-        sink.accept(&[env(1), env(2)]);
-        let bytes = std::fs::read(&path).unwrap();
-        let (first, used) = decode_binary(&bytes).unwrap();
-        assert_eq!(first, env(1));
-        let (second, used2) = decode_binary(&bytes[used..]).unwrap();
-        assert_eq!(second, env(2));
-        assert_eq!(used + used2, bytes.len());
+        // Every capture path writes JSON lines, whatever its extension.
+        for ext in ["jsonl", "bin"] {
+            let path = dir.join("events").with_extension(ext);
+            let sink = FileSink::create(&path).unwrap();
+            sink.accept(&[env(1), env(2)]);
+            let text = std::fs::read_to_string(&path).unwrap();
+            let lines: Vec<&str> = text.lines().collect();
+            assert_eq!(lines.len(), 2, "{ext}");
+            assert!(lines[0].starts_with("{\"seq\":1,"), "{ext}");
+            assert!(lines[1].contains("\"type\":\"eval_started\""), "{ext}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -117,7 +117,7 @@ fn run_envelopes_are_contiguous_scoped_and_bracketed() {
     assert_eq!(
         dtb_obs::stats().dropped,
         dropped_before,
-        "the capture must not overflow the ring"
+        "the capture must not overflow the bus queue"
     );
     assert!(run.scope > 0, "run scopes are nonzero");
     let seqs: Vec<u64> = run.envelopes.iter().map(|e| e.seq).collect();

@@ -48,7 +48,7 @@
 //! engine's own typed `BudgetExceeded`, exactly as it would in-process.
 
 use crate::chaos::FaultFuse;
-use crate::events::{json_string, EventLog, HEARTBEAT};
+use crate::events::{EventLog, HEARTBEAT};
 use crate::http::{
     read_request, write_chunk, write_chunk_end, write_chunked_head, write_response, Request,
     Response, WireError,
@@ -61,7 +61,7 @@ use crate::proto::{
 };
 use crate::sweeplog::SweepLog;
 use dtb_core::policy::Row;
-use dtb_obs::{Envelope, Event};
+use dtb_obs::{json_string, Envelope, Event};
 use dtb_sim::engine::{SimBudget, SimRun};
 use dtb_sim::exec::RetryPolicy;
 use dtb_sim::journal::{read_journal, JournalCell, JournalHeader, JournalWriter, JOURNAL_VERSION};

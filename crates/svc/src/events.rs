@@ -197,26 +197,6 @@ impl EventLog {
     }
 }
 
-/// Encodes `s` as a JSON string literal (quotes included) — enough to
-/// embed tenant/worker names in hand-framed event lines.
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// True when `line` is safe to splice verbatim into a framed JSON event:
 /// a single-line `{...}` object with no control characters and a sane
 /// length. This is a framing check, not a JSON parse — the coordinator
@@ -462,13 +442,6 @@ mod tests {
         let batch = log.read_from(batch.next, Duration::from_secs(5));
         assert!(batch.lines.is_empty());
         assert!(batch.closed);
-    }
-
-    #[test]
-    fn json_string_escapes() {
-        assert_eq!(json_string("plain"), "\"plain\"");
-        assert_eq!(json_string("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
     }
 
     #[test]

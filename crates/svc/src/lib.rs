@@ -36,6 +36,8 @@
 //!   ([`ChaosPlan`]) and the continuity/exactly-once verifiers the
 //!   `dtb-chaos` driver and the crash suites share.
 
+#![forbid(unsafe_code)]
+
 pub mod chaos;
 pub mod client;
 pub mod coordinator;

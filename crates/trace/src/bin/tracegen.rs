@@ -29,7 +29,7 @@ fn usage() -> ExitCode {
          tracegen survival <FILE.dtbtrc>\n  tracegen compile <IN.dtbtrc> <OUT_DIR>\n  \
          tracegen shard <IN.dtbtrc> <OUT_DIR> <RECORDS_PER_SHARD>\n  \
          tracegen verify <STORE_DIR>\n  tracegen list\n\
-         \n  global: --events <PATH>  capture telemetry (JSON lines; .bin = binary framing)"
+         \n  global: --events <PATH>  capture telemetry (JSON lines)"
     );
     ExitCode::from(2)
 }
