@@ -32,17 +32,9 @@
 //! — events/second drops below 70% of the recorded baseline — the CI
 //! `bench-smoke` job's regression gate.
 //!
-//! With `--resume <dir>`, every completed (engine × policy) cell is
-//! written to `<dir>` as a checksummed done-file; rerunning with the same
-//! `--resume <dir>` after an interruption (including `SIGKILL`) reuses
-//! those cells — original timings and all — and only simulates the
-//! missing ones. Done-files from a different trace or `--events` count
-//! are ignored, and the cross-engine differential checks still compare
-//! the full matrices.
-//!
 //! ```text
 //! bench_dtb [--events N] [--out PATH] [--baseline PATH] [--skip-naive]
-//!           [--resume DIR] [--events-out PATH]
+//!           [--events-out PATH]
 //! ```
 //!
 //! `--events-out PATH` captures the run's telemetry stream (scavenge
@@ -60,7 +52,6 @@ use dtb_bench::peak_rss_bytes;
 use dtb_core::policy::{PolicyConfig, PolicyKind};
 use dtb_sim::engine::{simulate, simulate_source, Sim, SimConfig};
 use dtb_sim::{NaiveHeap, SimReport};
-use dtb_trace::ckp::{read_blob, write_blob};
 use dtb_trace::event::CompiledTrace;
 use dtb_trace::lifetime::{LifetimeDist, SizeDist};
 use dtb_trace::synth::{ClassSpec, WorkloadSpec};
@@ -121,63 +112,6 @@ struct BenchReport {
     streaming_peak_rss_delta_bytes: Option<u64>,
 }
 
-/// One completed cell as persisted by `--resume`: the timing and report,
-/// tagged with the trace identity so stale done-files (different trace
-/// or `--events`) are ignored rather than mixed in.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-struct SavedCell {
-    trace: String,
-    events: usize,
-    timing: PolicyTiming,
-    report: SimReport,
-}
-
-/// Per-cell done-files under the `--resume` directory, one checksummed
-/// `DTBCKP01` blob per (engine × policy) cell. With no directory
-/// configured every operation is a no-op. Loads are best-effort: a
-/// missing, corrupt, or mismatched file simply means the cell is
-/// simulated again (and its done-file rewritten atomically).
-struct CellStore {
-    dir: Option<PathBuf>,
-    trace: String,
-    events: usize,
-}
-
-impl CellStore {
-    fn path(&self, label: &str, kind: PolicyKind) -> Option<PathBuf> {
-        self.dir
-            .as_ref()
-            .map(|d| d.join(format!("{label}-{}.cell", kind.label())))
-    }
-
-    fn load(&self, label: &str, kind: PolicyKind) -> Option<(PolicyTiming, SimReport)> {
-        let bytes = read_blob(self.path(label, kind)?).ok()?;
-        let saved: SavedCell = serde_json::from_str(std::str::from_utf8(&bytes).ok()?).ok()?;
-        (saved.trace == self.trace && saved.events == self.events)
-            .then_some((saved.timing, saved.report))
-    }
-
-    fn save(&self, label: &str, kind: PolicyKind, timing: &PolicyTiming, report: &SimReport) {
-        let Some(path) = self.path(label, kind) else {
-            return;
-        };
-        if let Some(dir) = &self.dir {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        let saved = SavedCell {
-            trace: self.trace.clone(),
-            events: self.events,
-            timing: timing.clone(),
-            report: report.clone(),
-        };
-        if let Ok(json) = serde_json::to_string(&saved) {
-            if let Err(e) = write_blob(&path, json.as_bytes()) {
-                eprintln!("bench_dtb: warning: writing done-file failed: {e}");
-            }
-        }
-    }
-}
-
 /// The synthetic benchmark workload, scaled so the steady-state mixture
 /// allocates roughly `events` objects (~1 KB mean object) and a 1 MB
 /// trigger fires about once per thousand events. The mixture keeps a
@@ -228,24 +162,12 @@ fn workload(events: usize) -> WorkloadSpec {
 fn run_matrix(
     label: &str,
     events: usize,
-    store: &CellStore,
     mut simulate_one: impl FnMut(PolicyKind) -> Result<dtb_sim::SimRun, String>,
-) -> Result<(EngineTiming, Vec<dtb_sim::SimReport>), String> {
+) -> Result<(EngineTiming, Vec<SimReport>), String> {
     let mut policies = Vec::new();
     let mut reports = Vec::new();
     let mut total = 0.0f64;
     for kind in PolicyKind::ALL {
-        if let Some((timing, report)) = store.load(label, kind) {
-            eprintln!(
-                "[{label}] {:<7} resumed from done-file ({} scavenges)",
-                kind.label(),
-                report.collections
-            );
-            total += timing.seconds;
-            policies.push(timing);
-            reports.push(report);
-            continue;
-        }
         let start = Instant::now();
         let run = simulate_one(kind).map_err(|e| format!("{label}/{kind}: {e}"))?;
         let seconds = start.elapsed().as_secs_f64();
@@ -262,7 +184,6 @@ fn run_matrix(
             events_per_sec: events as f64 / seconds.max(1e-9),
             ns_per_scavenge: seconds * 1e9 / (scavenges.max(1) as f64),
         };
-        store.save(label, kind, &timing, &run.report);
         policies.push(timing);
         reports.push(run.report);
     }
@@ -284,13 +205,12 @@ fn run_matrix_streaming(
     trace: &CompiledTrace,
     policy_cfg: &PolicyConfig,
     sim_cfg: &SimConfig,
-    store: &CellStore,
-) -> Result<(EngineTiming, Vec<dtb_sim::SimReport>), String> {
+) -> Result<(EngineTiming, Vec<SimReport>), String> {
     let dir = std::env::temp_dir().join(format!("dtb-bench-store-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     ctc::write_shards(&dir, trace, STORE_STRIDE)
         .map_err(|e| format!("writing shard store: {e}"))?;
-    let result = run_matrix("streaming", trace.len(), store, |kind| {
+    let result = run_matrix("streaming", trace.len(), |kind| {
         let mut policy = kind.build(policy_cfg);
         let mut reader =
             ShardReader::open(&dir).map_err(|e| format!("opening shard store: {e}"))?;
@@ -305,7 +225,6 @@ struct Args {
     out: String,
     baseline: Option<String>,
     skip_naive: bool,
-    resume: Option<PathBuf>,
     /// Capture the observability event stream to this file (`--events`
     /// is taken: it is the trace event *count*).
     events_out: Option<PathBuf>,
@@ -317,7 +236,6 @@ fn parse_args() -> Result<Args, String> {
         out: "BENCH_dtb.json".to_string(),
         baseline: None,
         skip_naive: false,
-        resume: None,
         events_out: None,
     };
     let mut it = std::env::args().skip(1);
@@ -330,9 +248,6 @@ fn parse_args() -> Result<Args, String> {
             "--out" => args.out = it.next().ok_or("--out needs a value")?,
             "--baseline" => args.baseline = Some(it.next().ok_or("--baseline needs a value")?),
             "--skip-naive" => args.skip_naive = true,
-            "--resume" => {
-                args.resume = Some(PathBuf::from(it.next().ok_or("--resume needs a value")?));
-            }
             "--events-out" => {
                 args.events_out = Some(PathBuf::from(
                     it.next().ok_or("--events-out needs a value")?,
@@ -351,7 +266,7 @@ fn main() -> ExitCode {
             eprintln!("bench_dtb: {e}");
             eprintln!(
                 "usage: bench_dtb [--events N] [--out PATH] [--baseline PATH] [--skip-naive] \
-                 [--resume DIR] [--events-out PATH]"
+                 [--events-out PATH]"
             );
             return ExitCode::FAILURE;
         }
@@ -400,13 +315,8 @@ fn main() -> ExitCode {
 
     let policy_cfg = PolicyConfig::paper();
     let sim_cfg = SimConfig::paper().with_invariant_checks(false);
-    let store = CellStore {
-        dir: args.resume.clone(),
-        trace: spec.name.clone(),
-        events: trace.len(),
-    };
 
-    let (incremental, fast_reports) = match run_matrix("incremental", trace.len(), &store, |kind| {
+    let (incremental, fast_reports) = match run_matrix("incremental", trace.len(), |kind| {
         let mut policy = kind.build(&policy_cfg);
         simulate(&trace, &mut policy, &sim_cfg).map_err(|e| e.to_string())
     }) {
@@ -422,7 +332,7 @@ fn main() -> ExitCode {
     // per-event body). Reports must be bit-identical to the blocked
     // incremental pass — the block drive loop's determinism contract at
     // benchmark scale — and the timing ratio is the block speedup.
-    let (per_event, ref_reports) = match run_matrix("per-event", trace.len(), &store, |kind| {
+    let (per_event, ref_reports) = match run_matrix("per-event", trace.len(), |kind| {
         let mut policy = kind.build(&policy_cfg);
         Sim::new(sim_cfg)
             .block_events(1)
@@ -446,14 +356,13 @@ fn main() -> ExitCode {
     // so the delta directly measures whether streaming replay ever
     // exceeded it (it must not — the engine holds only the live set).
     let rss_before_streaming = peak_rss_bytes();
-    let (streaming, stream_reports) =
-        match run_matrix_streaming(&trace, &policy_cfg, &sim_cfg, &store) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("bench_dtb: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+    let (streaming, stream_reports) = match run_matrix_streaming(&trace, &policy_cfg, &sim_cfg) {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("bench_dtb: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let streaming_peak_rss_delta_bytes = peak_rss_bytes()
         .zip(rss_before_streaming)
         .map(|(after, before)| after.saturating_sub(before));
@@ -465,7 +374,7 @@ fn main() -> ExitCode {
     let mut naive = None;
     let mut speedup = None;
     if !args.skip_naive {
-        let (timing, slow_reports) = match run_matrix("naive", trace.len(), &store, |kind| {
+        let (timing, slow_reports) = match run_matrix("naive", trace.len(), |kind| {
             let mut policy = kind.build(&policy_cfg);
             Sim::new(sim_cfg)
                 .heap::<NaiveHeap>()

@@ -3,256 +3,24 @@
 //! The simulator keys its indices by **global slot** — the position of an
 //! object in birth order over the whole run, assigned at insertion and
 //! never reused. Slots are append-only, so alongside the classic
-//! point-update / prefix-sum pair the tree supports `push` (extend by one
-//! slot in O(log n)) and [`Fenwick::extend`] (append a whole block in
+//! point-update / prefix-sum pair the tree supports
+//! [`PairedFenwick::push`] (extend by one slot in O(log n)) and
+//! [`PairedFenwick::extend_live`] (append a whole block in
 //! O(k + log² n)), which is what the block-structured drive loop feeds.
 //!
 //! The inner loops are written to compile to straight-line, predictable
 //! code: the update and prefix walks are short counted loops over a flat
 //! 1-based array with no data-dependent branches, and the
-//! [`Fenwick::lower_bound`] descent keeps only the (perfectly predictable)
-//! range guard as a branch — the data-dependent comparison lowers to
-//! conditional moves. Batched updates ([`Fenwick::add_many`] /
-//! [`Fenwick::sub_many`]) amortize the `total` maintenance and keep the
-//! tree walks hot in cache when the heap applies a death queue or merges
-//! epoch aggregates.
+//! [`PairedFenwick::lower_bound_live`] descent keeps only the (perfectly
+//! predictable) range guard as a branch — the data-dependent comparison
+//! lowers to conditional moves. Batched updates
+//! ([`PairedFenwick::move_to_dead_many`] /
+//! [`PairedFenwick::sub_dead_many`]) amortize the `total` maintenance and
+//! keep the tree walks hot in cache when the heap applies a death queue
+//! or reclaims a scavenge's garbage.
 //!
 //! All values are byte counts; a point update only ever removes what was
 //! previously added at that slot, so node partial sums never underflow.
-
-/// Fenwick tree over `u64` byte totals, indexed by 0-based slot.
-#[derive(Clone, Debug, Default)]
-pub struct Fenwick {
-    /// 1-based tree: `tree[i-1]` covers the slot range `(i - lowbit(i), i]`.
-    tree: Vec<u64>,
-    /// Sum of all slots, maintained eagerly for O(1) totals.
-    total: u64,
-}
-
-impl Fenwick {
-    /// An empty tree with room for `n` slots.
-    pub fn with_capacity(n: usize) -> Fenwick {
-        Fenwick {
-            tree: Vec::with_capacity(n),
-            total: 0,
-        }
-    }
-
-    /// Number of slots in the tree.
-    pub fn len(&self) -> usize {
-        self.tree.len()
-    }
-
-    /// Whether the tree holds no slots.
-    pub fn is_empty(&self) -> bool {
-        self.tree.is_empty()
-    }
-
-    /// Appends a new slot holding `value`, in O(log n).
-    ///
-    /// The new node at 1-based index `i` covers `(i - lowbit(i), i]`, so
-    /// its partial sum is `value` plus the sum of the already-present
-    /// slots in that range. Because the new slot is the last one,
-    /// `prefix(i - 1)` is simply the running total, halving the descent
-    /// cost of the classic append.
-    pub fn push(&mut self, value: u64) {
-        let i = self.tree.len() + 1; // 1-based index of the new slot
-        let lowbit = i & i.wrapping_neg();
-        let mut node = value;
-        if lowbit > 1 {
-            node += self.total - self.prefix(i - lowbit);
-        }
-        self.tree.push(node);
-        self.total += value;
-    }
-
-    /// Appends a whole block of slots, in O(k + log² n) for `k` new slots.
-    ///
-    /// Equivalent to `for v in values { self.push(v) }` — the tree shape
-    /// is a pure function of the slot values, not of the insertion path —
-    /// but built in three flat passes: raw placement, an ascending
-    /// propagation pass over the appended region (the classic O(k)
-    /// bottom-up build), and a fix-up for the ≤ log n appended nodes whose
-    /// covered range reaches back into the pre-existing slots.
-    pub fn extend<I>(&mut self, values: I)
-    where
-        I: IntoIterator<Item = u64>,
-    {
-        let old = self.tree.len();
-        let old_total = self.total;
-        let mut added = 0u64;
-        for v in values {
-            added += v;
-            self.tree.push(v);
-        }
-        let n = self.tree.len();
-        // Propagate appended-region sums upward. After this pass,
-        // `tree[i-1]` holds the sum of the appended slots inside its
-        // range; every propagation target stays inside `(old, n]`.
-        for i in old + 1..=n {
-            let j = i + (i & i.wrapping_neg());
-            if j <= n {
-                self.tree[j - 1] = self.tree[j - 1].wrapping_add(self.tree[i - 1]);
-            }
-        }
-        // Nodes whose range starts before the append boundary also cover
-        // a suffix of the old slots: add it exactly once per node. The
-        // `prefix` reads touch only indices ≤ start < old, which the
-        // passes above never modified.
-        for i in old + 1..=n {
-            let start = i - (i & i.wrapping_neg());
-            if start < old {
-                self.tree[i - 1] += old_total - self.prefix(start);
-            }
-        }
-        self.total += added;
-    }
-
-    /// Removes every slot, keeping the allocated capacity. The oracle
-    /// heap's dead-prefix compaction rebuilds the tree from the surviving
-    /// residents, so clearing must not release the buffer (the rebuild is
-    /// allocation-free by construction).
-    pub fn clear(&mut self) {
-        self.tree.clear();
-        self.total = 0;
-    }
-
-    /// Adds `delta` to the slot's value, in O(log n).
-    pub fn add(&mut self, slot: usize, delta: u64) {
-        let n = self.tree.len();
-        let mut i = slot + 1;
-        while i <= n {
-            self.tree[i - 1] += delta;
-            i += i & i.wrapping_neg();
-        }
-        self.total += delta;
-    }
-
-    /// Subtracts `delta` from the slot's value, in O(log n).
-    ///
-    /// # Panics
-    ///
-    /// Underflows (and panics in debug builds) if `delta` exceeds what was
-    /// added at this slot — callers only ever remove bytes they recorded.
-    pub fn sub(&mut self, slot: usize, delta: u64) {
-        let n = self.tree.len();
-        let mut i = slot + 1;
-        while i <= n {
-            self.tree[i - 1] -= delta;
-            i += i & i.wrapping_neg();
-        }
-        self.total -= delta;
-    }
-
-    /// Applies a batch of point additions: `slots[k]` gains `deltas[k]`.
-    ///
-    /// Slots may repeat; each pair is applied independently. One pass over
-    /// tight per-slot walks with a single `total` adjustment at the end —
-    /// the form the oracle heap's death-queue application and the epoch
-    /// heap's aggregate merges feed.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if the batch lengths differ.
-    pub fn add_many(&mut self, slots: &[u32], deltas: &[u64]) {
-        debug_assert_eq!(slots.len(), deltas.len());
-        let n = self.tree.len();
-        let mut sum = 0u64;
-        for (&slot, &delta) in slots.iter().zip(deltas) {
-            sum += delta;
-            let mut i = slot as usize + 1;
-            while i <= n {
-                self.tree[i - 1] += delta;
-                i += i & i.wrapping_neg();
-            }
-        }
-        self.total += sum;
-    }
-
-    /// Applies a batch of point subtractions: `slots[k]` loses `deltas[k]`.
-    ///
-    /// The mirror of [`Fenwick::add_many`]; the same underflow contract as
-    /// [`Fenwick::sub`] applies per pair.
-    pub fn sub_many(&mut self, slots: &[u32], deltas: &[u64]) {
-        debug_assert_eq!(slots.len(), deltas.len());
-        let n = self.tree.len();
-        let mut sum = 0u64;
-        for (&slot, &delta) in slots.iter().zip(deltas) {
-            sum += delta;
-            let mut i = slot as usize + 1;
-            while i <= n {
-                self.tree[i - 1] -= delta;
-                i += i & i.wrapping_neg();
-            }
-        }
-        self.total -= sum;
-    }
-
-    /// Sum of the first `count` slots (slots `0 .. count`), in O(log n).
-    ///
-    /// The walk clears the lowest set bit each step (`i &= i - 1`) — a
-    /// branchless flat-array descent.
-    pub fn prefix(&self, count: usize) -> u64 {
-        let mut i = count.min(self.tree.len());
-        let mut sum = 0u64;
-        while i > 0 {
-            sum += self.tree[i - 1];
-            i &= i - 1;
-        }
-        sum
-    }
-
-    /// Sum of the slots from `count` onward, in O(log n).
-    pub fn suffix(&self, count: usize) -> u64 {
-        self.total - self.prefix(count)
-    }
-
-    /// Sum of all slots, in O(1).
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// The largest count `c` with `prefix(c) <= target`, in O(log n) — a
-    /// single root-to-leaf descent (binary lifting), not a binary search
-    /// over O(log n) prefix sums.
-    ///
-    /// The only conditional branch in the loop is the range guard
-    /// `next <= n`, which is perfectly predictable (it fails for at most
-    /// the first descent steps of a non-power-of-two tree); the
-    /// data-dependent comparison against `target` selects via conditional
-    /// moves. A sentinel in place of the guard would be wrong: `target`
-    /// itself may be `u64::MAX`, so no value is "bigger than any target".
-    ///
-    /// Because values are non-negative, `prefix` is non-decreasing, so the
-    /// counts satisfying the predicate form a prefix of `0..=len`. Two
-    /// derived queries the heap builds on:
-    ///
-    /// - smallest `c` with `prefix(c) >= k` (for `k >= 1`): this is
-    ///   `lower_bound(k - 1) + 1`;
-    /// - the slot index of the first nonzero value at or after a split
-    ///   with `prefix(split) == p`: this is `lower_bound(p)` (descending
-    ///   through the zero-valued slots costs nothing).
-    pub fn lower_bound(&self, target: u64) -> usize {
-        let n = self.tree.len();
-        let mut pos = 0usize;
-        let mut rem = target;
-        let mut step = n.next_power_of_two();
-        while step > 0 {
-            let next = pos + step;
-            // `pos` is a sum of strictly larger powers of two, so
-            // `lowbit(next) == step` and `tree[next - 1]` covers exactly
-            // `(pos, next]`.
-            if next <= n {
-                let node = self.tree[next - 1];
-                let take = node <= rem;
-                rem = if take { rem - node } else { rem };
-                pos = if take { next } else { pos };
-            }
-            step >>= 1;
-        }
-        pos
-    }
-}
 
 /// Two Fenwick trees over the same slot space — live bytes and
 /// dead-but-unreclaimed bytes — fused into one node array of
@@ -269,9 +37,9 @@ impl Fenwick {
 /// garbage) falls out of one [`PairedFenwick::prefix_pair`] descent plus
 /// the O(1) totals.
 ///
-/// Every node value is exactly what the two separate trees would hold, so
-/// swapping a `(Fenwick, Fenwick)` pair for a `PairedFenwick` changes no
-/// observable sum — the integer accounting is bit-identical.
+/// Every node value is exactly what a separate tree per component would
+/// hold, so the integer accounting is bit-identical to two plain trees;
+/// the tests check every query against per-slot models.
 #[derive(Clone, Debug, Default)]
 pub struct PairedFenwick {
     /// 1-based tree of `[live, dead]` byte pairs; `tree[i-1]` covers the
@@ -308,8 +76,9 @@ impl PairedFenwick {
     }
 
     /// Appends a new slot holding `live` / `dead` bytes, in one O(log n)
-    /// walk (cf. [`Fenwick::push`] — same eager-total shortcut, both
-    /// components at once).
+    /// walk: the new node at 1-based index `i` covers `(i - lowbit(i), i]`,
+    /// and since the slot is the last one, the old slots in that range sum
+    /// to the running totals minus `prefix_pair(i - lowbit(i))`.
     pub fn push(&mut self, live: u64, dead: u64) {
         let i = self.tree.len() + 1;
         let lowbit = i & i.wrapping_neg();
@@ -325,10 +94,12 @@ impl PairedFenwick {
     }
 
     /// Appends a whole block of all-live slots (`dead = 0`, the shape
-    /// every allocation has), in O(k + log² n) — the paired analogue of
-    /// [`Fenwick::extend`]. The dead component still participates in the
-    /// boundary fix-up: an appended node whose range reaches back into the
-    /// old slots covers their dead bytes too.
+    /// every allocation has), in O(k + log² n) for `k` new slots. The tree
+    /// equals pushing them one by one, but is built in three flat passes:
+    /// raw placement, the classic O(k) bottom-up propagation inside the
+    /// block, and a fix-up of the ≤ log n appended nodes whose range
+    /// reaches back into the old slots (and so covers their dead bytes
+    /// too).
     pub fn extend_live<I>(&mut self, values: I)
     where
         I: IntoIterator<Item = u64>,
@@ -492,14 +263,24 @@ impl PairedFenwick {
         self.total[1]
     }
 
-    /// The largest count `c` with live-`prefix(c) <= target` — the
-    /// branchless root-to-leaf descent of [`Fenwick::lower_bound`] on the
-    /// live component.
+    /// The largest count `c` with live-`prefix(c) <= target`, in
+    /// O(log n): one root-to-leaf descent (binary lifting), not a binary
+    /// search over prefix sums. The range guard `next <= n` is its only
+    /// branch; a sentinel in its place would be wrong, since `target` may
+    /// be `u64::MAX`.
+    ///
+    /// Values are non-negative, so the counts that fit form a prefix of
+    /// `0..=len`. The heap derives two queries from it, on either
+    /// component: the smallest `c` with `prefix(c) >= k` (for `k >= 1`) is
+    /// `lower_bound(k - 1) + 1`, and the first nonzero slot at or after a
+    /// split with `prefix(split) == p` is `lower_bound(p)`.
     pub fn lower_bound_live(&self, target: u64) -> usize {
         self.lower_bound_component(0, target)
     }
 
-    /// The largest count `c` with dead-`prefix(c) <= target`.
+    /// The largest count `c` with dead-`prefix(c) <= target`: the
+    /// [`lower_bound_live`](PairedFenwick::lower_bound_live) descent on the
+    /// dead component.
     pub fn lower_bound_dead(&self, target: u64) -> usize {
         self.lower_bound_component(1, target)
     }
@@ -511,6 +292,9 @@ impl PairedFenwick {
         let mut step = n.next_power_of_two();
         while step > 0 {
             let next = pos + step;
+            // `pos` is a sum of strictly larger powers of two, so
+            // `lowbit(next) == step` and `tree[next - 1]` covers exactly
+            // `(pos, next]`.
             if next <= n {
                 let node = self.tree[next - 1][comp];
                 let take = node <= rem;
@@ -532,138 +316,6 @@ mod tests {
         vals[..count.min(vals.len())].iter().sum()
     }
 
-    #[test]
-    fn push_then_prefix_matches_model() {
-        let vals = [5u64, 0, 3, 12, 7, 0, 0, 9, 1, 4, 4, 2, 100];
-        let mut f = Fenwick::default();
-        for &v in &vals {
-            f.push(v);
-        }
-        for count in 0..=vals.len() + 2 {
-            assert_eq!(f.prefix(count), model_prefix(&vals, count), "count={count}");
-            assert_eq!(
-                f.suffix(count),
-                f.total() - model_prefix(&vals, count),
-                "count={count}"
-            );
-        }
-    }
-
-    #[test]
-    fn extend_matches_repeated_push_at_every_boundary() {
-        // Every (old length, block length) split of a value sequence must
-        // produce the identical tree as pushing one value at a time —
-        // including splits that land inside large node ranges.
-        let vals: Vec<u64> = (0..67u64).map(|i| (i * 37) % 101).collect();
-        for old in 0..vals.len() {
-            for k in 0..=(vals.len() - old).min(19) {
-                let mut pushed = Fenwick::default();
-                for &v in &vals[..old + k] {
-                    pushed.push(v);
-                }
-                let mut extended = Fenwick::default();
-                for &v in &vals[..old] {
-                    extended.push(v);
-                }
-                extended.extend(vals[old..old + k].iter().copied());
-                assert_eq!(extended.tree, pushed.tree, "old={old} k={k}");
-                assert_eq!(extended.total, pushed.total, "old={old} k={k}");
-            }
-        }
-    }
-
-    #[test]
-    fn extend_on_empty_tree_is_a_bulk_build() {
-        let vals = [5u64, 0, 3, 12, 7, 0, 0, 9, 1];
-        let mut f = Fenwick::default();
-        f.extend(vals.iter().copied());
-        for count in 0..=vals.len() {
-            assert_eq!(f.prefix(count), model_prefix(&vals, count), "count={count}");
-        }
-        assert_eq!(f.total(), vals.iter().sum::<u64>());
-    }
-
-    #[test]
-    fn add_and_sub_update_points() {
-        let mut f = Fenwick::with_capacity(8);
-        for _ in 0..8 {
-            f.push(10);
-        }
-        f.add(3, 5);
-        f.sub(6, 10);
-        let vals = [10u64, 10, 10, 15, 10, 10, 0, 10];
-        for count in 0..=8 {
-            assert_eq!(f.prefix(count), model_prefix(&vals, count), "count={count}");
-        }
-        assert_eq!(f.total(), 75);
-    }
-
-    #[test]
-    fn add_many_matches_single_updates_with_repeats() {
-        let mut batched = Fenwick::default();
-        let mut single = Fenwick::default();
-        for i in 0..21u64 {
-            batched.push(i);
-            single.push(i);
-        }
-        // Repeated slots in one batch must accumulate.
-        let slots = [3u32, 9, 3, 20, 0, 9];
-        let deltas = [5u64, 1, 2, 100, 7, 1];
-        batched.add_many(&slots, &deltas);
-        for (&s, &d) in slots.iter().zip(&deltas) {
-            single.add(s as usize, d);
-        }
-        assert_eq!(batched.tree, single.tree);
-        assert_eq!(batched.total(), single.total());
-
-        batched.sub_many(&slots, &deltas);
-        for (&s, &d) in slots.iter().zip(&deltas) {
-            single.sub(s as usize, d);
-        }
-        assert_eq!(batched.tree, single.tree);
-        assert_eq!(batched.total(), single.total());
-    }
-
-    #[test]
-    fn interleaved_push_and_update() {
-        let mut f = Fenwick::default();
-        let mut vals: Vec<u64> = Vec::new();
-        for round in 0..50u64 {
-            f.push(round * 3);
-            vals.push(round * 3);
-            if round % 2 == 0 {
-                let slot = (round as usize) / 2;
-                f.add(slot, 7);
-                vals[slot] += 7;
-            }
-            if round % 5 == 0 && vals[round as usize] > 0 {
-                f.sub(round as usize, 1);
-                vals[round as usize] -= 1;
-            }
-            for count in [0, 1, vals.len() / 2, vals.len()] {
-                assert_eq!(f.prefix(count), model_prefix(&vals, count));
-            }
-        }
-        assert_eq!(f.total(), vals.iter().sum::<u64>());
-    }
-
-    #[test]
-    fn interleaved_extend_and_update() {
-        let mut f = Fenwick::default();
-        let mut vals: Vec<u64> = Vec::new();
-        for round in 0..12u64 {
-            let block: Vec<u64> = (0..round + 1).map(|i| i * round % 13).collect();
-            vals.extend_from_slice(&block);
-            f.extend(block.iter().copied());
-            let slot = (round as usize * 3) % vals.len();
-            f.add(slot, round + 2);
-            vals[slot] += round + 2;
-            for count in 0..=vals.len() {
-                assert_eq!(f.prefix(count), model_prefix(&vals, count));
-            }
-        }
-    }
-
     /// Reference model for the descent: linear scan for the largest count
     /// with prefix ≤ target.
     fn model_lower_bound(vals: &[u64], target: u64) -> usize {
@@ -673,150 +325,85 @@ mod tests {
             .unwrap()
     }
 
-    #[test]
-    fn lower_bound_matches_model() {
-        // Zero runs, duplicates, and a large tail exercise the descent's
-        // tie-breaking (largest count wins ⇒ trailing zeros are included).
-        let vals = [0u64, 5, 0, 0, 3, 12, 0, 7, 0, 0, 9, 1, 4, 0, 100, 0];
-        let mut f = Fenwick::default();
-        for &v in &vals {
-            f.push(v);
+    /// Checks every query of `p` against per-slot `[live, dead]` models.
+    fn check(p: &PairedFenwick, model: [&[u64]; 2]) {
+        let totals = model.map(|vals| vals.iter().sum::<u64>());
+        assert_eq!([p.live_total(), p.dead_total()], totals);
+        assert_eq!(p.len(), model[0].len());
+        for count in 0..=p.len() + 1 {
+            let prefix = model.map(|vals| model_prefix(vals, count));
+            assert_eq!(p.prefix_pair(count), prefix, "prefix_pair({count})");
+            let suffix = [totals[0] - prefix[0], totals[1] - prefix[1]];
+            assert_eq!(p.suffix_pair(count), suffix, "suffix_pair({count})");
         }
-        let total: u64 = vals.iter().sum();
-        for target in 0..=total + 3 {
-            assert_eq!(
-                f.lower_bound(target),
-                model_lower_bound(&vals, target),
-                "target={target}"
-            );
+        for target in 0..=totals[0] + 2 {
+            let expected = model_lower_bound(model[0], target);
+            assert_eq!(p.lower_bound_live(target), expected, "live({target})");
         }
-    }
-
-    #[test]
-    fn lower_bound_after_updates() {
-        let mut f = Fenwick::default();
-        let mut vals: Vec<u64> = Vec::new();
-        for i in 0..37u64 {
-            f.push(i % 7);
-            vals.push(i % 7);
-        }
-        f.sub(5, vals[5]);
-        vals[5] = 0;
-        f.add(20, 13);
-        vals[20] += 13;
-        let total: u64 = vals.iter().sum();
-        for target in (0..=total + 2).step_by(3) {
-            assert_eq!(f.lower_bound(target), model_lower_bound(&vals, target));
+        for target in 0..=totals[1] + 2 {
+            let expected = model_lower_bound(model[1], target);
+            assert_eq!(p.lower_bound_dead(target), expected, "dead({target})");
         }
     }
 
     #[test]
-    fn lower_bound_on_empty_tree_is_zero() {
-        let f = Fenwick::default();
-        assert_eq!(f.lower_bound(0), 0);
-        assert_eq!(f.lower_bound(u64::MAX), 0);
+    fn paired_tree_matches_per_slot_models() {
+        // Mixed pushes (the compaction rebuild shape). Zero runs and
+        // duplicates exercise the descents' tie-breaking (largest count
+        // wins ⇒ trailing zeros are included).
+        let mut live = vec![5u64, 0, 3, 12, 0, 9, 0, 7, 0, 4, 100, 0];
+        let mut dead = vec![0u64, 7, 0, 2, 0, 1, 0, 0, 0, 4, 0, 0];
+        let mut p = PairedFenwick::default();
+        check(&p, [&[], &[]]);
+        for n in 0..live.len() {
+            p.push(live[n], dead[n]);
+            check(&p, [&live[..=n], &dead[..=n]]);
+        }
+        // Death moves, single and batched with repeats.
+        p.move_to_dead(0, 5);
+        p.move_to_dead_many(&[2, 3, 3, 10], &[3, 6, 6, 60]);
+        for (s, d) in [(0, 5), (2, 3), (3, 6), (3, 6), (10, 60)] {
+            live[s] -= d;
+            dead[s] += d;
+        }
+        check(&p, [&live, &dead]);
+        // Reclamation removes dead bytes only.
+        p.sub_dead_many(&[0, 3, 3], &[5, 12, 2]);
+        dead[0] -= 5;
+        dead[3] -= 14;
+        check(&p, [&live, &dead]);
+        // A block appended after slots that hold dead bytes.
+        p.extend_live([8, 0, 0, 13, 1]);
+        live.extend([8, 0, 0, 13, 1]);
+        dead.extend([0; 5]);
+        check(&p, [&live, &dead]);
     }
 
     #[test]
     fn lower_bound_saturated_target_takes_every_slot() {
         // `u64::MAX` as a target must still mean "largest count whose
         // prefix fits" — a sentinel-based descent would mishandle this.
-        let mut f = Fenwick::default();
+        let mut p = PairedFenwick::default();
         for v in [3u64, 0, 9, 1] {
-            f.push(v);
+            p.push(v, v + 1);
         }
-        assert_eq!(f.lower_bound(u64::MAX), 4);
+        assert_eq!(p.lower_bound_live(u64::MAX), 4);
+        assert_eq!(p.lower_bound_dead(u64::MAX), 4);
     }
 
     #[test]
-    fn empty_tree_sums_to_zero() {
-        let f = Fenwick::default();
-        assert_eq!(f.prefix(0), 0);
-        assert_eq!(f.prefix(10), 0);
-        assert_eq!(f.suffix(0), 0);
-        assert_eq!(f.total(), 0);
-        assert!(f.is_empty());
-        assert_eq!(f.len(), 0);
-    }
-
-    /// A paired tree and a (live, dead) pair of plain trees driven by the
-    /// same operations must agree on every query — node for node.
-    struct PairedModel {
-        paired: PairedFenwick,
-        live: Fenwick,
-        dead: Fenwick,
-    }
-
-    impl PairedModel {
-        fn new() -> PairedModel {
-            PairedModel {
-                paired: PairedFenwick::default(),
-                live: Fenwick::default(),
-                dead: Fenwick::default(),
-            }
+    fn empty_tree_sums_and_descends_to_zero() {
+        let p = PairedFenwick::default();
+        assert!(p.is_empty());
+        assert_eq!(p.len(), 0);
+        assert_eq!(p.prefix_pair(0), [0, 0]);
+        assert_eq!(p.prefix_pair(10), [0, 0]);
+        assert_eq!(p.suffix_pair(0), [0, 0]);
+        assert_eq!([p.live_total(), p.dead_total()], [0, 0]);
+        for target in [0, u64::MAX] {
+            assert_eq!(p.lower_bound_live(target), 0);
+            assert_eq!(p.lower_bound_dead(target), 0);
         }
-
-        fn check(&self) {
-            assert_eq!(self.paired.live_total(), self.live.total());
-            assert_eq!(self.paired.dead_total(), self.dead.total());
-            assert_eq!(self.paired.len(), self.live.len());
-            for count in 0..=self.paired.len() + 1 {
-                assert_eq!(
-                    self.paired.prefix_pair(count),
-                    [self.live.prefix(count), self.dead.prefix(count)],
-                    "prefix_pair({count})"
-                );
-                assert_eq!(
-                    self.paired.suffix_pair(count),
-                    [self.live.suffix(count), self.dead.suffix(count)],
-                    "suffix_pair({count})"
-                );
-            }
-            for target in 0..=self.live.total() + 2 {
-                assert_eq!(
-                    self.paired.lower_bound_live(target),
-                    self.live.lower_bound(target),
-                    "lower_bound_live({target})"
-                );
-            }
-            for target in 0..=self.dead.total() + 2 {
-                assert_eq!(
-                    self.paired.lower_bound_dead(target),
-                    self.dead.lower_bound(target),
-                    "lower_bound_dead({target})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn paired_tree_matches_two_plain_trees() {
-        let mut m = PairedModel::new();
-        m.check();
-        // Mixed pushes (the compaction rebuild shape).
-        for (live, dead) in [(5u64, 0u64), (0, 7), (3, 0), (12, 2), (0, 0), (9, 1)] {
-            m.paired.push(live, dead);
-            m.live.push(live);
-            m.dead.push(dead);
-            m.check();
-        }
-        // Death moves, single and batched with repeats.
-        m.paired.move_to_dead(0, 5);
-        m.live.sub(0, 5);
-        m.dead.add(0, 5);
-        m.check();
-        let slots = [2u32, 3, 3];
-        let deltas = [3u64, 6, 6];
-        m.paired.move_to_dead_many(&slots, &deltas);
-        m.live.sub_many(&slots, &deltas);
-        m.dead.add_many(&slots, &deltas);
-        m.check();
-        // Reclamation removes dead bytes only.
-        let rec_slots = [0u32, 3];
-        let rec_deltas = [5u64, 12];
-        m.paired.sub_dead_many(&rec_slots, &rec_deltas);
-        m.dead.sub_many(&rec_slots, &rec_deltas);
-        m.check();
     }
 
     #[test]

@@ -44,6 +44,34 @@ pub(crate) struct GcBox<T: Trace + ?Sized + 'static> {
 /// The type-erased form of [`GcBox`] the collector works with.
 pub(crate) type ErasedGcBox = GcBox<dyn Trace>;
 
+thread_local! {
+    /// Set while the collector drops this thread's garbage, in birth
+    /// order: a `Drop` impl reaching through a `Gc` then could read an
+    /// object freed earlier in the same sweep (rust-gc's `GC_DROPPING`).
+    static DROPPING: Cell<bool> = const { Cell::new(false) };
+}
+
+/// rust-gc's `finalizer_safe`: refuse every `Gc` access while dropping.
+fn assert_not_dropping() {
+    if DROPPING.with(Cell::get) {
+        panic!("Gc dereferenced while the collector drops garbage");
+    }
+}
+
+/// Drops a scavenge's garbage with the dropping flag set; the flag
+/// clears even when a `Drop` impl panics.
+pub(crate) fn drop_garbage(garbage: Vec<Box<ErasedGcBox>>) {
+    struct Clear;
+    impl Drop for Clear {
+        fn drop(&mut self) {
+            DROPPING.with(|d| d.set(false));
+        }
+    }
+    DROPPING.with(|d| d.set(true));
+    let _clear = Clear;
+    drop(garbage);
+}
+
 impl Header {
     /// Counts one more root. Panics instead of wrapping: a wrapped count
     /// reads as unrooted, and the next scavenge would free a reachable
@@ -101,8 +129,10 @@ impl<T: Trace + 'static> Gc<T> {
 
 impl<T: Trace + 'static> Gc<T> {
     fn header(&self) -> &Header {
+        assert_not_dropping();
         // SAFETY: a rooted or heap-reachable handle always points at a
-        // live box; the collector never frees rooted or reachable objects.
+        // live box; the collector never frees rooted or reachable objects,
+        // and while it drops garbage the check above refuses every access.
         unsafe { &self.ptr.as_ref().header }
     }
 
@@ -125,6 +155,7 @@ impl<T: Trace + 'static> Gc<T> {
 impl<T: Trace + 'static> Deref for Gc<T> {
     type Target = T;
     fn deref(&self) -> &T {
+        assert_not_dropping();
         // SAFETY: see `header` — reachable objects are never freed.
         unsafe { &self.ptr.as_ref().value }
     }

@@ -57,7 +57,10 @@
 //! * Single-threaded: each thread owns an independent heap; [`Gc`] is
 //!   neither `Send` nor `Sync`.
 //! * `Drop` impls of collected objects must not dereference their `Gc`
-//!   fields (the targets may already be gone) and must not allocate.
+//!   fields (the targets may already be gone: garbage is dropped in birth
+//!   order) and must not allocate. Either panics; the scavenge's
+//!   accounting is complete before any destructor runs, so the heap stays
+//!   usable.
 //! * A [`GcCell`] must be stored directly inside its owner's allocation
 //!   (not behind a `Vec`/`Box` indirection) for the write-barrier owner
 //!   check to pass.

@@ -2,7 +2,7 @@
 //! dynamic-threatening-boundary mark–sweep scavenge.
 
 use crate::config::HeapConfig;
-use crate::gc::{ErasedGcBox, Gc, GcBox, Header};
+use crate::gc::{drop_garbage, ErasedGcBox, Gc, GcBox, Header};
 use crate::trace_trait::{Trace, Tracer};
 use dtb_core::history::{ScavengeHistory, ScavengeRecord};
 use dtb_core::policy::{ScavengeContext, SurvivalEstimator, TbPolicy};
@@ -10,7 +10,6 @@ use dtb_core::stats::SampleStats;
 use dtb_core::time::{Bytes, VirtualTime};
 use serde::{Deserialize, Serialize};
 use std::cell::{Cell, RefCell};
-use std::collections::HashSet;
 use std::ptr::NonNull;
 
 thread_local! {
@@ -200,7 +199,8 @@ impl GcState {
         };
 
         let traced = self.mark(tb);
-        let reclaimed = self.sweep(tb);
+        let garbage = self.unlink_garbage(tb);
+        let reclaimed = Bytes::new(garbage.iter().map(|b| b.header.size as u64).sum());
 
         self.mem_in_use -= reclaimed.as_u64();
         let surviving = Bytes::new(self.mem_in_use);
@@ -218,6 +218,12 @@ impl GcState {
         self.history.push(record);
         self.since_gc = 0;
         self.collecting = false;
+
+        // Destructors run last, on a heap that is already consistent, so a
+        // panicking `Drop` impl cannot leave it mid-scavenge. While they
+        // run, any access through a `Gc` panics instead of reading an
+        // object freed earlier in this loop.
+        drop_garbage(garbage);
         CollectionOutcome {
             at: now,
             boundary: tb,
@@ -289,31 +295,29 @@ impl GcState {
         Bytes::new(traced)
     }
 
-    /// Sweep phase: free unmarked threatened objects; purge remembered
-    /// entries whose object was freed.
-    fn sweep(&mut self, tb: VirtualTime) -> Bytes {
-        let mut reclaimed = 0u64;
-        let mut freed: HashSet<usize> = HashSet::new();
-        self.objects.retain(|&ptr| {
-            // SAFETY: registry objects are live until this very retain
-            // decides to free them.
+    /// Sweep phase: moves every unmarked threatened object out of the
+    /// registry and purges it from the remembered set. The caller owns the
+    /// returned boxes and drops them once the heap is consistent again.
+    fn unlink_garbage(&mut self, tb: VirtualTime) -> Vec<Box<ErasedGcBox>> {
+        let doomed = |ptr: &NonNull<ErasedGcBox>| {
+            // SAFETY: registry and remembered entries are live: garbage
+            // leaves both lists below before any of it is dropped.
             let b = unsafe { ptr.as_ref() };
-            if b.is_threatened(tb) && !b.header.marked.get() {
-                reclaimed += b.header.size as u64;
-                freed.insert(ptr.as_ptr() as *const u8 as usize);
-                // SAFETY: unreachable object; no rooted handle exists and
-                // no reachable object points at it. Dropping reclaims it.
-                drop(unsafe { Box::from_raw(ptr.as_ptr()) });
-                false
-            } else {
-                true
+            b.is_threatened(tb) && !b.header.marked.get()
+        };
+        self.remembered.retain(|src| !doomed(src));
+        let mut garbage = Vec::new();
+        self.objects.retain(|ptr| {
+            if !doomed(ptr) {
+                return true;
             }
+            // SAFETY: unreachable — no rooted handle exists and no
+            // reachable object points at it — and the registry holds the
+            // one owning pointer, which it gives up here.
+            garbage.push(unsafe { Box::from_raw(ptr.as_ptr()) });
+            false
         });
-        if !freed.is_empty() {
-            self.remembered
-                .retain(|&src| !freed.contains(&(src.as_ptr() as *const u8 as usize)));
-        }
-        Bytes::new(reclaimed)
+        garbage
     }
 }
 
@@ -439,6 +443,47 @@ mod tests {
         assert!(old.next.borrow().is_some());
         let again = old.next.borrow().clone().unwrap();
         assert_eq!(again.birth(), young_birth);
+    }
+
+    /// Holds a handle to an older object, dropped first in the same sweep,
+    /// and reads it when dropped.
+    struct Peeker {
+        older: Gc<u64>,
+    }
+    // SAFETY: `older` is the only Gc-bearing field.
+    unsafe impl Trace for Peeker {
+        fn trace(&self, t: &mut Tracer) {
+            self.older.trace(t);
+        }
+        fn root(&self) {
+            self.older.root();
+        }
+        fn unroot(&self) {
+            self.older.unroot();
+        }
+    }
+    impl Drop for Peeker {
+        fn drop(&mut self) {
+            std::hint::black_box(*self.older);
+        }
+    }
+
+    #[test]
+    fn drop_that_dereferences_garbage_panics_and_heap_stays_usable() {
+        configure(HeapConfig::manual_full());
+        {
+            let older = Gc::new(7u64);
+            let _peeker = Gc::new(Peeker { older });
+        }
+        let err = std::panic::catch_unwind(collect_now)
+            .expect_err("a Drop impl reading freed garbage must panic");
+        assert_eq!(
+            err.downcast_ref::<&str>(),
+            Some(&"Gc dereferenced while the collector drops garbage")
+        );
+        assert_eq!(heap_stats().object_count, 0);
+        assert_eq!(heap_stats().mem_in_use, Bytes::new(0));
+        collect_now();
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! `benches/tail_walk.rs`, `benches/trace_stats.rs`).
 //!
 //! The benches exist to keep the block-structured fast paths honest: the
-//! branchless Fenwick kernels in [`dtb_core::fenwick`], the chunked
+//! branchless paired Fenwick kernels the oracle heap runs
+//! ([`dtb_core::fenwick::PairedFenwick`]), the chunked
 //! [`EventSource::next_block`](dtb_trace::EventSource::next_block)
 //! decoders, the autovectorizable threatened-tail reductions in
 //! [`dtb_core::soa`], and the streaming `No GC` / `LIVE` kernel in
@@ -14,7 +15,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use dtb_core::fenwick::Fenwick;
+use dtb_core::fenwick::PairedFenwick;
 use dtb_trace::{CompiledTrace, ObjectId, TraceBuilder};
 
 /// A tiny deterministic generator (SplitMix64) so workloads are
@@ -75,13 +76,11 @@ pub fn deaths(births: &[u64], seed: u64) -> Vec<u64> {
         .collect()
 }
 
-/// A Fenwick tree over `n` pseudo-random slot values.
-pub fn build_fenwick(n: usize, seed: u64) -> Fenwick {
+/// A paired Fenwick tree over `n` all-live pseudo-random slot values.
+pub fn build_fenwick(n: usize, seed: u64) -> PairedFenwick {
     let mut rng = Mix::new(seed);
-    let mut tree = Fenwick::with_capacity(n);
-    for _ in 0..n {
-        tree.push(16 + rng.next() % 4096);
-    }
+    let mut tree = PairedFenwick::with_capacity(n);
+    tree.extend_live((0..n).map(|_| 16 + rng.next() % 4096));
     tree
 }
 
@@ -149,22 +148,36 @@ mod tests {
         assert!(b.iter().zip(&d).all(|(&b, &d)| d >= b));
     }
 
-    /// Pins the Fenwick kernels against a scalar reference on the exact
-    /// bench workload size.
+    /// Pins the paired Fenwick kernels against a scalar reference on the
+    /// exact bench workload size: prefix sums, the live descent, and a
+    /// batch of live→dead moves.
     #[test]
     fn fenwick_kernels_match_scalar_reference_at_bench_size() {
-        let vals: Vec<u64> = sizes(N, 3).iter().map(|&s| s as u64).collect();
-        let tree = build_fenwick(N, 3);
-        for i in (0..vals.len()).step_by(997) {
-            let prefix: u64 = vals[..i].iter().sum();
-            assert_eq!(tree.prefix(i), prefix, "prefix({i})");
+        let mut live: Vec<u64> = sizes(N, 3).iter().map(|&s| s as u64).collect();
+        let mut tree = build_fenwick(N, 3);
+        for i in (0..live.len()).step_by(997) {
+            let prefix: u64 = live[..i].iter().sum();
+            assert_eq!(tree.prefix_pair(i), [prefix, 0], "prefix_pair({i})");
         }
-        assert_eq!(tree.total(), vals.iter().sum::<u64>());
-        // lower_bound: first slot taking the cumulative past the target.
-        let target = tree.total() / 2;
-        let pos = tree.lower_bound(target);
-        assert!(tree.prefix(pos) <= target);
-        assert!(tree.prefix(pos + 1) > target);
+        assert_eq!(tree.live_total(), live.iter().sum::<u64>());
+        // lower_bound_live: first slot taking the cumulative past the
+        // target.
+        let target = tree.live_total() / 2;
+        let pos = tree.lower_bound_live(target);
+        assert!(tree.prefix_pair(pos)[0] <= target);
+        assert!(tree.prefix_pair(pos + 1)[0] > target);
+        // A death batch moves exactly its bytes, slot by slot.
+        let slots: Vec<u32> = (0..N as u32).step_by(7).collect();
+        let deltas: Vec<u64> = slots.iter().map(|&s| live[s as usize] / 2).collect();
+        tree.move_to_dead_many(&slots, &deltas);
+        let mut dead = vec![0u64; N];
+        for (&s, &d) in slots.iter().zip(&deltas) {
+            (live[s as usize], dead[s as usize]) = (live[s as usize] - d, d);
+        }
+        for i in (0..N).step_by(991) {
+            let moved = [live[..i].iter().sum(), dead[..i].iter().sum()];
+            assert_eq!(tree.prefix_pair(i), moved, "prefix_pair({i}) after moves");
+        }
     }
 
     /// Pins the threatened-tail reduction against a branchy scalar walk

@@ -71,43 +71,20 @@ use std::time::{Duration, Instant};
 /// Preset lookups delegate to the process-wide memo behind
 /// [`Program::compiled`], so two caches (or two evaluations) still share
 /// one compiled trace per preset: `cache.preset(p)` is pointer-equal to
-/// any other handle to the same program. Custom traces registered with
-/// [`TraceCache::insert`] are scoped to this cache instance.
+/// any other handle to the same program.
 #[derive(Clone, Debug, Default)]
-pub struct TraceCache {
-    custom: Arc<Mutex<HashMap<String, Arc<CompiledTrace>>>>,
-}
+pub struct TraceCache;
 
 impl TraceCache {
-    /// Creates an empty cache.
+    /// Creates a cache handle.
     pub fn new() -> TraceCache {
-        TraceCache::default()
+        TraceCache
     }
 
     /// The compiled trace of a preset workload. Generated and compiled at
     /// most once per process; every call returns the same [`Arc`].
     pub fn preset(&self, program: Program) -> Arc<CompiledTrace> {
         program.compiled()
-    }
-
-    /// Registers a custom trace under its metadata name and returns the
-    /// shared handle. Re-inserting a name replaces the previous trace.
-    pub fn insert(&self, trace: CompiledTrace) -> Arc<CompiledTrace> {
-        let arc = Arc::new(trace);
-        self.custom
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .insert(arc.meta.name.clone(), arc.clone());
-        arc
-    }
-
-    /// Looks up a previously [inserted](TraceCache::insert) custom trace.
-    pub fn get(&self, name: &str) -> Option<Arc<CompiledTrace>> {
-        self.custom
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .get(name)
-            .cloned()
     }
 }
 
@@ -1375,16 +1352,6 @@ mod tests {
         assert!(Arc::ptr_eq(&first, &a.preset(Program::Cfrac)));
         // Even across cache instances: presets are process-wide.
         assert!(Arc::ptr_eq(&first, &b.preset(Program::Cfrac)));
-    }
-
-    #[test]
-    fn trace_cache_custom_round_trips() {
-        let cache = TraceCache::new();
-        let mut b = dtb_trace::TraceBuilder::new("mine");
-        b.alloc(64);
-        let arc = cache.insert(b.finish().compile().unwrap());
-        assert!(Arc::ptr_eq(&arc, &cache.get("mine").unwrap()));
-        assert!(cache.get("absent").is_none());
     }
 
     #[test]

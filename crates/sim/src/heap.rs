@@ -43,7 +43,7 @@
 //! A scavenge therefore costs O(dead tail + log n): the Fenwick sums
 //! answer the byte accounting, and the compaction walk is *narrowed* to
 //! the slot range that actually holds dead bytes — two descents of the
-//! dead tree ([`dtb_core::fenwick::Fenwick::lower_bound`]) bracket the
+//! dead component ([`PairedFenwick::lower_bound_dead`]) bracket the
 //! first and last unreclaimed dead slots, the walk filters only
 //! residents between them, and the all-live tail beyond the last dead
 //! slot moves left with one `memmove`. A deep boundary (`FULL`, `DTBMEM`) no longer pays to
@@ -232,9 +232,11 @@ pub struct OracleHeap {
     /// Oracle death time per present object ([`NO_DEATH`] = immortal;
     /// parallel to `present_slots`).
     present_deaths: Vec<u64>,
-    /// Reusable slot batch for the Fenwick [`Fenwick::add_many`] /
-    /// [`Fenwick::sub_many`] updates (death application, scavenge
-    /// removals). Warm-up sizes it; steady state never reallocates.
+    /// Reusable slot batch for the batched
+    /// [`PairedFenwick::move_to_dead_many`] /
+    /// [`PairedFenwick::sub_dead_many`] updates (death application,
+    /// scavenge removals). Warm-up sizes it; steady state never
+    /// reallocates.
     scratch_slots: Vec<u32>,
     /// Byte deltas paired with `scratch_slots`.
     scratch_deltas: Vec<u64>,

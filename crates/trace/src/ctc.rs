@@ -34,12 +34,12 @@
 //! manifest when a shard is opened.
 
 use crate::ckp::{fnv1a, FNV_OFFSET};
-use crate::event::{ObjectId, ObjectLife, TraceError, TraceMeta};
+use crate::event::{resolve, ObjectId, ObjectLife, TraceError, TraceMeta};
 use crate::format::FormatError;
 use crate::io::{TraceEventReader, TraceIoError};
 use crate::source::{EventBlock, EventSource, SourceError};
 use dtb_core::time::VirtualTime;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -613,90 +613,71 @@ pub fn write_shards(
 /// Converts a `DTBTRC01` event-trace *file* into a store at `dir` without
 /// ever materializing the trace: two streaming passes over the source.
 ///
-/// Pass 1 replays the event stream to resolve each object's death clock
-/// (validating the stream exactly as [`crate::event::Trace::compile`]
-/// would); pass 2 replays it again, emitting one record per allocation.
-/// Memory is O(objects) for the id → death map — far below the resident
-/// [`CompiledTrace`](crate::event::CompiledTrace) plus event list — and
+/// Pass 1 streams the events through the resolver
+/// [`crate::event::Trace::compile`] runs, validating the stream exactly
+/// as `compile` would and resolving each object's death clock; pass 2
+/// replays the file, emitting one record per allocation. Memory is
+/// O(objects) — a `u64` death per object, plus the resolver's id map
+/// during pass 1 — far below the resident
+/// [`CompiledTrace`](crate::event::CompiledTrace) plus event list, and
 /// the output is byte-for-byte the store [`write_shards`] would produce
 /// from the compiled trace.
 ///
 /// # Errors
 ///
 /// [`CtcError::SourceFormat`] / [`CtcError::SourceTrace`] when the source
-/// file is malformed, plus all [`ShardWriter`] errors.
+/// file is malformed (a read failure is reported before any event-stream
+/// error), plus all [`ShardWriter`] errors.
 pub fn convert_trace_file(
     src: impl AsRef<Path>,
     dir: impl AsRef<Path>,
     records_per_shard: u64,
 ) -> Result<ShardManifest, CtcError> {
     let src = src.as_ref();
-    // Pass 1: resolve death clocks, validating the event stream.
+    // Pass 1: resolve death clocks, validating the event stream. A read
+    // failure ends the stream; the resolver saw only the good prefix.
     let mut reader = TraceEventReader::open(src).map_err(from_trace_io)?;
-    let mut deaths: Vec<Option<u64>> = Vec::new();
-    let mut index: HashMap<ObjectId, usize> = HashMap::new();
-    let mut clock: u64 = 0;
-    let mut pos: usize = 0;
-    let invalid = |error| CtcError::SourceTrace {
+    let mut read_error = None;
+    let events = std::iter::from_fn(|| {
+        reader.next_event().unwrap_or_else(|e| {
+            read_error = Some(e);
+            None
+        })
+    });
+    let resolved = resolve(events, 0, |_, _, _| {});
+    if let Some(e) = read_error {
+        return Err(from_trace_io(e));
+    }
+    let (deaths, end) = resolved.map_err(|error| CtcError::SourceTrace {
         path: src.to_path_buf(),
         error,
-    };
-    while let Some(event) = reader.next_event().map_err(from_trace_io)? {
-        match event {
-            crate::event::Event::Alloc { id, size } => {
-                if size == 0 {
-                    return Err(invalid(TraceError::ZeroSizedAlloc { id, pos }));
-                }
-                clock = clock
-                    .checked_add(size as u64)
-                    .ok_or(invalid(TraceError::ClockOverflow { id, pos }))?;
-                if index.insert(id, deaths.len()).is_some() {
-                    return Err(invalid(TraceError::DuplicateAlloc { id, pos }));
-                }
-                deaths.push(None);
-            }
-            crate::event::Event::Free { id } => {
-                let Some(&slot) = index.get(&id) else {
-                    return Err(invalid(TraceError::FreeWithoutAlloc { id, pos }));
-                };
-                if deaths[slot].is_some() {
-                    return Err(invalid(TraceError::DoubleFree { id, pos }));
-                }
-                deaths[slot] = Some(clock);
-            }
-        }
-        pos += 1;
-    }
-    drop(index);
-    let end = clock;
+    })?;
 
     // Pass 2: emit one record per allocation, in event (= birth) order.
-    let meta = reader.meta().clone();
-    let mut writer = ShardWriter::create(dir, meta, records_per_shard)?;
+    let mut writer = ShardWriter::create(dir, reader.meta().clone(), records_per_shard)?;
     let mut reader = TraceEventReader::open(src).map_err(from_trace_io)?;
     let mut clock: u64 = 0;
     let mut next: usize = 0;
     while let Some(event) = reader.next_event().map_err(from_trace_io)? {
         if let crate::event::Event::Alloc { id, size } = event {
             clock += size as u64;
-            if next >= deaths.len() {
+            let Some(&death) = deaths.get(next) else {
                 return Err(CtcError::BadRecord {
                     path: src.to_path_buf(),
                     index: next as u64,
                     reason: "trace file changed between converter passes",
                 });
-            }
-            let death = deaths[next];
+            };
             writer.push(ObjectLife {
                 id,
                 birth: VirtualTime::from_bytes(clock),
                 size,
-                death: death.map(VirtualTime::from_bytes),
+                death: (death != NO_DEATH).then(|| VirtualTime::from_bytes(death)),
             })?;
             next += 1;
         }
     }
-    writer.finish(VirtualTime::from_bytes(end))
+    writer.finish(end)
 }
 
 /// Verification status of one shard, from [`verify_store`].
@@ -764,6 +745,37 @@ pub fn verify_store(dir: impl AsRef<Path>) -> Result<StoreReport, CtcError> {
     Ok(StoreReport { manifest, shards })
 }
 
+/// Checks a shard header — magic, kind byte, index and stride — against
+/// the shard's position and the manifest's stride.
+fn check_header(
+    header: &[u8; HEADER_BYTES],
+    path: &Path,
+    index: usize,
+    stride: u64,
+) -> Result<(), CtcError> {
+    if &header[0..8] != MAGIC || header[8] != KIND_SHARD {
+        return Err(CtcError::BadMagic {
+            path: path.to_path_buf(),
+        });
+    }
+    let found_index = u32::from_le_bytes(header[9..13].try_into().expect("4 bytes"));
+    let found_stride = u64::from_le_bytes(header[13..21].try_into().expect("8 bytes"));
+    for (field, expected, found) in [
+        ("index", index as u64, u64::from(found_index)),
+        ("stride", stride, found_stride),
+    ] {
+        if found != expected {
+            return Err(CtcError::ShardMismatch {
+                path: path.to_path_buf(),
+                field,
+                expected,
+                found,
+            });
+        }
+    }
+    Ok(())
+}
+
 /// Full structural + checksum verification of one shard file.
 fn check_shard(
     path: &Path,
@@ -772,36 +784,13 @@ fn check_shard(
     info: &ShardInfo,
 ) -> Result<(), CtcError> {
     let data = std::fs::read(path).map_err(|e| io_err(path, e))?;
-    let header_len = MAGIC.len() + 1 + 4 + 8;
-    let expected_len = header_len + info.records as usize * RECORD_BYTES + 8;
-    if data.len() < header_len {
+    let expected_len = HEADER_BYTES + info.records as usize * RECORD_BYTES + 8;
+    let Some(header) = data.first_chunk::<HEADER_BYTES>() else {
         return Err(CtcError::Truncated {
             path: path.to_path_buf(),
         });
-    }
-    if &data[0..8] != MAGIC || data[8] != KIND_SHARD {
-        return Err(CtcError::BadMagic {
-            path: path.to_path_buf(),
-        });
-    }
-    let found_index = u32::from_le_bytes(data[9..13].try_into().expect("4 bytes"));
-    if found_index as usize != index {
-        return Err(CtcError::ShardMismatch {
-            path: path.to_path_buf(),
-            field: "index",
-            expected: index as u64,
-            found: found_index as u64,
-        });
-    }
-    let found_stride = u64::from_le_bytes(data[13..21].try_into().expect("8 bytes"));
-    if found_stride != manifest.records_per_shard {
-        return Err(CtcError::ShardMismatch {
-            path: path.to_path_buf(),
-            field: "stride",
-            expected: manifest.records_per_shard,
-            found: found_stride,
-        });
-    }
+    };
+    check_header(header, path, index, manifest.records_per_shard)?;
     if data.len() < expected_len {
         return Err(CtcError::Truncated {
             path: path.to_path_buf(),
@@ -815,7 +804,7 @@ fn check_shard(
             found: data.len() as u64,
         });
     }
-    let records = &data[header_len..expected_len - 8];
+    let records = &data[HEADER_BYTES..expected_len - 8];
     let recorded = u64::from_le_bytes(data[expected_len - 8..].try_into().expect("8 bytes"));
     let computed = fnv1a(FNV_OFFSET, records);
     if computed != recorded || computed != info.checksum {
@@ -935,29 +924,9 @@ impl ShardReader {
         let path = shard_path(&self.dir, i);
         let file = File::open(&path).map_err(|e| io_err(&path, e))?;
         let mut reader = BufReader::new(file);
-        let mut header = [0u8; 8 + 1 + 4 + 8];
+        let mut header = [0u8; HEADER_BYTES];
         read_exact_ctc(&mut reader, &mut header, &path)?;
-        if &header[0..8] != MAGIC || header[8] != KIND_SHARD {
-            return Err(CtcError::BadMagic { path });
-        }
-        let found_index = u32::from_le_bytes(header[9..13].try_into().expect("4 bytes"));
-        if found_index as usize != i {
-            return Err(CtcError::ShardMismatch {
-                path,
-                field: "index",
-                expected: i as u64,
-                found: found_index as u64,
-            });
-        }
-        let found_stride = u64::from_le_bytes(header[13..21].try_into().expect("8 bytes"));
-        if found_stride != self.manifest.records_per_shard {
-            return Err(CtcError::ShardMismatch {
-                path,
-                field: "stride",
-                expected: self.manifest.records_per_shard,
-                found: found_stride,
-            });
-        }
+        check_header(&header, &path, i, self.manifest.records_per_shard)?;
         let verified = verified_key(&path, self.manifest.shards[i].checksum)
             .is_some_and(|key| verified_shards().lock().expect("memo lock").contains(&key));
         self.current = Some(ShardCursor {
@@ -1018,6 +987,42 @@ fn read_exact_ctc(reader: &mut impl Read, buf: &mut [u8], path: &Path) -> Result
     })
 }
 
+/// Decodes one 28-byte record — record `index` of the store, read from
+/// `path` — rejecting a zero size and a death before birth.
+#[inline(always)]
+fn decode_record(
+    raw: &[u8; RECORD_BYTES],
+    path: &Path,
+    index: u64,
+) -> Result<ObjectLife, CtcError> {
+    let id = u64::from_le_bytes(raw[0..8].try_into().expect("8 bytes"));
+    let birth = u64::from_le_bytes(raw[8..16].try_into().expect("8 bytes"));
+    let size = u32::from_le_bytes(raw[16..20].try_into().expect("4 bytes"));
+    let death = u64::from_le_bytes(raw[20..28].try_into().expect("8 bytes"));
+    let bad = |reason| CtcError::BadRecord {
+        path: path.to_path_buf(),
+        index,
+        reason,
+    };
+    if size == 0 {
+        return Err(bad("object has zero size"));
+    }
+    let death = if death == NO_DEATH {
+        None
+    } else {
+        if death < birth {
+            return Err(bad("object dies before it is born"));
+        }
+        Some(VirtualTime::from_bytes(death))
+    };
+    Ok(ObjectLife {
+        id: ObjectId(id),
+        birth: VirtualTime::from_bytes(birth),
+        size,
+        death,
+    })
+}
+
 impl EventSource for ShardReader {
     fn meta(&self) -> &TraceMeta {
         &self.manifest.meta
@@ -1050,34 +1055,7 @@ impl EventSource for ShardReader {
             cur.read += 1;
             let index = self.consumed;
             self.consumed += 1;
-            let id = u64::from_le_bytes(raw[0..8].try_into().expect("8 bytes"));
-            let birth = u64::from_le_bytes(raw[8..16].try_into().expect("8 bytes"));
-            let size = u32::from_le_bytes(raw[16..20].try_into().expect("4 bytes"));
-            let death = u64::from_le_bytes(raw[20..28].try_into().expect("8 bytes"));
-            let bad = |reason| {
-                SourceError::Shard(CtcError::BadRecord {
-                    path: cur.path.clone(),
-                    index,
-                    reason,
-                })
-            };
-            if size == 0 {
-                return Err(bad("object has zero size"));
-            }
-            let death = if death == NO_DEATH {
-                None
-            } else {
-                if death < birth {
-                    return Err(bad("object dies before it is born"));
-                }
-                Some(VirtualTime::from_bytes(death))
-            };
-            return Ok(Some(ObjectLife {
-                id: ObjectId(id),
-                birth: VirtualTime::from_bytes(birth),
-                size,
-                death,
-            }));
+            return Ok(Some(decode_record(&raw, &cur.path, index)?));
         }
     }
 
@@ -1132,40 +1110,17 @@ impl EventSource for ShardReader {
             if !cur.verified {
                 cur.fnv = fnv1a(cur.fnv, &self.buf);
             }
-            for raw in self.buf.chunks_exact(RECORD_BYTES) {
+            for raw in self.buf.as_chunks::<RECORD_BYTES>().0 {
                 cur.read += 1;
                 let index = self.consumed;
                 self.consumed += 1;
-                let id = u64::from_le_bytes(raw[0..8].try_into().expect("8 bytes"));
-                let birth = u64::from_le_bytes(raw[8..16].try_into().expect("8 bytes"));
-                let size = u32::from_le_bytes(raw[16..20].try_into().expect("4 bytes"));
-                let death = u64::from_le_bytes(raw[20..28].try_into().expect("8 bytes"));
-                let bad = |reason| {
-                    SourceError::Shard(CtcError::BadRecord {
-                        path: cur.path.clone(),
-                        index,
-                        reason,
-                    })
-                };
-                if size == 0 {
-                    block.set_error(bad("object has zero size"));
-                    return block.len();
-                }
-                let death = if death == NO_DEATH {
-                    None
-                } else {
-                    if death < birth {
-                        block.set_error(bad("object dies before it is born"));
+                match decode_record(raw, &cur.path, index) {
+                    Ok(life) => block.push(life),
+                    Err(e) => {
+                        block.set_error(SourceError::Shard(e));
                         return block.len();
                     }
-                    Some(VirtualTime::from_bytes(death))
-                };
-                block.push(ObjectLife {
-                    id: ObjectId(id),
-                    birth: VirtualTime::from_bytes(birth),
-                    size,
-                    death,
-                });
+                }
             }
         }
         block.len()

@@ -10,9 +10,14 @@
 //! The format is self-describing enough for round-tripping but
 //! deliberately minimal; it is a workspace-internal interchange format,
 //! not an archival standard.
+//!
+//! [`encode`] writes it; the one decoder is [`TraceEventReader`], which
+//! [`decode`] runs over a byte slice and the `DTBCTC01` converter streams
+//! from a file.
 
-use crate::event::{Event, ObjectId, Trace, TraceMeta};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use crate::event::{Event, Trace};
+use crate::io::{TraceEventReader, TraceIoError};
+use bytes::{BufMut, Bytes, BytesMut};
 
 /// Magic bytes identifying a serialized trace (format version 1).
 pub const MAGIC: &[u8; 8] = b"DTBTRC01";
@@ -31,6 +36,8 @@ pub enum FormatError {
     BadTag(u8),
     /// Metadata string is not UTF-8.
     BadString,
+    /// An allocation size above `u32::MAX` (the value read).
+    SizeOverflow(u64),
 }
 
 impl std::fmt::Display for FormatError {
@@ -40,6 +47,9 @@ impl std::fmt::Display for FormatError {
             FormatError::Truncated => write!(f, "trace data ends mid-record"),
             FormatError::BadTag(t) => write!(f, "unknown event tag {t}"),
             FormatError::BadString => write!(f, "metadata string is not valid UTF-8"),
+            FormatError::SizeOverflow(size) => {
+                write!(f, "allocation size {size} does not fit in 32 bits")
+            }
         }
     }
 }
@@ -58,37 +68,9 @@ fn put_varint(buf: &mut BytesMut, mut v: u64) {
     }
 }
 
-fn get_varint(buf: &mut Bytes) -> Result<u64, FormatError> {
-    let mut v: u64 = 0;
-    let mut shift = 0u32;
-    loop {
-        if !buf.has_remaining() {
-            return Err(FormatError::Truncated);
-        }
-        let byte = buf.get_u8();
-        v |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-        if shift >= 64 {
-            return Err(FormatError::Truncated);
-        }
-    }
-}
-
 fn put_string(buf: &mut BytesMut, s: &str) {
     put_varint(buf, s.len() as u64);
     buf.put_slice(s.as_bytes());
-}
-
-fn get_string(buf: &mut Bytes) -> Result<String, FormatError> {
-    let len = get_varint(buf)? as usize;
-    if buf.remaining() < len {
-        return Err(FormatError::Truncated);
-    }
-    let raw = buf.copy_to_bytes(len);
-    String::from_utf8(raw.to_vec()).map_err(|_| FormatError::BadString)
 }
 
 /// Serializes a trace to the binary format.
@@ -142,47 +124,21 @@ pub fn encode(trace: &Trace) -> Bytes {
 /// *event stream* (no double frees, etc.) is checked separately by
 /// [`Trace::compile`].
 pub fn decode(data: &[u8]) -> Result<Trace, FormatError> {
-    let mut buf = Bytes::copy_from_slice(data);
-    if buf.remaining() < MAGIC.len() || &buf.copy_to_bytes(MAGIC.len())[..] != MAGIC {
-        return Err(FormatError::BadMagic);
-    }
-    let name = get_string(&mut buf)?;
-    let description = get_string(&mut buf)?;
-    if buf.remaining() < 8 {
-        return Err(FormatError::Truncated);
-    }
-    let exec_seconds = buf.get_f64();
-    let count = get_varint(&mut buf)? as usize;
-    let mut events = Vec::with_capacity(count.min(1 << 24));
-    let mut expected_id: u64 = 0;
-    for _ in 0..count {
-        if !buf.has_remaining() {
-            return Err(FormatError::Truncated);
-        }
-        match buf.get_u8() {
-            TAG_ALLOC => {
-                let delta = get_varint(&mut buf)?;
-                let id = expected_id.wrapping_add(delta);
-                expected_id = id.wrapping_add(1);
-                let size = get_varint(&mut buf)? as u32;
-                events.push(Event::Alloc {
-                    id: ObjectId(id),
-                    size,
-                });
-            }
-            TAG_FREE => {
-                let id = get_varint(&mut buf)?;
-                events.push(Event::Free { id: ObjectId(id) });
-            }
-            tag => return Err(FormatError::BadTag(tag)),
-        }
+    // A byte slice reports nothing but end of input, which the reader
+    // already maps to `Truncated`; it never checks event semantics.
+    let format_error = |e| match e {
+        TraceIoError::Format { error, .. } => error,
+        TraceIoError::Io { .. } | TraceIoError::Invalid { .. } => FormatError::Truncated,
+    };
+    let mut reader = TraceEventReader::new(data, "").map_err(format_error)?;
+    // Every event takes at least two bytes, which bounds a corrupt count.
+    let count = reader.remaining().min(data.len() as u64 / 2);
+    let mut events = Vec::with_capacity(count as usize);
+    while let Some(event) = reader.next_event().map_err(format_error)? {
+        events.push(event);
     }
     Ok(Trace {
-        meta: TraceMeta {
-            name,
-            description,
-            exec_seconds,
-        },
+        meta: reader.meta().clone(),
         events,
     })
 }

@@ -1,4 +1,5 @@
-//! Trace file I/O: store and load traces in the binary format.
+//! Trace file I/O: store and load traces in the binary format, and
+//! [`TraceEventReader`], the one `DTBTRC01` decoder.
 //!
 //! Separating workload generation from simulation lets expensive traces be
 //! generated once and replayed many times (the `tracegen` binary does
@@ -121,16 +122,17 @@ pub fn read_trace(path: impl AsRef<Path>) -> Result<Trace, TraceIoError> {
     Ok(trace)
 }
 
-/// Streaming reader over the *events* of a `DTBTRC01` trace file.
+/// Streaming reader over the *events* of a `DTBTRC01` trace: the one
+/// decoder of the format.
 ///
-/// [`read_trace`] slurps the whole file and materializes every event;
-/// for out-of-core processing (the `DTBCTC01` two-pass converter) this
-/// reader decodes one event at a time through a [`BufReader`], keeping
-/// memory independent of trace length. Event-stream *semantics* (double
-/// frees, clock overflow, …) are **not** checked here — callers that
-/// need them validate as they consume.
-pub struct TraceEventReader {
-    reader: BufReader<File>,
+/// It decodes one event at a time, so memory stays independent of trace
+/// length. [`TraceEventReader::open`] reads a file through a
+/// [`BufReader`] (the `DTBCTC01` two-pass converter streams this way);
+/// [`format::decode`] runs the same reader over a byte slice.
+/// Event-stream *semantics* (double frees, clock overflow, …) are **not**
+/// checked here — callers that need them validate as they consume.
+pub struct TraceEventReader<R: Read = BufReader<File>> {
+    reader: R,
     path: PathBuf,
     meta: TraceMeta,
     remaining: u64,
@@ -145,8 +147,22 @@ impl TraceEventReader {
     /// [`TraceIoError::Io`] on filesystem failure, [`TraceIoError::Format`]
     /// when the header is malformed.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, TraceIoError> {
+        let path = path.as_ref();
+        let file = File::open(path).map_err(|e| io_err(path, e))?;
+        TraceEventReader::new(BufReader::new(file), path)
+    }
+}
+
+impl<R: Read> TraceEventReader<R> {
+    /// Decodes the header (magic, metadata, event count) from `reader`.
+    /// Errors name `path`, the source the bytes came from.
+    ///
+    /// # Errors
+    ///
+    /// [`TraceIoError::Io`] when `reader` fails, [`TraceIoError::Format`]
+    /// when the header is malformed.
+    pub(crate) fn new(mut reader: R, path: impl AsRef<Path>) -> Result<Self, TraceIoError> {
         let path = path.as_ref().to_path_buf();
-        let mut reader = BufReader::new(File::open(&path).map_err(|e| io_err(&path, e))?);
         let mut magic = [0u8; 8];
         match reader.read_exact(&mut magic) {
             Ok(()) => {}
@@ -192,8 +208,9 @@ impl TraceEventReader {
     ///
     /// # Errors
     ///
-    /// [`TraceIoError::Format`] when a record is malformed or the file
-    /// ends early, [`TraceIoError::Io`] on filesystem failure.
+    /// [`TraceIoError::Format`] when a record is malformed (including an
+    /// allocation size above `u32::MAX`) or the input ends early,
+    /// [`TraceIoError::Io`] when the underlying reader fails.
     pub fn next_event(&mut self) -> Result<Option<Event>, TraceIoError> {
         if self.remaining == 0 {
             return Ok(None);
@@ -206,7 +223,9 @@ impl TraceEventReader {
                 let delta = read_varint(&mut self.reader, &self.path)?;
                 let id = self.expected_id.wrapping_add(delta);
                 self.expected_id = id.wrapping_add(1);
-                let size = read_varint(&mut self.reader, &self.path)? as u32;
+                let size = read_varint(&mut self.reader, &self.path)?;
+                let size = u32::try_from(size)
+                    .map_err(|_| format_err(&self.path, FormatError::SizeOverflow(size)))?;
                 Ok(Some(Event::Alloc {
                     id: ObjectId(id),
                     size,
@@ -236,7 +255,8 @@ fn read_exact_or_truncated(
     })
 }
 
-/// Incremental LEB128 decode matching `format::get_varint`.
+/// Incremental LEB128 decode; a varint longer than 64 bits is
+/// [`FormatError::Truncated`].
 fn read_varint(reader: &mut impl Read, path: &Path) -> Result<u64, TraceIoError> {
     let mut v: u64 = 0;
     let mut shift = 0u32;
@@ -254,9 +274,9 @@ fn read_varint(reader: &mut impl Read, path: &Path) -> Result<u64, TraceIoError>
     }
 }
 
-/// Incremental string decode matching `format::get_string`. Reads through
-/// a `Take` so a corrupt length varint cannot trigger a huge up-front
-/// allocation.
+/// Incremental string decode (varint length, then UTF-8 bytes). Reads
+/// through a `Take` so a corrupt length varint cannot trigger a huge
+/// up-front allocation.
 fn read_string(reader: &mut impl Read, path: &Path) -> Result<String, TraceIoError> {
     let len = read_varint(reader, path)?;
     let mut raw = Vec::with_capacity(len.min(1 << 16) as usize);

@@ -22,10 +22,9 @@
 //!   record streams; [`ctc`]: the sharded on-disk `DTBCTC01`
 //!   compiled-trace store) so traces larger than RAM simulate in
 //!   O(live set) memory;
-//! * the **checkpoint container** ([`ckp`]: the checksummed `DTBCKP01`
-//!   blob format `bench_dtb --resume` keeps its per-cell done-files in)
-//!   and the **record log** ([`record_log`]: the append-only `DTBLOG01`
-//!   frame log under every crash-durable store).
+//! * the **record log** ([`record_log`]: the append-only `DTBLOG01`
+//!   frame log under every crash-durable store) with its FNV-1a
+//!   checksum and error type ([`ckp`]).
 //!
 //! # Example
 //!
