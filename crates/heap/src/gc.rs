@@ -59,17 +59,21 @@ fn assert_not_dropping() {
 }
 
 /// Drops a scavenge's garbage with the dropping flag set; the flag
-/// clears even when a `Drop` impl panics.
+/// clears even when a `Drop` impl panics. The objects after a panicking
+/// one are leaked, as in rust-gc: dropping them during the unwind would
+/// abort the process at the next destructor that panics too.
 pub(crate) fn drop_garbage(garbage: Vec<Box<ErasedGcBox>>) {
-    struct Clear;
-    impl Drop for Clear {
+    struct Dropping(std::vec::IntoIter<Box<ErasedGcBox>>);
+    impl Drop for Dropping {
         fn drop(&mut self) {
+            // Objects are left only when a destructor panicked.
+            self.0.by_ref().for_each(std::mem::forget);
             DROPPING.with(|d| d.set(false));
         }
     }
     DROPPING.with(|d| d.set(true));
-    let _clear = Clear;
-    drop(garbage);
+    let mut garbage = Dropping(garbage.into_iter());
+    garbage.0.by_ref().for_each(drop);
 }
 
 impl Header {

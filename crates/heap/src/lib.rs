@@ -60,7 +60,7 @@
 //!   fields (the targets may already be gone: garbage is dropped in birth
 //!   order) and must not allocate. Either panics; the scavenge's
 //!   accounting is complete before any destructor runs, so the heap stays
-//!   usable.
+//!   usable; the garbage left to drop after the panic leaks.
 //! * A [`GcCell`] must be stored directly inside its owner's allocation
 //!   (not behind a `Vec`/`Box` indirection) for the write-barrier owner
 //!   check to pass.

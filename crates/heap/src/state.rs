@@ -220,9 +220,7 @@ impl GcState {
         self.collecting = false;
 
         // Destructors run last, on a heap that is already consistent, so a
-        // panicking `Drop` impl cannot leave it mid-scavenge. While they
-        // run, any access through a `Gc` panics instead of reading an
-        // object freed earlier in this loop.
+        // panicking `Drop` impl cannot leave it mid-scavenge.
         drop_garbage(garbage);
         CollectionOutcome {
             at: now,
@@ -450,18 +448,7 @@ mod tests {
     struct Peeker {
         older: Gc<u64>,
     }
-    // SAFETY: `older` is the only Gc-bearing field.
-    unsafe impl Trace for Peeker {
-        fn trace(&self, t: &mut Tracer) {
-            self.older.trace(t);
-        }
-        fn root(&self) {
-            self.older.root();
-        }
-        fn unroot(&self) {
-            self.older.unroot();
-        }
-    }
+    crate::impl_trace_fields!(Peeker { older });
     impl Drop for Peeker {
         fn drop(&mut self) {
             std::hint::black_box(*self.older);
@@ -473,7 +460,12 @@ mod tests {
         configure(HeapConfig::manual_full());
         {
             let older = Gc::new(7u64);
-            let _peeker = Gc::new(Peeker { older });
+            let _first = Gc::new(Peeker {
+                older: older.clone(),
+            });
+            // Leaked after the first panic: dropping it during the unwind
+            // would abort the process.
+            let _second = Gc::new(Peeker { older });
         }
         let err = std::panic::catch_unwind(collect_now)
             .expect_err("a Drop impl reading freed garbage must panic");

@@ -1007,19 +1007,15 @@ fn decode_record(
     if size == 0 {
         return Err(bad("object has zero size"));
     }
-    let death = if death == NO_DEATH {
-        None
-    } else {
-        if death < birth {
-            return Err(bad("object dies before it is born"));
-        }
-        Some(VirtualTime::from_bytes(death))
-    };
+    // `NO_DEATH` is `u64::MAX`, never below a birth.
+    if death < birth {
+        return Err(bad("object dies before it is born"));
+    }
     Ok(ObjectLife {
         id: ObjectId(id),
         birth: VirtualTime::from_bytes(birth),
         size,
-        death,
+        death: (death != NO_DEATH).then(|| VirtualTime::from_bytes(death)),
     })
 }
 

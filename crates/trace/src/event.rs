@@ -665,6 +665,26 @@ mod tests {
     }
 
     #[test]
+    fn validate_agrees_with_compile() {
+        let cases = vec![
+            trace(vec![alloc(0, 10), free(0), alloc(1, 5)]),
+            trace(vec![alloc(0, 1), alloc(0, 1)]),
+            trace(vec![free(3)]),
+            trace(vec![alloc(0, 1), free(0), free(0)]),
+            trace(vec![alloc(0, 0)]),
+            trace(vec![]),
+        ];
+        for t in cases {
+            assert_eq!(
+                t.validate(),
+                t.compile().map(|_| ()),
+                "validate and compile disagree on {:?}",
+                t.events
+            );
+        }
+    }
+
+    #[test]
     fn compiled_validate_accepts_compile_output() {
         let t = trace(vec![alloc(0, 10), alloc(1, 20), free(0), alloc(2, 5)]);
         assert_eq!(t.compile().unwrap().validate(), Ok(()));

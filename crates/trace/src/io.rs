@@ -154,13 +154,8 @@ impl TraceEventReader {
 }
 
 impl<R: Read> TraceEventReader<R> {
-    /// Decodes the header (magic, metadata, event count) from `reader`.
-    /// Errors name `path`, the source the bytes came from.
-    ///
-    /// # Errors
-    ///
-    /// [`TraceIoError::Io`] when `reader` fails, [`TraceIoError::Format`]
-    /// when the header is malformed.
+    /// [`open`](TraceEventReader::open) over any reader; errors name
+    /// `path`, the source the bytes came from.
     pub(crate) fn new(mut reader: R, path: impl AsRef<Path>) -> Result<Self, TraceIoError> {
         let path = path.as_ref().to_path_buf();
         let mut magic = [0u8; 8];
