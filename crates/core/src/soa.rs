@@ -4,36 +4,33 @@
 //! parallel columns (`births`/`sizes`/`deaths`) rather than arrays of
 //! structs, so the hot walks are slice reductions the compiler can
 //! autovectorize: no early exits, no data-dependent control flow, just a
-//! masked accumulate per lane. Death times use `u64::MAX` as the
-//! "immortal" sentinel (the on-disk `DTBCTC01` convention), which
-//! compares as *not yet dead* against any real clock without a branch.
+//! masked accumulate per entry.
 //!
 //! The kernels are `#[inline]` so they fuse into their (release-built)
 //! callers; the `microbench` crate measures them in isolation and the
 //! tests here pin their semantics against scalar references.
 
-/// Sum of `sizes[i]` over the lanes with `deaths[i] <= now`, plus the
-/// count of such lanes.
+/// Sum of `sizes[i]` over the entries with `births[i] > tb`, plus the
+/// count of such entries.
 ///
-/// This is the threatened-tail walk's first pass: given the narrowed
-/// resident range of a scavenge, it answers "how many bytes (and
-/// residents) in this range are dead at `now`" in one branch-free sweep,
-/// letting the caller pick a bulk removal path when the whole range is
-/// dead and cross-check the Fenwick suffix accounting. Lanes with the
-/// `u64::MAX` immortal sentinel never match (no real clock reaches it).
+/// This is a lane scavenge's walk over dead objects (the heap's death
+/// log segment and the lane's tenured garbage): given the boundary `tb`,
+/// it answers "how many of these dead bytes (and objects) are threatened,
+/// and so reclaimed" in one branch-free sweep, letting the caller skip
+/// the per-entry tenuring pass when every entry is threatened.
 ///
 /// # Panics
 ///
 /// Panics (in debug builds) if the column lengths differ.
 #[inline]
-pub fn dead_tail_stats(deaths: &[u64], sizes: &[u32], now: u64) -> (u64, usize) {
-    debug_assert_eq!(deaths.len(), sizes.len());
+pub fn born_after_stats(births: &[u64], sizes: &[u32], tb: u64) -> (u64, usize) {
+    debug_assert_eq!(births.len(), sizes.len());
     let mut bytes = 0u64;
     let mut count = 0usize;
-    for (&death, &size) in deaths.iter().zip(sizes) {
-        let dead = (death <= now) as u64;
-        bytes += dead * size as u64;
-        count += dead as usize;
+    for (&birth, &size) in births.iter().zip(sizes) {
+        let threatened = (birth > tb) as u64;
+        bytes += threatened * size as u64;
+        count += threatened as usize;
     }
     (bytes, count)
 }
@@ -57,38 +54,25 @@ mod tests {
     use super::*;
 
     #[test]
-    fn dead_tail_stats_matches_scalar_reference() {
-        let deaths: Vec<u64> = (0..257u64)
-            .map(|i| if i % 5 == 0 { u64::MAX } else { i * 13 % 400 })
-            .collect();
+    fn born_after_stats_matches_scalar_reference() {
+        let births: Vec<u64> = (0..257u64).map(|i| i * 13 % 400).collect();
         let sizes: Vec<u32> = (0..257u32).map(|i| i % 91 + 1).collect();
-        for now in [0u64, 1, 57, 200, 399, 400, u64::MAX - 1, u64::MAX] {
+        for tb in [0u64, 1, 57, 200, 399, 400, u64::MAX] {
             let mut bytes = 0u64;
             let mut count = 0usize;
-            for (&d, &s) in deaths.iter().zip(&sizes) {
-                if d <= now {
+            for (&b, &s) in births.iter().zip(&sizes) {
+                if b > tb {
                     bytes += s as u64;
                     count += 1;
                 }
             }
-            assert_eq!(dead_tail_stats(&deaths, &sizes, now), (bytes, count));
+            assert_eq!(born_after_stats(&births, &sizes, tb), (bytes, count));
         }
     }
 
     #[test]
-    fn immortal_sentinel_only_dies_at_saturated_now() {
-        // `now == u64::MAX` cannot arise from a real allocation clock, but
-        // the kernel's contract is still total: the sentinel compares dead
-        // only there.
-        let deaths = [u64::MAX, 3];
-        let sizes = [10u32, 7];
-        assert_eq!(dead_tail_stats(&deaths, &sizes, u64::MAX - 1), (7, 1));
-        assert_eq!(dead_tail_stats(&deaths, &sizes, u64::MAX), (17, 2));
-    }
-
-    #[test]
     fn empty_columns_sum_to_zero() {
-        assert_eq!(dead_tail_stats(&[], &[], 42), (0, 0));
+        assert_eq!(born_after_stats(&[], &[], 42), (0, 0));
         assert_eq!(sum_sizes(&[]), 0);
     }
 

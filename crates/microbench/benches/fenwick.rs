@@ -1,10 +1,10 @@
-//! Paired Fenwick kernel microbenches — the index the oracle heap runs:
-//! append (per-slot `push` vs block `extend_live`), the `prefix_pair`
-//! walk, the branchless `lower_bound_live` descent, and a batched death
-//! drain (`move_to_dead_many`) vs repeated single `move_to_dead` calls.
+//! Fenwick kernel microbenches — the live index the oracle heap runs:
+//! append (per-slot `push` vs block `extend`), the `prefix` walk, the
+//! branchless `lower_bound` descent, and a batched death drain
+//! (`sub_many`) vs repeated single `sub` calls.
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
-use dtb_core::fenwick::PairedFenwick;
+use dtb_core::fenwick::Fenwick;
 use dtb_microbench::{build_fenwick, Mix};
 
 const N: usize = 100_000;
@@ -19,20 +19,20 @@ fn bench_fenwick(c: &mut Criterion) {
     let mut group = c.benchmark_group("fenwick/build_100k");
     group.bench_function("push", |b| {
         b.iter(|| {
-            let mut tree = PairedFenwick::with_capacity(N);
+            let mut tree = Fenwick::with_capacity(N);
             for &v in &values {
-                tree.push(v, 0);
+                tree.push(v);
             }
-            black_box(tree.live_total())
+            black_box(tree.total())
         })
     });
-    group.bench_function("extend_live_blocks_1024", |b| {
+    group.bench_function("extend_blocks_1024", |b| {
         b.iter(|| {
-            let mut tree = PairedFenwick::with_capacity(N);
+            let mut tree = Fenwick::with_capacity(N);
             for chunk in values.chunks(1024) {
-                tree.extend_live(chunk.iter().copied());
+                tree.extend(chunk.iter().copied());
             }
-            black_box(tree.live_total())
+            black_box(tree.total())
         })
     });
     group.finish();
@@ -42,12 +42,11 @@ fn bench_fenwick(c: &mut Criterion) {
         let mut rng = Mix::new(17);
         (0..BATCH).map(|_| rng.next() as usize % (N + 1)).collect()
     };
-    c.bench_function("fenwick/prefix_pair_4096_queries", |b| {
+    c.bench_function("fenwick/prefix_4096_queries", |b| {
         b.iter(|| {
             let mut acc = 0u64;
             for &count in &counts {
-                let [live, dead] = tree.prefix_pair(count);
-                acc = acc.wrapping_add(live).wrapping_add(dead);
+                acc = acc.wrapping_add(tree.prefix(count));
             }
             black_box(acc)
         })
@@ -55,46 +54,46 @@ fn bench_fenwick(c: &mut Criterion) {
 
     let targets: Vec<u64> = {
         let mut rng = Mix::new(23);
-        let total = tree.live_total();
+        let total = tree.total();
         (0..BATCH).map(|_| rng.next() % (total + 1)).collect()
     };
-    c.bench_function("fenwick/lower_bound_live_4096_descents", |b| {
+    c.bench_function("fenwick/lower_bound_4096_descents", |b| {
         b.iter(|| {
             let mut acc = 0usize;
             for &target in &targets {
-                acc = acc.wrapping_add(tree.lower_bound_live(target));
+                acc = acc.wrapping_add(tree.lower_bound(target));
             }
             black_box(acc)
         })
     });
 
-    // Every slot holds at least 16 live bytes, and a move takes at most
-    // 4, so a slot drawn up to four times never underflows.
+    // Every slot holds at least 16 bytes, and a removal takes at most 4,
+    // so a slot drawn up to four times never underflows.
     let (slots, deltas): (Vec<u32>, Vec<u64>) = {
         let mut rng = Mix::new(29);
         (0..BATCH)
             .map(|_| ((rng.next() as u32) % N as u32, 1 + rng.next() % 4))
             .unzip()
     };
-    let mut group = c.benchmark_group("fenwick/death_moves_4096");
-    group.bench_function("move_to_dead_many", |b| {
+    let mut group = c.benchmark_group("fenwick/deaths_4096");
+    group.bench_function("sub_many", |b| {
         b.iter_batched(
             || build_fenwick(N, 3),
             |mut tree| {
-                tree.move_to_dead_many(&slots, &deltas);
-                black_box(tree.dead_total())
+                tree.sub_many(&slots, &deltas);
+                black_box(tree.total())
             },
             BatchSize::LargeInput,
         )
     });
-    group.bench_function("repeated_move_to_dead", |b| {
+    group.bench_function("repeated_sub", |b| {
         b.iter_batched(
             || build_fenwick(N, 3),
             |mut tree| {
                 for (&slot, &delta) in slots.iter().zip(&deltas) {
-                    tree.move_to_dead(slot as usize, delta);
+                    tree.sub(slot as usize, delta);
                 }
-                black_box(tree.dead_total())
+                black_box(tree.total())
             },
             BatchSize::LargeInput,
         )

@@ -1,12 +1,12 @@
 //! Deterministic workload builders shared by the hot-path kernel
 //! microbenches (`benches/fenwick.rs`, `benches/block_decode.rs`,
-//! `benches/tail_walk.rs`, `benches/trace_stats.rs`).
+//! `benches/dead_walk.rs`, `benches/trace_stats.rs`).
 //!
 //! The benches exist to keep the block-structured fast paths honest: the
-//! branchless paired Fenwick kernels the oracle heap runs
-//! ([`dtb_core::fenwick::PairedFenwick`]), the chunked
+//! branchless Fenwick kernels of the oracle heap's live index
+//! ([`dtb_core::fenwick::Fenwick`]), the chunked
 //! [`EventSource::next_block`](dtb_trace::EventSource::next_block)
-//! decoders, the autovectorizable threatened-tail reductions in
+//! decoders, the autovectorizable dead-object reductions in
 //! [`dtb_core::soa`], and the streaming `No GC` / `LIVE` kernel in
 //! [`dtb_trace::stats`]. The smoke tests below pin each kernel's results
 //! on the same large inputs the benches time, so a bench can never drift
@@ -15,7 +15,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use dtb_core::fenwick::PairedFenwick;
+use dtb_core::fenwick::Fenwick;
 use dtb_trace::{CompiledTrace, ObjectId, TraceBuilder};
 
 /// A tiny deterministic generator (SplitMix64) so workloads are
@@ -59,28 +59,11 @@ pub fn births(sizes: &[u32]) -> Vec<u64> {
         .collect()
 }
 
-/// Death clocks for the `births`/`sizes` stream: roughly a quarter
-/// immortal (`u64::MAX` sentinel), the rest dying an exponential-ish
-/// pseudo-random span after birth.
-pub fn deaths(births: &[u64], seed: u64) -> Vec<u64> {
+/// A Fenwick tree over `n` pseudo-random slot values.
+pub fn build_fenwick(n: usize, seed: u64) -> Fenwick {
     let mut rng = Mix::new(seed);
-    births
-        .iter()
-        .map(|&b| {
-            if rng.next().is_multiple_of(4) {
-                u64::MAX
-            } else {
-                b + (rng.next() % 2_000_000)
-            }
-        })
-        .collect()
-}
-
-/// A paired Fenwick tree over `n` all-live pseudo-random slot values.
-pub fn build_fenwick(n: usize, seed: u64) -> PairedFenwick {
-    let mut rng = Mix::new(seed);
-    let mut tree = PairedFenwick::with_capacity(n);
-    tree.extend_live((0..n).map(|_| 16 + rng.next() % 4096));
+    let mut tree = Fenwick::with_capacity(n);
+    tree.extend((0..n).map(|_| 16 + rng.next() % 4096));
     tree
 }
 
@@ -132,7 +115,7 @@ pub fn die_at_end_trace(n: usize, seed: u64) -> CompiledTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dtb_core::soa::{dead_tail_stats, sum_sizes};
+    use dtb_core::soa::{born_after_stats, sum_sizes};
 
     const N: usize = 100_000;
 
@@ -144,55 +127,50 @@ mod tests {
         assert_eq!(s1, s2);
         let b = births(&s1);
         assert!(b.windows(2).all(|w| w[0] < w[1]));
-        let d = deaths(&b, 11);
-        assert!(b.iter().zip(&d).all(|(&b, &d)| d >= b));
     }
 
-    /// Pins the paired Fenwick kernels against a scalar reference on the
-    /// exact bench workload size: prefix sums, the live descent, and a
-    /// batch of live→dead moves.
+    /// Pins the Fenwick kernels against a scalar reference on the exact
+    /// bench workload size: prefix sums, the descent, and a batch of
+    /// removals.
     #[test]
     fn fenwick_kernels_match_scalar_reference_at_bench_size() {
-        let mut live: Vec<u64> = sizes(N, 3).iter().map(|&s| s as u64).collect();
+        let mut vals: Vec<u64> = sizes(N, 3).iter().map(|&s| s as u64).collect();
         let mut tree = build_fenwick(N, 3);
-        for i in (0..live.len()).step_by(997) {
-            let prefix: u64 = live[..i].iter().sum();
-            assert_eq!(tree.prefix_pair(i), [prefix, 0], "prefix_pair({i})");
+        for i in (0..vals.len()).step_by(997) {
+            let prefix: u64 = vals[..i].iter().sum();
+            assert_eq!(tree.prefix(i), prefix, "prefix({i})");
         }
-        assert_eq!(tree.live_total(), live.iter().sum::<u64>());
-        // lower_bound_live: first slot taking the cumulative past the
-        // target.
-        let target = tree.live_total() / 2;
-        let pos = tree.lower_bound_live(target);
-        assert!(tree.prefix_pair(pos)[0] <= target);
-        assert!(tree.prefix_pair(pos + 1)[0] > target);
-        // A death batch moves exactly its bytes, slot by slot.
+        assert_eq!(tree.total(), vals.iter().sum::<u64>());
+        // lower_bound: first slot taking the cumulative past the target.
+        let target = tree.total() / 2;
+        let pos = tree.lower_bound(target);
+        assert!(tree.prefix(pos) <= target);
+        assert!(tree.prefix(pos + 1) > target);
+        // A death batch removes exactly its bytes, slot by slot.
         let slots: Vec<u32> = (0..N as u32).step_by(7).collect();
-        let deltas: Vec<u64> = slots.iter().map(|&s| live[s as usize] / 2).collect();
-        tree.move_to_dead_many(&slots, &deltas);
-        let mut dead = vec![0u64; N];
+        let deltas: Vec<u64> = slots.iter().map(|&s| vals[s as usize] / 2).collect();
+        tree.sub_many(&slots, &deltas);
         for (&s, &d) in slots.iter().zip(&deltas) {
-            (live[s as usize], dead[s as usize]) = (live[s as usize] - d, d);
+            vals[s as usize] -= d;
         }
         for i in (0..N).step_by(991) {
-            let moved = [live[..i].iter().sum(), dead[..i].iter().sum()];
-            assert_eq!(tree.prefix_pair(i), moved, "prefix_pair({i}) after moves");
+            let prefix: u64 = vals[..i].iter().sum();
+            assert_eq!(tree.prefix(i), prefix, "prefix({i}) after removals");
         }
     }
 
-    /// Pins the threatened-tail reduction against a branchy scalar walk
-    /// on the exact bench workload.
+    /// Pins the dead-object reduction against a branchy scalar walk on
+    /// the exact bench workload.
     #[test]
-    fn tail_walk_matches_branchy_reference_at_bench_size() {
+    fn dead_walk_matches_branchy_reference_at_bench_size() {
         let s = sizes(N, 5);
         let b = births(&s);
-        let d = deaths(&b, 9);
-        let now = b[N / 2];
-        let (bytes, count) = dead_tail_stats(&d, &s, now);
+        let tb = b[N / 2];
+        let (bytes, count) = born_after_stats(&b, &s, tb);
         let mut ref_bytes = 0u64;
         let mut ref_count = 0usize;
-        for (&death, &size) in d.iter().zip(&s) {
-            if death <= now {
+        for (&birth, &size) in b.iter().zip(&s) {
+            if birth > tb {
                 ref_bytes += size as u64;
                 ref_count += 1;
             }

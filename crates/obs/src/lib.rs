@@ -49,5 +49,5 @@ pub mod sink;
 pub use bus::{emit, enabled, flush, install, stats, BusStats, SinkGuard};
 pub use encode::{encode_json, json_string};
 pub use event::{CellOutcome, Envelope, Event};
-pub use scope::{add_run_probes, next_run_id, run_probes, RunScope};
+pub use scope::{next_run_id, RunScope};
 pub use sink::{CaptureSink, FileSink, FnSink, Sink};

@@ -1,16 +1,11 @@
 //! Run scoping: tags every envelope emitted on a thread with the
 //! engine run it belongs to.
 //!
-//! `Sim::run` allocates a run id, enters a [`RunScope`] for the
-//! duration of the drive loop, and every `emit` on that thread stamps
-//! the id into `Envelope::scope`. The drive loop always executes on the
-//! calling thread, so thread-locality is exactly run-locality. Threads
-//! outside any run emit scope 0.
-//!
-//! The run-level probe accumulator lives here too: per-scavenge probe
-//! counts are engine-strategy-dependent (Fenwick descent vs candidate
-//! scan), so they are kept out of the `Scavenge` payload and summed
-//! here for the `RunFinished` diagnostic total.
+//! Each collector of an engine pass allocates a run id, and the engine
+//! enters that run's [`RunScope`] around every event the collector
+//! emits, so `emit` stamps the id into `Envelope::scope`. One pass runs
+//! several collectors on one thread, so the scope switches per event
+//! rather than per thread. Threads outside any run emit scope 0.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -19,7 +14,6 @@ static NEXT_RUN: AtomicU64 = AtomicU64::new(1);
 
 thread_local! {
     static SCOPE: Cell<u64> = const { Cell::new(0) };
-    static RUN_PROBES: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Allocates a fresh process-unique run id (never 0).
@@ -34,20 +28,16 @@ pub fn current() -> u64 {
 }
 
 /// RAII guard that sets the thread's run scope, restoring the previous
-/// scope (and probe accumulator) on drop — nested runs behave sanely.
+/// scope on drop — nested runs behave sanely.
 pub struct RunScope {
     prev_scope: u64,
-    prev_probes: u64,
 }
 
 impl RunScope {
-    /// Enters run `id` on this thread and zeroes the probe accumulator.
+    /// Enters run `id` on this thread.
     pub fn enter(id: u64) -> RunScope {
-        let prev_scope = SCOPE.with(|c| c.replace(id));
-        let prev_probes = RUN_PROBES.with(|c| c.replace(0));
         RunScope {
-            prev_scope,
-            prev_probes,
+            prev_scope: SCOPE.with(|c| c.replace(id)),
         }
     }
 }
@@ -55,19 +45,7 @@ impl RunScope {
 impl Drop for RunScope {
     fn drop(&mut self) {
         SCOPE.with(|c| c.set(self.prev_scope));
-        RUN_PROBES.with(|c| c.set(self.prev_probes));
     }
-}
-
-/// Adds estimator probes to the current run's diagnostic total.
-#[inline]
-pub fn add_run_probes(n: u64) {
-    RUN_PROBES.with(|c| c.set(c.get() + n));
-}
-
-/// Reads the current run's accumulated probe total.
-pub fn run_probes() -> u64 {
-    RUN_PROBES.with(Cell::get)
 }
 
 #[cfg(test)]
@@ -83,16 +61,11 @@ mod tests {
         {
             let _a = RunScope::enter(outer);
             assert_eq!(current(), outer);
-            add_run_probes(5);
             {
                 let _b = RunScope::enter(inner);
                 assert_eq!(current(), inner);
-                assert_eq!(run_probes(), 0);
-                add_run_probes(2);
-                assert_eq!(run_probes(), 2);
             }
             assert_eq!(current(), outer);
-            assert_eq!(run_probes(), 5);
         }
         assert_eq!(current(), 0);
     }

@@ -15,18 +15,24 @@
 //! [`simulate`] and [`simulate_source`] remain as one-line conveniences
 //! for the two everyday cases. Every run executes on one thread through
 //! one drive loop: a cell is a sequential replay (each boundary depends
-//! on the scavenges before it), and the cores are spread across cells by
-//! the [`Evaluation`](crate::exec::Evaluation) pool and the service
-//! workers.
+//! on the scavenges before it), and the cores are spread across columns
+//! by the [`Evaluation`](crate::exec::Evaluation) pool and across cells
+//! by the service workers.
+//!
+//! The drive loop runs a *pass*: one read of the source shared by one or
+//! more collectors, its *lanes* ([`Sim::run_lanes`]). Decode, the
+//! trigger search, the live index and the death drain run once per pass;
+//! each lane keeps only what depends on its boundaries. [`Sim::run`] is
+//! the one-lane pass.
 
 use crate::curve::{CurvePoint, MemoryCurve};
 use crate::error::{BudgetKind, InvariantViolation, SimError};
-use crate::heap::{OracleHeap, SimHeap, SimObject};
+use crate::heap::{OracleHeap, ScavengeOutcome, SimHeap, SimObject};
 use crate::metrics::{MetricsCollector, SimReport};
 use crate::trigger::Trigger;
 use dtb_core::cost::CostModel;
 use dtb_core::history::ScavengeRecord;
-use dtb_core::policy::{ScavengeContext, TbPolicy};
+use dtb_core::policy::{ScavengeContext, SurvivalLender, TbPolicy};
 use dtb_core::time::{Bytes, VirtualTime};
 use dtb_trace::event::CompiledTrace;
 use dtb_trace::{CompiledSource, EventBlock, EventSource, DEFAULT_BLOCK_EVENTS};
@@ -224,7 +230,8 @@ pub fn simulate_source(
 /// [`OracleHeap`] unless [`Sim::heap`] overrides it — the differential
 /// suites substitute the scan-based [`crate::heap::naive::NaiveHeap`]).
 /// Launch with [`Sim::run`] (streaming source) or [`Sim::run_trace`]
-/// (compiled in-memory trace).
+/// (compiled in-memory trace), or run several policies over one pass with
+/// [`Sim::run_lanes`] / [`Sim::run_trace_lanes`].
 ///
 /// A run is all or nothing: it either reaches the end of its source or
 /// fails, and a failed or cancelled cell is rerun from its start.
@@ -309,7 +316,8 @@ impl<'c, H: SimHeap> Sim<'c, H> {
         self
     }
 
-    /// Simulates `policy` over a streaming [`EventSource`].
+    /// Simulates `policy` over a streaming [`EventSource`]: the one-lane
+    /// pass of the same drive loop [`Sim::run_lanes`] runs.
     ///
     /// # Errors
     ///
@@ -328,12 +336,9 @@ impl<'c, H: SimHeap> Sim<'c, H> {
         source: &mut S,
         policy: &mut dyn TbPolicy,
     ) -> Result<SimRun, SimError> {
-        // The drive loop executes on this thread, so one span guard
-        // covers every scavenge event of the run.
-        let span = ObsRunSpan::begin(policy.name(), &source.meta().name, self.block_events);
-        let result = run_serial(&self, source, policy);
-        span.finish(&result);
-        result
+        let mut heap = OneLane(H::with_capacity(prealloc_slots(source)));
+        let mut runs = run_pass(&self, &mut heap, source, vec![policy]);
+        runs.pop().expect("a one-lane pass returns one run")
     }
 
     /// Simulates `policy` over a compiled in-memory trace.
@@ -346,49 +351,303 @@ impl<'c, H: SimHeap> Sim<'c, H> {
     }
 }
 
+impl<'c> Sim<'c, OracleHeap> {
+    /// Simulates every policy in `policies` over **one pass** of `source`
+    /// and returns one result per policy, in order.
+    ///
+    /// Each policy is a *lane*. Decode, the trigger search, the live
+    /// index and the death drain run once for the pass; each lane keeps
+    /// only its policy, metrics, curve, trigger and budget state and its
+    /// own tenured garbage (see [`crate::heap`]). Every lane's result is
+    /// bit-identical to [`Sim::run`] of that policy alone, telemetry
+    /// included: each lane emits its own `RunStarted`, `Scavenge` and
+    /// `RunFinished` events under its own run scope.
+    ///
+    /// A lane's policy error, invariant violation or scavenge-budget
+    /// overrun fails that lane only; the others run on. What every lane
+    /// shares — a source failure, a malformed event, the event budget, a
+    /// cancellation — fails the lanes still running. An empty `policies`
+    /// reads nothing and returns nothing.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use dtb_core::policy::{PolicyConfig, PolicyKind};
+    /// use dtb_sim::engine::{Sim, SimConfig};
+    /// use dtb_trace::TraceBuilder;
+    ///
+    /// let mut b = TraceBuilder::new("tiny");
+    /// for _ in 0..40 {
+    ///     let id = b.alloc(50_000);
+    ///     b.free(id);
+    /// }
+    /// let trace = b.finish().compile()?;
+    /// let cfg = PolicyConfig::paper();
+    /// let mut policies: Vec<_> = PolicyKind::ALL.iter().map(|k| k.build(&cfg)).collect();
+    /// let runs = Sim::new(SimConfig::paper()).run_trace_lanes(&trace, &mut policies);
+    /// assert_eq!(runs.len(), 6);
+    /// assert!(runs.iter().all(|r| r.as_ref().unwrap().report.collections == 2));
+    /// # Ok::<(), dtb_trace::event::TraceError>(())
+    /// ```
+    pub fn run_lanes<S: EventSource + ?Sized, P: TbPolicy>(
+        self,
+        source: &mut S,
+        policies: &mut [P],
+    ) -> Vec<Result<SimRun, SimError>> {
+        if policies.is_empty() {
+            return Vec::new();
+        }
+        let mut heap = OracleHeap::with_lanes(policies.len(), prealloc_slots(source));
+        let lanes = policies
+            .iter_mut()
+            .map(|p| p as &mut dyn TbPolicy)
+            .collect();
+        run_pass(&self, &mut heap, source, lanes)
+    }
+
+    /// [`Sim::run_lanes`] over a compiled in-memory trace.
+    pub fn run_trace_lanes<P: TbPolicy>(
+        self,
+        trace: &CompiledTrace,
+        policies: &mut [P],
+    ) -> Vec<Result<SimRun, SimError>> {
+        self.run_lanes(&mut CompiledSource::new(trace), policies)
+    }
+}
+
+/// The heap's index capacity for `source`: a known-length source sizes
+/// it exactly; an unbounded one starts from a capped guess and grows (the
+/// dead-slot compaction in `OracleHeap` keeps the index proportional to
+/// the live set).
+fn prealloc_slots<S: EventSource + ?Sized>(source: &S) -> usize {
+    source.len_hint().unwrap_or(0).min(MAX_PREALLOC_SLOTS)
+}
+
+/// The heap side of a pass: one shared live index, scavenged per lane.
+/// The multi-lane [`OracleHeap`] implements it directly; any [`SimHeap`]
+/// is the one-lane case through [`OneLane`].
+trait LaneHeap: SurvivalLender {
+    fn insert(&mut self, obj: SimObject);
+    fn insert_block(&mut self, births: &[u64], sizes: &[u32], deaths: &[u64]);
+    fn live_bytes_at(&mut self, at: VirtualTime) -> Bytes;
+    /// Bytes lane `lane` holds in memory.
+    fn lane_mem(&self, lane: usize) -> Bytes;
+    fn lane_scavenge(&mut self, lane: usize, tb: VirtualTime, now: VirtualTime) -> ScavengeOutcome;
+    /// Lane `lane` failed and is never scavenged again.
+    fn retire(&mut self, lane: usize);
+}
+
+/// A [`SimHeap`] as the one lane of a pass.
+struct OneLane<H>(H);
+
+impl<H: SimHeap> SurvivalLender for OneLane<H> {
+    type Survival<'a>
+        = H::Survival<'a>
+    where
+        Self: 'a;
+
+    fn survival_view(&mut self, now: VirtualTime) -> H::Survival<'_> {
+        self.0.survival_view(now)
+    }
+}
+
+impl<H: SimHeap> LaneHeap for OneLane<H> {
+    fn insert(&mut self, obj: SimObject) {
+        self.0.insert(obj);
+    }
+
+    fn insert_block(&mut self, births: &[u64], sizes: &[u32], deaths: &[u64]) {
+        self.0.insert_block(births, sizes, deaths);
+    }
+
+    fn live_bytes_at(&mut self, at: VirtualTime) -> Bytes {
+        self.0.live_bytes_at(at)
+    }
+
+    fn lane_mem(&self, _lane: usize) -> Bytes {
+        self.0.mem_in_use()
+    }
+
+    fn lane_scavenge(
+        &mut self,
+        _lane: usize,
+        tb: VirtualTime,
+        now: VirtualTime,
+    ) -> ScavengeOutcome {
+        self.0.scavenge(tb, now)
+    }
+
+    fn retire(&mut self, _lane: usize) {}
+}
+
+impl LaneHeap for OracleHeap {
+    fn insert(&mut self, obj: SimObject) {
+        OracleHeap::insert(self, obj);
+    }
+
+    fn insert_block(&mut self, births: &[u64], sizes: &[u32], deaths: &[u64]) {
+        OracleHeap::insert_block(self, births, sizes, deaths);
+    }
+
+    fn live_bytes_at(&mut self, at: VirtualTime) -> Bytes {
+        OracleHeap::live_bytes_at(self, at)
+    }
+
+    fn lane_mem(&self, lane: usize) -> Bytes {
+        self.lane_mem_in_use(lane)
+    }
+
+    fn lane_scavenge(&mut self, lane: usize, tb: VirtualTime, now: VirtualTime) -> ScavengeOutcome {
+        self.scavenge_lane(lane, tb, now)
+    }
+
+    fn retire(&mut self, lane: usize) {
+        self.retire_lane(lane);
+    }
+}
+
+/// One collector of a pass: its policy and everything that depends on
+/// its boundaries.
+struct Lane<'p> {
+    policy: &'p mut dyn TbPolicy,
+    metrics: MetricsCollector,
+    curve: MemoryCurve,
+    since_gc: Bytes,
+    since_sample: Bytes,
+    /// Bytes reclaimed so far, for the conservation check.
+    reclaimed: Bytes,
+    obs: LaneObs,
+    /// Why the lane stopped early; a failed lane is never touched again.
+    failed: Option<SimError>,
+}
+
+impl Lane<'_> {
+    fn running(&self) -> bool {
+        self.failed.is_none()
+    }
+}
+
+/// Runs one pass: every lane's result, in lane order.
+fn run_pass<H: LaneHeap, S: EventSource + ?Sized>(
+    sim: &Sim<'_, impl SimHeap>,
+    heap: &mut H,
+    source: &mut S,
+    policies: Vec<&mut dyn TbPolicy>,
+) -> Vec<Result<SimRun, SimError>> {
+    let config = &sim.config;
+    if dtb_obs::enabled() {
+        // A previous run on this thread must not leak probes into ours.
+        let _ = dtb_core::obs::take_inverse_queries();
+    }
+    let mut lanes: Vec<Lane<'_>> = policies
+        .into_iter()
+        .map(|policy| Lane {
+            obs: LaneObs::begin(policy.name(), &source.meta().name, sim.block_events),
+            policy,
+            metrics: MetricsCollector::new(config.cost),
+            curve: MemoryCurve::new(),
+            since_gc: Bytes::ZERO,
+            since_sample: Bytes::ZERO,
+            reclaimed: Bytes::ZERO,
+            failed: None,
+        })
+        .collect();
+    let clock = match config.trigger.validate() {
+        Ok(()) => drive(sim, heap, source, &mut lanes),
+        Err(e) => {
+            let err = SimError::Invariant {
+                at: VirtualTime::ZERO,
+                violation: InvariantViolation::InvalidTrigger { factor: e.factor },
+            };
+            fail_running(&mut lanes, heap, &err);
+            VirtualTime::ZERO
+        }
+    };
+
+    // Account for the final memory level: it holds for whatever clock span
+    // remains, and must register in the maximum even when none does
+    // (zero-weight records update only the max). A corrupt store could
+    // report an end before the last birth; treat that as a zero span
+    // rather than tripping the clock's ordering assertion.
+    let end = source.end();
+    let tail = if end > clock {
+        end.elapsed_since(clock)
+    } else {
+        Bytes::ZERO
+    };
+    let meta = source.meta();
+    lanes
+        .into_iter()
+        .enumerate()
+        .map(|(k, mut lane)| {
+            if let Some(err) = lane.failed {
+                return Err(err);
+            }
+            lane.metrics.record_memory(heap.lane_mem(k), tail);
+            let report =
+                lane.metrics
+                    .finish(lane.policy.name(), meta.name.clone(), meta.exec_seconds);
+            lane.obs.finish(report.collections, true);
+            Ok(SimRun {
+                report,
+                curve: lane.curve,
+            })
+        })
+        .collect()
+}
+
+/// Fails lane `k` with `err`: its last telemetry, and its heap lane
+/// retired.
+fn fail_lane<H: LaneHeap>(lane: &mut Lane<'_>, heap: &mut H, k: usize, err: SimError) {
+    lane.obs.finish(0, false);
+    heap.retire(k);
+    lane.failed = Some(err);
+}
+
+/// Fails every lane still running with `err`: a failure every lane
+/// shares (source, trace shape, event budget, cancellation).
+fn fail_running<H: LaneHeap>(lanes: &mut [Lane<'_>], heap: &mut H, err: &SimError) {
+    for (k, lane) in lanes.iter_mut().enumerate() {
+        if lane.running() {
+            fail_lane(lane, heap, k, err.clone());
+        }
+    }
+}
+
+fn cancelled(cancel: Option<&AtomicBool>) -> bool {
+    cancel.is_some_and(|flag| flag.load(Ordering::Relaxed))
+}
+
 /// The drive loop: one thread, blocks of events split into safe
 /// segments, with the per-event body (`block_events(1)`) as the
-/// reference every block size must reproduce bit-identically.
-fn run_serial<H: SimHeap, S: EventSource + ?Sized>(
-    sim: &Sim<'_, H>,
+/// reference every block size must reproduce bit-identically. Returns
+/// the clock of the last event processed.
+fn drive<H: LaneHeap, S: EventSource + ?Sized>(
+    sim: &Sim<'_, impl SimHeap>,
+    heap: &mut H,
     source: &mut S,
-    policy: &mut dyn TbPolicy,
-) -> Result<SimRun, SimError> {
+    lanes: &mut [Lane<'_>],
+) -> VirtualTime {
     let (config, cancel) = (&sim.config, sim.cancel);
-    if let Err(e) = config.trigger.validate() {
-        return Err(SimError::Invariant {
-            at: VirtualTime::ZERO,
-            violation: InvariantViolation::InvalidTrigger { factor: e.factor },
-        });
-    }
     // Curve sampling between scavenges, if requested: every trigger/8.
     let sample_every = Bytes::new((config.trigger.allocation_scale().as_u64() / 8).max(1));
     // Hoisted out of the hot loop: an unlimited budget becomes a cap the
     // u64 event counter can never reach.
     let max_events = config.budget.max_events.unwrap_or(u64::MAX);
-
-    // A known-length source sizes the heap index exactly; an unbounded
-    // one starts from a capped guess and grows (the dead-prefix
-    // compaction in `OracleHeap` keeps the index proportional to the
-    // resident set).
-    let mut heap = H::with_capacity(source.len_hint().unwrap_or(0).min(MAX_PREALLOC_SLOTS));
-    let mut metrics = MetricsCollector::new(config.cost);
-    let mut curve = MemoryCurve::new();
-    let mut since_gc = Bytes::ZERO;
-    let mut since_sample = Bytes::ZERO;
     let mut clock = VirtualTime::ZERO;
     let mut ledger = Ledger::default();
 
     // The drive loop pulls events in blocks and processes each block in
     // *segments*: a safe prefix — events that provably fire no trigger,
-    // curve sample, budget error or shape error — batches straight into
-    // the heap's columnar bulk-insert path, and the one event at the
-    // segment boundary replays the exact per-event body.
+    // curve sample, budget error or shape error in any lane — batches
+    // straight into the heap's columnar bulk-insert path, and the one
+    // event at the segment boundary replays the exact per-event body.
     // Every boundary condition is monotone in the byte prefix sum, so the
     // safe prefix length is found by binary search / partition point over
-    // one precomputed prefix-sum array per block. Results are
-    // bit-identical to the per-event path at every block size; `1` keeps
-    // every event on the per-event body (the differential reference).
+    // one precomputed prefix-sum array per block, once per lane. Results
+    // are bit-identical to the per-event path at every block size; `1`
+    // keeps every event on the per-event body (the differential
+    // reference).
     let block_cap = if sim.block_events == 0 {
         DEFAULT_BLOCK_EVENTS
     } else {
@@ -401,17 +660,16 @@ fn run_serial<H: SimHeap, S: EventSource + ?Sized>(
     let mut pb: Vec<u64> = Vec::with_capacity(block_cap + 1);
 
     'drive: loop {
-        if let Some(flag) = cancel {
-            if flag.load(Ordering::Relaxed) {
-                return Err(SimError::Cancelled { at: clock });
-            }
+        if cancelled(cancel) {
+            fail_running(lanes, heap, &SimError::Cancelled { at: clock });
+            break 'drive;
         }
         let n = source.next_block(&mut block);
         if n == 0 {
-            match block.take_error() {
-                Some(source) => return Err(SimError::Source { at: clock, source }),
-                None => break 'drive,
+            if let Some(source) = block.take_error() {
+                fail_running(lanes, heap, &SimError::Source { at: clock, source });
             }
+            break 'drive;
         }
         let births = block.births();
         let sizes = block.sizes();
@@ -431,46 +689,58 @@ fn run_serial<H: SimHeap, S: EventSource + ?Sized>(
                 0
             } else {
                 // Cap the safe prefix at the first event that would hit
-                // the budget or cross the curve sample interval.
+                // the budget, then at each lane's first curve sample and
+                // trigger.
                 let base = pb[idx];
                 let s_budget =
                     usize::try_from(max_events.saturating_sub(ledger.events)).unwrap_or(usize::MAX);
-                let s_curve = if config.record_curve {
-                    let ss = since_sample.as_u64();
-                    let lim = sample_every.as_u64();
-                    pb[idx + 1..=idx + remaining].partition_point(|&p| ss + (p - base) < lim)
-                } else {
-                    usize::MAX
-                };
-                let upper = remaining.min(s_budget).min(s_curve);
-                // Largest prefix the trigger provably stays quiet for:
-                // `should_collect` is monotone non-decreasing in
-                // (since_gc, mem) for a fixed last-surviving value, and
-                // both arguments grow with the byte prefix sum, so the
-                // predicate flips at most once over the segment.
-                let mem0 = heap.mem_in_use();
-                let last_surviving = metrics.history().last().map(|r| r.surviving);
-                let (mut lo, mut hi) = (0usize, upper);
-                while lo < hi {
-                    let mid = lo + (hi - lo).div_ceil(2);
-                    let added = Bytes::new(pb[idx + mid] - base);
-                    if config
-                        .trigger
-                        .should_collect(since_gc + added, mem0 + added, last_surviving)
-                    {
-                        hi = mid - 1;
-                    } else {
-                        lo = mid;
+                let mut upper = remaining.min(s_budget);
+                for (k, lane) in lanes.iter().enumerate() {
+                    if !lane.running() {
+                        continue;
                     }
+                    if config.record_curve {
+                        let ss = lane.since_sample.as_u64();
+                        let lim = sample_every.as_u64();
+                        upper = upper.min(
+                            pb[idx + 1..=idx + upper].partition_point(|&p| ss + (p - base) < lim),
+                        );
+                    }
+                    // Largest prefix the trigger provably stays quiet for:
+                    // `should_collect` is monotone non-decreasing in
+                    // (since_gc, mem) for a fixed last-surviving value, and
+                    // both arguments grow with the byte prefix sum, so the
+                    // predicate flips at most once over the segment.
+                    let mem0 = heap.lane_mem(k);
+                    let last_surviving = lane.metrics.history().last().map(|r| r.surviving);
+                    let (mut lo, mut hi) = (0usize, upper);
+                    while lo < hi {
+                        let mid = lo + (hi - lo).div_ceil(2);
+                        let added = Bytes::new(pb[idx + mid] - base);
+                        if config.trigger.should_collect(
+                            lane.since_gc + added,
+                            mem0 + added,
+                            last_surviving,
+                        ) {
+                            hi = mid - 1;
+                        } else {
+                            lo = mid;
+                        }
+                    }
+                    upper = lo;
                 }
                 // Trace-shape screening: the batch path requires strictly
                 // increasing births and death ≥ birth (the no-death
                 // sentinel `u64::MAX` passes trivially); the first
                 // violating event falls to the per-event body, which
                 // raises the exact typed error.
-                let mut s = lo;
+                let mut s = upper;
                 let mut prev_u = ledger.prev_birth.map(|b| b.as_u64());
-                for (k, (&b, &d)) in births[idx..idx + lo].iter().zip(&deaths[idx..]).enumerate() {
+                for (k, (&b, &d)) in births[idx..idx + upper]
+                    .iter()
+                    .zip(&deaths[idx..])
+                    .enumerate()
+                {
                     if prev_u.is_some_and(|p| b <= p) || d < b {
                         s = k;
                         break;
@@ -483,16 +753,20 @@ fn run_serial<H: SimHeap, S: EventSource + ?Sized>(
             if s > 0 {
                 let end = idx + s;
                 // Memory held its previous level while each object was
-                // being allocated: replay the per-event record_memory
-                // sequence (same f64 operation order) with a running
-                // level — within a safe segment memory only moves by
-                // inserts, because deaths shift bytes between the live
-                // and dead ledgers without changing their sum.
-                let mut mem = heap.mem_in_use();
-                for &sz in &sizes[idx..end] {
-                    let size = Bytes::new(sz as u64);
-                    metrics.record_memory(mem, size);
-                    mem += size;
+                // being allocated: replay each lane's per-event
+                // record_memory sequence (same f64 operation order) with a
+                // running level — within a safe segment memory only moves
+                // by inserts, because deaths change no lane's memory.
+                for (k, lane) in lanes.iter_mut().enumerate() {
+                    if !lane.running() {
+                        continue;
+                    }
+                    let mut mem = heap.lane_mem(k);
+                    for &sz in &sizes[idx..end] {
+                        let size = Bytes::new(sz as u64);
+                        lane.metrics.record_memory(mem, size);
+                        mem += size;
+                    }
                 }
                 clock = VirtualTime::from_bytes(births[end - 1]);
                 heap.insert_block(&births[idx..end], &sizes[idx..end], &deaths[idx..end]);
@@ -500,18 +774,19 @@ fn run_serial<H: SimHeap, S: EventSource + ?Sized>(
                 ledger.events += s as u64;
                 ledger.prev_birth = Some(clock);
                 ledger.allocated += added;
-                since_gc += added;
-                since_sample += added;
+                for lane in lanes.iter_mut() {
+                    lane.since_gc += added;
+                    lane.since_sample += added;
+                }
                 idx = end;
                 continue;
             }
 
             // Segment boundary (or per-event reference mode): the exact
             // per-event body, bit for bit.
-            if let Some(flag) = cancel {
-                if flag.load(Ordering::Relaxed) {
-                    return Err(SimError::Cancelled { at: clock });
-                }
+            if cancelled(cancel) {
+                fail_running(lanes, heap, &SimError::Cancelled { at: clock });
+                break 'drive;
             }
             let birth = VirtualTime::from_bytes(births[idx]);
             let obj_size = sizes[idx];
@@ -519,37 +794,44 @@ fn run_serial<H: SimHeap, S: EventSource + ?Sized>(
                 (deaths[idx] != EventBlock::NO_DEATH).then(|| VirtualTime::from_bytes(deaths[idx]));
             ledger.events += 1;
             if ledger.events > max_events {
-                return Err(SimError::BudgetExceeded {
+                let err = SimError::BudgetExceeded {
                     kind: BudgetKind::Events,
                     limit: max_events,
                     at: clock,
-                });
+                };
+                fail_running(lanes, heap, &err);
+                break 'drive;
             }
             // Trace-shape checks run on every event regardless of
             // `check_invariants`: they are O(1) and they stand between a
             // corrupted trace and the heap's birth-order panic.
-            if let Some(prev) = ledger.prev_birth {
-                if birth <= prev {
-                    return Err(SimError::Invariant {
-                        at: birth,
-                        violation: InvariantViolation::NonMonotoneTime { prev, next: birth },
-                    });
+            let shape = match (ledger.prev_birth, death) {
+                (Some(prev), _) if birth <= prev => {
+                    Some(InvariantViolation::NonMonotoneTime { prev, next: birth })
                 }
-            }
-            if let Some(death) = death {
-                if death < birth {
-                    return Err(SimError::Invariant {
-                        at: birth,
-                        violation: InvariantViolation::DeathBeforeBirth { birth, death },
-                    });
+                (_, Some(death)) if death < birth => {
+                    Some(InvariantViolation::DeathBeforeBirth { birth, death })
                 }
+                _ => None,
+            };
+            if let Some(violation) = shape {
+                let err = SimError::Invariant {
+                    at: birth,
+                    violation,
+                };
+                fail_running(lanes, heap, &err);
+                break 'drive;
             }
             ledger.prev_birth = Some(birth);
 
             let size = Bytes::new(obj_size as u64);
             // Memory held its previous level while this object was being
             // allocated (the clock span equals the object's size).
-            metrics.record_memory(heap.mem_in_use(), size);
+            for (k, lane) in lanes.iter_mut().enumerate() {
+                if lane.running() {
+                    lane.metrics.record_memory(heap.lane_mem(k), size);
+                }
+            }
             clock = birth;
             heap.insert(SimObject {
                 birth,
@@ -557,39 +839,41 @@ fn run_serial<H: SimHeap, S: EventSource + ?Sized>(
                 death,
             });
             ledger.allocated += size;
-            since_gc += size;
-            since_sample += size;
 
-            if config.record_curve && since_sample >= sample_every {
-                since_sample = Bytes::ZERO;
-                curve.push(CurvePoint {
-                    at: clock,
-                    mem: heap.mem_in_use(),
-                    live: heap.live_bytes_at(clock),
-                    boundary: None,
-                });
+            for (k, lane) in lanes.iter_mut().enumerate() {
+                if !lane.running() {
+                    continue;
+                }
+                lane.since_gc += size;
+                lane.since_sample += size;
+                if config.record_curve && lane.since_sample >= sample_every {
+                    lane.since_sample = Bytes::ZERO;
+                    let mem = heap.lane_mem(k);
+                    lane.curve.push(CurvePoint {
+                        at: clock,
+                        mem,
+                        live: heap.live_bytes_at(clock),
+                        boundary: None,
+                    });
+                }
+                let last_surviving = lane.metrics.history().last().map(|r| r.surviving);
+                if config
+                    .trigger
+                    .should_collect(lane.since_gc, heap.lane_mem(k), last_surviving)
+                {
+                    lane.since_gc = Bytes::ZERO;
+                    // A scavenge records its own curve points; restart the
+                    // sample interval so the next between-scavenge sample
+                    // measures from here instead of firing immediately
+                    // after the collection.
+                    lane.since_sample = Bytes::ZERO;
+                    if let Err(err) = scavenge_now(heap, k, lane, config, clock, &ledger) {
+                        fail_lane(lane, heap, k, err);
+                    }
+                }
             }
-
-            let last_surviving = metrics.history().last().map(|r| r.surviving);
-            if config
-                .trigger
-                .should_collect(since_gc, heap.mem_in_use(), last_surviving)
-            {
-                since_gc = Bytes::ZERO;
-                // A scavenge records its own curve points; restart the
-                // sample interval so the next between-scavenge sample
-                // measures from here instead of firing immediately after
-                // the collection.
-                since_sample = Bytes::ZERO;
-                scavenge_now(
-                    &mut heap,
-                    policy,
-                    &mut metrics,
-                    config,
-                    &mut curve,
-                    clock,
-                    &mut ledger,
-                )?;
+            if !lanes.iter().any(Lane::running) {
+                break 'drive;
             }
 
             idx += 1;
@@ -599,92 +883,81 @@ fn run_serial<H: SimHeap, S: EventSource + ?Sized>(
         // they are processed (advancing the clock) first, so the typed
         // error carries the same clock the per-record path would report.
         if let Some(source) = block.take_error() {
-            return Err(SimError::Source { at: clock, source });
+            fail_running(lanes, heap, &SimError::Source { at: clock, source });
+            break 'drive;
         }
     }
-
-    // Account for the final memory level: it holds for whatever clock span
-    // remains, and must register in the maximum even when none does
-    // (zero-weight records update only the max). A corrupt store could
-    // report an end before the last birth; treat that as a zero span
-    // rather than tripping the clock's ordering assertion.
-    let end = source.end();
-    let tail = if end > clock {
-        end.elapsed_since(clock)
-    } else {
-        Bytes::ZERO
-    };
-    metrics.record_memory(heap.mem_in_use(), tail);
-
-    let meta = source.meta();
-    Ok(SimRun {
-        report: metrics.finish(policy.name(), meta.name.clone(), meta.exec_seconds),
-        curve,
-    })
+    clock
 }
 
-/// Telemetry span covering one engine run: enters a run scope (so every
-/// scavenge event is tagged with this run's id), emits
-/// `RunStarted`/`RunFinished`, and resets the estimator counters so a
-/// previous run on this thread cannot leak probes into ours. Does
-/// nothing — not even an allocation — when no sink is installed.
-struct ObsRunSpan {
-    scope: Option<dtb_obs::RunScope>,
+/// One lane's telemetry: its run scope, entered around each of its
+/// events so lanes sharing a thread stay apart, and its estimator probe
+/// total for `RunFinished`. Does nothing — not even an allocation — when
+/// no sink is installed.
+struct LaneObs {
+    /// The lane's run id; 0 when no sink was installed at its start.
+    run: u64,
+    probes: u64,
 }
 
-impl ObsRunSpan {
-    fn begin(policy: &str, source: &str, block_events: usize) -> ObsRunSpan {
+impl LaneObs {
+    fn begin(policy: &str, source: &str, block_events: usize) -> LaneObs {
         if !dtb_obs::enabled() {
-            return ObsRunSpan { scope: None };
+            return LaneObs { run: 0, probes: 0 };
         }
-        let scope = dtb_obs::RunScope::enter(dtb_obs::next_run_id());
-        let _ = dtb_core::obs::take_inverse_queries();
-        dtb_obs::emit(|| dtb_obs::Event::RunStarted {
+        let obs = LaneObs {
+            run: dtb_obs::next_run_id(),
+            probes: 0,
+        };
+        obs.emit(|| dtb_obs::Event::RunStarted {
             policy: policy.to_string(),
             source: source.to_string(),
             // Kept in the event formats; every run is single-threaded.
             threads: 1,
             block_events: block_events as u64,
         });
-        ObsRunSpan { scope: Some(scope) }
+        obs
     }
 
-    fn finish(self, result: &Result<SimRun, SimError>) {
-        if self.scope.is_some() {
-            dtb_obs::emit(|| dtb_obs::Event::RunFinished {
-                collections: result
-                    .as_ref()
-                    .map(|run| run.report.collections as u64)
-                    .unwrap_or(0),
-                ok: result.is_ok(),
-                inverse_probes: dtb_obs::run_probes(),
+    /// Emits `event` under the lane's run scope.
+    fn emit(&self, event: impl FnOnce() -> dtb_obs::Event) {
+        let _scope = (self.run != 0).then(|| dtb_obs::RunScope::enter(self.run));
+        dtb_obs::emit(event);
+    }
+
+    fn finish(&self, collections: usize, ok: bool) {
+        if self.run != 0 {
+            self.emit(|| dtb_obs::Event::RunFinished {
+                collections: collections as u64,
+                ok,
+                inverse_probes: self.probes,
             });
         }
     }
 }
 
-/// Running totals the invariant checker reconciles against the heap.
+/// Running totals every lane shares, which the invariant checker
+/// reconciles against each lane's heap accounting.
 #[derive(Default)]
 struct Ledger {
     events: u64,
     allocated: Bytes,
-    reclaimed: Bytes,
     prev_birth: Option<VirtualTime>,
 }
 
-/// One scavenge, policy decision included: the policy picks the
-/// boundary from a survival view, the heap scavenges, and the metrics,
-/// curve, invariant checks and telemetry record the outcome.
-fn scavenge_now<H: SimHeap>(
+/// One scavenge of lane `k`, policy decision included: the policy picks
+/// the boundary from a survival view, the heap scavenges the lane, and
+/// the lane's metrics, curve, invariant checks and telemetry record the
+/// outcome.
+fn scavenge_now<H: LaneHeap>(
     heap: &mut H,
-    policy: &mut dyn TbPolicy,
-    metrics: &mut MetricsCollector,
+    k: usize,
+    lane: &mut Lane<'_>,
     config: &SimConfig,
-    curve: &mut MemoryCurve,
     now: VirtualTime,
-    ledger: &mut Ledger,
+    ledger: &Ledger,
 ) -> Result<(), SimError> {
-    let collection = metrics.history().len();
+    let collection = lane.metrics.history().len();
     if let Some(max) = config.budget.max_scavenges {
         if collection as u64 >= max {
             return Err(SimError::BudgetExceeded {
@@ -694,7 +967,7 @@ fn scavenge_now<H: SimHeap>(
             });
         }
     }
-    let mem_before = heap.mem_in_use();
+    let mem_before = heap.lane_mem(k);
     // The survival view borrows the heap's indices, so it is scoped to
     // the policy call; afterwards the heap is free again for curve
     // queries and the scavenge itself. Constructing the view allocates
@@ -704,10 +977,10 @@ fn scavenge_now<H: SimHeap>(
         let ctx = ScavengeContext {
             now,
             mem_before,
-            history: metrics.history(),
+            history: lane.metrics.history(),
             survival: &snapshot,
         };
-        policy
+        lane.policy
             .select_boundary(&ctx)
             .map_err(|source| SimError::Policy {
                 at: now,
@@ -726,15 +999,16 @@ fn scavenge_now<H: SimHeap>(
     }
     let tb = tb.min(now);
     if config.record_curve {
-        curve.push(CurvePoint {
+        let live = heap.live_bytes_at(now);
+        lane.curve.push(CurvePoint {
             at: now,
             mem: mem_before,
-            live: heap.live_bytes_at(now),
+            live,
             boundary: Some(tb),
         });
     }
-    let outcome = heap.scavenge(tb, now);
-    ledger.reclaimed += outcome.reclaimed;
+    let outcome = heap.lane_scavenge(k, tb, now);
+    lane.reclaimed += outcome.reclaimed;
     if config.check_invariants {
         if outcome.surviving + outcome.reclaimed != mem_before {
             return Err(SimError::Invariant {
@@ -748,18 +1022,19 @@ fn scavenge_now<H: SimHeap>(
         }
         // Conservation: live + tenured garbage (= in use) + everything
         // reclaimed so far must equal everything allocated so far.
-        if heap.mem_in_use() + ledger.reclaimed != ledger.allocated {
+        let in_use = heap.lane_mem(k);
+        if in_use + lane.reclaimed != ledger.allocated {
             return Err(SimError::Invariant {
                 at: now,
                 violation: InvariantViolation::ConservationBroken {
-                    in_use: heap.mem_in_use(),
-                    reclaimed: ledger.reclaimed,
+                    in_use,
+                    reclaimed: lane.reclaimed,
                     allocated: ledger.allocated,
                 },
             });
         }
     }
-    metrics.record_scavenge(ScavengeRecord {
+    lane.metrics.record_scavenge(ScavengeRecord {
         at: now,
         boundary: tb,
         traced: outcome.traced,
@@ -771,12 +1046,13 @@ fn scavenge_now<H: SimHeap>(
         // The scavenge span payload is engine-invariant: `collection`,
         // the trigger clock/event position, the outcome bytes, and the
         // inverse-query *call* count are all identical across the
-        // per-event path and every block size (`obs_events.rs` pins
-        // this). The probe count is not — Fenwick descent vs candidate
-        // scan — so it only feeds the run-level diagnostic.
+        // per-event path, every block size and every lane of a pass
+        // (`obs_events.rs` pins this). The probe count is not — Fenwick
+        // descent vs candidate scan — so it only feeds the run-level
+        // diagnostic.
         let (inverse_calls, inverse_probes) = dtb_core::obs::take_inverse_queries();
-        dtb_obs::add_run_probes(inverse_probes);
-        dtb_obs::emit(|| dtb_obs::Event::Scavenge {
+        lane.obs.probes += inverse_probes;
+        lane.obs.emit(|| dtb_obs::Event::Scavenge {
             collection: collection as u64,
             at: now.as_u64(),
             boundary: tb.as_u64(),
@@ -790,9 +1066,10 @@ fn scavenge_now<H: SimHeap>(
         });
     }
     if config.record_curve {
-        curve.push(CurvePoint {
+        let mem = heap.lane_mem(k);
+        lane.curve.push(CurvePoint {
             at: now,
-            mem: heap.mem_in_use(),
+            mem,
             live: heap.live_bytes_at(now),
             boundary: Some(tb),
         });

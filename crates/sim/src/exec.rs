@@ -8,22 +8,26 @@
 //! * [`TraceCache`] hands out [`Arc<CompiledTrace>`] per [`Program`], so
 //!   each preset is generated and compiled **exactly once per process**
 //!   (it fronts the global memo behind [`Program::compiled`]).
-//! * [`Evaluation`] is a builder that fans the flattened cell list over a
-//!   scoped worker pool with work-stealing (a shared atomic job cursor).
-//!   Results land in index-addressed slots, so the returned [`Matrix`] is
-//!   **deterministic regardless of completion order** and byte-identical
-//!   to a serial run.
+//! * [`Evaluation`] is a builder that fans the matrix over a scoped
+//!   worker pool with work-stealing (a shared atomic job cursor). A
+//!   column's collector rows are **one job**: one engine pass whose lanes
+//!   are the rows ([`Sim::run_lanes`]), so decode, the live index and the
+//!   death drain run once per column instead of once per cell. Each
+//!   baseline cell is a job of its own. Results land in index-addressed
+//!   slots, so the returned [`Matrix`] is **deterministic regardless of
+//!   completion order** and byte-identical to a serial run.
 //!
-//! Cells are **fault-isolated**: a policy that returns a typed error, or
-//! even panics, turns its own cell into [`CellOutcome::Failed`] while
-//! every other cell completes normally. The matrix reports its failures
-//! ([`Matrix::failures`]) instead of taking the process down.
+//! Cells are **fault-isolated**, within a pass too: a policy that returns
+//! a typed error, or even panics, turns its own cell into
+//! [`CellOutcome::Failed`] while every other cell completes normally. The
+//! matrix reports its failures ([`Matrix::failures`]) instead of taking
+//! the process down.
 //!
 //! Columns need not be in-memory traces: [`Evaluation::source`] adds a
-//! **streaming** column whose cells each build a fresh
-//! [`EventSource`] and simulate it record-at-a-time, so sharded on-disk
-//! stores and unbounded generators evaluate without ever materializing
-//! the trace (see `dtb_trace::source`).
+//! **streaming** column whose pass (and each baseline cell) builds a
+//! fresh [`EventSource`] and simulates it block by block, so sharded
+//! on-disk stores and unbounded generators evaluate without ever
+//! materializing the trace (see `dtb_trace::source`).
 //!
 //! # Example
 //!
@@ -49,14 +53,15 @@ use crate::journal::{
     journal_path, read_journal, JournalCell, JournalHeader, JournalWriter, JOURNAL_VERSION,
 };
 use crate::metrics::SimReport;
-use dtb_core::policy::{PolicyConfig, PolicyKind, Row, TbPolicy};
+use dtb_core::error::PolicyError;
+use dtb_core::policy::{PolicyConfig, PolicyKind, Row, ScavengeContext, TbPolicy};
 use dtb_core::time::VirtualTime;
 use dtb_trace::ckp::{checksum, CkpError};
 use dtb_trace::ctc::CtcError;
-use dtb_trace::event::CompiledTrace;
+use dtb_trace::event::{CompiledTrace, TraceMeta};
 use dtb_trace::programs::Program;
 use dtb_trace::stats::TraceStats;
-use dtb_trace::{EventSource, SourceError};
+use dtb_trace::{CompiledSource, EventBlock, EventSource, ObjectLife, SourceError};
 use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -112,6 +117,27 @@ impl RowSpec {
             RowSpec::Custom { row, .. } => row.clone(),
         }
     }
+
+    /// The collector this row runs; `None` for the baseline rows, which
+    /// run no collector and so are no lane of a column's pass.
+    fn build(&self, cfg: &PolicyConfig) -> Option<Box<dyn TbPolicy>> {
+        match self {
+            RowSpec::Kind(kind) => Some(kind.build(cfg)),
+            RowSpec::Custom { build, .. } => Some(build(cfg)),
+            RowSpec::NoGc | RowSpec::Live => None,
+        }
+    }
+
+    fn is_lane(&self) -> bool {
+        matches!(self, RowSpec::Kind(_) | RowSpec::Custom { .. })
+    }
+}
+
+/// One unit of dispatch: a column's baseline row, or the one pass that
+/// runs every collector row of a column the journal did not reuse.
+enum Job {
+    Baseline { column: usize, row: usize },
+    Pass { column: usize, rows: Vec<usize> },
 }
 
 /// A streaming-source factory: builds a fresh [`EventSource`] inside a
@@ -146,7 +172,8 @@ pub struct CellEvent<'a> {
     pub program: &'a str,
     /// Row of the completed cell.
     pub row: &'a Row,
-    /// Wall-clock time this one cell took.
+    /// Wall-clock time this one cell took: for a collector row, its share
+    /// of the column's pass (see [`Cell::elapsed`]).
     pub elapsed: Duration,
     /// Whether the cell failed (typed error or contained panic).
     pub failed: bool,
@@ -394,7 +421,10 @@ pub struct Cell {
     pub outcome: CellOutcome,
     /// Wall-clock time this cell took inside its worker (all attempts
     /// and backoff waits included; for a cell reused from a resumed
-    /// journal, the time the *original* run recorded).
+    /// journal, the time the *original* run recorded). A collector row
+    /// runs as one lane of its column's pass, so its time is the pass's
+    /// wall time divided by the pass's lane count, attempt by attempt: a
+    /// column's cells sum to the worker time spent on them.
     pub elapsed: Duration,
     /// How many attempts the cell took: 1 on first-try success, more
     /// when transient failures were retried
@@ -529,7 +559,7 @@ impl Evaluation {
     }
 
     /// Adds a row for a policy outside the paper's six. The factory runs
-    /// inside worker threads, once per column.
+    /// inside worker threads, once per attempt of its column's pass.
     pub fn custom_policy(
         mut self,
         name: impl Into<String>,
@@ -577,12 +607,16 @@ impl Evaluation {
     }
 
     /// Wall-clock deadline per cell: a cell still running after `limit`
-    /// is cancelled by a watchdog thread (the engine polls a cancel flag
-    /// between events) and reported as [`FailureCause::Deadline`] —
-    /// retried if a [`retry`](Evaluation::retry) policy allows,
-    /// quarantined as a failed cell otherwise, while every other cell
-    /// completes normally. Baseline rows (`No GC` / `LIVE`) are not
-    /// deadline-checked: they run no engine loop to poll the flag.
+    /// is cancelled by a watchdog thread and reported as
+    /// [`FailureCause::Deadline`] — retried if a
+    /// [`retry`](Evaluation::retry) policy allows, quarantined as a
+    /// failed cell otherwise, while every other column completes
+    /// normally. A column's collector rows run as one pass of `n` lanes,
+    /// so the watchdog cancels the pass once its wall time passes
+    /// `n × limit` (the engine polls the flag between events), failing
+    /// the lanes still running. Baseline rows (`No GC` / `LIVE`) are
+    /// bounded too: the stats kernel's source read stops at the next
+    /// block once the watchdog trips.
     pub fn cell_deadline(mut self, limit: Duration) -> Evaluation {
         self.deadline = Some(limit);
         self
@@ -635,9 +669,12 @@ impl Evaluation {
     /// Runs every cell and assembles the matrix.
     ///
     /// Each preset trace is compiled at most once per process (shared
-    /// through the [`TraceCache`]); cells fan out over a scoped worker
-    /// pool; results return in (column, row) table order no matter which
-    /// worker finished first.
+    /// through the [`TraceCache`]); each column's collector rows run as
+    /// one pass and its baseline rows as a job each, fanned out over a
+    /// scoped worker pool; results return in (column, row) table order no
+    /// matter which worker finished first. Journal records and
+    /// [`on_cell`](Evaluation::on_cell) callbacks stay per cell: a pass
+    /// reports its cells in row order, one at a time.
     ///
     /// Failures never escape their cell: a policy error, watchdog trip,
     /// missed deadline, invariant violation, or panic becomes that
@@ -771,25 +808,54 @@ impl Evaluation {
         // computed by whichever of them runs first.
         let baseline_stats: Vec<OnceLock<TraceStats>> =
             targets.iter().map(|_| OnceLock::new()).collect();
-        // Flatten the matrix into jobs addressed by (column, row) index,
-        // skipping cells reused from the journal. Each column dispatches
-        // as `[No GC, policies…, LIVE]`, so `LIVE` finds the stats `No GC`
-        // computed while the policies ran. Results merge by key, so the
-        // table keeps its row order.
-        let row_order: Vec<usize> = if self.baselines {
-            let (no_gc, live) = (rows.len() - 2, rows.len() - 1);
-            std::iter::once(no_gc)
-                .chain(0..no_gc)
-                .chain(std::iter::once(live))
-                .collect()
-        } else {
-            (0..rows.len()).collect()
-        };
-        let jobs: Vec<(usize, usize)> = (0..targets.len())
-            .flat_map(|c| row_order.iter().map(move |&r| (c, r)))
-            .filter(|key| !reused.contains_key(key))
+        // A column's collector rows run as one pass; its baseline rows
+        // are a job each. Each column dispatches as `[No GC, pass, LIVE]`,
+        // so `LIVE` finds the stats `No GC` computed while the pass ran.
+        // Columns dispatch largest pass first, so the longest pass never
+        // starts last and leaves the other workers idle at the tail.
+        // Results merge by key, so the table keeps its row order.
+        let mut columns: Vec<(usize, Vec<usize>)> = (0..targets.len())
+            .map(|column| {
+                let lanes = (0..rows.len())
+                    .filter(|&r| rows[r].is_lane() && !reused.contains_key(&(column, r)))
+                    .collect();
+                (column, lanes)
+            })
             .collect();
-        let total = jobs.len();
+        // A stream's length is unknown until read: assume it is large.
+        columns.sort_by_key(|(column, lanes): &(usize, Vec<usize>)| {
+            std::cmp::Reverse(
+                traces[*column]
+                    .as_ref()
+                    .map_or(usize::MAX, |t| t.len().saturating_mul(lanes.len())),
+            )
+        });
+        let (no_gc, live) = match self.baselines {
+            true => (Some(rows.len() - 2), Some(rows.len() - 1)),
+            false => (None, None),
+        };
+        let mut jobs: Vec<Job> = Vec::new();
+        for (column, lanes) in columns {
+            let baseline = |row: Option<usize>| {
+                row.filter(|&row| !reused.contains_key(&(column, row)))
+                    .map(|row| Job::Baseline { column, row })
+            };
+            jobs.extend(baseline(no_gc));
+            if !lanes.is_empty() {
+                jobs.push(Job::Pass {
+                    column,
+                    rows: lanes,
+                });
+            }
+            jobs.extend(baseline(live));
+        }
+        let total: usize = jobs
+            .iter()
+            .map(|job| match job {
+                Job::Baseline { .. } => 1,
+                Job::Pass { rows, .. } => rows.len(),
+            })
+            .sum();
         dtb_obs::emit(|| dtb_obs::Event::EvalStarted {
             cells: total as u64,
         });
@@ -800,79 +866,114 @@ impl Evaluation {
         // The first journal-write failure, surfaced after the pool drains
         // (cells keep computing; only durability is lost).
         let journal_err: Mutex<Option<CkpError>> = Mutex::new(None);
-        let results = run_indexed(self.parallelism, total, |job| {
-            let (c, r) = jobs[job];
-            let started = Instant::now();
-            let (outcome, attempts) = run_cell_supervised(
-                &targets[c],
-                traces[c].as_deref(),
-                &baseline_stats[c],
-                &names[c],
-                &rows[r],
-                &self.policy_cfg,
-                &self.sim_cfg,
-                self.deadline,
-                &self.retry,
-                (c * rows.len() + r) as u64,
-            );
-            let elapsed = started.elapsed();
-            if let Some(writer) = &writer {
-                let line = JournalCell {
+        // Journals and reports one finished cell: record, then telemetry,
+        // then the callback.
+        let finish =
+            |c: usize, r: usize, outcome: &CellOutcome, elapsed: Duration, attempts: u32| {
+                if let Some(writer) = &writer {
+                    let line = JournalCell {
+                        column: names[c].clone(),
+                        row: row_labels[r].clone(),
+                        attempts,
+                        elapsed_ns: elapsed.as_nanos().min(u64::MAX as u128) as u64,
+                        run: match outcome {
+                            CellOutcome::Completed(run) => Some(run.clone()),
+                            CellOutcome::Failed(_) => None,
+                        },
+                        failure: match outcome {
+                            CellOutcome::Completed(_) => None,
+                            CellOutcome::Failed(f) => Some(f.to_string()),
+                        },
+                        transient: Some(
+                            matches!(outcome, CellOutcome::Failed(f) if f.is_transient()),
+                        ),
+                    };
+                    let result = writer.lock().unwrap_or_else(|p| p.into_inner()).cell(&line);
+                    if let Err(e) = result {
+                        journal_err
+                            .lock()
+                            .unwrap_or_else(|p| p.into_inner())
+                            .get_or_insert(e);
+                    }
+                }
+                let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
+                // The bus carries the canonical lifecycle record; the
+                // `on_cell` callback below is a thin compatibility adapter
+                // over the same moment (same counter, same ordering).
+                dtb_obs::emit(|| dtb_obs::Event::CellFinished {
                     column: names[c].clone(),
                     row: row_labels[r].clone(),
                     attempts,
                     elapsed_ns: elapsed.as_nanos().min(u64::MAX as u128) as u64,
-                    run: match &outcome {
-                        CellOutcome::Completed(run) => Some(run.clone()),
-                        CellOutcome::Failed(_) => None,
+                    completed: done as u64,
+                    total: total as u64,
+                    outcome: match outcome {
+                        CellOutcome::Completed(_) => dtb_obs::CellOutcome::Completed,
+                        CellOutcome::Failed(_) => dtb_obs::CellOutcome::Failed,
                     },
-                    failure: match &outcome {
-                        CellOutcome::Completed(_) => None,
-                        CellOutcome::Failed(f) => Some(f.to_string()),
+                    cause: match outcome {
+                        CellOutcome::Completed(_) => String::new(),
+                        CellOutcome::Failed(f) => f.cause.to_string(),
                     },
-                    transient: Some(matches!(&outcome, CellOutcome::Failed(f) if f.is_transient())),
-                };
-                let result = writer.lock().unwrap_or_else(|p| p.into_inner()).cell(&line);
-                if let Err(e) = result {
-                    journal_err
-                        .lock()
-                        .unwrap_or_else(|p| p.into_inner())
-                        .get_or_insert(e);
+                });
+                if let Some(cb) = &self.on_cell {
+                    let event = CellEvent {
+                        program: &names[c],
+                        row: &rows[r].row(),
+                        elapsed,
+                        failed: matches!(outcome, CellOutcome::Failed(_)),
+                        completed: done,
+                        total,
+                    };
+                    // A panicking observer must not take the cell down with it.
+                    let _ = catch_unwind(AssertUnwindSafe(|| cb(&event)));
                 }
-            }
-            let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
-            // The bus carries the canonical lifecycle record; the
-            // `on_cell` callback below is a thin compatibility adapter
-            // over the same moment (same counter, same ordering).
-            dtb_obs::emit(|| dtb_obs::Event::CellFinished {
-                column: names[c].clone(),
-                row: row_labels[r].clone(),
-                attempts,
-                elapsed_ns: elapsed.as_nanos().min(u64::MAX as u128) as u64,
-                completed: done as u64,
-                total: total as u64,
-                outcome: match &outcome {
-                    CellOutcome::Completed(_) => dtb_obs::CellOutcome::Completed,
-                    CellOutcome::Failed(_) => dtb_obs::CellOutcome::Failed,
+            };
+        let salt = |c: usize, r: usize| (c * rows.len() + r) as u64;
+        let results = run_indexed(self.parallelism, jobs.len(), |job| {
+            let (c, cells): (usize, Vec<usize>) = match &jobs[job] {
+                Job::Baseline { column, row } => (*column, vec![*row]),
+                Job::Pass { column, rows } => (*column, rows.clone()),
+            };
+            let labels: Vec<(Row, u64)> =
+                cells.iter().map(|&r| (rows[r].row(), salt(c, r))).collect();
+            let outcomes = supervise(
+                &names[c],
+                &labels,
+                self.deadline,
+                &self.retry,
+                |todo, cancel| match &jobs[job] {
+                    Job::Baseline { row, .. } => vec![run_baseline(
+                        &targets[c],
+                        traces[c].as_deref(),
+                        &baseline_stats[c],
+                        &names[c],
+                        &rows[*row],
+                        cancel,
+                    )],
+                    Job::Pass { rows: lanes, .. } => {
+                        let specs: Vec<&RowSpec> = todo.iter().map(|&i| &rows[lanes[i]]).collect();
+                        run_pass(
+                            &targets[c],
+                            traces[c].as_deref(),
+                            &names[c],
+                            &specs,
+                            &self.policy_cfg,
+                            &self.sim_cfg,
+                            cancel,
+                        )
+                    }
                 },
-                cause: match &outcome {
-                    CellOutcome::Completed(_) => String::new(),
-                    CellOutcome::Failed(f) => f.cause.to_string(),
-                },
-            });
-            if let Some(cb) = &self.on_cell {
-                let event = CellEvent {
-                    program: &names[c],
-                    row: &rows[r].row(),
-                    elapsed,
-                    failed: matches!(outcome, CellOutcome::Failed(_)),
-                    completed: done,
-                    total,
-                };
-                // A panicking observer must not take the cell down with it.
-                let _ = catch_unwind(AssertUnwindSafe(|| cb(&event)));
-            }
-            (outcome, elapsed, attempts)
+            );
+            // Cells come out of a job in row order, one at a time.
+            cells
+                .into_iter()
+                .zip(outcomes)
+                .map(|(r, (outcome, elapsed, attempts))| {
+                    finish(c, r, &outcome, elapsed, attempts);
+                    ((c, r), (outcome, elapsed, attempts))
+                })
+                .collect::<Vec<_>>()
         });
         if let Some(e) = journal_err.into_inner().unwrap_or_else(|p| p.into_inner()) {
             return Err(e);
@@ -881,7 +982,7 @@ impl Evaluation {
         // Merge computed and journal-reused cells back into column-major
         // table order.
         let mut computed: HashMap<(usize, usize), (CellOutcome, Duration, u32)> =
-            jobs.into_iter().zip(results).collect();
+            results.into_iter().flatten().collect();
         let cell_count = targets.len() * rows.len();
         let mut all = Vec::with_capacity(cell_count);
         for c in 0..targets.len() {
@@ -945,144 +1046,326 @@ fn check_journal_compat(found: &JournalHeader, expected: &JournalHeader) -> Resu
     )
 }
 
-/// Runs one cell under supervision: an optional deadline watchdog and
-/// bounded retry of transient failures. Returns the final outcome and
-/// the number of attempts made.
-#[allow(clippy::too_many_arguments)]
-fn run_cell_supervised(
-    target: &Target,
-    trace: Option<&CompiledTrace>,
-    stats: &OnceLock<TraceStats>,
+/// Runs a job's cells under supervision: a deadline watchdog per
+/// attempt and bounded retry of the cells that failed transiently.
+///
+/// `cells` names each cell (its row and retry salt); `attempt(todo,
+/// cancel)` computes the cells listed in `todo` (indices into `cells`)
+/// and returns their outcomes in that order. An attempt over `n` cells
+/// gets `n` deadlines of wall time, since its cells share one pass. A
+/// retry reruns only the cells that failed transiently, after one
+/// backoff wait salted by the first of them. Each attempt's wall time,
+/// its backoff wait included, is split evenly over the cells it ran, so
+/// a job's cells sum to the worker time spent on them. Returns each
+/// cell's outcome, elapsed time and attempt count, in `cells` order.
+fn supervise(
     name: &str,
-    spec: &RowSpec,
-    policy_cfg: &PolicyConfig,
-    sim_cfg: &SimConfig,
+    cells: &[(Row, u64)],
     deadline: Option<Duration>,
     retry: &RetryPolicy,
-    salt: u64,
-) -> (CellOutcome, u32) {
-    let mut attempts = 0u32;
-    loop {
-        attempts += 1;
-        dtb_obs::emit(|| dtb_obs::Event::CellStarted {
-            column: name.to_string(),
-            row: spec.row().to_string(),
-            attempt: attempts,
-        });
+    mut attempt: impl FnMut(&[usize], Option<&AtomicBool>) -> Vec<CellOutcome>,
+) -> Vec<(CellOutcome, Duration, u32)> {
+    let mut attempts = vec![0u32; cells.len()];
+    let mut elapsed = vec![Duration::ZERO; cells.len()];
+    let mut outcomes: Vec<Option<CellOutcome>> = vec![None; cells.len()];
+    let mut todo: Vec<usize> = (0..cells.len()).collect();
+    while !todo.is_empty() {
+        let started = Instant::now();
+        for &i in &todo {
+            attempts[i] += 1;
+            dtb_obs::emit(|| dtb_obs::Event::CellStarted {
+                column: name.to_string(),
+                row: cells[i].0.to_string(),
+                attempt: attempts[i],
+            });
+        }
         let cancel = Arc::new(AtomicBool::new(false));
-        let outcome = {
-            let _watchdog = deadline.map(|limit| Watchdog::arm(limit, Arc::clone(&cancel)));
-            run_cell(
-                target,
-                trace,
-                stats,
-                name,
-                spec,
-                policy_cfg,
-                sim_cfg,
-                deadline.map(|_| &*cancel),
-            )
+        let results = {
+            let lanes = u32::try_from(todo.len()).unwrap_or(u32::MAX);
+            let _watchdog = deadline
+                .map(|limit| Watchdog::arm(limit.saturating_mul(lanes), Arc::clone(&cancel)));
+            attempt(&todo, deadline.map(|_| &*cancel))
             // Watchdog drops here: the timer thread wakes and joins
             // before the next attempt re-arms.
         };
-        // The watchdog is this flag's only writer, so a cancelled run is
-        // by construction a missed deadline.
-        let outcome = match (outcome, deadline) {
-            (
-                CellOutcome::Failed(CellFailure {
+        debug_assert_eq!(results.len(), todo.len());
+        let mut again = Vec::new();
+        for (&i, outcome) in todo.iter().zip(results) {
+            // The watchdog is this flag's only writer, so a cancelled
+            // run is by construction a missed deadline.
+            let outcome = match (outcome, deadline) {
+                (
+                    CellOutcome::Failed(CellFailure {
+                        program,
+                        row,
+                        cause: FailureCause::Sim(SimError::Cancelled { at }),
+                    }),
+                    Some(limit),
+                ) => CellOutcome::Failed(CellFailure {
                     program,
                     row,
-                    cause: FailureCause::Sim(SimError::Cancelled { at }),
+                    cause: FailureCause::Deadline { limit, at },
                 }),
-                Some(limit),
-            ) => CellOutcome::Failed(CellFailure {
-                program,
-                row,
-                cause: FailureCause::Deadline { limit, at },
-            }),
-            (outcome, _) => outcome,
-        };
-        match &outcome {
-            CellOutcome::Failed(f) if f.is_transient() && attempts <= retry.max_retries => {
-                let delay = retry.delay(salt, attempts - 1);
+                (outcome, _) => outcome,
+            };
+            match &outcome {
+                CellOutcome::Failed(f) if f.is_transient() && attempts[i] <= retry.max_retries => {
+                    again.push((i, f.cause.to_string()));
+                }
+                _ => outcomes[i] = Some(outcome),
+            }
+        }
+        if let Some(&(first, _)) = again.first() {
+            let delay = retry.delay(cells[first].1, attempts[first] - 1);
+            for (i, cause) in &again {
                 dtb_obs::emit(|| dtb_obs::Event::CellRetried {
                     column: name.to_string(),
-                    row: spec.row().to_string(),
-                    attempt: attempts,
+                    row: cells[*i].0.to_string(),
+                    attempt: attempts[*i],
                     delay_ns: delay.as_nanos().min(u64::MAX as u128) as u64,
-                    cause: f.cause.to_string(),
+                    cause: cause.clone(),
                 });
-                thread::sleep(delay);
             }
-            _ => return (outcome, attempts),
+            thread::sleep(delay);
         }
+        let share = started.elapsed() / u32::try_from(todo.len()).unwrap_or(u32::MAX);
+        for &i in &todo {
+            elapsed[i] += share;
+        }
+        todo = again.into_iter().map(|(i, _)| i).collect();
+    }
+    outcomes
+        .into_iter()
+        .zip(elapsed)
+        .zip(attempts)
+        .map(|((outcome, elapsed), attempts)| {
+            (
+                outcome.expect("every cell ends completed or failed"),
+                elapsed,
+                attempts,
+            )
+        })
+        .collect()
+}
+
+/// A lane's policy with its panics contained: a panic in
+/// `select_boundary` becomes a typed policy error, which fails this lane
+/// only, and its message is kept for the cell's [`FailureCause::Panic`].
+struct Contained {
+    policy: Box<dyn TbPolicy>,
+    panic: Option<String>,
+}
+
+impl TbPolicy for Contained {
+    fn name(&self) -> &str {
+        self.policy.name()
+    }
+
+    fn select_boundary(&mut self, ctx: &ScavengeContext<'_>) -> Result<VirtualTime, PolicyError> {
+        match catch_unwind(AssertUnwindSafe(|| self.policy.select_boundary(ctx))) {
+            Ok(result) => result,
+            Err(payload) => {
+                let reason = panic_message(payload.as_ref());
+                self.panic = Some(reason.clone());
+                Err(PolicyError::Internal {
+                    policy: self.policy.name().to_string(),
+                    reason,
+                })
+            }
+        }
+    }
+
+    fn constraint(&self) -> Option<dtb_core::constraint::Constraint> {
+        self.policy.constraint()
     }
 }
 
-/// Runs one cell with full fault isolation: typed simulation errors and
-/// panics (from the policy, a custom factory, the engine, or a streaming
-/// source) both land in [`CellOutcome::Failed`]. When `cancel` is set,
-/// policy rows poll it between events through [`Sim::cancel`] (the
-/// deadline watchdog's hook). Baseline rows read the column's
-/// shared `stats`, computing them if no sibling cell has yet.
-#[allow(clippy::too_many_arguments)]
-fn run_cell(
+/// Runs one attempt of a column's pass: every row of `specs` as a lane
+/// of one [`Sim::run_lanes`] over the column's trace or a fresh source.
+/// Failures stay in their cell: a factory or policy panic and a lane's
+/// typed error fail that lane only; a panic outside any policy (the
+/// engine, the source) fails every lane of the attempt. When `cancel` is
+/// set the pass polls it between events (the deadline watchdog's hook).
+fn run_pass(
+    target: &Target,
+    trace: Option<&CompiledTrace>,
+    name: &str,
+    specs: &[&RowSpec],
+    policy_cfg: &PolicyConfig,
+    sim_cfg: &SimConfig,
+    cancel: Option<&AtomicBool>,
+) -> Vec<CellOutcome> {
+    let failed = |spec: &RowSpec, cause| {
+        CellOutcome::Failed(CellFailure {
+            program: name.to_string(),
+            row: spec.row(),
+            cause,
+        })
+    };
+    let mut outcomes: Vec<Option<CellOutcome>> = Vec::with_capacity(specs.len());
+    let mut policies: Vec<Contained> = Vec::with_capacity(specs.len());
+    let mut lane_spec: Vec<usize> = Vec::with_capacity(specs.len());
+    for (i, spec) in specs.iter().enumerate() {
+        match catch_unwind(AssertUnwindSafe(|| spec.build(policy_cfg))) {
+            Ok(Some(policy)) => {
+                policies.push(Contained {
+                    policy,
+                    panic: None,
+                });
+                lane_spec.push(i);
+                outcomes.push(None);
+            }
+            Ok(None) => unreachable!("baseline rows are not lanes"),
+            Err(payload) => outcomes.push(Some(failed(
+                spec,
+                FailureCause::Panic(panic_message(payload.as_ref())),
+            ))),
+        }
+    }
+    let runs = catch_unwind(AssertUnwindSafe(|| {
+        let sim = match cancel {
+            Some(flag) => Sim::new(*sim_cfg).cancel(flag),
+            None => Sim::new(*sim_cfg),
+        };
+        match target {
+            // Each pass consumes its own cursor: sources are stateful.
+            Target::Stream { make, .. } if !policies.is_empty() => {
+                sim.run_lanes(&mut *make(), &mut policies)
+            }
+            Target::Stream { .. } => Vec::new(),
+            _ => sim.run_trace_lanes(
+                trace.expect("non-stream targets resolve a trace"),
+                &mut policies,
+            ),
+        }
+    }));
+    match runs {
+        Ok(runs) => {
+            for ((&i, run), policy) in lane_spec.iter().zip(runs).zip(&policies) {
+                let spec = specs[i];
+                outcomes[i] = Some(match (run, &policy.panic) {
+                    (_, Some(msg)) => failed(spec, FailureCause::Panic(msg.clone())),
+                    (Ok(mut run), None) => {
+                        // The evaluation row names the report, not the
+                        // policy's own `name()` — a factory may wrap a
+                        // stock collector.
+                        if let RowSpec::Custom { row, .. } = spec {
+                            run.report.policy = row.clone();
+                        }
+                        CellOutcome::Completed(run)
+                    }
+                    (Err(e), None) => failed(spec, FailureCause::Sim(e)),
+                });
+            }
+        }
+        Err(payload) => {
+            let msg = panic_message(payload.as_ref());
+            for &i in &lane_spec {
+                outcomes[i] = Some(failed(specs[i], FailureCause::Panic(msg.clone())));
+            }
+        }
+    }
+    outcomes
+        .into_iter()
+        .map(|o| o.expect("every lane has an outcome"))
+        .collect()
+}
+
+/// Runs one baseline cell with full fault isolation, reading the
+/// column's shared `stats` (computing them if no sibling cell has yet).
+/// When `cancel` is set, the stats kernel's source read stops at the
+/// next block once it trips, and the cell fails as
+/// [`SimError::Cancelled`] — the deadline watchdog's hook.
+fn run_baseline(
     target: &Target,
     trace: Option<&CompiledTrace>,
     stats: &OnceLock<TraceStats>,
     name: &str,
     spec: &RowSpec,
-    policy_cfg: &PolicyConfig,
-    sim_cfg: &SimConfig,
     cancel: Option<&AtomicBool>,
 ) -> CellOutcome {
-    let sim = || match cancel {
-        Some(flag) => Sim::new(*sim_cfg).cancel(flag),
-        None => Sim::new(*sim_cfg),
-    };
-    let resident = || trace.expect("non-stream targets resolve a trace");
     let attempt = catch_unwind(AssertUnwindSafe(|| {
-        // Each cell consumes its own cursor: sources are stateful.
-        let simulate = |policy: &mut dyn TbPolicy| match target {
-            Target::Stream { make, .. } => sim().run(&mut *make(), policy),
-            _ => sim().run_trace(resident(), policy),
-        };
-        match spec {
-            RowSpec::Kind(kind) => simulate(&mut kind.build(policy_cfg)),
-            RowSpec::Custom { row, build } => {
-                simulate(&mut build(policy_cfg)).map(|mut run| {
-                    // The evaluation row names the report, not the
-                    // policy's own `name()` — a factory may wrap a stock
-                    // collector.
-                    run.report.policy = row.clone();
-                    run
-                })
-            }
-            RowSpec::NoGc | RowSpec::Live => column_stats(stats, || match target {
-                Target::Stream { make, .. } => TraceStats::compute_source(&mut *make()),
-                _ => Ok(TraceStats::compute_compiled(resident())),
-            })
-            .map(|stats| baseline_run(baseline_report(spec.row(), stats)))
+        column_stats(stats, || {
+            let computed = match target {
+                Target::Stream { make, .. } => {
+                    TraceStats::compute_source(&mut Watched::new(&mut *make(), cancel))
+                }
+                _ => TraceStats::compute_source(&mut Watched::new(
+                    &mut CompiledSource::new(trace.expect("non-stream targets resolve a trace")),
+                    cancel,
+                )),
+            };
             // Stats failures carry no allocation clock; report them at
             // zero rather than inventing one.
-            .map_err(|source| SimError::Source {
+            let stats = computed.map_err(|source| SimError::Source {
                 at: VirtualTime::ZERO,
                 source,
-            }),
-        }
+            })?;
+            if cancel.is_some_and(|flag| flag.load(Ordering::Relaxed)) {
+                return Err(SimError::Cancelled {
+                    at: VirtualTime::ZERO,
+                });
+            }
+            Ok(stats)
+        })
+        .map(|stats| baseline_run(baseline_report(spec.row(), stats)))
     }));
-    match attempt {
-        Ok(Ok(run)) => CellOutcome::Completed(run),
-        Ok(Err(e)) => CellOutcome::Failed(CellFailure {
-            program: name.to_string(),
-            row: spec.row(),
-            cause: FailureCause::Sim(e),
-        }),
-        Err(payload) => CellOutcome::Failed(CellFailure {
-            program: name.to_string(),
-            row: spec.row(),
-            cause: FailureCause::Panic(panic_message(payload.as_ref())),
-        }),
+    let cause = match attempt {
+        Ok(Ok(run)) => return CellOutcome::Completed(run),
+        Ok(Err(e)) => FailureCause::Sim(e),
+        Err(payload) => FailureCause::Panic(panic_message(payload.as_ref())),
+    };
+    CellOutcome::Failed(CellFailure {
+        program: name.to_string(),
+        row: spec.row(),
+        cause,
+    })
+}
+
+/// An [`EventSource`] that ends early once `cancel` trips: the stats
+/// kernel reads through it, so a baseline cell stops at the next block
+/// boundary after its deadline instead of reading to the end.
+struct Watched<'a, S: ?Sized> {
+    inner: &'a mut S,
+    cancel: Option<&'a AtomicBool>,
+}
+
+impl<'a, S: EventSource + ?Sized> Watched<'a, S> {
+    fn new(inner: &'a mut S, cancel: Option<&'a AtomicBool>) -> Watched<'a, S> {
+        Watched { inner, cancel }
+    }
+
+    fn cancelled(&self) -> bool {
+        self.cancel.is_some_and(|flag| flag.load(Ordering::Relaxed))
+    }
+}
+
+impl<S: EventSource + ?Sized> EventSource for Watched<'_, S> {
+    fn meta(&self) -> &TraceMeta {
+        self.inner.meta()
+    }
+
+    fn len_hint(&self) -> Option<usize> {
+        self.inner.len_hint()
+    }
+
+    fn next_record(&mut self) -> Result<Option<ObjectLife>, SourceError> {
+        if self.cancelled() {
+            return Ok(None);
+        }
+        self.inner.next_record()
+    }
+
+    fn next_block(&mut self, block: &mut EventBlock) -> usize {
+        if self.cancelled() {
+            block.clear();
+            return 0;
+        }
+        self.inner.next_block(block)
+    }
+
+    fn end(&self) -> VirtualTime {
+        self.inner.end()
     }
 }
 
@@ -1092,8 +1375,8 @@ fn run_cell(
 /// a transient failure.
 fn column_stats(
     slot: &OnceLock<TraceStats>,
-    compute: impl FnOnce() -> Result<TraceStats, SourceError>,
-) -> Result<&TraceStats, SourceError> {
+    compute: impl FnOnce() -> Result<TraceStats, SimError>,
+) -> Result<&TraceStats, SimError> {
     if let Some(stats) = slot.get() {
         return Ok(stats);
     }

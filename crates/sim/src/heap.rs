@@ -6,61 +6,61 @@
 //! object became unreachable (the lifetime oracle). Memory in use only
 //! drops when a scavenge reclaims unreachable threatened objects.
 //!
-//! # Incremental indices
+//! # One live index, many lanes
 //!
-//! [`OracleHeap`] maintains its aggregates incrementally instead of
-//! rescanning the object vector per query:
+//! Under the lifetime oracle, which bytes are live at a clock does not
+//! depend on the collector: only which *dead* bytes are still in memory
+//! does. [`OracleHeap`] is built on that split. One shared index answers
+//! everything about live storage, and each **lane** (one collector of a
+//! pass, see [`Sim::run_lanes`](crate::engine::Sim::run_lanes)) keeps
+//! only its own dead-but-unreclaimed bytes. A single-collector heap is
+//! the one-lane case.
 //!
 //! - Every object ever born gets a **global slot** — its position in
-//!   birth order over the whole run, never reused. `births` maps slots to
+//!   birth order, never reused until compaction. `births` maps slots to
 //!   birth times and is append-only, so any boundary `tb` resolves to a
 //!   slot split point with one binary search.
-//! - One **paired** [Fenwick tree](dtb_core::fenwick) over global
-//!   slots partitions the bytes still occupying memory into
-//!   `[live, dead]` components per node: live bytes belong to objects
-//!   whose oracle death lies in the future, dead bytes are
-//!   dead-but-unreclaimed. A death moves bytes from live to dead in a
-//!   *single* tree walk ([`PairedFenwick::move_to_dead_many`] — one
-//!   16-byte node pair per level instead of two disjoint trees); a
-//!   reclaim removes them from the dead component. Boundary aggregates
-//!   (traced, reclaimed, tenured garbage, survival) are prefix/suffix
-//!   sums, O(log n) each, and one paired descent answers both
-//!   components.
+//! - One [Fenwick tree](dtb_core::fenwick) over global slots holds the
+//!   **live** bytes. Traced bytes at `(tb, now)` and every survival query
+//!   a policy makes are prefix/suffix sums or one descent, O(log n) each.
 //! - Deaths are applied **lazily**, and in two stages. Inserts do no
-//!   death bookkeeping at all: the struct-of-arrays resident columns
-//!   already hold each new object's death time, so the rows appended
-//!   since the last clock advance form a *staged suffix* marked by one
-//!   watermark. The next clock advance (a scavenge or an oracle query)
-//!   scans that suffix once: deaths already in the past are applied
-//!   directly — the live→dead moves commute, so order within a batch is
-//!   irrelevant — and only the stragglers whose deaths still lie in the
-//!   future enter a small unordered pending set, drained by a linear
-//!   sweep (guarded by its cached minimum death) when their time comes.
-//!   Since most objects die before the scavenge after their birth, the
-//!   common case never touches the pending set at all, and each object
-//!   is examined exactly once.
+//!   death bookkeeping at all: the struct-of-arrays slot columns already
+//!   hold each new object's death time, so the rows appended since the
+//!   last clock advance form a *staged suffix* marked by one watermark.
+//!   The next clock advance (a scavenge or an oracle query) scans that
+//!   suffix once: deaths already in the past are applied directly, and
+//!   only the stragglers whose deaths still lie in the future enter a
+//!   small unordered pending set, drained by a linear sweep (guarded by
+//!   its cached minimum death) when their time comes.
+//! - Applying a death removes the object's bytes from the live tree and
+//!   appends its birth and size to the **death log**, exactly once. Each
+//!   lane keeps a cursor into the log.
 //!
-//! A scavenge therefore costs O(dead tail + log n): the Fenwick sums
-//! answer the byte accounting, and the compaction walk is *narrowed* to
-//! the slot range that actually holds dead bytes — two descents of the
-//! dead component ([`PairedFenwick::lower_bound_dead`]) bracket the
-//! first and last unreclaimed dead slots, the walk filters only
-//! residents between them, and the all-live tail beyond the last dead
-//! slot moves left with one `memmove`. A deep boundary (`FULL`, `DTBMEM`) no longer pays to
-//! re-inspect thousands of live survivors that merely sit above the
-//! split. Nothing on the scavenge path allocates; survival snapshots are
-//! borrowed views into the live index rather than freshly built vectors
-//! (see `crates/sim/tests/zero_alloc.rs`).
+//! A lane's scavenge at `(tb, now)` reads the live tree for its traced
+//! bytes and walks only dead objects: the log entries past its cursor
+//! (born after `tb`: reclaimed; born at or before `tb`: tenured garbage,
+//! which joins the lane's **tenured index**), then the tenured entries
+//! born after `tb` (reclaimed — the DTB untenuring move). A lane's memory
+//! in use is everything allocated minus everything it reclaimed. The log
+//! is trimmed up to the smallest cursor, so a collector whose boundary
+//! never tenures (`FULL`) keeps an empty tenured index, and reclaiming
+//! young garbage is one branch-free scan of a log segment
+//! ([`dtb_core::soa::born_after_stats`]) instead of a walk over the
+//! residents. Nothing on the scavenge path allocates once the log and
+//! tenured columns have their capacity (see
+//! `crates/sim/tests/zero_alloc.rs`); survival snapshots are borrowed
+//! views into the live index.
 //!
 //! Slots are nominally never reused, but a long-running trace would then
 //! grow the index with every object ever born even though almost all of
-//! them are long reclaimed. After a scavenge, once reclaimed slots
-//! outnumber residents 2:1 (and the index tops a 1024-slot floor), the
-//! heap **rebases** the slot space onto the residents in place —
-//! reclaimed slots hold zero bytes in both trees, so every aggregate is
-//! preserved bit-for-bit while index memory stays proportional to the
-//! resident set. This is what keeps a streaming
-//! [`EventSource`](dtb_trace::EventSource) run in O(live set) memory.
+//! them are long dead. After a scavenge, once dead slots are at least half
+//! the index (and the index tops a 1024-slot floor), the heap **rebases**
+//! the slot space onto the live slots in place. Dead slots hold zero
+//! bytes in the live tree, and the log and tenured entries carry birth
+//! times rather than slots, so every aggregate is preserved bit-for-bit
+//! while index memory stays proportional to the live set. This is what
+//! keeps a streaming [`EventSource`](dtb_trace::EventSource) run in
+//! O(live set) memory.
 //!
 //! The original scan-based implementation survives as
 //! [`naive::NaiveHeap`], the executable specification the differential
@@ -68,9 +68,10 @@
 
 pub mod naive;
 
-use dtb_core::fenwick::PairedFenwick;
+use dtb_core::fenwick::Fenwick;
 use dtb_core::history::BoundaryCandidates;
 use dtb_core::policy::{SurvivalEstimator, SurvivalLender};
+use dtb_core::soa::born_after_stats;
 use dtb_core::time::{Bytes, VirtualTime};
 
 /// One object in the oracle heap.
@@ -191,57 +192,126 @@ const NO_DEATH: u64 = u64::MAX;
 /// append-only fast path.
 const COMPACT_MIN_SLOTS: usize = 1024;
 
+/// Dead objects as two parallel columns, births and sizes: the heap's
+/// death log and each lane's tenured index. Birth times, not slots, key
+/// them, so the slot space can be rebased under them.
+#[derive(Clone, Debug, Default)]
+struct DeadColumns {
+    births: Vec<u64>,
+    sizes: Vec<u32>,
+}
+
+impl DeadColumns {
+    fn with_capacity(n: usize) -> DeadColumns {
+        DeadColumns {
+            births: Vec::with_capacity(n),
+            sizes: Vec::with_capacity(n),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.births.len()
+    }
+
+    fn push(&mut self, birth: u64, size: u32) {
+        self.births.push(birth);
+        self.sizes.push(size);
+    }
+}
+
+/// One collector's share of the heap: everything that depends on its
+/// boundaries, which is only the dead bytes it has not reclaimed.
+#[derive(Clone, Debug)]
+struct Lane {
+    /// Absolute death-log position up to which this lane has classified
+    /// deaths; `usize::MAX` once the lane is retired.
+    cursor: usize,
+    /// Dead objects born at or before the boundary of the scavenge that
+    /// first saw them dead, and not reclaimed since: tenured garbage.
+    /// Unordered.
+    tenured: DeadColumns,
+    /// Bytes in `tenured`.
+    tenured_bytes: u64,
+    /// Latest birth in `tenured` (0 when empty): a boundary at or past it
+    /// untenures nothing, so the scavenge skips the tenured walk.
+    tenured_latest: u64,
+    /// Bytes this lane has reclaimed over the whole run.
+    reclaimed: u64,
+    /// Objects this lane has reclaimed over the whole run.
+    reclaimed_objects: usize,
+}
+
+impl Lane {
+    fn new(capacity: usize) -> Lane {
+        Lane {
+            cursor: 0,
+            tenured: DeadColumns::with_capacity(capacity),
+            tenured_bytes: 0,
+            tenured_latest: 0,
+            reclaimed: 0,
+            reclaimed_objects: 0,
+        }
+    }
+}
+
 /// Birth-ordered heap with an exact lifetime oracle, maintained
-/// incrementally (see the module docs for the index design).
+/// incrementally: one shared live index and one or more collector lanes
+/// (see the module docs for the design).
+///
+/// [`OracleHeap::with_capacity`] builds the one-lane heap the
+/// [`SimHeap`] interface drives; [`OracleHeap::with_lanes`] builds the
+/// heap of a multi-collector pass, whose lanes are addressed by index.
 #[derive(Clone, Debug)]
 pub struct OracleHeap {
-    /// Birth time per global slot (allocation-clock bytes), append-only.
-    /// Stored as raw `u64` so block inserts append with one `memcpy`
-    /// straight from the event source's birth column.
+    /// Birth time per global slot (allocation-clock bytes), append-only
+    /// between compactions. Stored as raw `u64` so block inserts append
+    /// with one `memcpy` straight from the event source's birth column.
     births: Vec<u64>,
-    /// Live and dead-but-unreclaimed bytes per global slot, as one paired
-    /// index: a death moves bytes live→dead in a single tree walk, and a
-    /// scavenge's full byte accounting is one paired prefix descent.
-    index: PairedFenwick,
+    /// Size in bytes per global slot (parallel to `births`).
+    sizes: Vec<u32>,
+    /// Oracle death time per global slot ([`NO_DEATH`] = immortal;
+    /// parallel to `births`).
+    deaths: Vec<u64>,
+    /// Live bytes per global slot.
+    live: Fenwick,
+    /// Slots whose death has been applied since the last compaction.
+    dead_slots: usize,
     /// Future deaths awaiting application: `(death, slot, size)`,
     /// unordered. Only populated from the staged suffix at clock
     /// advances, and only with deaths that are still in the future then —
     /// which keeps the set small (objects outliving the scavenge after
     /// their birth), so draining it is one linear sweep instead of
-    /// per-entry priority-queue traffic. Live→dead moves commute, so the
-    /// sweep's arbitrary order leaves every aggregate bit-identical.
+    /// per-entry priority-queue traffic.
     pending: Vec<(u64, u32, u32)>,
     /// Smallest death time in `pending` (`NO_DEATH` when empty): lets an
     /// advance skip the sweep entirely while no pending death has come
     /// due.
     pending_min: u64,
-    /// Watermark into the `present_*` columns: rows at or above it were
+    /// Watermark into the slot columns: slots at or above it were
     /// appended since the last clock advance and have not had their death
-    /// examined yet (the staged suffix of the module docs' two-stage
-    /// lazy-death design). Rows below it are immortal, already moved to
-    /// the dead component, or sitting in `pending`.
+    /// examined yet (the staged suffix of the module docs).
     staged_lo: usize,
-    /// Global slot per object still occupying memory, ordered by slot.
-    /// The three `present_*` vectors are parallel struct-of-arrays
-    /// columns: keeping sizes and deaths in their own flat arrays is what
-    /// lets the scavenge walk's dead-byte pass autovectorize
-    /// ([`dtb_core::soa::dead_tail_stats`]).
-    present_slots: Vec<u32>,
-    /// Size in bytes per present object (parallel to `present_slots`).
-    present_sizes: Vec<u32>,
-    /// Oracle death time per present object ([`NO_DEATH`] = immortal;
-    /// parallel to `present_slots`).
-    present_deaths: Vec<u64>,
-    /// Reusable slot batch for the batched
-    /// [`PairedFenwick::move_to_dead_many`] /
-    /// [`PairedFenwick::sub_dead_many`] updates (death application,
-    /// scavenge removals). Warm-up sizes it; steady state never
-    /// reallocates.
+    /// Reusable slot batch for the batched [`Fenwick::sub_many`] death
+    /// application. Warm-up sizes it; steady state never reallocates.
     scratch_slots: Vec<u32>,
     /// Byte deltas paired with `scratch_slots`.
     scratch_deltas: Vec<u64>,
+    /// Every applied death not yet classified by every lane, in
+    /// application order.
+    log: DeadColumns,
+    /// Absolute log position of `log`'s first entry.
+    log_base: usize,
+    /// Bytes allocated over the whole run.
+    allocated: u64,
+    /// Objects allocated over the whole run.
+    objects: usize,
+    /// Per-collector state. The log and every lane's tenured index
+    /// reserve the heap's capacity hint up front (address space only
+    /// until used), so on a source of known length the scavenge path
+    /// never grows them.
+    lanes: Vec<Lane>,
     /// High-water mark of query time: every death `<= clock` has been
-    /// moved from `live` to `dead`.
+    /// removed from the live index and logged.
     clock: VirtualTime,
 }
 
@@ -252,24 +322,35 @@ impl Default for OracleHeap {
 }
 
 impl OracleHeap {
-    /// Creates an empty heap.
+    /// Creates an empty one-lane heap.
     pub fn new() -> OracleHeap {
         OracleHeap::default()
     }
 
-    /// Creates an empty heap with index capacity for `n` objects.
+    /// Creates an empty one-lane heap with index capacity for `n` objects.
     pub fn with_capacity(n: usize) -> OracleHeap {
+        OracleHeap::with_lanes(1, n)
+    }
+
+    /// Creates an empty heap shared by `lanes` collectors, with index
+    /// capacity for `n` objects.
+    pub fn with_lanes(lanes: usize, n: usize) -> OracleHeap {
         OracleHeap {
             births: Vec::with_capacity(n),
-            index: PairedFenwick::with_capacity(n),
+            sizes: Vec::with_capacity(n),
+            deaths: Vec::with_capacity(n),
+            live: Fenwick::with_capacity(n),
+            dead_slots: 0,
             pending: Vec::new(),
             pending_min: NO_DEATH,
             staged_lo: 0,
-            present_slots: Vec::with_capacity(n),
-            present_sizes: Vec::with_capacity(n),
-            present_deaths: Vec::with_capacity(n),
             scratch_slots: Vec::new(),
             scratch_deltas: Vec::new(),
+            log: DeadColumns::with_capacity(n),
+            log_base: 0,
+            allocated: 0,
+            objects: 0,
+            lanes: (0..lanes).map(|_| Lane::new(n)).collect(),
             clock: VirtualTime::ZERO,
         }
     }
@@ -279,9 +360,8 @@ impl OracleHeap {
     /// Births must arrive strictly increasing (the trace drives
     /// insertions in allocation order), and sizes must be nonzero (the
     /// trace layer rejects zero-sized allocations as
-    /// [`TraceError::ZeroSizedAlloc`](dtb_trace::event::TraceError::ZeroSizedAlloc);
-    /// the scavenge walk relies on every dead resident being visible to
-    /// the byte indices). Violations panic in debug builds.
+    /// [`TraceError::ZeroSizedAlloc`](dtb_trace::event::TraceError::ZeroSizedAlloc)).
+    /// Violations panic in debug builds.
     pub fn insert(&mut self, obj: SimObject) {
         if let Some(&last) = self.births.last() {
             debug_assert!(
@@ -291,15 +371,17 @@ impl OracleHeap {
             );
         }
         debug_assert!(obj.size > 0, "zero-sized objects are rejected upstream");
-        let slot = self.births.len();
-        debug_assert!(slot <= u32::MAX as usize, "slot index exceeds u32");
-        let slot = slot as u32;
+        debug_assert!(
+            self.births.len() < u32::MAX as usize,
+            "slot index exceeds u32"
+        );
         self.births.push(obj.birth.as_u64());
-        self.index.push(obj.size as u64, 0);
-        self.present_slots.push(slot);
-        self.present_sizes.push(obj.size);
-        self.present_deaths
+        self.sizes.push(obj.size);
+        self.deaths
             .push(obj.death.map_or(NO_DEATH, VirtualTime::as_u64));
+        self.live.push(obj.size as u64);
+        self.allocated += obj.size as u64;
+        self.objects += 1;
         // No death bookkeeping here: the row just appended sits in the
         // staged suffix above `staged_lo`, and the next clock advance
         // examines it — including an object already past its death on the
@@ -314,10 +396,9 @@ impl OracleHeap {
     ///
     /// Observably identical to inserting the objects one at a time —
     /// the Fenwick tree shape is a pure function of the slot values — but
-    /// the index appends become bulk [`PairedFenwick::extend_live`]
-    /// builds and any already-past deaths apply as one batched update.
-    /// The block engine's fast path feeds validated columns straight
-    /// from the event source.
+    /// the index append is one bulk [`Fenwick::extend`] build. The block
+    /// engine's fast path feeds validated columns straight from the event
+    /// source.
     pub fn insert_block(&mut self, births: &[u64], sizes: &[u32], deaths: &[u64]) {
         debug_assert_eq!(births.len(), sizes.len());
         debug_assert_eq!(births.len(), deaths.len());
@@ -334,27 +415,28 @@ impl OracleHeap {
             );
             debug_assert!(sizes[i] > 0, "zero-sized objects are rejected upstream");
         }
-        let base = self.births.len();
         debug_assert!(
-            base + births.len() <= u32::MAX as usize + 1,
+            self.births.len() + births.len() <= u32::MAX as usize + 1,
             "slot index exceeds u32"
         );
         self.births.extend_from_slice(births);
-        self.index.extend_live(sizes.iter().map(|&s| s as u64));
-        self.present_slots
-            .extend((base..base + births.len()).map(|s| s as u32));
-        self.present_sizes.extend_from_slice(sizes);
-        self.present_deaths.extend_from_slice(deaths);
+        self.sizes.extend_from_slice(sizes);
+        self.deaths.extend_from_slice(deaths);
+        let before = self.live.total();
+        self.live.extend(sizes.iter().map(|&s| s as u64));
+        self.allocated += self.live.total() - before;
+        self.objects += births.len();
         // Death bookkeeping is deferred wholesale: the appended rows are
         // the staged suffix, examined once by the next clock advance.
     }
 
-    /// Moves every death at or before `now` from the live index to the
-    /// dead index. Amortized O(log n) per object over the whole run —
-    /// and O(1) heap traffic for the (typical) object whose death has
-    /// already passed by the first clock advance after its birth.
+    /// Applies every death at or before `now`: removes the bytes from the
+    /// live index and appends the object to the death log. Amortized
+    /// O(log n) per object over the whole run — and no pending-set
+    /// traffic for the (typical) object whose death has already passed
+    /// by the first clock advance after its birth.
     fn advance_clock(&mut self, now: VirtualTime) {
-        let n = self.present_deaths.len();
+        let n = self.deaths.len();
         let advanced = now > self.clock;
         if !advanced && self.staged_lo >= n {
             return;
@@ -363,31 +445,28 @@ impl OracleHeap {
             self.clock = now;
         }
         let now_u = self.clock.as_u64();
-        // Scan the staged suffix first — one pass over the resident
-        // columns appended since the last drain. Deaths already at or
-        // before `now` apply directly (live→dead moves on distinct slots
-        // commute, so the unordered batch is equivalent to sorted
-        // application); only future deaths enter the priority queue. Both
-        // drains accumulate into one slot/delta batch so the paired tree
-        // walks run back to back over hot cache lines instead of
-        // interleaving with heap pops. Note the scan runs even when the
-        // clock does not move: a freshly inserted object may already be
-        // past its death on the lazy clock (one can die the instant it is
-        // born) and must reach the dead component before any query.
+        // Scan the staged suffix first — one pass over the slot columns
+        // appended since the last drain. Deaths already at or before
+        // `now` apply directly (removals at distinct slots commute, so
+        // the unordered batch is equivalent to sorted application); only
+        // future deaths enter the pending set. Both drains accumulate
+        // into one slot/delta batch so the tree walks run back to back.
+        // The scan runs even when the clock does not move: a freshly
+        // inserted object may already be past its death on the lazy
+        // clock and must leave the live index before any query.
         self.scratch_slots.clear();
         self.scratch_deltas.clear();
         for i in self.staged_lo..n {
-            let d = self.present_deaths[i];
+            let d = self.deaths[i];
             if d == NO_DEATH {
                 continue;
             }
-            let slot = self.present_slots[i];
-            let size = self.present_sizes[i];
+            let size = self.sizes[i];
             if d <= now_u {
-                self.scratch_slots.push(slot);
+                self.scratch_slots.push(i as u32);
                 self.scratch_deltas.push(size as u64);
             } else {
-                self.pending.push((d, slot, size));
+                self.pending.push((d, i as u32, size));
                 self.pending_min = self.pending_min.min(d);
             }
         }
@@ -411,37 +490,53 @@ impl OracleHeap {
             self.pending_min = min;
         }
         if !self.scratch_slots.is_empty() {
-            self.index
-                .move_to_dead_many(&self.scratch_slots, &self.scratch_deltas);
+            self.live
+                .sub_many(&self.scratch_slots, &self.scratch_deltas);
+            self.dead_slots += self.scratch_slots.len();
+            for &slot in &self.scratch_slots {
+                let slot = slot as usize;
+                self.log.push(self.births[slot], self.sizes[slot]);
+            }
         }
     }
 
-    /// Bytes currently occupying memory (live + unreclaimed garbage).
+    /// Bytes lane 0 currently holds in memory (live + its unreclaimed
+    /// garbage).
     pub fn mem_in_use(&self) -> Bytes {
-        // Deaths only move bytes between the two components, so the sum
-        // is exact regardless of how far the lazy clock has advanced.
-        Bytes::new(self.index.live_total() + self.index.dead_total())
+        self.lane_mem_in_use(0)
     }
 
-    /// Number of objects currently in the heap.
+    /// Bytes lane `lane` currently holds in memory: everything allocated
+    /// minus everything the lane reclaimed. Exact regardless of how far
+    /// the lazy clock has advanced, since deaths do not change it.
+    pub fn lane_mem_in_use(&self, lane: usize) -> Bytes {
+        Bytes::new(self.allocated - self.lanes[lane].reclaimed)
+    }
+
+    /// Number of objects lane 0 currently holds.
     pub fn len(&self) -> usize {
-        self.present_slots.len()
+        self.lane_len(0)
     }
 
-    /// True when the heap holds no objects.
+    /// Number of objects lane `lane` currently holds.
+    pub fn lane_len(&self, lane: usize) -> usize {
+        self.objects - self.lanes[lane].reclaimed_objects
+    }
+
+    /// True when lane 0 holds no objects.
     pub fn is_empty(&self) -> bool {
-        self.present_slots.is_empty()
+        self.len() == 0
     }
 
     /// Exact live bytes at time `at` (oracle knowledge), O(deaths since
     /// the last query).
     ///
     /// Query times must be monotonically non-decreasing across
-    /// [`OracleHeap::live_bytes_at`], [`OracleHeap::scavenge`], and
+    /// [`OracleHeap::live_bytes_at`], the scavenges, and
     /// [`OracleHeap::survival_snapshot`].
     pub fn live_bytes_at(&mut self, at: VirtualTime) -> Bytes {
         self.advance_clock(at);
-        Bytes::new(self.index.live_total())
+        Bytes::new(self.live.total())
     }
 
     /// First global slot born strictly after `tb`.
@@ -450,211 +545,189 @@ impl OracleHeap {
         self.births.partition_point(|&b| b <= tb)
     }
 
-    /// Performs a scavenge at time `now` with threatening boundary `tb`:
-    /// traces live threatened objects, reclaims dead threatened objects,
-    /// and leaves immune objects untouched.
-    ///
-    /// Byte accounting is answered by the Fenwick indices in O(log n);
-    /// only the compaction of the dead threatened residents walks
-    /// objects, so the whole call is O(dead tail + log n) and performs no
-    /// heap allocation. Returns the outcome; afterwards
-    /// [`OracleHeap::mem_in_use`] reflects the surviving storage.
+    /// Scavenges lane 0; see [`OracleHeap::scavenge_lane`].
     pub fn scavenge(&mut self, tb: VirtualTime, now: VirtualTime) -> ScavengeOutcome {
+        self.scavenge_lane(0, tb, now)
+    }
+
+    /// Performs lane `lane`'s scavenge at time `now` with threatening
+    /// boundary `tb`: traces live threatened objects, reclaims the lane's
+    /// dead threatened objects, and leaves immune objects untouched.
+    ///
+    /// Traced bytes are one suffix sum of the live index. The reclaimed
+    /// and tenured bytes come from a walk over dead objects only: the
+    /// death-log segment this lane has not seen yet, and — only when the
+    /// boundary moved back past some of it — the lane's tenured garbage.
+    /// Performs no heap allocation while the log and tenured columns fit
+    /// their reserved capacity. Afterwards
+    /// [`OracleHeap::lane_mem_in_use`] reflects the surviving storage.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` is out of range or retired.
+    pub fn scavenge_lane(
+        &mut self,
+        lane: usize,
+        tb: VirtualTime,
+        now: VirtualTime,
+    ) -> ScavengeOutcome {
         self.advance_clock(now);
         let split = self.boundary_slot(tb);
-        // One paired descent answers the whole byte accounting: the
-        // threatened live suffix (traced), the threatened dead suffix
-        // (reclaimed), and the immune dead prefix (tenured garbage).
-        let immune = self.index.prefix_pair(split);
-        let traced = Bytes::new(self.index.live_total() - immune[0]);
-        let reclaimed = Bytes::new(self.index.dead_total() - immune[1]);
-        let tenured_garbage = Bytes::new(immune[1]);
-
-        // Compact the threatened residents in place: survivors stay (in
-        // slot order), dead objects leave the dead index and the heap.
-        // The walk is narrowed to the slot range that actually holds
-        // threatened dead bytes — every resident (sizes are nonzero)
-        // outside it is live or immune and keeps its position, except the
-        // all-live tail beyond the last dead slot, which shifts left in
-        // one move. With nothing to reclaim the walk vanishes entirely,
-        // which is what lets a deep boundary (`FULL`, `DTBMEM`) scavenge
-        // without re-inspecting its thousands of live survivors.
-        if !reclaimed.is_zero() {
-            // First threatened slot holding dead bytes: descend to the
-            // largest count whose dead-prefix is still ≤ the immune
-            // prefix. Likewise the last dead slot overall (it is ≥ split
-            // because `dead.suffix(split) > 0`).
-            let first_dead = self.index.lower_bound_dead(immune[1]);
-            let last_dead = self.index.lower_bound_dead(self.index.dead_total() - 1);
-            debug_assert!(first_dead >= split);
-            let lo = self
-                .present_slots
-                .partition_point(|&s| (s as usize) < first_dead);
-            let hi = self
-                .present_slots
-                .partition_point(|&s| (s as usize) <= last_dead);
-            let now_u = now.as_u64();
-            // Pass 1: one branch-free sweep over the death/size columns
-            // answers how much of the narrowed range is dead — it must be
-            // exactly the reclaimed suffix — and whether the whole range
-            // can be removed wholesale.
-            let (walk_dead, dead_count) = dtb_core::soa::dead_tail_stats(
-                &self.present_deaths[lo..hi],
-                &self.present_sizes[lo..hi],
-                now_u,
-            );
-            debug_assert_eq!(walk_dead, reclaimed.as_u64());
-            // Pass 2: collect the dead slots (for one batched dead-index
-            // update) and compact the survivors in place.
-            self.scratch_slots.clear();
-            self.scratch_deltas.clear();
-            if dead_count == hi - lo {
-                // The whole range is dead — no per-resident filtering.
-                self.scratch_slots
-                    .extend_from_slice(&self.present_slots[lo..hi]);
-                self.scratch_deltas
-                    .extend(self.present_sizes[lo..hi].iter().map(|&s| s as u64));
-                self.present_slots.drain(lo..hi);
-                self.present_sizes.drain(lo..hi);
-                self.present_deaths.drain(lo..hi);
-            } else {
-                let mut write = lo;
-                for read in lo..hi {
-                    let d = self.present_deaths[read];
-                    if d <= now_u {
-                        self.scratch_slots.push(self.present_slots[read]);
-                        self.scratch_deltas.push(self.present_sizes[read] as u64);
-                    } else {
-                        self.present_slots[write] = self.present_slots[read];
-                        self.present_sizes[write] = self.present_sizes[read];
-                        self.present_deaths[write] = d;
-                        write += 1;
-                    }
-                }
-                if write < hi {
-                    let removed = hi - write;
-                    let len = self.present_slots.len() - removed;
-                    self.present_slots.copy_within(hi.., write);
-                    self.present_sizes.copy_within(hi.., write);
-                    self.present_deaths.copy_within(hi.., write);
-                    self.present_slots.truncate(len);
-                    self.present_sizes.truncate(len);
-                    self.present_deaths.truncate(len);
+        let traced = Bytes::new(self.live.suffix(split));
+        let tb_u = tb.as_u64();
+        let log_lo = self.lanes[lane].cursor - self.log_base;
+        let l = &mut self.lanes[lane];
+        let mut reclaimed = 0u64;
+        let mut reclaimed_objects = 0usize;
+        // Untenure: tenured garbage born after a boundary that moved back
+        // is reclaimed; the rest compacts in place.
+        if l.tenured_latest > tb_u {
+            let mut write = 0;
+            let mut latest = 0;
+            for read in 0..l.tenured.len() {
+                let (birth, size) = (l.tenured.births[read], l.tenured.sizes[read]);
+                if birth > tb_u {
+                    reclaimed += size as u64;
+                    reclaimed_objects += 1;
+                } else {
+                    l.tenured.births[write] = birth;
+                    l.tenured.sizes[write] = size;
+                    latest = latest.max(birth);
+                    write += 1;
                 }
             }
-            self.index
-                .sub_dead_many(&self.scratch_slots, &self.scratch_deltas);
-            // The advance above examined every staged row; the removals
-            // only shrank the columns, so the watermark follows the end.
-            self.staged_lo = self.present_slots.len();
+            l.tenured.births.truncate(write);
+            l.tenured.sizes.truncate(write);
+            // Nothing else has been reclaimed yet: these are all untenured.
+            l.tenured_bytes -= reclaimed;
+            l.tenured_latest = latest;
         }
-
-        debug_assert_eq!(
-            self.index.suffix_pair(split)[1],
-            0,
-            "all threatened dead reclaimed"
-        );
-        debug_assert!(
-            self.present_slots
-                .iter()
-                .zip(&self.present_deaths)
-                .all(|(&s, &d)| (s as usize) < split || d > now.as_u64()),
-            "no dead threatened resident left behind"
-        );
+        // Deaths this lane has not seen: threatened ones are reclaimed,
+        // immune ones become tenured garbage.
+        let births = &self.log.births[log_lo..];
+        let sizes = &self.log.sizes[log_lo..];
+        let (bytes, count) = born_after_stats(births, sizes, tb_u);
+        reclaimed += bytes;
+        reclaimed_objects += count;
+        if count < births.len() {
+            for (&birth, &size) in births.iter().zip(sizes) {
+                if birth <= tb_u {
+                    l.tenured.push(birth, size);
+                    l.tenured_bytes += size as u64;
+                    l.tenured_latest = l.tenured_latest.max(birth);
+                }
+            }
+        }
+        l.cursor = self.log_base + self.log.len();
+        l.reclaimed += reclaimed;
+        l.reclaimed_objects += reclaimed_objects;
+        debug_assert!(l.tenured_latest <= tb_u || l.tenured.len() == 0);
         let outcome = ScavengeOutcome {
             traced,
-            reclaimed,
-            surviving: self.mem_in_use(),
-            tenured_garbage,
+            reclaimed: Bytes::new(reclaimed),
+            surviving: Bytes::new(self.allocated - l.reclaimed),
+            tenured_garbage: Bytes::new(l.tenured_bytes),
         };
-        // Dead-prefix compaction: once reclaimed slots dominate the index,
-        // rebase it onto the residents so index memory tracks the
-        // *resident* set instead of every object ever born — the property
-        // that lets a streaming source run in O(live set) memory.
-        if self.births.len() >= COMPACT_MIN_SLOTS.max(2 * self.present_slots.len()) {
+        self.trim_log();
+        // Dead-slot compaction: once dead slots dominate the index,
+        // rebase it onto the live slots so index memory tracks the *live*
+        // set instead of every object ever born — the property that lets
+        // a streaming source run in O(live set) memory.
+        let slots = self.births.len();
+        if slots >= COMPACT_MIN_SLOTS && 2 * self.dead_slots >= slots {
             self.compact();
         }
         outcome
     }
 
-    /// Rebases the slot space onto the surviving residents, discarding
-    /// slots of reclaimed objects.
+    /// Retires lane `lane` (its collector failed): it is never scavenged
+    /// again, and its cursor no longer holds back the log trim.
+    pub fn retire_lane(&mut self, lane: usize) {
+        let l = &mut self.lanes[lane];
+        l.cursor = usize::MAX;
+        l.tenured = DeadColumns::default();
+        l.tenured_bytes = 0;
+        l.tenured_latest = 0;
+        self.trim_log();
+    }
+
+    /// Drops the log entries every lane has classified.
+    fn trim_log(&mut self) {
+        let end = self.log_base + self.log.len();
+        let upto = self
+            .lanes
+            .iter()
+            .map(|l| l.cursor)
+            .min()
+            .unwrap_or(end)
+            .min(end);
+        let k = upto - self.log_base;
+        if k > 0 {
+            self.log.births.drain(..k);
+            self.log.sizes.drain(..k);
+            self.log_base = upto;
+        }
+    }
+
+    /// Rebases the slot space onto the live slots, discarding dead ones.
     ///
-    /// Every observable is preserved bit-for-bit: reclaimed slots hold
-    /// zero bytes in both Fenwick trees, so dropping their births shifts
-    /// every `partition_point` split without changing any prefix/suffix
-    /// sum. The rebuild reuses the existing buffers (`clear` keeps
-    /// capacity; the birth copy moves entries strictly forward), so the
-    /// scavenge path stays allocation-free (see
-    /// `crates/sim/tests/zero_alloc.rs`).
+    /// Every observable is preserved bit-for-bit: dead slots hold zero
+    /// bytes in the live tree, so dropping their births shifts every
+    /// `partition_point` split without changing any prefix/suffix sum, and
+    /// the log and tenured columns hold births, not slots. The rebuild
+    /// reuses the existing buffers, so the scavenge path stays
+    /// allocation-free (see `crates/sim/tests/zero_alloc.rs`).
     fn compact(&mut self) {
-        let n = self.present_slots.len();
+        let n = self.births.len();
         // Scavenge advanced the clock, which drained the staged suffix.
         debug_assert_eq!(self.staged_lo, n, "compaction with staged deaths");
         self.pending.clear();
         self.pending_min = NO_DEATH;
         let clock = self.clock.as_u64();
-        for new_slot in 0..n {
-            let old_slot = self.present_slots[new_slot];
-            let size = self.present_sizes[new_slot];
-            let death = self.present_deaths[new_slot];
-            // Residents are slot-ordered, so `new_slot <= old_slot` and
-            // the in-place copy never reads an already-overwritten entry.
-            self.births[new_slot] = self.births[old_slot as usize];
-            self.present_slots[new_slot] = new_slot as u32;
-            // A resident past its death is dead-but-immune (tenured
-            // garbage) and carries no pending entry; only future mortals
-            // re-enter the pending set.
-            if death > clock && death != NO_DEATH {
-                self.pending.push((death, new_slot as u32, size));
+        let mut write = 0;
+        for read in 0..n {
+            let death = self.deaths[read];
+            // Every death at or before the clock has been applied; the
+            // rest (immortals included) are live.
+            if death <= clock {
+                continue;
+            }
+            let size = self.sizes[read];
+            // `write <= read`, so the in-place copy never reads an
+            // already-overwritten entry.
+            self.births[write] = self.births[read];
+            self.sizes[write] = size;
+            self.deaths[write] = death;
+            if death != NO_DEATH {
+                self.pending.push((death, write as u32, size));
                 self.pending_min = self.pending_min.min(death);
             }
+            write += 1;
         }
-        self.births.truncate(n);
-        // One bulk bottom-up build replaces a per-resident push descent;
-        // dead-but-immune bytes land in the dead component, everything
-        // else in the live component, exactly as incremental maintenance
-        // left them.
-        let index = &mut self.index;
-        let sizes = &self.present_sizes[..n];
-        let deaths = &self.present_deaths[..n];
-        index.rebuild_pairs(sizes.iter().zip(deaths).map(|(&size, &death)| {
-            if death <= clock {
-                [0, size as u64]
-            } else {
-                [size as u64, 0]
-            }
-        }));
+        self.births.truncate(write);
+        self.sizes.truncate(write);
+        self.deaths.truncate(write);
+        self.staged_lo = write;
+        self.dead_slots = 0;
+        // One bulk bottom-up build replaces a per-slot push descent.
+        self.live.rebuild(self.sizes.iter().map(|&s| s as u64));
     }
 
-    /// Number of slots in the heap's index (≥ [`OracleHeap::len`];
-    /// bounded by compaction, see [`OracleHeap::scavenge`]).
+    /// Number of slots in the heap's index (bounded by compaction, see
+    /// [`OracleHeap::scavenge_lane`]).
     pub fn index_len(&self) -> usize {
         self.births.len()
     }
 
     /// Borrows a survival snapshot for policy boundary decisions at time
     /// `now`: answers "how much live storage was born after `tb`" in
-    /// O(log n) per query, without allocating.
+    /// O(log n) per query, without allocating. Shared by every lane.
     pub fn survival_snapshot(&mut self, now: VirtualTime) -> SurvivalSnapshot<'_> {
         self.advance_clock(now);
         SurvivalSnapshot {
             births: &self.births,
-            index: &self.index,
+            index: &self.live,
         }
-    }
-
-    /// Iterates the objects still in the heap, in birth order (tests).
-    pub fn iter_objects(&self) -> impl ExactSizeIterator<Item = SimObject> + '_ {
-        self.present_slots
-            .iter()
-            .zip(&self.present_sizes)
-            .zip(&self.present_deaths)
-            .map(|((&slot, &size), &death)| SimObject {
-                birth: VirtualTime::from_bytes(self.births[slot as usize]),
-                size,
-                death: (death != NO_DEATH).then(|| VirtualTime::from_bytes(death)),
-            })
     }
 }
 
@@ -665,14 +738,14 @@ impl OracleHeap {
 #[derive(Clone, Copy, Debug)]
 pub struct SurvivalSnapshot<'a> {
     births: &'a [u64],
-    index: &'a PairedFenwick,
+    index: &'a Fenwick,
 }
 
 impl SurvivalEstimator for SurvivalSnapshot<'_> {
     fn surviving_born_after(&self, tb: VirtualTime) -> Bytes {
         let tb = tb.as_u64();
         let idx = self.births.partition_point(|&b| b <= tb);
-        Bytes::new(self.index.suffix_pair(idx)[0])
+        Bytes::new(self.index.suffix(idx))
     }
 
     /// The inverse query as a single descent of the live-bytes Fenwick
@@ -681,13 +754,12 @@ impl SurvivalEstimator for SurvivalSnapshot<'_> {
     ///
     /// A boundary `t` fits iff `live.suffix(slots born ≤ t) <= trace_max`,
     /// i.e. iff at least `K = live.total() - trace_max` live bytes were
-    /// born at or before `t`. One [`PairedFenwick::lower_bound_live`]
-    /// descent finds `s*`, the smallest slot count covering `K` live
-    /// bytes; a boundary admits `s*` slots exactly when it is at or past
-    /// the birth of slot `s* - 1`, so the answer is the first candidate
-    /// at or after that birth time — the same suffix of fitting
-    /// candidates the default scan walks to, located by binary search
-    /// instead.
+    /// born at or before `t`. One [`Fenwick::lower_bound`] descent finds
+    /// `s*`, the smallest slot count covering `K` live bytes; a boundary
+    /// admits `s*` slots exactly when it is at or past the birth of slot
+    /// `s* - 1`, so the answer is the first candidate at or after that
+    /// birth time — the same suffix of fitting candidates the default scan
+    /// walks to, located by binary search instead.
     fn oldest_boundary_within(
         &self,
         trace_max: Bytes,
@@ -696,7 +768,7 @@ impl SurvivalEstimator for SurvivalSnapshot<'_> {
         // One call, one descent: the probe count is what distinguishes
         // this implementation from the default scan in telemetry.
         dtb_core::obs::note_inverse_query(1);
-        let total = self.index.live_total();
+        let total = self.index.total();
         let budget = trace_max.as_u64();
         if total <= budget {
             // Every boundary fits, even one before the first birth.
@@ -705,7 +777,7 @@ impl SurvivalEstimator for SurvivalSnapshot<'_> {
         // Smallest count with prefix ≥ K, via largest count with
         // prefix ≤ K - 1 (K ≥ 1 here, and the count is ≤ len because
         // K ≤ total).
-        let s_star = self.index.lower_bound_live(total - budget - 1) + 1;
+        let s_star = self.index.lower_bound(total - budget - 1) + 1;
         candidates.first_at_or_after(VirtualTime::from_bytes(self.births[s_star - 1]))
     }
 }
@@ -861,13 +933,22 @@ mod tests {
             ));
         }
         let now = t(200);
-        // Expected answers from a plain filter, computed before the
-        // snapshot borrows the heap.
+        // Expected answers from a plain filter over the inserted objects.
+        let objects: Vec<SimObject> = (0..50u64)
+            .map(|i| {
+                obj(
+                    (i + 1) * 7,
+                    (i % 13 + 1) as u32,
+                    (i % 2 == 0).then_some((i + 1) * 7 + 40),
+                )
+            })
+            .collect();
         let queries = [0u64, 6, 7, 50, 111, 200, 350, 1000];
         let expected: Vec<u64> = queries
             .iter()
             .map(|&tb| {
-                h.iter_objects()
+                objects
+                    .iter()
                     .filter(|o| o.birth > t(tb) && o.is_live_at(now))
                     .map(|o| o.size as u64)
                     .sum()
@@ -1078,9 +1159,11 @@ mod tests {
                     "round={round}"
                 );
                 assert_eq!(block_heap.len(), one_heap.len());
-                let a: Vec<SimObject> = block_heap.iter_objects().collect();
-                let b: Vec<SimObject> = one_heap.iter_objects().collect();
-                assert_eq!(a, b, "round={round}");
+                for q in [0, clock / 3, clock / 2, clock.saturating_sub(700), clock] {
+                    let a = block_heap.survival_snapshot(now).surviving_born_after(t(q));
+                    let b = one_heap.survival_snapshot(now).surviving_born_after(t(q));
+                    assert_eq!(a, b, "round={round} q={q}");
+                }
             }
         }
     }
@@ -1112,5 +1195,96 @@ mod tests {
                 assert_eq!(fast.len(), slow.len(), "i={i}");
             }
         }
+    }
+
+    /// A boundary schedule per lane, as a function of the lane's own
+    /// scavenge count and clock: FULL, FIXED1-like, and one that swings
+    /// back and forth (tenuring, then untenuring).
+    fn lane_boundary(lane: usize, k: u64, clock: u64, prev: u64) -> VirtualTime {
+        match lane {
+            0 => VirtualTime::ZERO,
+            1 => t(prev),
+            _ if k % 3 == 2 => t(clock / 4),
+            _ => t(clock.saturating_sub(1_500)),
+        }
+    }
+
+    #[test]
+    fn lanes_match_independent_naive_heaps() {
+        // Three lanes over one shared index, each scavenging on its own
+        // schedule (so cursors, tenured sets and the log trim diverge),
+        // against one NaiveHeap per lane. Churn forces compactions.
+        let lanes = 3;
+        let mut shared = OracleHeap::with_lanes(lanes, 0);
+        let mut naive: Vec<naive::NaiveHeap> =
+            (0..lanes).map(|_| naive::NaiveHeap::new()).collect();
+        let mut prev = vec![0u64; lanes];
+        let mut count = vec![0u64; lanes];
+        let mut clock = 0u64;
+        let mut compactions = 0usize;
+        for i in 0..9_000u64 {
+            clock += i % 31 + 1;
+            let o = obj(
+                clock,
+                (i % 53 + 1) as u32,
+                match i % 6 {
+                    0..=2 => Some(clock + i % 89 + 1),
+                    3 | 4 => Some(clock + 2_500),
+                    _ => None,
+                },
+            );
+            shared.insert(o);
+            for h in &mut naive {
+                h.insert(o);
+            }
+            for lane in 0..lanes {
+                if i % (60 + 25 * lane as u64) != 59 {
+                    continue;
+                }
+                let now = t(clock);
+                let tb = lane_boundary(lane, count[lane], clock, prev[lane]);
+                let before = shared.index_len();
+                let got = shared.scavenge_lane(lane, tb, now);
+                if shared.index_len() < before {
+                    compactions += 1;
+                }
+                let want = naive[lane].scavenge(tb, now);
+                assert_eq!(got, want, "lane={lane} i={i}");
+                prev[lane] = clock;
+                count[lane] += 1;
+                for (k, h) in naive.iter().enumerate() {
+                    assert_eq!(shared.lane_mem_in_use(k), h.mem_in_use(), "lane={k} i={i}");
+                    assert_eq!(shared.lane_len(k), h.len(), "lane={k} i={i}");
+                }
+                let q = [0, clock / 2, clock.saturating_sub(900)];
+                let want: Vec<Bytes> = {
+                    let view = naive[lane].survival_view(now);
+                    q.iter().map(|&q| view.surviving_born_after(t(q))).collect()
+                };
+                let view = shared.survival_snapshot(now);
+                for (&q, &w) in q.iter().zip(&want) {
+                    assert_eq!(view.surviving_born_after(t(q)), w, "q={q} i={i}");
+                }
+            }
+        }
+        assert!(compactions > 0, "churn run never triggered a compaction");
+        assert!(count.iter().all(|&c| c > 10));
+    }
+
+    #[test]
+    fn a_retired_lane_stops_holding_the_log() {
+        let mut h = OracleHeap::with_lanes(2, 0);
+        for i in 0..100u64 {
+            h.insert(obj((i + 1) * 10, 8, Some((i + 1) * 10 + 5)));
+        }
+        h.scavenge_lane(0, VirtualTime::ZERO, t(2_000));
+        // Lane 1 has not classified the deaths yet, so they stay logged.
+        assert_eq!(h.log.len(), 100);
+        h.retire_lane(1);
+        assert_eq!(h.log.len(), 0);
+        h.insert(obj(2_010, 8, Some(2_011)));
+        h.scavenge_lane(0, VirtualTime::ZERO, t(2_020));
+        assert_eq!(h.log.len(), 0);
+        assert_eq!(h.lane_mem_in_use(0), Bytes::ZERO);
     }
 }

@@ -8,25 +8,29 @@
 //! * [`heap`] — the oracle heap: birth-ordered objects with exact death
 //!   times; scavenges trace live threatened storage and reclaim dead
 //!   threatened storage, leaving *tenured garbage* (dead immune storage)
-//!   behind. Maintained incrementally (Fenwick indices + a lazy death
-//!   queue) so a scavenge costs O(threatened tail + log n); the original
+//!   behind. Maintained incrementally (a Fenwick index of live bytes, a
+//!   lazy death drain, and a death log each collector classifies against
+//!   its boundary) so a scavenge costs O(log n + newly dead objects), and
+//!   several collectors can share one live index; the original
 //!   scan-based heap survives as [`heap::naive::NaiveHeap`] for
 //!   differential testing.
 //! * [`engine`] — replays a compiled trace or a streaming
 //!   [`EventSource`](dtb_trace::EventSource) ([`simulate_source`]),
 //!   firing a scavenge after every 1 MB of allocation and consulting a
-//!   [`TbPolicy`](dtb_core::policy::TbPolicy) for the boundary. Streaming
-//!   runs are bit-identical to in-memory runs and hold O(live set)
-//!   memory (the heap compacts reclaimed index slots), so traces larger
-//!   than RAM simulate fine.
+//!   [`TbPolicy`](dtb_core::policy::TbPolicy) for the boundary;
+//!   [`Sim::run_lanes`] runs several policies over one pass of the
+//!   source. Streaming runs are bit-identical to in-memory runs and hold
+//!   O(live set) memory (the heap compacts dead index slots), so traces
+//!   larger than RAM simulate fine.
 //! * [`metrics`] — Table 2/3/4 measurements (mean/max memory, median/90th
 //!   percentile pauses, traced bytes, CPU overhead).
 //! * [`baseline`] — the `No GC` and `LIVE` reference rows.
 //! * [`curve`] — Figure 2 memory-over-time series.
 //! * [`exec`] — the parallel evaluation executor: a shared
 //!   [`TraceCache`] (each preset compiled once per process) and the
-//!   [`Evaluation`] builder that fans the (program × policy) matrix over
-//!   a work-stealing pool with deterministic result ordering. Streaming
+//!   [`Evaluation`] builder that fans the (program × policy) matrix —
+//!   one pass per column for its collector rows — over a work-stealing
+//!   pool with deterministic result ordering. Streaming
 //!   columns ([`Evaluation::source`]) evaluate without materializing
 //!   their trace.
 //! * [`error`] — the typed failure taxonomy ([`error::SimError`]): policy

@@ -149,3 +149,55 @@ fn run_envelopes_are_contiguous_scoped_and_bracketed() {
     let expected: Vec<u64> = (0..collections.len() as u64).collect();
     assert_eq!(collections, expected, "collections number 0..n in order");
 }
+
+/// A pass runs its lanes on one thread, yet emits one bracketed scope
+/// per lane: each scope opens with its own `run_started` and closes with
+/// its own `run_finished`, and everything in between — the scavenge
+/// payloads, the probe total — equals that policy's single run.
+#[test]
+fn a_pass_emits_one_bracketed_scope_per_lane() {
+    let _guard = bus_lock();
+    let trace = Program::Cfrac.compiled();
+    let sink = Arc::new(CaptureSink::default());
+    let guard = dtb_obs::install(sink.clone());
+    let cfg = PolicyConfig::paper();
+    let mut policies: Vec<_> = PolicyKind::ALL.iter().map(|k| k.build(&cfg)).collect();
+    for run in Sim::new(SimConfig::paper()).run_trace_lanes(&trace, &mut policies) {
+        run.expect("lane run");
+    }
+    dtb_obs::flush();
+    drop(guard);
+    let all = sink.take();
+    let scopes: Vec<u64> = all
+        .iter()
+        .filter(|e| matches!(e.event, Event::RunStarted { .. }))
+        .map(|e| e.scope)
+        .collect();
+    assert_eq!(scopes.len(), PolicyKind::ALL.len(), "one scope per lane");
+    for (kind, scope) in PolicyKind::ALL.into_iter().zip(scopes) {
+        let lane: Vec<&Event> = all
+            .iter()
+            .filter(|e| e.scope == scope)
+            .map(|e| &e.event)
+            .collect();
+        let single = capture_run(Program::Cfrac, kind, |sim| sim);
+        let single_events: Vec<&Event> = single.envelopes.iter().map(|e| &e.event).collect();
+        assert!(matches!(lane.first(), Some(Event::RunStarted { .. })));
+        assert!(matches!(
+            lane.last(),
+            Some(Event::RunFinished { ok: true, .. })
+        ));
+        let scavenges = |events: &[&Event]| -> Vec<Event> {
+            events
+                .iter()
+                .filter(|e| matches!(e, Event::Scavenge { .. }))
+                .map(|e| (*e).clone())
+                .collect()
+        };
+        assert!(!scavenges(&lane).is_empty(), "{kind}: no scavenge");
+        assert_eq!(scavenges(&lane), scavenges(&single_events), "{kind}");
+        assert_eq!(lane.first(), single_events.first(), "{kind}: run_started");
+        assert_eq!(lane.last(), single_events.last(), "{kind}: run_finished");
+        assert_eq!(lane.len(), single_events.len(), "{kind}: foreign events");
+    }
+}

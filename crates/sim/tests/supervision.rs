@@ -92,6 +92,39 @@ fn deadline_quarantines_a_stalled_cell_while_healthy_cells_complete() {
 }
 
 #[test]
+fn deadline_bounds_the_baseline_rows() {
+    // A stalled stream column with only its baseline rows: the stats
+    // kernel's read stops once the watchdog trips, so each row fails as a
+    // transient missed deadline instead of reading the whole stream.
+    let deadline = Duration::from_millis(500);
+    let matrix = Evaluation::new()
+        .source("stalled", || {
+            Box::new(SlowAfter::new(
+                SynthSource::new(small_spec()).expect("valid spec"),
+                0,
+                Duration::from_micros(20),
+            ))
+        })
+        .policies([])
+        .baselines(true)
+        .cell_deadline(deadline)
+        .parallelism(1)
+        .run();
+
+    let column = matrix.column_by_name("stalled").unwrap();
+    assert_eq!(column.cells.len(), 2);
+    for cell in &column.cells {
+        let failure = cell.failure().expect("a stalled baseline cell must fail");
+        match &failure.cause {
+            FailureCause::Deadline { limit, .. } => assert_eq!(*limit, deadline),
+            other => panic!("{}: expected a deadline failure, got {other}", cell.row),
+        }
+        assert!(failure.is_transient());
+        assert_eq!(cell.attempts, 1);
+    }
+}
+
+#[test]
 fn deadline_failures_are_retried_then_quarantined() {
     let matrix = Evaluation::new()
         .source("stalled", || {

@@ -25,7 +25,7 @@
 use crate::client::{Client, SvcError};
 use crate::proto::{CellTask, CompleteRequest, CompleteStatus, RelayRequest, MAX_RELAY_LINES};
 use dtb_core::policy::Row;
-use dtb_sim::baseline::{live_report, no_gc_report};
+use dtb_sim::baseline::baseline_report;
 use dtb_sim::curve::MemoryCurve;
 use dtb_sim::engine::{Sim, SimRun};
 use dtb_sim::exec::{panic_message, FailureCause, RetryPolicy, TraceCache, Watchdog};
@@ -181,17 +181,14 @@ pub fn run_cell(cache: &TraceCache, task: &CellTask, _threads: usize) -> CellRun
         if let Row::Custom(name) = &task.row {
             return Err((format!("custom row `{name}` is not distributable"), false));
         }
-        let trace = cache.preset(task.program);
         match &task.row {
-            Row::NoGc => Ok(SimRun {
-                report: no_gc_report(&trace),
-                curve: MemoryCurve::new(),
-            }),
-            Row::Live => Ok(SimRun {
-                report: live_report(&trace),
+            // Both baseline rows read the program's memoized stats.
+            Row::NoGc | Row::Live => Ok(SimRun {
+                report: baseline_report(task.row.clone(), task.program.stats()),
                 curve: MemoryCurve::new(),
             }),
             Row::Policy(kind) => {
+                let trace = cache.preset(task.program);
                 let mut policy = kind.build(&task.policy);
                 // Give up before the coordinator does: 80% of the lease
                 // window, so a slow cell requeues via one clean transient
@@ -459,6 +456,19 @@ mod tests {
             let done = run_cell(&cache, &task(row.clone()), 1);
             assert!(done.run.is_some(), "{row}: {:?}", done.failure);
             assert!(!done.transient);
+        }
+    }
+
+    #[test]
+    fn baseline_rows_read_the_memoized_stats() {
+        let cache = TraceCache::new();
+        let trace = Program::Cfrac.compiled();
+        for (row, want) in [
+            (Row::NoGc, dtb_sim::baseline::no_gc_report(&trace)),
+            (Row::Live, dtb_sim::baseline::live_report(&trace)),
+        ] {
+            let done = run_cell(&cache, &task(row.clone()), 1);
+            assert_eq!(done.run.map(|run| run.report), Some(want), "{row}");
         }
     }
 

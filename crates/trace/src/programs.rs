@@ -23,6 +23,7 @@
 
 use crate::event::{CompiledTrace, Trace};
 use crate::lifetime::{LifetimeDist, SizeDist};
+use crate::stats::TraceStats;
 use crate::synth::{ClassSpec, WorkloadSpec};
 use dtb_core::time::Bytes;
 use serde::{Deserialize, Serialize};
@@ -352,6 +353,15 @@ impl Program {
             .clone()
     }
 
+    /// The compiled preset's [`TraceStats`] (the `No GC` and `LIVE`
+    /// rows' input), computed **exactly once per process** beside
+    /// [`Program::compiled`], so a service worker sweeping a program
+    /// runs the stats kernel once for both baseline rows.
+    pub fn stats(self) -> &'static TraceStats {
+        static STATS: [OnceLock<TraceStats>; 6] = [const { OnceLock::new() }; 6];
+        STATS[self as usize].get_or_init(|| TraceStats::compute_compiled(&self.compiled()))
+    }
+
     /// The paper's `LIVE` row for this program, as (mean, max) bytes.
     pub fn paper_live(self) -> (Bytes, Bytes) {
         let p = self.paper_profile();
@@ -422,5 +432,12 @@ mod tests {
         // And it matches a fresh generate+compile of the same preset.
         let fresh = Program::Cfrac.generate().compile().unwrap();
         assert_eq!(fresh, *a);
+    }
+
+    #[test]
+    fn stats_are_computed_once_from_the_compiled_preset() {
+        let p = Program::Cfrac;
+        assert!(std::ptr::eq(p.stats(), p.stats()));
+        assert_eq!(*p.stats(), TraceStats::compute_compiled(&p.compiled()));
     }
 }
