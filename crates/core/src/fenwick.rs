@@ -1,31 +1,29 @@
 //! A branchless Fenwick (binary-indexed) tree over byte totals.
 //!
-//! The simulator keys its live index by **global slot** — the position of
-//! an object in birth order over the whole run, assigned at insertion and
-//! never reused. Slots are append-only, so alongside the classic
-//! point-update / prefix-sum pair the tree supports [`Fenwick::push`]
-//! (extend by one slot in O(log n)) and [`Fenwick::extend`] (append a
-//! whole block in O(k + log² n)), which is what the block-structured
-//! drive loop feeds.
+//! The simulator keys its live index by **slot** — the position of an
+//! indexed object in birth order, never reused until the heap compacts.
+//! Slots are append-only, so alongside the classic point-update /
+//! prefix-sum pair the tree supports [`Fenwick::extend`] (append a whole
+//! block in O(k + log² n)), which is how the heap indexes the objects
+//! that outlive a clock advance, and [`Fenwick::push`] (one slot in
+//! O(log n)), the form the bulk builds are tested against.
 //!
 //! The inner loops are written to compile to straight-line, predictable
 //! code: the update and prefix walks are short counted loops over a flat
 //! 1-based array with no data-dependent branches, and the
 //! [`Fenwick::lower_bound`] descent keeps only the (perfectly
 //! predictable) range guard as a branch — the data-dependent comparison
-//! lowers to conditional moves. The batched update ([`Fenwick::sub_many`])
-//! amortizes the `total` maintenance and keeps the tree walks hot in
-//! cache when the heap applies a batch of deaths.
+//! lowers to conditional moves.
 //!
 //! All values are byte counts; a point update only ever removes what was
 //! previously added at that slot, so node partial sums never underflow.
 
 /// A Fenwick tree of byte counts over an append-only slot space.
 ///
-/// The oracle heap keeps one: live bytes by birth slot. A death is one
-/// O(log n) [`Fenwick::sub_many`] walk; a scavenge's traced bytes and
-/// every survival query are one [`Fenwick::prefix`] walk or one
-/// [`Fenwick::lower_bound`] descent plus the O(1) total.
+/// The oracle heap keeps one: live bytes by birth slot. The death of an
+/// indexed object is one O(log n) [`Fenwick::sub`] walk; a scavenge's
+/// traced bytes and every survival query are one [`Fenwick::prefix`]
+/// walk or one [`Fenwick::lower_bound`] descent plus the O(1) total.
 #[derive(Clone, Debug, Default)]
 pub struct Fenwick {
     /// 1-based tree; `tree[i-1]` covers the slot range `(i - lowbit(i), i]`.
@@ -142,29 +140,6 @@ impl Fenwick {
         self.total -= delta;
     }
 
-    /// Applies a batch of removals: `slots[k]` loses `deltas[k]` bytes.
-    /// Slots may repeat; one tight walk per pair, one total adjustment at
-    /// the end — the form the heap's death drain feeds.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if the batch lengths differ or a slot
-    /// loses more bytes than it holds.
-    pub fn sub_many(&mut self, slots: &[u32], deltas: &[u64]) {
-        debug_assert_eq!(slots.len(), deltas.len());
-        let n = self.tree.len();
-        let mut sum = 0u64;
-        for (&slot, &delta) in slots.iter().zip(deltas) {
-            sum += delta;
-            let mut i = slot as usize + 1;
-            while i <= n {
-                self.tree[i - 1] -= delta;
-                i += i & i.wrapping_neg();
-            }
-        }
-        self.total -= sum;
-    }
-
     /// Sum of the first `count` slots, in one O(log n) walk.
     pub fn prefix(&self, count: usize) -> u64 {
         let mut i = count.min(self.tree.len());
@@ -262,10 +237,9 @@ mod tests {
             f.push(vals[n]);
             check(&f, &vals[..=n]);
         }
-        // Removals, single and batched with repeats.
-        f.sub(0, 5);
-        f.sub_many(&[2, 3, 3, 10], &[3, 6, 6, 60]);
+        // Removals, including repeats at one slot.
         for (s, d) in [(0, 5), (2, 3), (3, 6), (3, 6), (10, 60)] {
+            f.sub(s, d);
             vals[s] -= d;
         }
         check(&f, &vals);

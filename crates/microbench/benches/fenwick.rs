@@ -1,7 +1,7 @@
 //! Fenwick kernel microbenches — the live index the oracle heap runs:
 //! append (per-slot `push` vs block `extend`), the `prefix` walk, the
-//! branchless `lower_bound` descent, and a batched death drain
-//! (`sub_many`) vs repeated single `sub` calls.
+//! branchless `lower_bound` descent, and a run of single-slot `sub`
+//! removals (the heap's pending-death drain).
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use dtb_core::fenwick::Fenwick;
@@ -76,16 +76,6 @@ fn bench_fenwick(c: &mut Criterion) {
             .unzip()
     };
     let mut group = c.benchmark_group("fenwick/deaths_4096");
-    group.bench_function("sub_many", |b| {
-        b.iter_batched(
-            || build_fenwick(N, 3),
-            |mut tree| {
-                tree.sub_many(&slots, &deltas);
-                black_box(tree.total())
-            },
-            BatchSize::LargeInput,
-        )
-    });
     group.bench_function("repeated_sub", |b| {
         b.iter_batched(
             || build_fenwick(N, 3),

@@ -130,7 +130,7 @@ mod tests {
     }
 
     /// Pins the Fenwick kernels against a scalar reference on the exact
-    /// bench workload size: prefix sums, the descent, and a batch of
+    /// bench workload size: prefix sums, the descent, and single-slot
     /// removals.
     #[test]
     fn fenwick_kernels_match_scalar_reference_at_bench_size() {
@@ -146,12 +146,11 @@ mod tests {
         let pos = tree.lower_bound(target);
         assert!(tree.prefix(pos) <= target);
         assert!(tree.prefix(pos + 1) > target);
-        // A death batch removes exactly its bytes, slot by slot.
-        let slots: Vec<u32> = (0..N as u32).step_by(7).collect();
-        let deltas: Vec<u64> = slots.iter().map(|&s| vals[s as usize] / 2).collect();
-        tree.sub_many(&slots, &deltas);
-        for (&s, &d) in slots.iter().zip(&deltas) {
-            vals[s as usize] -= d;
+        // Removals take exactly their bytes, slot by slot.
+        for s in (0..N).step_by(7) {
+            let d = vals[s] / 2;
+            tree.sub(s, d);
+            vals[s] -= d;
         }
         for i in (0..N).step_by(991) {
             let prefix: u64 = vals[..i].iter().sum();

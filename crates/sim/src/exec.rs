@@ -67,7 +67,7 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, OnceLock};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -805,12 +805,14 @@ impl Evaluation {
         };
 
         // A column's `No GC` and `LIVE` cells read one `TraceStats`,
-        // computed by whichever of them runs first.
-        let baseline_stats: Vec<OnceLock<TraceStats>> =
-            targets.iter().map(|_| OnceLock::new()).collect();
+        // computed once by whichever of them asks first (see
+        // `column_stats`).
+        let baseline_stats: Vec<Mutex<Option<TraceStats>>> =
+            targets.iter().map(|_| Mutex::new(None)).collect();
         // A column's collector rows run as one pass; its baseline rows
-        // are a job each. Each column dispatches as `[No GC, pass, LIVE]`,
-        // so `LIVE` finds the stats `No GC` computed while the pass ran.
+        // are a job each. Each column dispatches as `[No GC, pass]`, and
+        // every `LIVE` job comes after all of them, so `LIVE` almost
+        // always finds its stats ready instead of waiting for them.
         // Columns dispatch largest pass first, so the longest pass never
         // starts last and leaves the other workers idle at the tail.
         // Results merge by key, so the table keeps its row order.
@@ -834,21 +836,23 @@ impl Evaluation {
             true => (Some(rows.len() - 2), Some(rows.len() - 1)),
             false => (None, None),
         };
+        let baseline = |column: usize, row: Option<usize>| {
+            row.filter(|&row| !reused.contains_key(&(column, row)))
+                .map(|row| Job::Baseline { column, row })
+        };
         let mut jobs: Vec<Job> = Vec::new();
+        let mut live_jobs: Vec<Job> = Vec::new();
         for (column, lanes) in columns {
-            let baseline = |row: Option<usize>| {
-                row.filter(|&row| !reused.contains_key(&(column, row)))
-                    .map(|row| Job::Baseline { column, row })
-            };
-            jobs.extend(baseline(no_gc));
+            jobs.extend(baseline(column, no_gc));
             if !lanes.is_empty() {
                 jobs.push(Job::Pass {
                     column,
                     rows: lanes,
                 });
             }
-            jobs.extend(baseline(live));
+            live_jobs.extend(baseline(column, live));
         }
+        jobs.append(&mut live_jobs);
         let total: usize = jobs
             .iter()
             .map(|job| match job {
@@ -1279,7 +1283,7 @@ fn run_pass(
 fn run_baseline(
     target: &Target,
     trace: Option<&CompiledTrace>,
-    stats: &OnceLock<TraceStats>,
+    stats: &Mutex<Option<TraceStats>>,
     name: &str,
     spec: &RowSpec,
     cancel: Option<&AtomicBool>,
@@ -1308,7 +1312,7 @@ fn run_baseline(
             }
             Ok(stats)
         })
-        .map(|stats| baseline_run(baseline_report(spec.row(), stats)))
+        .map(|stats| baseline_run(baseline_report(spec.row(), &stats)))
     }));
     let cause = match attempt {
         Ok(Ok(run)) => return CellOutcome::Completed(run),
@@ -1369,19 +1373,23 @@ impl<S: EventSource + ?Sized> EventSource for Watched<'_, S> {
     }
 }
 
-/// The column's baseline statistics, computed on first use. Only a
-/// success is kept: a failed computation leaves `slot` empty, so a retry
-/// (or the sibling baseline cell) computes afresh instead of inheriting
-/// a transient failure.
+/// The column's baseline statistics, computed on first use. The lock is
+/// held across the computation, so a sibling cell that asks meanwhile
+/// waits and reads the result instead of reading the source again. Only
+/// a success is kept: a failed (or panicked) computation leaves `slot`
+/// empty, so a retry (or the sibling baseline cell) computes afresh
+/// instead of inheriting a transient failure.
 fn column_stats(
-    slot: &OnceLock<TraceStats>,
+    slot: &Mutex<Option<TraceStats>>,
     compute: impl FnOnce() -> Result<TraceStats, SimError>,
-) -> Result<&TraceStats, SimError> {
-    if let Some(stats) = slot.get() {
-        return Ok(stats);
+) -> Result<TraceStats, SimError> {
+    let mut memo = slot.lock().unwrap_or_else(|p| p.into_inner());
+    if let Some(stats) = &*memo {
+        return Ok(stats.clone());
     }
     let stats = compute()?;
-    Ok(slot.get_or_init(|| stats))
+    *memo = Some(stats.clone());
+    Ok(stats)
 }
 
 /// Stringifies a caught panic payload (the common `&str` / `String` cases;

@@ -15,7 +15,7 @@ use dtb_core::policy::{ScavengeContext, TbPolicy};
 use dtb_core::time::{Bytes, VirtualTime};
 use dtb_trace::ctc::CtcError;
 use dtb_trace::record_log::FaultFuse;
-use dtb_trace::{EventSource, ObjectLife, SourceError, TraceMeta};
+use dtb_trace::{EventBlock, EventSource, ObjectLife, SourceError, TraceMeta};
 use std::time::Duration;
 
 /// Always proposes a NaN boundary. The framework's float→clock gate
@@ -128,10 +128,11 @@ impl TbPolicy for FailAfter {
 
 /// Wraps an [`EventSource`], sleeping `delay` before every record past
 /// the first `n` — a deterministic stand-in for a backing store gone
-/// slow (cold cache, struggling network mount). The engine polls its
-/// cancel flag between events, so a cell stalled on a `SlowAfter`
-/// source is cancelled by the executor's deadline watchdog at the next
-/// record boundary.
+/// slow (cold cache, struggling network mount). Its blocks end before
+/// the first delayed record that would join a non-empty block, and the
+/// engine polls its cancel flag between blocks, so a cell stalled on a
+/// `SlowAfter` source is cancelled by the executor's deadline watchdog
+/// at the next record boundary.
 #[derive(Debug)]
 pub struct SlowAfter<S> {
     inner: S,
@@ -151,6 +152,11 @@ impl<S> SlowAfter<S> {
             served: 0,
         }
     }
+
+    /// Whether the next record read sleeps first.
+    fn delays_next(&self) -> bool {
+        self.served >= self.after && !self.delay.is_zero()
+    }
 }
 
 impl<S: EventSource> EventSource for SlowAfter<S> {
@@ -163,11 +169,30 @@ impl<S: EventSource> EventSource for SlowAfter<S> {
     }
 
     fn next_record(&mut self) -> Result<Option<ObjectLife>, SourceError> {
-        if self.served >= self.after && !self.delay.is_zero() {
+        if self.delays_next() {
             std::thread::sleep(self.delay);
         }
         self.served += 1;
         self.inner.next_record()
+    }
+
+    /// Fills like the default, but returns a non-empty block as soon as
+    /// its next record would be delayed: one slow record per block, so
+    /// the engine sees a tripped cancel flag after one delay instead of
+    /// after a whole block of them.
+    fn next_block(&mut self, block: &mut EventBlock) -> usize {
+        block.clear();
+        while block.len() < block.capacity() && (block.is_empty() || !self.delays_next()) {
+            match self.next_record() {
+                Ok(Some(life)) => block.push(life),
+                Ok(None) => break,
+                Err(e) => {
+                    block.set_error(e);
+                    break;
+                }
+            }
+        }
+        block.len()
     }
 
     fn end(&self) -> VirtualTime {

@@ -16,25 +16,30 @@
 //! only its own dead-but-unreclaimed bytes. A single-collector heap is
 //! the one-lane case.
 //!
-//! - Every object ever born gets a **global slot** — its position in
-//!   birth order, never reused until compaction. `births` maps slots to
-//!   birth times and is append-only, so any boundary `tb` resolves to a
-//!   slot split point with one binary search.
-//! - One [Fenwick tree](dtb_core::fenwick) over global slots holds the
-//!   **live** bytes. Traced bytes at `(tb, now)` and every survival query
-//!   a policy makes are prefix/suffix sums or one descent, O(log n) each.
-//! - Deaths are applied **lazily**, and in two stages. Inserts do no
-//!   death bookkeeping at all: the struct-of-arrays slot columns already
-//!   hold each new object's death time, so the rows appended since the
-//!   last clock advance form a *staged suffix* marked by one watermark.
-//!   The next clock advance (a scavenge or an oracle query) scans that
-//!   suffix once: deaths already in the past are applied directly, and
-//!   only the stragglers whose deaths still lie in the future enter a
-//!   small unordered pending set, drained by a linear sweep (guarded by
-//!   its cached minimum death) when their time comes.
-//! - Applying a death removes the object's bytes from the live tree and
-//!   appends its birth and size to the **death log**, exactly once. Each
-//!   lane keeps a cursor into the log.
+//! - Inserts only append to struct-of-arrays slot columns (birth, size,
+//!   death). The rows appended since the last clock advance form a
+//!   *staged suffix*, marked by one watermark, and are not indexed yet.
+//! - The next clock advance (a scavenge or an oracle query) **filters**
+//!   that suffix once, in place. Most objects die young, so most staged
+//!   rows are already dead by then: they go straight to the death log
+//!   and never take a slot. The survivors compact down, and each keeps a
+//!   **slot** — its position in birth order among the indexed objects,
+//!   never reused until compaction. `births` maps slots to birth times
+//!   and only grows at its end between compactions, so any boundary `tb`
+//!   resolves to a slot split point with one binary search.
+//! - One [Fenwick tree](dtb_core::fenwick) over the slots holds the
+//!   **live** bytes; the survivors of a filter join it in one bulk
+//!   append. Traced bytes at `(tb, now)` and every survival query a
+//!   policy makes are prefix/suffix sums or one descent, O(log n) each.
+//!   An object dead before it was indexed would hold zero bytes in the
+//!   tree, so leaving it out changes no sum.
+//! - A survivor whose death still lies in the future enters a small
+//!   unordered pending set, drained by a linear sweep (guarded by its
+//!   cached minimum death) when its time comes. Applying a pending death
+//!   removes its bytes from the live tree with one O(log n) walk.
+//! - Every death, whether filtered or pending, appends the object's
+//!   birth and size to the **death log**, exactly once. Each lane keeps a
+//!   cursor into the log.
 //!
 //! A lane's scavenge at `(tb, now)` reads the live tree for its traced
 //! bytes and walks only dead objects: the log entries past its cursor
@@ -51,16 +56,16 @@
 //! `crates/sim/tests/zero_alloc.rs`); survival snapshots are borrowed
 //! views into the live index.
 //!
-//! Slots are nominally never reused, but a long-running trace would then
-//! grow the index with every object ever born even though almost all of
-//! them are long dead. After a scavenge, once dead slots are at least half
-//! the index (and the index tops a 1024-slot floor), the heap **rebases**
-//! the slot space onto the live slots in place. Dead slots hold zero
-//! bytes in the live tree, and the log and tenured entries carry birth
-//! times rather than slots, so every aggregate is preserved bit-for-bit
-//! while index memory stays proportional to the live set. This is what
-//! keeps a streaming [`EventSource`](dtb_trace::EventSource) run in
-//! O(live set) memory.
+//! A slot whose pending death has been applied holds zero bytes but
+//! stays in the index, so a long-running trace would still grow the
+//! index with every object that ever outlived a clock advance. After a
+//! scavenge, once such dead slots are at least half the index (and the
+//! index tops a 1024-slot floor), the heap **rebases** the slot space
+//! onto the live slots in place. Dead slots hold zero bytes in the live
+//! tree, and the log and tenured entries carry birth times rather than
+//! slots, so every aggregate is preserved bit-for-bit while index memory
+//! stays proportional to the live set. This is what keeps a streaming
+//! [`EventSource`](dtb_trace::EventSource) run in O(live set) memory.
 //!
 //! The original scan-based implementation survives as
 //! [`naive::NaiveHeap`], the executable specification the differential
@@ -263,16 +268,17 @@ impl Lane {
 /// heap of a multi-collector pass, whose lanes are addressed by index.
 #[derive(Clone, Debug)]
 pub struct OracleHeap {
-    /// Birth time per global slot (allocation-clock bytes), append-only
-    /// between compactions. Stored as raw `u64` so block inserts append
-    /// with one `memcpy` straight from the event source's birth column.
+    /// Birth time per slot (allocation-clock bytes), then per staged row.
+    /// Stored as raw `u64` so block inserts append with one `memcpy`
+    /// straight from the event source's birth column.
     births: Vec<u64>,
-    /// Size in bytes per global slot (parallel to `births`).
+    /// Size in bytes per slot and staged row (parallel to `births`).
     sizes: Vec<u32>,
-    /// Oracle death time per global slot ([`NO_DEATH`] = immortal;
-    /// parallel to `births`).
+    /// Oracle death time per slot and staged row ([`NO_DEATH`] =
+    /// immortal; parallel to `births`).
     deaths: Vec<u64>,
-    /// Live bytes per global slot.
+    /// Live bytes per slot, over the indexed slots `0..staged_lo` only:
+    /// staged rows join it at the next clock advance, if still live then.
     live: Fenwick,
     /// Slots whose death has been applied since the last compaction.
     dead_slots: usize,
@@ -287,15 +293,11 @@ pub struct OracleHeap {
     /// advance skip the sweep entirely while no pending death has come
     /// due.
     pending_min: u64,
-    /// Watermark into the slot columns: slots at or above it were
-    /// appended since the last clock advance and have not had their death
-    /// examined yet (the staged suffix of the module docs).
+    /// Watermark into the slot columns: rows at or above it were
+    /// appended since the last clock advance, have not had their death
+    /// examined yet and are not in the live tree (the staged suffix of
+    /// the module docs).
     staged_lo: usize,
-    /// Reusable slot batch for the batched [`Fenwick::sub_many`] death
-    /// application. Warm-up sizes it; steady state never reallocates.
-    scratch_slots: Vec<u32>,
-    /// Byte deltas paired with `scratch_slots`.
-    scratch_deltas: Vec<u64>,
     /// Every applied death not yet classified by every lane, in
     /// application order.
     log: DeadColumns,
@@ -344,8 +346,6 @@ impl OracleHeap {
             pending: Vec::new(),
             pending_min: NO_DEATH,
             staged_lo: 0,
-            scratch_slots: Vec::new(),
-            scratch_deltas: Vec::new(),
             log: DeadColumns::with_capacity(n),
             log_base: 0,
             allocated: 0,
@@ -379,14 +379,13 @@ impl OracleHeap {
         self.sizes.push(obj.size);
         self.deaths
             .push(obj.death.map_or(NO_DEATH, VirtualTime::as_u64));
-        self.live.push(obj.size as u64);
         self.allocated += obj.size as u64;
         self.objects += 1;
-        // No death bookkeeping here: the row just appended sits in the
-        // staged suffix above `staged_lo`, and the next clock advance
-        // examines it — including an object already past its death on the
-        // lazy clock (one can die the instant it is born), which the
-        // staged scan applies before answering any query.
+        // No index or death bookkeeping here: the row just appended sits
+        // in the staged suffix above `staged_lo`, and the next clock
+        // advance examines it — including an object already past its
+        // death on the lazy clock (one can die the instant it is born),
+        // which the staged filter logs before answering any query.
     }
 
     /// Inserts a whole block of objects from struct-of-arrays columns
@@ -394,11 +393,10 @@ impl OracleHeap {
     /// the `DTBCTC01` record format and
     /// [`EventBlock::NO_DEATH`](dtb_trace::EventBlock::NO_DEATH)).
     ///
-    /// Observably identical to inserting the objects one at a time —
-    /// the Fenwick tree shape is a pure function of the slot values — but
-    /// the index append is one bulk [`Fenwick::extend`] build. The block
-    /// engine's fast path feeds validated columns straight from the event
-    /// source.
+    /// Identical to inserting the objects one at a time: both only
+    /// append to the slot columns, here with one copy per column. The
+    /// block engine's fast path feeds validated columns straight from the
+    /// event source.
     pub fn insert_block(&mut self, births: &[u64], sizes: &[u32], deaths: &[u64]) {
         debug_assert_eq!(births.len(), sizes.len());
         debug_assert_eq!(births.len(), deaths.len());
@@ -422,19 +420,17 @@ impl OracleHeap {
         self.births.extend_from_slice(births);
         self.sizes.extend_from_slice(sizes);
         self.deaths.extend_from_slice(deaths);
-        let before = self.live.total();
-        self.live.extend(sizes.iter().map(|&s| s as u64));
-        self.allocated += self.live.total() - before;
+        self.allocated += sizes.iter().map(|&s| s as u64).sum::<u64>();
         self.objects += births.len();
-        // Death bookkeeping is deferred wholesale: the appended rows are
-        // the staged suffix, examined once by the next clock advance.
+        // Index and death bookkeeping are deferred wholesale: the
+        // appended rows are the staged suffix, filtered once by the next
+        // clock advance.
     }
 
-    /// Applies every death at or before `now`: removes the bytes from the
-    /// live index and appends the object to the death log. Amortized
-    /// O(log n) per object over the whole run — and no pending-set
-    /// traffic for the (typical) object whose death has already passed
-    /// by the first clock advance after its birth.
+    /// Applies every death at or before `now` and indexes the staged
+    /// suffix. A pending death that came due leaves the live tree with
+    /// one O(log n) walk; a staged row already dead never enters it.
+    /// Either way the object is appended to the death log, exactly once.
     fn advance_clock(&mut self, now: VirtualTime) {
         let n = self.deaths.len();
         let advanced = now > self.clock;
@@ -445,32 +441,6 @@ impl OracleHeap {
             self.clock = now;
         }
         let now_u = self.clock.as_u64();
-        // Scan the staged suffix first — one pass over the slot columns
-        // appended since the last drain. Deaths already at or before
-        // `now` apply directly (removals at distinct slots commute, so
-        // the unordered batch is equivalent to sorted application); only
-        // future deaths enter the pending set. Both drains accumulate
-        // into one slot/delta batch so the tree walks run back to back.
-        // The scan runs even when the clock does not move: a freshly
-        // inserted object may already be past its death on the lazy
-        // clock and must leave the live index before any query.
-        self.scratch_slots.clear();
-        self.scratch_deltas.clear();
-        for i in self.staged_lo..n {
-            let d = self.deaths[i];
-            if d == NO_DEATH {
-                continue;
-            }
-            let size = self.sizes[i];
-            if d <= now_u {
-                self.scratch_slots.push(i as u32);
-                self.scratch_deltas.push(size as u64);
-            } else {
-                self.pending.push((d, i as u32, size));
-                self.pending_min = self.pending_min.min(d);
-            }
-        }
-        self.staged_lo = n;
         if self.pending_min <= now_u {
             // Sweep the due deaths out in place (swap-remove keeps the
             // sweep linear); recompute the minimum from the survivors.
@@ -479,8 +449,10 @@ impl OracleHeap {
             while i < self.pending.len() {
                 let (d, slot, size) = self.pending[i];
                 if d <= now_u {
-                    self.scratch_slots.push(slot);
-                    self.scratch_deltas.push(size as u64);
+                    let slot = slot as usize;
+                    self.live.sub(slot, size as u64);
+                    self.dead_slots += 1;
+                    self.log.push(self.births[slot], size);
                     self.pending.swap_remove(i);
                 } else {
                     min = min.min(d);
@@ -489,15 +461,17 @@ impl OracleHeap {
             }
             self.pending_min = min;
         }
-        if !self.scratch_slots.is_empty() {
-            self.live
-                .sub_many(&self.scratch_slots, &self.scratch_deltas);
-            self.dead_slots += self.scratch_slots.len();
-            for &slot in &self.scratch_slots {
-                let slot = slot as usize;
-                self.log.push(self.births[slot], self.sizes[slot]);
-            }
-        }
+        // The staged filter. Rows already dead go straight to the log
+        // and take no slot; the survivors join the live tree in one bulk
+        // append. The filter runs even when the clock does not move: a
+        // freshly inserted object may already be past its death on the
+        // lazy clock and must not be counted live by any query.
+        let lo = self.staged_lo;
+        self.retain_live_rows(lo, true);
+        self.live.extend(self.sizes[lo..].iter().map(|&s| s as u64));
+        self.staged_lo = self.births.len();
+        // The tree covers exactly the indexed slots.
+        debug_assert_eq!(self.live.len(), self.staged_lo);
     }
 
     /// Bytes lane 0 currently holds in memory (live + its unreclaimed
@@ -528,8 +502,8 @@ impl OracleHeap {
         self.len() == 0
     }
 
-    /// Exact live bytes at time `at` (oracle knowledge), O(deaths since
-    /// the last query).
+    /// Exact live bytes at time `at` (oracle knowledge), O(inserts and
+    /// deaths since the last query).
     ///
     /// Query times must be monotonically non-decreasing across
     /// [`OracleHeap::live_bytes_at`], the scavenges, and
@@ -539,7 +513,7 @@ impl OracleHeap {
         Bytes::new(self.live.total())
     }
 
-    /// First global slot born strictly after `tb`.
+    /// First slot born strictly after `tb`.
     fn boundary_slot(&self, tb: VirtualTime) -> usize {
         let tb = tb.as_u64();
         self.births.partition_point(|&b| b <= tb)
@@ -678,24 +652,38 @@ impl OracleHeap {
     /// reuses the existing buffers, so the scavenge path stays
     /// allocation-free (see `crates/sim/tests/zero_alloc.rs`).
     fn compact(&mut self) {
-        let n = self.births.len();
-        // Scavenge advanced the clock, which drained the staged suffix.
-        debug_assert_eq!(self.staged_lo, n, "compaction with staged deaths");
+        // Scavenge advanced the clock, which filtered the staged suffix.
+        debug_assert_eq!(self.staged_lo, self.births.len());
         self.pending.clear();
         self.pending_min = NO_DEATH;
+        // Every death at or before the clock has been applied and logged.
+        self.retain_live_rows(0, false);
+        self.staged_lo = self.births.len();
+        self.dead_slots = 0;
+        // One bulk bottom-up build replaces a per-slot push descent.
+        self.live.rebuild(self.sizes.iter().map(|&s| s as u64));
+    }
+
+    /// Compacts the slot columns from row `lo` on, in place, down to the
+    /// rows still live at the clock (immortals included). A mortal row
+    /// kept enters the pending set under its new slot. A dropped row is
+    /// appended to the death log when `log_dead` is set: the staged
+    /// filter logs its deaths here, while compaction drops deaths the
+    /// pending sweep already logged.
+    fn retain_live_rows(&mut self, lo: usize, log_dead: bool) {
         let clock = self.clock.as_u64();
-        let mut write = 0;
-        for read in 0..n {
-            let death = self.deaths[read];
-            // Every death at or before the clock has been applied; the
-            // rest (immortals included) are live.
-            if death <= clock {
+        let mut write = lo;
+        for read in lo..self.births.len() {
+            let (birth, size, death) = (self.births[read], self.sizes[read], self.deaths[read]);
+            if death != NO_DEATH && death <= clock {
+                if log_dead {
+                    self.log.push(birth, size);
+                }
                 continue;
             }
-            let size = self.sizes[read];
             // `write <= read`, so the in-place copy never reads an
-            // already-overwritten entry.
-            self.births[write] = self.births[read];
+            // already-overwritten row.
+            self.births[write] = birth;
             self.sizes[write] = size;
             self.deaths[write] = death;
             if death != NO_DEATH {
@@ -707,14 +695,11 @@ impl OracleHeap {
         self.births.truncate(write);
         self.sizes.truncate(write);
         self.deaths.truncate(write);
-        self.staged_lo = write;
-        self.dead_slots = 0;
-        // One bulk bottom-up build replaces a per-slot push descent.
-        self.live.rebuild(self.sizes.iter().map(|&s| s as u64));
     }
 
-    /// Number of slots in the heap's index (bounded by compaction, see
-    /// [`OracleHeap::scavenge_lane`]).
+    /// Number of rows in the heap's slot columns: the indexed slots plus
+    /// the staged rows not yet filtered by a clock advance. Bounded by
+    /// the filter and by compaction (see [`OracleHeap::scavenge_lane`]).
     pub fn index_len(&self) -> usize {
         self.births.len()
     }
@@ -1037,6 +1022,34 @@ mod tests {
     }
 
     #[test]
+    fn objects_dead_by_the_first_advance_never_take_a_slot() {
+        let mut h = OracleHeap::new();
+        let (mut dead, mut live) = (0u64, 0u64);
+        for i in 0..1_000u64 {
+            let birth = (i + 1) * 10;
+            let size = (i % 37 + 1) as u32;
+            // Nine in ten die before t = 20_000; the rest live on.
+            let death = if i % 10 == 9 {
+                live += size as u64;
+                Some(50_000 + i)
+            } else {
+                dead += size as u64;
+                Some(birth + 5)
+            };
+            h.insert(obj(birth, size, death));
+        }
+        assert_eq!(h.index_len(), 1_000, "inserts only stage rows");
+        assert_eq!(h.live_bytes_at(t(20_000)), Bytes::new(live));
+        assert_eq!(h.index_len(), 100);
+        let out = h.scavenge(VirtualTime::ZERO, t(20_000));
+        assert_eq!(out.reclaimed, Bytes::new(dead));
+        assert_eq!(out.traced, Bytes::new(live));
+        assert_eq!(out.tenured_garbage, Bytes::ZERO);
+        assert_eq!(h.len(), 100);
+        assert_eq!(h.mem_in_use(), Bytes::new(live));
+    }
+
+    #[test]
     fn compaction_bounds_the_index_under_churn() {
         let mut h = OracleHeap::new();
         let mut clock = 0u64;
@@ -1243,6 +1256,9 @@ mod tests {
                 }
                 let now = t(clock);
                 let tb = lane_boundary(lane, count[lane], clock, prev[lane]);
+                // Read the index length after the staged filter, so that a
+                // drop across the scavenge means a rebase.
+                shared.live_bytes_at(now);
                 let before = shared.index_len();
                 let got = shared.scavenge_lane(lane, tb, now);
                 if shared.index_len() < before {

@@ -8,7 +8,7 @@
 use dtb_core::policy::{PolicyKind, Row};
 use dtb_sim::baseline::{live_report, no_gc_report};
 use dtb_sim::exec::{Evaluation, Matrix, RetryPolicy};
-use dtb_sim::fault::FlakyStore;
+use dtb_sim::fault::{FlakyStore, SlowAfter};
 use dtb_sim::journal::{read_journal, JournalWriter};
 use dtb_trace::programs::Program;
 use dtb_trace::{collect_source, SynthSource, TraceBuilder, WorkloadSpec};
@@ -181,4 +181,34 @@ fn transient_stats_failure_is_retried_not_memoised() {
         .parallelism(1)
         .run();
     assert_same_matrix(&clean, &flaky);
+}
+
+#[test]
+fn a_column_computes_its_stats_once() {
+    // A baselines-only column on two workers: `No GC` and `LIVE` start
+    // together, and the slow source keeps the first computation running
+    // while the second cell asks. The second must wait for the stats,
+    // not open the source again.
+    let opens = Arc::new(AtomicUsize::new(0));
+    let counted = opens.clone();
+    let matrix = Evaluation::new()
+        .source("slow", move || {
+            counted.fetch_add(1, Ordering::Relaxed);
+            Box::new(SlowAfter::new(
+                SynthSource::new(WorkloadSpec {
+                    total_alloc: 300_000,
+                    ..Program::Cfrac.spec()
+                })
+                .expect("valid spec"),
+                0,
+                Duration::from_micros(20),
+            ))
+        })
+        .policies([])
+        .parallelism(2)
+        .run();
+    let column = matrix.column_by_name("slow").expect("column");
+    assert!(column.cells.iter().all(|cell| cell.run().is_some()));
+    assert_eq!(column.cells.len(), 2);
+    assert_eq!(opens.load(Ordering::Relaxed), 1, "one source read");
 }

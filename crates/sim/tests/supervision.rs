@@ -14,7 +14,7 @@ use dtb_sim::exec::{Evaluation, FailureCause, RetryPolicy};
 use dtb_sim::fault::{FailAfter, FlakyStore, SlowAfter};
 use dtb_trace::programs::Program;
 use dtb_trace::{SynthSource, WorkloadSpec};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A small, fast workload for cells that must run to completion.
 fn small_spec() -> WorkloadSpec {
@@ -126,6 +126,7 @@ fn deadline_bounds_the_baseline_rows() {
 
 #[test]
 fn deadline_failures_are_retried_then_quarantined() {
+    let started = Instant::now();
     let matrix = Evaluation::new()
         .source("stalled", || {
             Box::new(SlowAfter::new(
@@ -147,6 +148,10 @@ fn deadline_failures_are_retried_then_quarantined() {
         cell.failure().expect("still failing").cause,
         FailureCause::Deadline { .. }
     ));
+    // Each attempt stops one slow record after its 80 ms deadline, not
+    // one block of slow records (about 20 s) after it.
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(15), "took {took:?}");
 }
 
 #[test]
