@@ -296,11 +296,7 @@ fn main() -> ExitCode {
         args.events,
         spec.total_alloc / 1_000_000
     );
-    let trace = match spec
-        .generate()
-        .map_err(|e| e.to_string())
-        .and_then(|t| t.compile().map_err(|e| e.to_string()))
-    {
+    let trace = match spec.compile() {
         Ok(t) => t,
         Err(e) => {
             eprintln!("bench_dtb: trace generation failed: {e}");

@@ -1,5 +1,6 @@
 //! Checks the paper's Section 6.1 / 6.2 qualitative claims against the
-//! regenerated evaluation matrix and prints PASS/FAIL for each.
+//! regenerated evaluation matrix and prints PASS/FAIL for each. Exits
+//! nonzero when any claim fails or any cell failed to simulate.
 
 use dtb_bench::{exit_reporting_failures, full_matrix_cli};
 use dtb_core::policy::PolicyKind;
@@ -12,15 +13,17 @@ fn report(matrix: &Matrix, p: Program, k: PolicyKind) -> Option<&SimReport> {
     matrix.get(p, k)
 }
 
-fn check(name: &str, ok: bool, detail: String) {
-    println!(
-        "[{}] {name}\n       {detail}",
-        if ok { "PASS" } else { "FAIL" }
-    );
-}
-
 fn main() -> ExitCode {
     let matrix = full_matrix_cli();
+    // Prints one claim's verdict and counts the failures.
+    let mut failed = 0usize;
+    let mut check = |name: &str, ok: bool, detail: String| {
+        println!(
+            "[{}] {name}\n       {detail}",
+            if ok { "PASS" } else { "FAIL" }
+        );
+        failed += usize::from(!ok);
+    };
     let mem_budget_kb = 3000.0;
     println!("Section 6.1/6.2 claims, re-checked on the synthetic traces\n");
 
@@ -156,5 +159,10 @@ fn main() -> ExitCode {
         );
     }
 
-    exit_reporting_failures(&matrix)
+    let cells = exit_reporting_failures(&matrix);
+    if failed > 0 {
+        eprintln!("\n{failed} claim(s) failed");
+        return ExitCode::FAILURE;
+    }
+    cells
 }

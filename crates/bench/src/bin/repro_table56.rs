@@ -12,11 +12,8 @@ fn main() {
         println!("{:12} {}", p.label(), spec.description);
     }
 
-    // One trace and one stats pass per program, shared by both tables.
-    let stats: Vec<TraceStats> = Program::ALL
-        .iter()
-        .map(|p| TraceStats::compute(&p.generate()))
-        .collect();
+    // One stats pass per program, shared by both tables.
+    let stats: Vec<&TraceStats> = Program::ALL.iter().map(|p| p.stats()).collect();
 
     println!("\nTable 6: Allocation Behavior of Programs Measured");
     println!("measured [paper]\n");

@@ -6,8 +6,10 @@
 //! * `repro_table4` — total bytes traced and estimated CPU overhead;
 //! * `repro_table56` — workload descriptions and allocation behaviour;
 //! * `repro_fig2` — the memory-over-time curves (CSV series);
-//! * `repro_claims` — the §6.1/§6.2 qualitative claims, checked;
-//! * Criterion benches (`benches/`) measure simulator and policy cost.
+//! * `repro_claims` — the §6.1/§6.2 qualitative claims, checked; it exits
+//!   nonzero when one fails;
+//! * `bench_dtb` and `stream_smoke` — the throughput and bounded-memory
+//!   smoke gates.
 //!
 //! [`paper`] embeds the published numbers so every printer can show
 //! paper-vs-measured side by side; [`table`] renders aligned text tables.

@@ -1,6 +1,8 @@
 //! Deterministic workload builders shared by the hot-path kernel
 //! microbenches (`benches/fenwick.rs`, `benches/block_decode.rs`,
-//! `benches/dead_walk.rs`, `benches/trace_stats.rs`).
+//! `benches/dead_walk.rs`, `benches/trace_stats.rs`). The crate's one
+//! other bench, `benches/heap_ops.rs`, times the real collector
+//! (`dtb-heap`) and builds its own heap.
 //!
 //! The benches exist to keep the block-structured fast paths honest: the
 //! branchless Fenwick kernels of the oracle heap's live index

@@ -5,9 +5,9 @@
 //! independent `simulate` call — but the naive loop recompiles each preset
 //! trace once per policy and uses one core. This module fixes both:
 //!
-//! * [`TraceCache`] hands out [`Arc<CompiledTrace>`] per [`Program`], so
-//!   each preset is generated and compiled **exactly once per process**
-//!   (it fronts the global memo behind [`Program::compiled`]).
+//! * Preset columns resolve through [`Program::compiled`], so each
+//!   preset is compiled **exactly once per process** and shared as an
+//!   [`Arc<CompiledTrace>`].
 //! * [`Evaluation`] is a builder that fans the matrix over a scoped
 //!   worker pool with work-stealing (a shared atomic job cursor). A
 //!   column's collector rows are **one job**: one engine pass whose lanes
@@ -71,12 +71,9 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// Shared, cheaply-cloneable access to compiled traces.
-///
-/// Preset lookups delegate to the process-wide memo behind
-/// [`Program::compiled`], so two caches (or two evaluations) still share
-/// one compiled trace per preset: `cache.preset(p)` is pointer-equal to
-/// any other handle to the same program.
+/// A zero-sized handle over [`Program::compiled`]: `cache.preset(p)` is
+/// `p.compiled()`. Stays only because `benchmark/src/workloads/` names
+/// it, until those files call [`Program::compiled`] directly.
 #[derive(Clone, Debug, Default)]
 pub struct TraceCache;
 
@@ -467,7 +464,6 @@ impl Cell {
 /// `No GC` / `LIVE` baseline rows, under the paper's Section 5
 /// configuration, on all available cores.
 pub struct Evaluation {
-    cache: TraceCache,
     targets: Option<Vec<Target>>,
     policies: Vec<PolicyKind>,
     customs: Vec<(Row, PolicyFactory)>,
@@ -492,7 +488,6 @@ impl Evaluation {
     /// An evaluation of the paper's full matrix (see the type docs).
     pub fn new() -> Evaluation {
         Evaluation {
-            cache: TraceCache::new(),
             targets: None,
             policies: PolicyKind::ALL.to_vec(),
             customs: Vec::new(),
@@ -669,7 +664,7 @@ impl Evaluation {
     /// Runs every cell and assembles the matrix.
     ///
     /// Each preset trace is compiled at most once per process (shared
-    /// through the [`TraceCache`]); each column's collector rows run as
+    /// through [`Program::compiled`]); each column's collector rows run as
     /// one pass and its baseline rows as a job each, fanned out over a
     /// scoped worker pool; results return in (column, row) table order no
     /// matter which worker finished first. Journal records and
@@ -730,7 +725,7 @@ impl Evaluation {
         let traces: Vec<Option<Arc<CompiledTrace>>> = targets
             .iter()
             .map(|t| match t {
-                Target::Preset(p) => Some(self.cache.preset(*p)),
+                Target::Preset(p) => Some(p.compiled()),
                 Target::Trace(arc) => Some(arc.clone()),
                 Target::Stream { .. } => None,
             })

@@ -26,8 +26,7 @@
 //!   percentile pauses, traced bytes, CPU overhead).
 //! * [`baseline`] — the `No GC` and `LIVE` reference rows.
 //! * [`curve`] — Figure 2 memory-over-time series.
-//! * [`exec`] — the parallel evaluation executor: a shared
-//!   [`TraceCache`] (each preset compiled once per process) and the
+//! * [`exec`] — the parallel evaluation executor: the
 //!   [`Evaluation`] builder that fans the (program × policy) matrix —
 //!   one pass per column for its collector rows — over a work-stealing
 //!   pool with deterministic result ordering. Streaming

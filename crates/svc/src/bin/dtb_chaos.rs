@@ -27,10 +27,10 @@
 //! schedule.
 
 use dtb_core::policy::PolicyKind;
-use dtb_sim::exec::{Matrix, TraceCache};
+use dtb_sim::exec::Matrix;
 use dtb_sim::journal::read_journal;
 use dtb_svc::proto::{CellResult, CellTask, SweepSpec};
-use dtb_svc::worker::run_cell;
+use dtb_svc::worker::run_task;
 use dtb_svc::{
     follow_events_resilient, journal_exactly_once, line_cursor, matrix_from_cells,
     matrix_from_sweep, stream_continuity, ChaosPlan, Client, EventCursor,
@@ -119,7 +119,6 @@ fn drill_spec() -> SweepSpec {
 /// The clean ground truth, computed in-process through the *same*
 /// per-cell runner the workers use.
 fn reference_matrix(spec: &SweepSpec) -> Matrix {
-    let cache = TraceCache::new();
     let rows = spec.rows();
     let mut cells = Vec::new();
     let mut index = 0u64;
@@ -136,7 +135,7 @@ fn reference_matrix(spec: &SweepSpec) -> Matrix {
                 sim: spec.sim,
                 attempt: 1,
             };
-            let done = run_cell(&cache, &task, 1);
+            let done = run_task(&task);
             cells.push(CellResult {
                 column: program.label().to_string(),
                 row: row.to_string(),

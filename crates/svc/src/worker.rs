@@ -153,7 +153,7 @@ pub fn idle_backoff(worker: &str, retry_ms: u64, streak: u32) -> Duration {
     policy.delay(salt, streak.min(16))
 }
 
-/// What one finished [`run_cell`] reports back.
+/// What one finished [`run_task`] reports back.
 #[derive(Debug)]
 pub struct CellRun {
     /// The completed run, on success.
@@ -166,13 +166,19 @@ pub struct CellRun {
     pub elapsed_ns: u64,
 }
 
-/// Runs one leased cell to completion: compiles (or reuses) the preset
-/// trace, arms the deadline at 80% of the lease window, contains panics,
-/// and classifies any failure as transient or permanent.
-///
-/// The third argument is ignored: a cell always runs on the calling
-/// thread. It remains so existing callers keep compiling.
-pub fn run_cell(cache: &TraceCache, task: &CellTask, _threads: usize) -> CellRun {
+/// [`run_task`]; the cache and thread-count arguments are ignored.
+/// Stays only because `benchmark/src/workloads/served_sweeps.rs` calls
+/// it, until that file calls [`run_task`].
+pub fn run_cell(_cache: &TraceCache, task: &CellTask, _threads: usize) -> CellRun {
+    run_task(task)
+}
+
+/// Runs one leased cell to completion on the calling thread: resolves
+/// the preset through [`Program::compiled`](dtb_trace::Program::compiled)
+/// (compiled at most once per process), arms the deadline at 80% of the
+/// lease window, contains panics, and classifies any failure as
+/// transient or permanent.
+pub fn run_task(task: &CellTask) -> CellRun {
     let started = Instant::now();
     // Inner error: (stringified failure, transient?).
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -188,7 +194,7 @@ pub fn run_cell(cache: &TraceCache, task: &CellTask, _threads: usize) -> CellRun
                 curve: MemoryCurve::new(),
             }),
             Row::Policy(kind) => {
-                let trace = cache.preset(task.program);
+                let trace = task.program.compiled();
                 let mut policy = kind.build(&task.policy);
                 // Give up before the coordinator does: 80% of the lease
                 // window, so a slow cell requeues via one clean transient
@@ -298,7 +304,6 @@ fn call_with_reconnect<T>(
 /// window) until it answers: exactly-once recording is the
 /// coordinator's journal dedupe + lease fencing, not worker restraint.
 pub fn run_worker(client: &mut Client, config: &WorkerConfig) -> WorkerExit {
-    let cache = TraceCache::new();
     let mut idle_streak: u32 = 0;
     loop {
         if let Some(h) = &config.health {
@@ -325,7 +330,7 @@ pub fn run_worker(client: &mut Client, config: &WorkerConfig) -> WorkerExit {
         if !config.cell_delay.is_zero() {
             thread::sleep(config.cell_delay);
         }
-        let done = run_cell(&cache, &task, 1);
+        let done = run_task(&task);
         if config.relay_events {
             if let Some(run) = &done.run {
                 relay_scavenges(client, config, &task, run);
@@ -451,9 +456,8 @@ mod tests {
 
     #[test]
     fn baselines_and_policies_run() {
-        let cache = TraceCache::new();
         for row in [Row::NoGc, Row::Live, Row::Policy(PolicyKind::Full)] {
-            let done = run_cell(&cache, &task(row.clone()), 1);
+            let done = run_task(&task(row.clone()));
             assert!(done.run.is_some(), "{row}: {:?}", done.failure);
             assert!(!done.transient);
         }
@@ -461,23 +465,21 @@ mod tests {
 
     #[test]
     fn baseline_rows_read_the_memoized_stats() {
-        let cache = TraceCache::new();
         let trace = Program::Cfrac.compiled();
         for (row, want) in [
             (Row::NoGc, dtb_sim::baseline::no_gc_report(&trace)),
             (Row::Live, dtb_sim::baseline::live_report(&trace)),
         ] {
-            let done = run_cell(&cache, &task(row.clone()), 1);
+            let done = run_task(&task(row.clone()));
             assert_eq!(done.run.map(|run| run.report), Some(want), "{row}");
         }
     }
 
     #[test]
     fn budget_exhaustion_is_a_permanent_failure() {
-        let cache = TraceCache::new();
         let mut t = task(Row::Policy(PolicyKind::Full));
         t.sim.budget = SimBudget::events(10);
-        let done = run_cell(&cache, &t, 1);
+        let done = run_task(&t);
         assert!(done.run.is_none());
         assert!(!done.transient, "budget exhaustion must not retry");
         assert!(
@@ -591,10 +593,9 @@ mod tests {
 
     #[test]
     fn deadline_cancellation_is_transient() {
-        let cache = TraceCache::new();
         let mut t = task(Row::Policy(PolicyKind::Full));
         t.lease_ms = 1; // 80% of 1 ms: the watchdog fires immediately
-        let done = run_cell(&cache, &t, 1);
+        let done = run_task(&t);
         assert!(done.run.is_none(), "expected cancellation");
         assert!(done.transient, "{:?}", done.failure);
     }

@@ -204,14 +204,13 @@ mod tests {
     #[test]
     fn presets_obey_the_generational_hypothesis() {
         // Every preset except SIS allocates mostly short-lived data.
-        let d = Demographics::compute(&Program::Cfrac.generate().compile().unwrap());
+        let d = Demographics::compute(&Program::Cfrac.compiled());
         assert!(
             d.young_death_fraction() > 0.9,
             "CFRAC young-death fraction {:.2}",
             d.young_death_fraction()
         );
-        let curve =
-            SurvivalCurve::at_paper_checkpoints(&Program::Cfrac.generate().compile().unwrap());
+        let curve = SurvivalCurve::at_paper_checkpoints(&Program::Cfrac.compiled());
         assert!(curve.is_monotone_nonincreasing());
         // Survival at one scavenge interval is small.
         assert!(curve.at(1_000_000).unwrap() < 0.1);

@@ -127,7 +127,14 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            let stats = TraceStats::compute(&trace);
+            let compiled = match trace.compile() {
+                Ok(c) => c,
+                Err(e) => {
+                    eprintln!("trace file inconsistent: {e}");
+                    return ExitCode::FAILURE;
+                }
+            };
+            let stats = TraceStats::compute_compiled(&compiled);
             println!("name:            {}", stats.name);
             println!("total allocated: {} bytes", stats.total_allocated);
             println!("objects:         {}", stats.object_count);
@@ -139,13 +146,6 @@ fn main() -> ExitCode {
             );
             println!("exec time:       {} s", stats.exec_seconds);
             println!("collections@1MB: {}", stats.collections_at_1mb);
-            let compiled = match trace.compile() {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("trace file inconsistent: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
             let demo = Demographics::compute(&compiled);
             println!(
                 "demographics:    {:.1}% young, {:.1}% medium, {:.1}% immortal",

@@ -386,13 +386,19 @@ impl CompiledTrace {
             deaths: Vec::new(),
         };
         for life in lives {
-            out.ids.push(life.id);
-            out.births.push(life.birth.as_u64());
-            out.sizes.push(life.size);
-            out.deaths
-                .push(life.death.map_or(CompiledTrace::NO_DEATH, |d| d.as_u64()));
+            out.push(life);
         }
         out
+    }
+
+    /// Appends one record, unchecked like
+    /// [`from_lives`](CompiledTrace::from_lives).
+    pub(crate) fn push(&mut self, life: ObjectLife) {
+        self.ids.push(life.id);
+        self.births.push(life.birth.as_u64());
+        self.sizes.push(life.size);
+        self.deaths
+            .push(life.death.map_or(CompiledTrace::NO_DEATH, |d| d.as_u64()));
     }
 
     /// Number of object records.

@@ -31,9 +31,9 @@
 //! ```
 //! use dtb_trace::programs::Program;
 //!
-//! // Generate the CFRAC-like workload (the smallest preset).
-//! let trace = Program::Cfrac.generate();
-//! let stats = dtb_trace::stats::TraceStats::compute(&trace);
+//! // Compile the CFRAC-like workload (the smallest preset) and summarize it.
+//! let trace = Program::Cfrac.compiled();
+//! let stats = dtb_trace::stats::TraceStats::compute_compiled(&trace);
 //! assert!(stats.total_allocated.as_u64() > 3_000_000);
 //! ```
 

@@ -51,9 +51,20 @@ impl SizeDist {
                 assert!(min >= 1 && min <= max, "bad power-of-two size bounds");
                 let mut size = min;
                 while size < max && rng.gen_bool(0.5) {
-                    size = (size * 2).min(max);
+                    size = size.saturating_mul(2).min(max);
                 }
                 size
+            }
+        }
+    }
+
+    /// True when [`sample`](SizeDist::sample) cannot panic: no zero
+    /// size, and `min <= max`.
+    pub fn is_valid(&self) -> bool {
+        match *self {
+            SizeDist::Fixed(s) => s > 0,
+            SizeDist::Uniform { min, max } | SizeDist::PowerOfTwo { min, max } => {
+                min >= 1 && min <= max
             }
         }
     }
@@ -149,6 +160,17 @@ impl LifetimeDist {
     pub fn is_phase_local(&self) -> bool {
         matches!(self, LifetimeDist::PhaseLocal)
     }
+
+    /// True when [`sample`](LifetimeDist::sample) cannot panic: an
+    /// exponential mean that is positive and finite, and uniform bounds
+    /// with `min <= max`.
+    pub fn is_valid(&self) -> bool {
+        match *self {
+            LifetimeDist::Exponential { mean } => mean > 0.0 && mean.is_finite(),
+            LifetimeDist::Uniform { min, max } => min <= max,
+            LifetimeDist::Immortal | LifetimeDist::Fixed(_) | LifetimeDist::PhaseLocal => true,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -192,6 +214,20 @@ mod tests {
         }
         // Mean: 16·½ + 32·¼ + 64·⅛ + 128·1/16 + 256·1/16 = 8+8+8+8+16 = 48.
         assert!((d.mean() - 48.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn power_of_two_doubling_stops_at_max_near_the_top_of_u32() {
+        let mut r = rng();
+        let d = SizeDist::PowerOfTwo {
+            min: 3_000_000_000,
+            max: u32::MAX,
+        };
+        assert!(d.is_valid());
+        for _ in 0..100 {
+            let s = d.sample(&mut r);
+            assert!(s == 3_000_000_000 || s == u32::MAX, "size {s}");
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! * Espresso's pass structure as **phase-local** classes, matching the
 //!   paper's description of it as a multi-pass logic optimizer.
 //!
-//! Calibration is verified by `tests/calibration.rs`, which regenerates
+//! Calibration is verified by `tests/calibration.rs`, which compiles
 //! every preset and checks the `LIVE` profile against the paper's row.
 
 use crate::event::{CompiledTrace, Trace};
@@ -322,7 +322,10 @@ impl Program {
         }
     }
 
-    /// Generates the workload trace.
+    /// Generates the workload's event trace ([`WorkloadSpec::generate`]),
+    /// for callers that want the events themselves, e.g. to write a trace
+    /// file. Simulations and statistics should use
+    /// [`Program::compiled`] and [`Program::stats`].
     ///
     /// Presets always validate, so this cannot fail.
     pub fn generate(self) -> Trace {
@@ -331,8 +334,9 @@ impl Program {
             .expect("preset workload specs are valid by construction")
     }
 
-    /// The compiled preset trace, generated and compiled **exactly once
-    /// per process** and shared behind an [`Arc`].
+    /// The compiled preset trace, built by [`WorkloadSpec::compile`]
+    /// **exactly once per process** and shared behind an [`Arc`]. It
+    /// equals `self.generate().compile()`.
     ///
     /// Presets are pure functions of their seed, so the compiled trace is
     /// immutable and safe to share across threads; every caller (and
@@ -345,9 +349,9 @@ impl Program {
         COMPILED[self as usize]
             .get_or_init(|| {
                 Arc::new(
-                    self.generate()
+                    self.spec()
                         .compile()
-                        .expect("preset traces are well-formed"),
+                        .expect("preset workload specs are valid by construction"),
                 )
             })
             .clone()

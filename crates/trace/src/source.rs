@@ -32,8 +32,8 @@ use rand::{Rng, SeedableRng};
 pub enum SourceError {
     /// The on-disk shard store failed (I/O, corruption, checksum).
     Shard(CtcError),
-    /// A synthetic generator hit an impossible state (e.g. allocation
-    /// clock overflow).
+    /// A synthetic source failed. [`SynthSource`] never does once its
+    /// spec validates; fault-injecting test sources use this variant.
     Synth(String),
     /// [`EventSource::seek`] was called; no source repositions.
     SeekUnsupported {
@@ -357,13 +357,15 @@ impl EventSource for CompiledSource<'_> {
 /// Unbounded synthetic [`EventSource`]: generates a [`WorkloadSpec`]'s
 /// object stream on the fly, in O(1) memory per record.
 ///
-/// Mirrors [`WorkloadSpec::generate`]'s structure — permanent startup
-/// ramp, then the per-class mixture — but resolves each object's death
-/// **exactly** at sampling time instead of snapping it to the next `Free`
-/// flush point the way the event-stream generator does. The two are
-/// therefore *statistically* equivalent, not byte-identical; use
-/// [`collect_source`] when a resident copy of exactly this stream is
-/// needed (e.g. for differential testing).
+/// This is the one sampler. It emits the permanent startup ramp, then
+/// the per-class mixture, each record with its **sampled** death. A
+/// preset is this stream with each death snapped to the first birth at
+/// or after it: [`WorkloadSpec::generate`] and [`WorkloadSpec::compile`]
+/// apply that rule, so their deaths can fall later than this stream's,
+/// and a death past the last birth becomes none. Ids, births and sizes
+/// are the same on every route. Use [`collect_source`] when a resident
+/// copy of exactly this stream is needed (e.g. for differential
+/// testing).
 ///
 /// Deterministic: the same spec (including seed) always yields the same
 /// stream.
@@ -375,7 +377,6 @@ pub struct SynthSource {
     weight_total: f64,
     clock: u64,
     next_id: u64,
-    finished: bool,
 }
 
 impl SynthSource {
@@ -406,7 +407,6 @@ impl SynthSource {
             weight_total,
             clock: 0,
             next_id: 0,
-            finished: false,
         })
     }
 
@@ -414,18 +414,12 @@ impl SynthSource {
     pub fn emitted(&self) -> u64 {
         self.next_id
     }
-}
-
-impl EventSource for SynthSource {
-    fn meta(&self) -> &TraceMeta {
-        &self.meta
-    }
 
     /// The generator: startup ramp, then the steady-state class mixture.
-    fn next_record(&mut self) -> Result<Option<ObjectLife>, SourceError> {
-        if self.finished {
-            return Ok(None);
-        }
+    /// A validated spec keeps every draw and the clock in range, so this
+    /// cannot fail; a death past the top of the clock is none.
+    pub(crate) fn next_life(&mut self) -> Option<ObjectLife> {
+        let id = ObjectId(self.next_id);
         // Startup: the initial permanent structure (never dies).
         if self.clock < self.spec.initial_permanent {
             let size = self
@@ -434,20 +428,18 @@ impl EventSource for SynthSource {
                 .min((self.spec.initial_permanent - self.clock).max(1) as u32)
                 .max(1);
             self.clock += size as u64;
-            let id = self.next_id;
             self.next_id += 1;
-            return Ok(Some(ObjectLife {
-                id: ObjectId(id),
+            return Some(ObjectLife {
+                id,
                 birth: VirtualTime::from_bytes(self.clock),
                 size,
                 death: None,
-            }));
+            });
         }
-        if self.clock >= self.spec.total_alloc || self.weight_total <= 0.0 {
-            self.finished = true;
-            return Ok(None);
+        if self.clock >= self.spec.total_alloc {
+            return None;
         }
-        // Steady state: pick a class by byte-weight, sample size and exact
+        // Steady state: pick a class by byte-weight, sample size and
         // death on the allocation clock.
         let mut pick = self.rng.gen_range(0.0..self.weight_total);
         let mut chosen = self.spec.classes.len() - 1;
@@ -460,25 +452,35 @@ impl EventSource for SynthSource {
         }
         let class = &self.spec.classes[chosen];
         let size = class.size.sample(&mut self.rng);
-        self.clock = self
-            .clock
-            .checked_add(size as u64)
-            .ok_or_else(|| SourceError::Synth("allocation clock overflowed u64".to_string()))?;
+        self.clock += size as u64;
         let birth = self.clock;
         let death = if class.lifetime.is_phase_local() {
+            // Dies at the end of the phase it was born in.
             let period = self.spec.phase_period.expect("validated at construction");
-            Some((birth / period + 1) * period)
+            (birth / period + 1).checked_mul(period)
         } else {
-            class.lifetime.sample(&mut self.rng).map(|l| birth + l)
+            class
+                .lifetime
+                .sample(&mut self.rng)
+                .and_then(|l| birth.checked_add(l))
         };
-        let id = self.next_id;
         self.next_id += 1;
-        Ok(Some(ObjectLife {
-            id: ObjectId(id),
+        Some(ObjectLife {
+            id,
             birth: VirtualTime::from_bytes(birth),
             size,
             death: death.map(VirtualTime::from_bytes),
-        }))
+        })
+    }
+}
+
+impl EventSource for SynthSource {
+    fn meta(&self) -> &TraceMeta {
+        &self.meta
+    }
+
+    fn next_record(&mut self) -> Result<Option<ObjectLife>, SourceError> {
+        Ok(self.next_life())
     }
 
     fn end(&self) -> VirtualTime {

@@ -1,7 +1,7 @@
 //! Workload statistics: the data behind Tables 5 and 6 and the `LIVE` /
 //! `No GC` rows of Table 2.
 
-use crate::event::{CompiledTrace, Trace};
+use crate::event::CompiledTrace;
 use crate::source::{CompiledSource, EventBlock, EventSource, SourceError, DEFAULT_BLOCK_EVENTS};
 use dtb_core::stats::WeightedStats;
 use dtb_core::time::Bytes;
@@ -43,18 +43,6 @@ pub struct TraceStats {
 }
 
 impl TraceStats {
-    /// Computes statistics for a trace.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace is malformed (see [`Trace::compile`]); use
-    /// [`TraceStats::compute_compiled`] with a pre-validated trace to
-    /// avoid recompilation.
-    pub fn compute(trace: &Trace) -> TraceStats {
-        let compiled = trace.compile().expect("malformed trace");
-        TraceStats::compute_compiled(&compiled)
-    }
-
     /// Computes statistics for an already-compiled trace: the streaming
     /// kernel ([`TraceStats::compute_source`]) over a [`CompiledSource`].
     pub fn compute_compiled(c: &CompiledTrace) -> TraceStats {
@@ -277,7 +265,7 @@ mod tests {
         b.alloc(100);
         b.free(a);
         b.alloc(100);
-        let stats = TraceStats::compute(&b.finish());
+        let stats = TraceStats::compute_compiled(&b.finish().compile().unwrap());
         assert_eq!(stats.total_allocated, Bytes::new(300));
         assert_eq!(stats.object_count, 3);
         assert_eq!(stats.mean_object_size, 100.0);
@@ -294,8 +282,8 @@ mod tests {
 
     #[test]
     fn empty_trace_stats() {
-        let t = TraceBuilder::new("e").finish();
-        let s = TraceStats::compute(&t);
+        let t = TraceBuilder::new("e").finish().compile().unwrap();
+        let s = TraceStats::compute_compiled(&t);
         assert_eq!(s.total_allocated, Bytes::ZERO);
         assert_eq!(s.object_count, 0);
         assert_eq!(s.live_max, Bytes::ZERO);
@@ -309,7 +297,7 @@ mod tests {
             let id = b.alloc(1000);
             b.free(id);
         }
-        let s = TraceStats::compute(&b.finish());
+        let s = TraceStats::compute_compiled(&b.finish().compile().unwrap());
         assert_eq!(s.collections_at_1mb, 2);
     }
 
@@ -319,7 +307,7 @@ mod tests {
         for _ in 0..1000 {
             b.alloc(100); // never freed
         }
-        let s = TraceStats::compute(&b.finish());
+        let s = TraceStats::compute_compiled(&b.finish().compile().unwrap());
         assert_eq!(s.live_max, Bytes::new(100_000));
         // Ramp mean ≈ max/2 (off by half an object granularity).
         let mean = s.live_mean.as_u64() as f64;

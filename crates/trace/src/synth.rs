@@ -4,8 +4,14 @@
 //! mixture of object **classes**, each with a byte-weight, a size
 //! distribution, and a lifetime distribution, plus an initial permanent
 //! data structure and an optional phase period for pass-structured
-//! programs. [`WorkloadSpec::generate`] expands the spec into a concrete
-//! [`Trace`] deterministically from the spec's seed.
+//! programs.
+//!
+//! [`SynthSource`] is the one sampler: it draws each object's class, size
+//! and death on the allocation clock, deterministically from the spec's
+//! seed. A preset is that record stream with each death snapped to the
+//! first birth at or after it; [`WorkloadSpec::generate`] writes the
+//! snapped stream as an event [`Trace`], and [`WorkloadSpec::compile`]
+//! writes it straight into a [`CompiledTrace`]'s columns.
 //!
 //! The decomposition mirrors how the paper's programs use memory:
 //!
@@ -21,10 +27,10 @@
 //! * *phase-local* objects dying in bulk at phase boundaries (Espresso's
 //!   per-pass structures).
 
-use crate::event::{Event, ObjectId, Trace, TraceMeta};
+use crate::event::{CompiledTrace, Event, ObjectId, ObjectLife, Trace};
 use crate::lifetime::{LifetimeDist, SizeDist};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use crate::source::{EventSource, SynthSource};
+use dtb_core::time::VirtualTime;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -95,10 +101,20 @@ pub enum SpecError {
     NegativeFraction(String),
     /// A phase-local class exists but no phase period is set.
     MissingPhasePeriod,
+    /// A phase-local class exists and the phase period is zero.
+    ZeroPhasePeriod(String),
+    /// A class's size distribution has a zero size or `min > max`.
+    BadSize(String),
+    /// A class's lifetime distribution has a non-positive or non-finite
+    /// exponential mean, or uniform bounds with `min > max`.
+    BadLifetime(String),
     /// No classes and no initial permanent data: nothing to generate.
     Empty,
     /// `initial_permanent` exceeds `total_alloc`.
     PermanentExceedsTotal,
+    /// `total_alloc` leaves no room for one more object below the top of
+    /// the `u64` allocation clock.
+    TotalTooLarge(u64),
 }
 
 impl std::fmt::Display for SpecError {
@@ -113,9 +129,22 @@ impl std::fmt::Display for SpecError {
             SpecError::MissingPhasePeriod => {
                 write!(f, "phase-local class present but phase_period unset")
             }
+            SpecError::ZeroPhasePeriod(name) => {
+                write!(f, "phase-local class {name} has a zero phase_period")
+            }
+            SpecError::BadSize(name) => {
+                write!(f, "class {name} has a zero size or min > max")
+            }
+            SpecError::BadLifetime(name) => write!(
+                f,
+                "class {name} has a non-positive or non-finite mean lifetime, or min > max"
+            ),
             SpecError::Empty => write!(f, "workload allocates nothing"),
             SpecError::PermanentExceedsTotal => {
                 write!(f, "initial permanent data exceeds total allocation")
+            }
+            SpecError::TotalTooLarge(total) => {
+                write!(f, "total allocation {total} overflows the allocation clock")
             }
         }
     }
@@ -123,8 +152,19 @@ impl std::fmt::Display for SpecError {
 
 impl std::error::Error for SpecError {}
 
+/// One step of the snapped stream, as [`snap_deaths`] hands it to a
+/// sink.
+enum Step {
+    /// The next record, with no death yet.
+    Born(ObjectLife),
+    /// Object `id` dies at clock `at`.
+    Died(ObjectId, VirtualTime),
+}
+
 impl WorkloadSpec {
-    /// Checks internal consistency.
+    /// Checks internal consistency. A spec that passes generates on
+    /// every route ([`generate`](Self::generate), [`compile`](Self::compile),
+    /// [`SynthSource`]) without a panic.
     ///
     /// # Errors
     ///
@@ -139,126 +179,87 @@ impl WorkloadSpec {
         if self.classes.is_empty() && self.initial_permanent < self.total_alloc {
             return Err(SpecError::Empty);
         }
+        // The last object starts below `total_alloc` and may be
+        // `u32::MAX` bytes; the clock must end below `u64::MAX`, which
+        // compiled traces reserve for "never dies".
+        if self.total_alloc > u64::MAX - u64::from(u32::MAX) {
+            return Err(SpecError::TotalTooLarge(self.total_alloc));
+        }
         let mut sum = 0.0;
         for c in &self.classes {
             if c.byte_fraction < 0.0 {
                 return Err(SpecError::NegativeFraction(c.name.clone()));
             }
-            if c.lifetime.is_phase_local() && self.phase_period.is_none() {
-                return Err(SpecError::MissingPhasePeriod);
+            if !c.size.is_valid() {
+                return Err(SpecError::BadSize(c.name.clone()));
+            }
+            if !c.lifetime.is_valid() {
+                return Err(SpecError::BadLifetime(c.name.clone()));
+            }
+            if c.lifetime.is_phase_local() {
+                match self.phase_period {
+                    None => return Err(SpecError::MissingPhasePeriod),
+                    Some(0) => return Err(SpecError::ZeroPhasePeriod(c.name.clone())),
+                    Some(_) => {}
+                }
             }
             sum += c.byte_fraction;
         }
-        if !self.classes.is_empty() && (sum - 1.0).abs() > 1e-6 {
+        if !self.classes.is_empty() && ((sum - 1.0).abs() > 1e-6 || sum.is_nan()) {
             return Err(SpecError::BadFractions(sum));
         }
         Ok(())
     }
 
-    /// Expands the spec into a concrete event trace.
+    /// Expands the spec into a concrete event trace: [`SynthSource`]'s
+    /// records as `Alloc` events. Each object's `Free` follows the first
+    /// allocation at or after its sampled death, and frees at one place
+    /// come in (sampled death, id) order. An object whose sampled death
+    /// is past the last allocation is never freed, like a real trace cut
+    /// at program exit.
     ///
     /// Deterministic: the same spec (including seed) always yields the
-    /// same trace.
+    /// same trace. Use [`compile`](Self::compile) when only the compiled
+    /// trace is wanted.
     ///
     /// # Errors
     ///
     /// Returns [`SpecError`] when the spec fails [`WorkloadSpec::validate`].
     pub fn generate(&self) -> Result<Trace, SpecError> {
-        self.validate()?;
-        let mut rng = StdRng::seed_from_u64(self.seed);
+        let mut source = SynthSource::new(self.clone())?;
         let mut events: Vec<Event> = Vec::with_capacity((self.total_alloc / 48).max(16) as usize);
-        let mut next_id: u64 = 0;
-        let mut clock: u64 = 0;
-        // Pending deaths: min-heap of (death clock, id).
-        let mut deaths: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
-
-        // Startup: the initial permanent structure.
-        while clock < self.initial_permanent {
-            let size = self
-                .initial_object_size
-                .min((self.initial_permanent - clock).max(1) as u32)
-                .max(1);
-            events.push(Event::Alloc {
-                id: ObjectId(next_id),
-                size,
-            });
-            next_id += 1;
-            clock += size as u64;
-        }
-
-        // Steady state: the class mixture. Classes are chosen per-object
-        // with probability proportional to byte_fraction / mean_size so
-        // byte fractions come out as specified.
-        let weights: Vec<f64> = self
-            .classes
-            .iter()
-            .map(|c| c.byte_fraction / c.size.mean().max(1.0))
-            .collect();
-        let weight_total: f64 = weights.iter().sum();
-
-        while clock < self.total_alloc {
-            // Flush deaths that have come due.
-            while let Some(&Reverse((death, id))) = deaths.peek() {
-                if death > clock {
-                    break;
-                }
-                deaths.pop();
-                events.push(Event::Free { id: ObjectId(id) });
-            }
-
-            let class = if weight_total > 0.0 {
-                let mut pick = rng.gen_range(0.0..weight_total);
-                let mut chosen = self.classes.len() - 1;
-                for (i, w) in weights.iter().enumerate() {
-                    if pick < *w {
-                        chosen = i;
-                        break;
-                    }
-                    pick -= w;
-                }
-                &self.classes[chosen]
-            } else {
-                break; // all-permanent workload already emitted above
-            };
-
-            let size = class.size.sample(&mut rng);
-            events.push(Event::Alloc {
-                id: ObjectId(next_id),
-                size,
-            });
-            clock += size as u64;
-            let birth = clock;
-
-            let death = if class.lifetime.is_phase_local() {
-                let period = self.phase_period.expect("validated above");
-                // Dies at the end of the phase it was born in.
-                Some((birth / period + 1) * period)
-            } else {
-                class.lifetime.sample(&mut rng).map(|l| birth + l)
-            };
-            if let Some(d) = death {
-                deaths.push(Reverse((d, next_id)));
-            }
-            next_id += 1;
-        }
-        // Objects whose deaths fall beyond the end of the trace stay live:
-        // emit no Free for them, like a real trace cut at program exit.
-        while let Some(&Reverse((death, id))) = deaths.peek() {
-            if death > clock {
-                break;
-            }
-            deaths.pop();
-            events.push(Event::Free { id: ObjectId(id) });
-        }
-
+        snap_deaths(&mut source, |step| {
+            events.push(match step {
+                Step::Born(life) => Event::Alloc {
+                    id: life.id,
+                    size: life.size,
+                },
+                Step::Died(id, _) => Event::Free { id },
+            })
+        });
         Ok(Trace {
-            meta: TraceMeta {
-                name: self.name.clone(),
-                description: self.description.clone(),
-                exec_seconds: self.exec_seconds,
-            },
+            meta: source.meta().clone(),
             events,
         })
+    }
+
+    /// Generates the spec straight into a [`CompiledTrace`]: equal to
+    /// `self.generate()?.compile()`, without the event list or the id
+    /// map.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SpecError`] when the spec fails [`WorkloadSpec::validate`].
+    pub fn compile(&self) -> Result<CompiledTrace, SpecError> {
+        let mut source = SynthSource::new(self.clone())?;
+        let mut trace = CompiledTrace::from_lives(source.meta().clone(), VirtualTime::ZERO, []);
+        snap_deaths(&mut source, |step| match step {
+            Step::Born(life) => trace.push(life),
+            // Ids are dense from 0: an id is its record's position.
+            Step::Died(id, at) => trace.set_death(id.0 as usize, Some(at)),
+        });
+        trace.end = source.end();
+        Ok(trace)
     }
 
     /// Analytic prediction of the steady-state live storage contributed by
@@ -289,6 +290,41 @@ impl WorkloadSpec {
             .sum();
         self.initial_permanent as f64
             + ramp_fraction * (self.total_alloc - self.initial_permanent) as f64
+    }
+}
+
+/// The one snapping rule behind [`WorkloadSpec::generate`] and
+/// [`WorkloadSpec::compile`]: each record's sampled death lands on the
+/// first birth at or after it, and a death that no birth reaches never
+/// happens, so the object lives to the end.
+///
+/// Before each birth, and once after the last, every pending death at or
+/// before the latest birth dies there, in (sampled death, id) order: the
+/// order of `generate`'s `Free` events.
+fn snap_deaths(source: &mut SynthSource, mut sink: impl FnMut(Step)) {
+    // Pending deaths: min-heap of (sampled death, id).
+    let mut pending: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
+    let mut clock = 0;
+    loop {
+        let next = source.next_life();
+        while let Some(&Reverse((death, id))) = pending.peek() {
+            if death > clock {
+                break;
+            }
+            pending.pop();
+            sink(Step::Died(ObjectId(id), VirtualTime::from_bytes(clock)));
+        }
+        let Some(life) = next else {
+            return;
+        };
+        clock = life.birth.as_u64();
+        if let Some(death) = life.death {
+            pending.push(Reverse((death.as_u64(), life.id.0)));
+        }
+        sink(Step::Born(ObjectLife {
+            death: None,
+            ..life
+        }));
     }
 }
 
@@ -461,6 +497,83 @@ mod tests {
         let mut s = spec();
         s.initial_permanent = s.total_alloc + 1;
         assert_eq!(s.validate(), Err(SpecError::PermanentExceedsTotal));
+    }
+
+    #[test]
+    fn malformed_specs_are_errors_on_every_route() {
+        let one_class = |size, lifetime, phase_period| WorkloadSpec {
+            classes: vec![ClassSpec::new("bad", 1.0, size, lifetime)],
+            phase_period,
+            ..spec()
+        };
+        let (size, life) = (SizeDist::Fixed(64), LifetimeDist::Immortal);
+        let bad_size = SpecError::BadSize("bad".into());
+        let bad_life = SpecError::BadLifetime("bad".into());
+        let cases = [
+            (one_class(SizeDist::Fixed(0), life, None), bad_size.clone()),
+            (
+                one_class(SizeDist::Uniform { min: 10, max: 5 }, life, None),
+                bad_size.clone(),
+            ),
+            (
+                one_class(SizeDist::PowerOfTwo { min: 0, max: 8 }, life, None),
+                bad_size,
+            ),
+            (
+                one_class(size, LifetimeDist::Exponential { mean: 0.0 }, None),
+                bad_life.clone(),
+            ),
+            (
+                one_class(size, LifetimeDist::Exponential { mean: f64::NAN }, None),
+                bad_life.clone(),
+            ),
+            (
+                one_class(size, LifetimeDist::Uniform { min: 9, max: 1 }, None),
+                bad_life,
+            ),
+            (
+                one_class(size, LifetimeDist::PhaseLocal, Some(0)),
+                SpecError::ZeroPhasePeriod("bad".into()),
+            ),
+            (
+                WorkloadSpec {
+                    total_alloc: u64::MAX,
+                    ..spec()
+                },
+                SpecError::TotalTooLarge(u64::MAX),
+            ),
+        ];
+        for (s, want) in cases {
+            assert_eq!(s.validate(), Err(want.clone()));
+            assert_eq!(s.generate().err(), Some(want.clone()));
+            assert_eq!(s.compile().err(), Some(want.clone()));
+            assert_eq!(SynthSource::new(s).err(), Some(want));
+        }
+    }
+
+    #[test]
+    fn a_death_past_the_clock_is_immortal_on_every_route() {
+        let s = WorkloadSpec {
+            total_alloc: 10_000,
+            initial_permanent: 0,
+            classes: vec![ClassSpec::new(
+                "forever",
+                1.0,
+                SizeDist::Fixed(100),
+                LifetimeDist::Fixed(u64::MAX),
+            )],
+            ..spec()
+        };
+        let stream = crate::collect_source(&mut SynthSource::new(s.clone()).unwrap()).unwrap();
+        stream.validate().expect("no death before its birth");
+        for c in [
+            s.compile().unwrap(),
+            s.generate().unwrap().compile().unwrap(),
+            stream,
+        ] {
+            assert_eq!(c.len(), 100);
+            assert!(c.lives().all(|l| l.death.is_none()));
+        }
     }
 
     #[test]

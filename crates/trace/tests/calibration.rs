@@ -5,7 +5,6 @@
 //! every preset.
 
 use dtb_trace::programs::Program;
-use dtb_trace::stats::TraceStats;
 
 fn pct_err(measured: u64, target: u64) -> f64 {
     if target == 0 {
@@ -21,7 +20,7 @@ fn live_profiles_match_paper_within_tolerance() {
     // larger and the paper itself calls it "less interesting".
     for p in Program::ALL {
         let prof = p.paper_profile();
-        let stats = TraceStats::compute(&p.generate());
+        let stats = p.stats();
         let mean_err = pct_err(stats.live_mean.as_u64(), prof.live_mean);
         let max_err = pct_err(stats.live_max.as_u64(), prof.live_max);
         println!(
@@ -52,7 +51,7 @@ fn live_profiles_match_paper_within_tolerance() {
 fn totals_and_collections_match_table6() {
     for p in Program::ALL {
         let prof = p.paper_profile();
-        let stats = TraceStats::compute(&p.generate());
+        let stats = p.stats();
         // Total allocation within one object of the spec target.
         assert!(
             stats.total_allocated.as_u64() >= prof.total_alloc
@@ -84,7 +83,7 @@ fn generation_is_reproducible_across_runs() {
 fn nogc_mean_is_about_half_total() {
     // No-GC memory is the allocation ramp; its time-average is ~total/2.
     for p in [Program::Cfrac, Program::Espresso1] {
-        let stats = TraceStats::compute(&p.generate());
+        let stats = p.stats();
         let ratio = stats.nogc_mean.as_u64() as f64 / stats.total_allocated.as_u64() as f64;
         assert!(
             (0.45..0.55).contains(&ratio),

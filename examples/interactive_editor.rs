@@ -52,11 +52,7 @@ fn editor_workload() -> WorkloadSpec {
 }
 
 fn main() {
-    let trace = editor_workload()
-        .generate()
-        .expect("valid spec")
-        .compile()
-        .expect("well-formed trace");
+    let trace = editor_workload().compile().expect("valid spec");
     let sim = SimConfig::paper();
 
     println!("Editor workload: 60 MB allocated over a 2-minute session\n");

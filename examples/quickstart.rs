@@ -9,7 +9,6 @@ use dtb::core::policy::{PolicyConfig, PolicyKind};
 use dtb::sim::engine::SimConfig;
 use dtb::sim::exec::Evaluation;
 use dtb::trace::programs::Program;
-use dtb::trace::stats::TraceStats;
 
 fn main() {
     // The paper's configuration: scavenge every 1 MB of allocation,
@@ -20,7 +19,7 @@ fn main() {
     let program = Program::Cfrac;
 
     println!("workload: {}", program.label());
-    let stats = TraceStats::compute(&program.generate());
+    let stats = program.stats();
     println!(
         "  {} objects, {:.1} MB allocated, live mean/max {:.0}/{:.0} KB\n",
         stats.object_count,

@@ -19,7 +19,7 @@ fn main() {
     );
     println!("{}", "-".repeat(78));
     for p in Program::ALL {
-        let trace = p.generate().compile().expect("well-formed");
+        let trace = p.compiled();
         let demo = Demographics::compute(&trace);
         let curve = SurvivalCurve::at_paper_checkpoints(&trace);
         let total = demo.total.as_u64() as f64;
@@ -35,7 +35,7 @@ fn main() {
     }
 
     println!("\nfull survival curve, GHOST(1):");
-    let trace = Program::Ghost1.generate().compile().expect("well-formed");
+    let trace = Program::Ghost1.compiled();
     let curve = SurvivalCurve::at_paper_checkpoints(&trace);
     for (age, s) in curve.ages.iter().zip(&curve.survival) {
         let bar = "#".repeat((s * 60.0).round() as usize);

@@ -131,10 +131,8 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let trace = spec(total_kb, immortal, mean_life, seed)
-            .generate()
-            .expect("valid spec")
             .compile()
-            .expect("generated traces compile");
+            .expect("valid spec");
         let live = live_report(&trace);
         let nogc = no_gc_report(&trace);
         prop_assert!(live.mem_max <= nogc.mem_max);

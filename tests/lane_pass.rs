@@ -18,10 +18,8 @@ fn small_trace() -> CompiledTrace {
         total_alloc: 3_000_000,
         ..Program::Cfrac.spec()
     }
-    .generate()
-    .expect("valid spec")
     .compile()
-    .expect("generated traces compile")
+    .expect("valid spec")
 }
 
 #[test]

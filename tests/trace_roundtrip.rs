@@ -81,7 +81,7 @@ proptest! {
 
     #[test]
     fn simulation_conserves_memory_under_every_policy(spec in arb_spec()) {
-        let trace = spec.generate().expect("valid spec").compile().expect("well-formed");
+        let trace = spec.compile().expect("valid spec");
         let sim = SimConfig {
             trigger: dtb::sim::trigger::Trigger::Allocation(
                 dtb::core::time::Bytes::new(100_000),
@@ -109,7 +109,7 @@ proptest! {
 
     #[test]
     fn full_is_memory_optimal_among_collectors(spec in arb_spec()) {
-        let trace = spec.generate().expect("valid spec").compile().expect("well-formed");
+        let trace = spec.compile().expect("valid spec");
         let sim = SimConfig {
             trigger: dtb::sim::trigger::Trigger::Allocation(
                 dtb::core::time::Bytes::new(100_000),
