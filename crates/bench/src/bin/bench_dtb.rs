@@ -10,7 +10,7 @@
 //! 2. with `block_events(1)` — the per-event reference path — which must
 //!    be report-identical to (1); the timing ratio is `block_speedup`
 //!    (schema v5);
-//! 3. streaming the same records back from an on-disk `DTBCTC01` shard
+//! 3. streaming the same records back from an on-disk `DTBCTC02` shard
 //!    store through `simulate_source` — must be report-identical to (1),
 //!    and its events/second is the streaming-path column;
 //! 4. on the scan-based `NaiveHeap` baseline (the pre-incremental
@@ -98,7 +98,7 @@ struct BenchReport {
     /// what the chunked drive loop buys end to end (absent in pre-v5
     /// reports).
     block_speedup: Option<f64>,
-    /// The same matrix replayed from an on-disk `DTBCTC01` shard store
+    /// The same matrix replayed from an on-disk `DTBCTC02` shard store
     /// (absent in pre-v2 reports; the vendored deserializer maps a
     /// missing field to `None`).
     streaming: Option<EngineTiming>,
@@ -198,7 +198,7 @@ fn run_matrix(
     ))
 }
 
-/// Shards the benchmark trace into a temporary `DTBCTC01` store and
+/// Shards the benchmark trace into a temporary `DTBCTC02` store and
 /// replays the whole matrix from it, opening a fresh [`ShardReader`]
 /// cursor per policy (sources are consumed by reading).
 fn run_matrix_streaming(

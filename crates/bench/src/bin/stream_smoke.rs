@@ -4,7 +4,7 @@
 //!
 //! 1. **Shard replay** — generates a synthetic event trace (default
 //!    300 k events), writes it as a `.dtbtrc` file, runs the streaming
-//!    two-pass converter to a `DTBCTC01` shard store, and replays the
+//!    two-pass converter to a `DTBCTC02` shard store, and replays the
 //!    store through the engine (`FULL` and `DTBFM`) with fresh
 //!    [`ShardReader`] cursors. The raw trace is dropped before replay, so
 //!    replay itself runs record-at-a-time.

@@ -168,11 +168,6 @@ impl ScavengeHistory {
     pub fn total_traced(&self) -> Bytes {
         self.records.iter().map(|r| r.traced).sum()
     }
-
-    /// Total bytes reclaimed over the whole history.
-    pub fn total_reclaimed(&self) -> Bytes {
-        self.records.iter().map(|r| r.reclaimed).sum()
-    }
 }
 
 /// A sorted run of candidate boundary times — the scavenge times a

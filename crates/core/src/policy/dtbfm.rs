@@ -42,12 +42,6 @@ impl DtbFm {
         DtbFm { trace_max }
     }
 
-    /// Creates the policy from a pause budget in milliseconds under a cost
-    /// model (e.g. 100 ms at 500 KB/s ⇒ 50 000 bytes).
-    pub fn from_pause_ms(pause_ms: f64, model: &crate::cost::CostModel) -> DtbFm {
-        DtbFm::new(model.trace_budget_for_pause_ms(pause_ms))
-    }
-
     /// The pause budget expressed in bytes traced.
     pub fn trace_max(&self) -> Bytes {
         self.trace_max

@@ -86,12 +86,6 @@ impl DtbMem {
         self.estimate
     }
 
-    /// The live-data estimate `L_est = (S_{n-1} + Trace_{n-1}) / 2`
-    /// (the paper's midpoint estimator).
-    pub fn live_estimate(surviving_prev: Bytes, traced_prev: Bytes) -> Bytes {
-        surviving_prev.midpoint(traced_prev)
-    }
-
     fn estimate_live(&self, surviving_prev: Bytes, traced_prev: Bytes) -> Bytes {
         match self.estimate {
             LiveEstimate::Midpoint => surviving_prev.midpoint(traced_prev),

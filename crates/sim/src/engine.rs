@@ -1330,7 +1330,6 @@ mod tests {
                 }
                 self.emitted = true;
                 Ok(Some(ObjectLife {
-                    id: dtb_trace::ObjectId(0),
                     birth: VirtualTime::from_bytes(64),
                     size: 64,
                     death: None,

@@ -47,7 +47,7 @@
 
 use crate::baseline::baseline_report;
 use crate::curve::MemoryCurve;
-use crate::engine::{Sim, SimBudget, SimConfig, SimRun};
+use crate::engine::{Sim, SimConfig, SimRun};
 use crate::error::SimError;
 use crate::journal::{
     journal_path, read_journal, JournalCell, JournalHeader, JournalWriter, JOURNAL_VERSION,
@@ -450,11 +450,6 @@ impl Cell {
             CellOutcome::Failed(f) => Some(f),
         }
     }
-
-    /// True when the cell failed.
-    pub fn is_failed(&self) -> bool {
-        self.failure().is_some()
-    }
 }
 
 /// Builder for a (program × policy) evaluation run.
@@ -520,13 +515,12 @@ impl Evaluation {
         self
     }
 
-    /// Adds a streaming column: every cell in it builds a fresh
-    /// [`EventSource`] from `make` and simulates it record-at-a-time
-    /// ([`simulate_source`](crate::engine::simulate_source)), so the
-    /// column's trace is never materialized in memory — sharded on-disk
-    /// stores ([`dtb_trace::ShardReader`]) and unbounded generators
-    /// ([`dtb_trace::SynthSource`]) both fit.
-    /// Baseline rows stream too
+    /// Adds a streaming column: its collector rows run as the lanes of
+    /// one engine pass ([`Sim::run_lanes`]) over a fresh [`EventSource`]
+    /// built by `make` for each attempt, so the column's trace is never
+    /// materialized in memory — sharded on-disk stores
+    /// ([`dtb_trace::ShardReader`]) and unbounded generators
+    /// ([`dtb_trace::SynthSource`]) both fit. Baseline rows stream too
     /// ([`TraceStats::compute_source`](dtb_trace::stats::TraceStats::compute_source)).
     ///
     /// `name` labels the column ([`Column::name`]); reports carry the
@@ -578,18 +572,10 @@ impl Evaluation {
         self
     }
 
-    /// The simulation parameters (trigger, cost model, curve recording).
+    /// The simulation parameters (trigger, cost model, curve recording,
+    /// and the per-cell work budget, [`SimConfig::budget`]).
     pub fn sim_config(mut self, cfg: SimConfig) -> Evaluation {
         self.sim_cfg = cfg;
-        self
-    }
-
-    /// Caps every cell's work (events / scavenges): a cell that exceeds
-    /// the budget fails with a typed
-    /// [`BudgetExceeded`](SimError::BudgetExceeded) instead of hanging
-    /// the evaluation.
-    pub fn cell_budget(mut self, budget: SimBudget) -> Evaluation {
-        self.sim_cfg.budget = budget;
         self
     }
 

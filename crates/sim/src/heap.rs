@@ -128,7 +128,7 @@ pub trait SimHeap: SurvivalLender {
     fn insert(&mut self, obj: SimObject);
 
     /// Inserts a whole validated block of objects from struct-of-arrays
-    /// columns (`u64::MAX` death = immortal, the `DTBCTC01` sentinel).
+    /// columns (`u64::MAX` death = immortal, the `DTBCTC02` sentinel).
     ///
     /// Must be observably identical to inserting the objects one at a
     /// time; the default does exactly that, and the incremental
@@ -188,7 +188,7 @@ pub trait CheckpointHeap: SimHeap {
 
 /// Sentinel death time for "lives to the end of the trace" in the heap's
 /// struct-of-arrays death column — the same convention as the on-disk
-/// `DTBCTC01` record format. No real allocation clock reaches it, so the
+/// `DTBCTC02` record format. No real allocation clock reaches it, so the
 /// branch-free `death <= now` comparison treats immortals as never dead.
 const NO_DEATH: u64 = u64::MAX;
 
@@ -390,7 +390,7 @@ impl OracleHeap {
 
     /// Inserts a whole block of objects from struct-of-arrays columns
     /// (death times use the `u64::MAX` sentinel for immortals, as in
-    /// the `DTBCTC01` record format and
+    /// the `DTBCTC02` record format and
     /// [`EventBlock::NO_DEATH`](dtb_trace::EventBlock::NO_DEATH)).
     ///
     /// Identical to inserting the objects one at a time: both only

@@ -158,7 +158,7 @@ fn watchdog_budget_stops_runaway_cells() {
         .programs([Program::Cfrac])
         .policies(HEALTHY)
         .baselines(false)
-        .cell_budget(SimBudget::events(10))
+        .sim_config(SimConfig::paper().with_budget(SimBudget::events(10)))
         .run();
     let failures: Vec<_> = matrix.failures().collect();
     assert_eq!(failures.len(), HEALTHY.len(), "every cell trips the budget");

@@ -5,7 +5,7 @@
 //! Two source families are exercised:
 //!
 //! * [`ShardReader`] — random compiled traces are written to an on-disk
-//!   `DTBCTC01` store, then replayed record-at-a-time; and
+//!   `DTBCTC02` store, then replayed record-at-a-time; and
 //! * [`SynthSource`] — an unbounded generator, materialized once via
 //!   [`collect_source`] to obtain its in-memory twin.
 //!

@@ -16,39 +16,42 @@
 //! instrumenting a hot loop can never quietly tax the uninstrumented
 //! build.
 //!
-//! The single-lane test reads a process-global counter, so a sibling
-//! test allocating on another thread would pollute it. The lane test
-//! therefore counts on its own thread only: a thread that opts into
-//! local counting is left out of the global counter.
+//! Each test counts the allocations of its own thread only: the test
+//! harness and the sibling test allocate on other threads while a
+//! measured region runs, and the code under test runs on the test's own
+//! thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use dtb_core::policy::{SurvivalEstimator, SurvivalLender};
 use dtb_core::time::{Bytes, VirtualTime};
 use dtb_sim::heap::{OracleHeap, SimObject};
 
 /// Counts every allocation (and growth reallocation) routed through the
-/// global allocator.
+/// global allocator on a thread that called [`count_this_thread`].
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
 thread_local! {
-    /// This thread's allocations once it opted into local counting
-    /// (`None`: counted globally). Const-initialized with no destructor,
-    /// so the allocator can read it without allocating.
+    /// This thread's allocations once it opted into counting (`None`: not
+    /// counted). Const-initialized with no destructor, so the allocator
+    /// can read it without allocating.
     static LOCAL: Cell<Option<u64>> = const { Cell::new(None) };
 }
 
 fn count() {
-    let local = LOCAL
-        .try_with(|c| c.get().map(|n| c.set(Some(n + 1))).is_some())
-        .unwrap_or(false);
-    if !local {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-    }
+    let _ = LOCAL.try_with(|c| {
+        if let Some(n) = c.get() {
+            c.set(Some(n + 1));
+        }
+    });
+}
+
+/// Starts counting this thread's allocations and returns a reader of the
+/// running count.
+fn count_this_thread() -> impl Fn() -> u64 {
+    LOCAL.with(|c| c.set(Some(0)));
+    || LOCAL.with(|c| c.get().expect("counting this thread"))
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
@@ -81,6 +84,7 @@ fn t(v: u64) -> VirtualTime {
 
 #[test]
 fn steady_state_scavenge_path_is_allocation_free() {
+    let allocated = count_this_thread();
     // A 20k-object heap: one third dies young, one third dies later, one
     // third is immortal — so scavenges see survivors, reclaimable dead,
     // and tenured garbage all at once.
@@ -105,7 +109,7 @@ fn steady_state_scavenge_path_is_allocation_free() {
     heap.live_bytes_at(warm_now);
     heap.scavenge(t(n * 25), warm_now);
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocated();
 
     // Measured region: two full scavenge decision points — borrow the
     // survival view, probe candidate boundaries (as a policy would), read
@@ -139,7 +143,7 @@ fn steady_state_scavenge_path_is_allocation_free() {
         }
     }
 
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let allocations = allocated() - before;
     assert!(observed > Bytes::ZERO, "queries must do real work");
     assert_eq!(
         allocations, 0,
@@ -149,8 +153,7 @@ fn steady_state_scavenge_path_is_allocation_free() {
 
 #[test]
 fn steady_state_lane_scavenges_are_allocation_free() {
-    LOCAL.with(|c| c.set(Some(0)));
-    let local = || LOCAL.with(|c| c.get().expect("counting locally"));
+    let allocated = count_this_thread();
     // The same heap shape as above, shared by four lanes whose boundaries
     // differ: FULL (tenures nothing), FIXED1-like (tenures and keeps),
     // one that moves back (untenures), and one that scavenges only every
@@ -182,7 +185,7 @@ fn steady_state_lane_scavenges_are_allocation_free() {
         heap.scavenge_lane(lane, t(n * 25), warm_now);
     }
 
-    let before = local();
+    let before = allocated();
     let mut observed = Bytes::ZERO;
     for round in 0..2u64 {
         let now = t(n * 60 + round * n * 30);
@@ -203,7 +206,7 @@ fn steady_state_lane_scavenges_are_allocation_free() {
         }
     }
 
-    let allocations = local() - before;
+    let allocations = allocated() - before;
     assert!(observed > Bytes::ZERO, "queries must do real work");
     assert_eq!(
         allocations, 0,

@@ -4,9 +4,9 @@
 //! tracegen gen <PROGRAM> <OUT.dtbtrc>            generate a preset workload trace
 //! tracegen info <FILE.dtbtrc>                    print trace statistics
 //! tracegen survival <FILE.dtbtrc>                print the survival curve
-//! tracegen compile <IN.dtbtrc> <OUT_DIR>         compile to a one-shard DTBCTC01 store
+//! tracegen compile <IN.dtbtrc> <OUT_DIR>         compile to a one-shard DTBCTC02 store
 //! tracegen shard <IN.dtbtrc> <OUT_DIR> <STRIDE>  compile to a store with STRIDE records/shard
-//! tracegen verify <STORE_DIR>                    re-check a DTBCTC01 store's checksums
+//! tracegen verify <STORE_DIR>                    re-check a DTBCTC02 store's checksums
 //! tracegen list                                  list the preset workloads
 //! ```
 //!

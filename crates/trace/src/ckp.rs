@@ -1,7 +1,7 @@
 //! Checksums and the error type shared by the record log.
 //!
 //! [`fnv1a`] / [`checksum`] are the FNV-1a checksum every on-disk format
-//! in this workspace uses (the `DTBCTC01` store in [`crate::ctc`], the
+//! in this workspace uses (the `DTBCTC02` store in [`crate::ctc`], the
 //! `DTBLOG01` record log in [`crate::record_log`], and the benchmark's
 //! report digests). [`CkpError`] is the error type of the record log and
 //! of the run journals built on it.

@@ -1,4 +1,4 @@
-//! `DTBCTC01`: the sharded on-disk *compiled-trace* format.
+//! `DTBCTC02`: the sharded on-disk *compiled-trace* format.
 //!
 //! `DTBTRC01` (see [`crate::format`]) stores the raw alloc/free event
 //! stream; compiling it resolves each object's death time. This module
@@ -10,8 +10,10 @@
 //!
 //! ## Layout
 //!
-//! Every file opens with the 8-byte magic `DTBCTC01` and a *kind* byte
-//! (0 = manifest, 1 = shard). All integers are little-endian.
+//! Every file opens with the 8-byte magic `DTBCTC02` and a *kind* byte
+//! (0 = manifest, 1 = shard). All integers are little-endian. A store of
+//! any other version fails the magic check with [`CtcError::BadMagic`];
+//! stores are regenerated from their source, not migrated.
 //!
 //! **Manifest** (`manifest.dtbctc`): name and description as
 //! `u32` length + UTF-8 bytes, `exec_seconds` as `f64`, then `end` clock,
@@ -20,7 +22,7 @@
 //! trailing FNV-1a checksum of everything before it.
 //!
 //! **Shard** (`shard-NNNNN.dtbctc`): after the magic/kind, its index
-//! (`u32`) and record count (`u64`), then 28-byte records — `id: u64`,
+//! (`u32`) and the store's stride (`u64`), then 20-byte records —
 //! `birth: u64`, `size: u32`, `death: u64` with `u64::MAX` meaning
 //! "lives to trace end" — and a trailing FNV-1a checksum of the record
 //! bytes. Fixed stride keeps reads chunked and seekable; records are in
@@ -34,10 +36,10 @@
 //! manifest when a shard is opened.
 
 use crate::ckp::{fnv1a, FNV_OFFSET};
-use crate::event::{resolve, ObjectId, ObjectLife, TraceError, TraceMeta};
+use crate::event::{resolve, ObjectLife, TraceError, TraceMeta};
 use crate::format::FormatError;
 use crate::io::{TraceEventReader, TraceIoError};
-use crate::source::{EventBlock, EventSource, SourceError};
+use crate::source::{EventBlock, EventSource, SourceError, DEFAULT_BLOCK_EVENTS};
 use dtb_core::time::VirtualTime;
 use std::collections::HashSet;
 use std::fs::File;
@@ -46,8 +48,8 @@ use std::path::{Path, PathBuf};
 use std::sync::{Mutex, OnceLock};
 use std::time::SystemTime;
 
-/// Magic bytes identifying a compiled-trace store file (format version 1).
-pub const MAGIC: &[u8; 8] = b"DTBCTC01";
+/// Magic bytes identifying a compiled-trace store file (format version 2).
+pub const MAGIC: &[u8; 8] = b"DTBCTC02";
 
 /// Manifest file name inside a store directory.
 pub const MANIFEST_NAME: &str = "manifest.dtbctc";
@@ -55,8 +57,8 @@ pub const MANIFEST_NAME: &str = "manifest.dtbctc";
 const KIND_MANIFEST: u8 = 0;
 const KIND_SHARD: u8 = 1;
 
-/// Bytes per record: id (8) + birth (8) + size (4) + death (8).
-const RECORD_BYTES: usize = 28;
+/// Bytes per record: birth (8) + size (4) + death (8).
+const RECORD_BYTES: usize = 20;
 
 /// Shard file header bytes: magic (8) + kind (1) + index (4) + stride (8).
 const HEADER_BYTES: usize = 8 + 1 + 4 + 8;
@@ -546,10 +548,9 @@ impl ShardWriter {
         }
         let shard = self.current.as_mut().expect("opened above");
         let mut raw = [0u8; RECORD_BYTES];
-        raw[0..8].copy_from_slice(&life.id.0.to_le_bytes());
-        raw[8..16].copy_from_slice(&birth.to_le_bytes());
-        raw[16..20].copy_from_slice(&life.size.to_le_bytes());
-        raw[20..28].copy_from_slice(&death.to_le_bytes());
+        raw[0..8].copy_from_slice(&birth.to_le_bytes());
+        raw[8..12].copy_from_slice(&life.size.to_le_bytes());
+        raw[12..20].copy_from_slice(&death.to_le_bytes());
         shard
             .writer
             .write_all(&raw)
@@ -644,7 +645,7 @@ pub fn convert_trace_file(
             None
         })
     });
-    let resolved = resolve(events, 0, |_, _, _| {});
+    let resolved = resolve(events, 0, |_, _| {});
     if let Some(e) = read_error {
         return Err(from_trace_io(e));
     }
@@ -659,7 +660,7 @@ pub fn convert_trace_file(
     let mut clock: u64 = 0;
     let mut next: usize = 0;
     while let Some(event) = reader.next_event().map_err(from_trace_io)? {
-        if let crate::event::Event::Alloc { id, size } = event {
+        if let crate::event::Event::Alloc { size, .. } = event {
             clock += size as u64;
             let Some(&death) = deaths.get(next) else {
                 return Err(CtcError::BadRecord {
@@ -669,7 +670,6 @@ pub fn convert_trace_file(
                 });
             };
             writer.push(ObjectLife {
-                id,
                 birth: VirtualTime::from_bytes(clock),
                 size,
                 death: (death != NO_DEATH).then(|| VirtualTime::from_bytes(death)),
@@ -875,7 +875,11 @@ pub struct ShardReader {
     consumed: u64,
     current: Option<ShardCursor>,
     /// Reusable chunk buffer for [`EventSource::next_block`]: one read
-    /// and one FNV pass per chunk instead of per record.
+    /// and one FNV pass per chunk instead of per record. Sized for a
+    /// default block when the reader opens, before the consumer builds
+    /// its own state: grown on the first block instead, it was allocated
+    /// in the middle of a run, and glibc's malloc could then keep one
+    /// run's freed heap pages resident into the next.
     buf: Vec<u8>,
     /// Full checksum verifications performed by *this* reader — see
     /// [`ShardReader::checksum_validations`].
@@ -899,7 +903,7 @@ impl ShardReader {
             next_shard: 0,
             consumed: 0,
             current: None,
-            buf: Vec::new(),
+            buf: Vec::with_capacity(DEFAULT_BLOCK_EVENTS * RECORD_BYTES),
             validations: 0,
         })
     }
@@ -987,7 +991,7 @@ fn read_exact_ctc(reader: &mut impl Read, buf: &mut [u8], path: &Path) -> Result
     })
 }
 
-/// Decodes one 28-byte record — record `index` of the store, read from
+/// Decodes one 20-byte record — record `index` of the store, read from
 /// `path` — rejecting a zero size and a death before birth.
 #[inline(always)]
 fn decode_record(
@@ -995,10 +999,9 @@ fn decode_record(
     path: &Path,
     index: u64,
 ) -> Result<ObjectLife, CtcError> {
-    let id = u64::from_le_bytes(raw[0..8].try_into().expect("8 bytes"));
-    let birth = u64::from_le_bytes(raw[8..16].try_into().expect("8 bytes"));
-    let size = u32::from_le_bytes(raw[16..20].try_into().expect("4 bytes"));
-    let death = u64::from_le_bytes(raw[20..28].try_into().expect("8 bytes"));
+    let birth = u64::from_le_bytes(raw[0..8].try_into().expect("8 bytes"));
+    let size = u32::from_le_bytes(raw[8..12].try_into().expect("4 bytes"));
+    let death = u64::from_le_bytes(raw[12..20].try_into().expect("8 bytes"));
     let bad = |reason| CtcError::BadRecord {
         path: path.to_path_buf(),
         index,
@@ -1012,7 +1015,6 @@ fn decode_record(
         return Err(bad("object dies before it is born"));
     }
     Ok(ObjectLife {
-        id: ObjectId(id),
         birth: VirtualTime::from_bytes(birth),
         size,
         death: (death != NO_DEATH).then(|| VirtualTime::from_bytes(death)),
@@ -1438,7 +1440,6 @@ mod tests {
         let dir = temp_dir("order");
         let mut w = ShardWriter::create(&dir, TraceMeta::named("x"), 8).unwrap();
         w.push(ObjectLife {
-            id: ObjectId(0),
             birth: VirtualTime::from_bytes(100),
             size: 100,
             death: None,
@@ -1446,7 +1447,6 @@ mod tests {
         .unwrap();
         let err = w
             .push(ObjectLife {
-                id: ObjectId(1),
                 birth: VirtualTime::from_bytes(100),
                 size: 10,
                 death: None,
@@ -1461,7 +1461,6 @@ mod tests {
         let dir = temp_dir("endlow");
         let mut w = ShardWriter::create(&dir, TraceMeta::named("x"), 8).unwrap();
         w.push(ObjectLife {
-            id: ObjectId(0),
             birth: VirtualTime::from_bytes(100),
             size: 100,
             death: None,
@@ -1544,6 +1543,76 @@ mod tests {
                 ..
             })
         ));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn shard_files_hold_twenty_byte_records() {
+        let trace = sample_trace(100);
+        let dir = temp_dir("stride20");
+        let manifest = write_shards(&dir, &trace, 16).unwrap();
+        assert_eq!(manifest.shards.len(), 7);
+        for (i, info) in manifest.shards.iter().enumerate() {
+            let len = std::fs::metadata(shard_path(&dir, i)).unwrap().len();
+            // Header (magic, kind, index, stride), the records, checksum.
+            assert_eq!(len, 21 + 20 * info.records + 8, "shard {i}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_store_with_the_old_magic_is_refused_and_left_alone() {
+        let dir = temp_dir("oldmagic");
+        let manifest = write_shards(&dir, &sample_trace(40), 16).unwrap();
+        let shards: Vec<PathBuf> = (0..manifest.shards.len())
+            .map(|i| shard_path(&dir, i))
+            .collect();
+        let manifest_file = dir.join(MANIFEST_NAME);
+        // Stamps the previous version's magic on a file, re-sealing the
+        // manifest's checksum as that version's writer did.
+        let stamp_old = |path: &Path| {
+            let mut raw = std::fs::read(path).unwrap();
+            raw[..8].copy_from_slice(b"DTBCTC01");
+            if path == manifest_file {
+                let body = raw.len() - 8;
+                let sum = fnv1a(FNV_OFFSET, &raw[..body]);
+                raw[body..].copy_from_slice(&sum.to_le_bytes());
+            }
+            std::fs::write(path, raw).unwrap();
+        };
+        let snapshot = || {
+            let mut files = shards.clone();
+            files.push(manifest_file.clone());
+            files
+                .iter()
+                .map(|p| std::fs::read(p).unwrap())
+                .collect::<Vec<_>>()
+        };
+
+        // Old shards under a current manifest: each shard is refused.
+        shards.iter().for_each(|p| stamp_old(p));
+        let stamped = snapshot();
+        let report = verify_store(&dir).unwrap();
+        assert_eq!(report.bad_shards().count(), shards.len());
+        for shard in &report.shards {
+            assert!(matches!(shard.error, Some(CtcError::BadMagic { .. })));
+        }
+        let err = collect_source(&mut ShardReader::open(&dir).unwrap()).unwrap_err();
+        assert!(matches!(err, SourceError::Shard(CtcError::BadMagic { .. })));
+        assert_eq!(snapshot(), stamped, "a refused store is left as it was");
+
+        // A whole old store: refused at the manifest.
+        stamp_old(&manifest_file);
+        let stamped = snapshot();
+        assert!(matches!(
+            ShardReader::open(&dir).unwrap_err(),
+            CtcError::BadMagic { .. }
+        ));
+        assert!(matches!(
+            verify_store(&dir).unwrap_err(),
+            CtcError::BadMagic { .. }
+        ));
+        assert_eq!(snapshot(), stamped, "a refused store is left as it was");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

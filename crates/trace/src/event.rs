@@ -6,7 +6,9 @@
 //! stands still at [`Event::Free`]. Compiling a trace
 //! ([`Trace::compile`]) turns the stream into birth-ordered
 //! [`ObjectLife`] records, the form the simulator's lifetime oracle
-//! consumes.
+//! consumes. An [`ObjectId`] only pairs a `Free` with its `Alloc`, so it
+//! stays on the event side: a compiled record is a birth, a size and a
+//! death.
 
 use dtb_core::time::{Bytes, VirtualTime};
 use serde::{Deserialize, Serialize};
@@ -115,18 +117,15 @@ impl Trace {
     /// the allocation clock.
     pub fn compile(&self) -> Result<CompiledTrace, TraceError> {
         let objects = self.object_count();
-        let mut ids = Vec::with_capacity(objects);
         let mut births = Vec::with_capacity(objects);
         let mut sizes = Vec::with_capacity(objects);
-        let (deaths, end) = resolve(self.events.iter().copied(), objects, |id, size, birth| {
-            ids.push(id);
+        let (deaths, end) = resolve(self.events.iter().copied(), objects, |size, birth| {
             births.push(birth);
             sizes.push(size);
         })?;
         Ok(CompiledTrace {
             meta: self.meta.clone(),
             end,
-            ids,
             births,
             sizes,
             deaths,
@@ -147,21 +146,21 @@ impl Trace {
     /// [`compile`]: Trace::compile
     pub fn validate(&self) -> Result<(), TraceError> {
         let events = self.events.iter().copied();
-        resolve(events, self.object_count(), |_, _, _| {}).map(|_| ())
+        resolve(events, self.object_count(), |_, _| {}).map(|_| ())
     }
 }
 
 /// The one event-stream resolver behind [`Trace::compile`],
-/// [`Trace::validate`] and the `DTBCTC01` converter. It enforces every
+/// [`Trace::validate`] and the `DTBCTC02` converter. It enforces every
 /// rule (no zero size, clock overflow, duplicate alloc, free without
 /// alloc or double free; the first violation in event order is the
-/// error), calls `on_alloc(id, size, birth)` per allocation, and returns
+/// error), calls `on_alloc(size, birth)` per allocation, and returns
 /// each object's death clock in birth order ([`CompiledTrace::NO_DEATH`]
 /// if never freed) with the end clock. `objects` is a capacity hint.
 pub(crate) fn resolve(
     events: impl IntoIterator<Item = Event>,
     objects: usize,
-    mut on_alloc: impl FnMut(ObjectId, u32, u64),
+    mut on_alloc: impl FnMut(u32, u64),
 ) -> Result<(Vec<u64>, VirtualTime), TraceError> {
     let mut clock = VirtualTime::ZERO;
     let mut deaths: Vec<u64> = Vec::with_capacity(objects);
@@ -170,19 +169,19 @@ pub(crate) fn resolve(
         match event {
             Event::Alloc { id, size } => {
                 if size == 0 {
-                    return Err(TraceError::ZeroSizedAlloc { id, pos });
+                    return Err(TraceError::ZeroSizedAlloc { pos });
                 }
                 // The clock must stay below the `NO_DEATH` sentinel, or a
                 // free at that clock would read as "never freed".
                 clock = clock
                     .checked_advance(Bytes::new(size as u64))
                     .filter(|c| c.as_u64() != CompiledTrace::NO_DEATH)
-                    .ok_or(TraceError::ClockOverflow { id, pos })?;
+                    .ok_or(TraceError::ClockOverflow { pos })?;
                 if index.insert(id, deaths.len()).is_some() {
                     return Err(TraceError::DuplicateAlloc { id, pos });
                 }
                 deaths.push(CompiledTrace::NO_DEATH);
-                on_alloc(id, size, clock.as_u64());
+                on_alloc(size, clock.as_u64());
             }
             Event::Free { id } => {
                 let Some(&slot) = index.get(&id) else {
@@ -224,30 +223,24 @@ pub enum TraceError {
     },
     /// An allocation had size zero.
     ZeroSizedAlloc {
-        /// Offending object.
-        id: ObjectId,
-        /// Event index of the allocation.
+        /// Event index of the allocation ([`CompiledTrace::validate`]:
+        /// index of the record).
         pos: usize,
     },
     /// The allocation totals overflow the `u64` allocation clock.
     ClockOverflow {
-        /// The allocation that overflowed the clock.
-        id: ObjectId,
-        /// Event index of the allocation.
+        /// Event index of the allocation that overflowed the clock
+        /// ([`CompiledTrace::validate`]: index of the record).
         pos: usize,
     },
     /// Compiled records are not in strictly-increasing birth order.
     NonMonotoneBirth {
-        /// The out-of-order object.
-        id: ObjectId,
-        /// Index of the record in the compiled lifetime list.
+        /// Index of the out-of-order record.
         pos: usize,
     },
     /// A compiled record dies before it is born.
     DeathBeforeBirth {
-        /// The impossible object.
-        id: ObjectId,
-        /// Index of the record in the compiled lifetime list.
+        /// Index of the impossible record.
         pos: usize,
     },
     /// Compiled object sizes do not sum to the end-of-trace clock.
@@ -271,20 +264,17 @@ impl std::fmt::Display for TraceError {
             TraceError::DoubleFree { id, pos } => {
                 write!(f, "object {id} freed twice (event {pos})")
             }
-            TraceError::ZeroSizedAlloc { id, pos } => {
-                write!(f, "object {id} has zero size (event {pos})")
+            TraceError::ZeroSizedAlloc { pos } => {
+                write!(f, "object has zero size (event {pos})")
             }
-            TraceError::ClockOverflow { id, pos } => {
-                write!(
-                    f,
-                    "object {id} overflows the allocation clock (event {pos})"
-                )
+            TraceError::ClockOverflow { pos } => {
+                write!(f, "object overflows the allocation clock (event {pos})")
             }
-            TraceError::NonMonotoneBirth { id, pos } => {
-                write!(f, "object {id} born out of order (record {pos})")
+            TraceError::NonMonotoneBirth { pos } => {
+                write!(f, "object born out of order (record {pos})")
             }
-            TraceError::DeathBeforeBirth { id, pos } => {
-                write!(f, "object {id} dies before it is born (record {pos})")
+            TraceError::DeathBeforeBirth { pos } => {
+                write!(f, "object dies before it is born (record {pos})")
             }
             TraceError::TotalsMismatch { sum, end } => {
                 write!(
@@ -301,8 +291,6 @@ impl std::error::Error for TraceError {}
 /// The full lifetime of one object on the allocation clock.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ObjectLife {
-    /// The object's identity.
-    pub id: ObjectId,
     /// Allocation-clock time of birth (clock *after* the allocation, so
     /// births are strictly positive and strictly increasing).
     pub birth: VirtualTime,
@@ -336,11 +324,11 @@ impl ObjectLife {
 /// A compiled trace: birth-ordered object lifetimes plus the end-of-trace
 /// clock value.
 ///
-/// Records are stored **struct-of-arrays**: parallel `ids` / `births` /
-/// `sizes` / `deaths` columns indexed by record position. The hot
-/// columns hold raw clock words — births as `u64`, deaths as `u64` with
+/// Records are stored **struct-of-arrays**: parallel `births` / `sizes` /
+/// `deaths` columns indexed by record position. The clock columns hold
+/// raw words — births as `u64`, deaths as `u64` with
 /// [`CompiledTrace::NO_DEATH`] for immortals, the same convention as the
-/// on-disk `DTBCTC01` records and [`EventBlock`](crate::EventBlock) — so
+/// on-disk `DTBCTC02` records and [`EventBlock`](crate::EventBlock) — so
 /// block fills are straight `memcpy`s and the engine's replay streams
 /// exactly the bytes it reads instead of dragging whole [`ObjectLife`]
 /// structs (including `Option` discriminants and padding) through the
@@ -355,7 +343,6 @@ pub struct CompiledTrace {
     /// The allocation clock at the end of the trace (= total bytes
     /// allocated).
     pub end: VirtualTime,
-    ids: Vec<ObjectId>,
     births: Vec<u64>,
     sizes: Vec<u32>,
     deaths: Vec<u64>,
@@ -363,7 +350,7 @@ pub struct CompiledTrace {
 
 impl CompiledTrace {
     /// Sentinel death clock for "lives to the end of the trace" in the
-    /// raw `deaths` column — the `DTBCTC01` on-disk convention. No real
+    /// raw `deaths` column — the `DTBCTC02` on-disk convention. No real
     /// allocation clock reaches it.
     pub const NO_DEATH: u64 = u64::MAX;
 
@@ -380,7 +367,6 @@ impl CompiledTrace {
         let mut out = CompiledTrace {
             meta,
             end,
-            ids: Vec::new(),
             births: Vec::new(),
             sizes: Vec::new(),
             deaths: Vec::new(),
@@ -394,7 +380,6 @@ impl CompiledTrace {
     /// Appends one record, unchecked like
     /// [`from_lives`](CompiledTrace::from_lives).
     pub(crate) fn push(&mut self, life: ObjectLife) {
-        self.ids.push(life.id);
         self.births.push(life.birth.as_u64());
         self.sizes.push(life.size);
         self.deaths
@@ -403,12 +388,12 @@ impl CompiledTrace {
 
     /// Number of object records.
     pub fn len(&self) -> usize {
-        self.ids.len()
+        self.births.len()
     }
 
     /// True when the trace allocated nothing.
     pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
+        self.births.is_empty()
     }
 
     /// The record at position `i`, materialized as an [`ObjectLife`].
@@ -418,7 +403,6 @@ impl CompiledTrace {
     /// Panics when `i` is out of bounds.
     pub fn life(&self, i: usize) -> ObjectLife {
         ObjectLife {
-            id: self.ids[i],
             birth: VirtualTime::from_bytes(self.births[i]),
             size: self.sizes[i],
             death: (self.deaths[i] != CompiledTrace::NO_DEATH)
@@ -430,11 +414,6 @@ impl CompiledTrace {
     /// [`ObjectLife`].
     pub fn lives(&self) -> impl ExactSizeIterator<Item = ObjectLife> + '_ {
         (0..self.len()).map(|i| self.life(i))
-    }
-
-    /// Object ids, by record position.
-    pub fn ids(&self) -> &[ObjectId] {
-        &self.ids
     }
 
     /// Birth clocks (raw `u64` bytes), strictly increasing by record
@@ -470,7 +449,6 @@ impl CompiledTrace {
     ///
     /// Panics when either index is out of bounds.
     pub fn swap_records(&mut self, i: usize, j: usize) {
-        self.ids.swap(i, j);
         self.births.swap(i, j);
         self.sizes.swap(i, j);
         self.deaths.swap(i, j);
@@ -479,7 +457,6 @@ impl CompiledTrace {
     /// Reverses the record order (fault injection; breaks the birth-order
     /// invariant for traces with at least two records).
     pub fn reverse_records(&mut self) {
-        self.ids.reverse();
         self.births.reverse();
         self.sizes.reverse();
         self.deaths.reverse();
@@ -522,18 +499,18 @@ impl CompiledTrace {
         let mut sum: u64 = 0;
         for (pos, life) in self.lives().enumerate() {
             if life.size == 0 {
-                return Err(TraceError::ZeroSizedAlloc { id: life.id, pos });
+                return Err(TraceError::ZeroSizedAlloc { pos });
             }
             if prev_birth.is_some_and(|p| life.birth <= p) {
-                return Err(TraceError::NonMonotoneBirth { id: life.id, pos });
+                return Err(TraceError::NonMonotoneBirth { pos });
             }
             prev_birth = Some(life.birth);
             if life.death.is_some_and(|d| d < life.birth) {
-                return Err(TraceError::DeathBeforeBirth { id: life.id, pos });
+                return Err(TraceError::DeathBeforeBirth { pos });
             }
             sum = sum
                 .checked_add(life.size as u64)
-                .ok_or(TraceError::ClockOverflow { id: life.id, pos })?;
+                .ok_or(TraceError::ClockOverflow { pos })?;
         }
         if sum != self.end.as_u64() {
             return Err(TraceError::TotalsMismatch {
@@ -700,23 +677,14 @@ mod tests {
     fn compiled_validate_catches_out_of_order_births() {
         let mut c = trace(vec![alloc(0, 10), alloc(1, 20)]).compile().unwrap();
         c.swap_records(0, 1);
-        assert!(matches!(
-            c.validate(),
-            Err(TraceError::NonMonotoneBirth { .. })
-        ));
+        assert_eq!(c.validate(), Err(TraceError::NonMonotoneBirth { pos: 1 }));
     }
 
     #[test]
     fn compiled_validate_catches_death_before_birth() {
         let mut c = trace(vec![alloc(0, 10), alloc(1, 20)]).compile().unwrap();
         c.set_death(1, Some(VirtualTime::from_bytes(5)));
-        assert_eq!(
-            c.validate(),
-            Err(TraceError::DeathBeforeBirth {
-                id: ObjectId(1),
-                pos: 1
-            })
-        );
+        assert_eq!(c.validate(), Err(TraceError::DeathBeforeBirth { pos: 1 }));
     }
 
     #[test]

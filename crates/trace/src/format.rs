@@ -12,7 +12,7 @@
 //! not an archival standard.
 //!
 //! [`encode`] writes it; the one decoder is [`TraceEventReader`], which
-//! [`decode`] runs over a byte slice and the `DTBCTC01` converter streams
+//! [`decode`] runs over a byte slice and the `DTBCTC02` converter streams
 //! from a file.
 
 use crate::event::{Event, Trace};

@@ -127,7 +127,7 @@ pub fn read_trace(path: impl AsRef<Path>) -> Result<Trace, TraceIoError> {
 ///
 /// It decodes one event at a time, so memory stays independent of trace
 /// length. [`TraceEventReader::open`] reads a file through a
-/// [`BufReader`] (the `DTBCTC01` two-pass converter streams this way);
+/// [`BufReader`] (the `DTBCTC02` two-pass converter streams this way);
 /// [`format::decode`] runs the same reader over a byte slice.
 /// Event-stream *semantics* (double frees, clock overflow, …) are **not**
 /// checked here — callers that need them validate as they consume.

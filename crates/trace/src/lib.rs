@@ -19,7 +19,7 @@
 //!   and lifetime **analysis** ([`analysis`]: survival curves and age
 //!   demographics);
 //! * **streaming** ([`source`]: the [`EventSource`] abstraction over
-//!   record streams; [`ctc`]: the sharded on-disk `DTBCTC01`
+//!   record streams; [`ctc`]: the sharded on-disk `DTBCTC02`
 //!   compiled-trace store) so traces larger than RAM simulate in
 //!   O(live set) memory;
 //! * the **record log** ([`record_log`]: the append-only `DTBLOG01`

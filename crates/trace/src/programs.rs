@@ -25,7 +25,6 @@ use crate::event::{CompiledTrace, Trace};
 use crate::lifetime::{LifetimeDist, SizeDist};
 use crate::stats::TraceStats;
 use crate::synth::{ClassSpec, WorkloadSpec};
-use dtb_core::time::Bytes;
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, OnceLock};
 
@@ -364,12 +363,6 @@ impl Program {
     pub fn stats(self) -> &'static TraceStats {
         static STATS: [OnceLock<TraceStats>; 6] = [const { OnceLock::new() }; 6];
         STATS[self as usize].get_or_init(|| TraceStats::compute_compiled(&self.compiled()))
-    }
-
-    /// The paper's `LIVE` row for this program, as (mean, max) bytes.
-    pub fn paper_live(self) -> (Bytes, Bytes) {
-        let p = self.paper_profile();
-        (Bytes::new(p.live_mean), Bytes::new(p.live_max))
     }
 }
 

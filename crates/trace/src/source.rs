@@ -12,7 +12,7 @@
 //!   Replay through it is bit-identical to the resident path; the engine's
 //!   `&CompiledTrace` entry points are thin wrappers around it.
 //! * [`crate::ctc::ShardReader`] — chunked replay of the on-disk
-//!   `DTBCTC01` sharded compiled-trace format, for traces larger than RAM.
+//!   `DTBCTC02` sharded compiled-trace format, for traces larger than RAM.
 //! * [`SynthSource`] — unbounded on-the-fly synthetic generation from a
 //!   [`WorkloadSpec`], for workloads that never exist as a file at all.
 //!
@@ -21,7 +21,7 @@
 //! [`EventSource::end`] is accurate once the source is exhausted.
 
 use crate::ctc::CtcError;
-use crate::event::{CompiledTrace, ObjectId, ObjectLife, TraceMeta};
+use crate::event::{CompiledTrace, ObjectLife, TraceMeta};
 use crate::synth::{SpecError, WorkloadSpec};
 use dtb_core::time::VirtualTime;
 use rand::rngs::StdRng;
@@ -70,7 +70,7 @@ impl From<CtcError> for SourceError {
 }
 
 /// Default number of records per [`EventBlock`] — sized so a block's
-/// four columns (28 bytes of payload per record) fit comfortably in L2
+/// three columns (20 bytes of payload per record) fit comfortably in L2
 /// while amortizing per-block bookkeeping over ~1k events.
 pub const DEFAULT_BLOCK_EVENTS: usize = 1024;
 
@@ -78,8 +78,8 @@ pub const DEFAULT_BLOCK_EVENTS: usize = 1024;
 ///
 /// The block drive loop asks sources for whole blocks
 /// ([`EventSource::next_block`]) instead of one record at a time; the
-/// four parallel columns are the same flat layout as
-/// [`CompiledTrace`]'s and the on-disk `DTBCTC01` records, so bulk
+/// three parallel columns are the same flat layout as
+/// [`CompiledTrace`]'s and the on-disk `DTBCTC02` records, so bulk
 /// fills are column copies and downstream consumers (validation
 /// pre-scans, heap index builds) get autovectorizable slices. Death
 /// times use [`EventBlock::NO_DEATH`] for immortal objects.
@@ -90,7 +90,6 @@ pub const DEFAULT_BLOCK_EVENTS: usize = 1024;
 /// the order the per-record path observes events and errors in.
 #[derive(Debug, Default)]
 pub struct EventBlock {
-    ids: Vec<u64>,
     births: Vec<u64>,
     sizes: Vec<u32>,
     deaths: Vec<u64>,
@@ -100,7 +99,7 @@ pub struct EventBlock {
 
 impl EventBlock {
     /// Sentinel death time for "lives to the end of the trace" in the
-    /// `deaths` column — the `DTBCTC01` on-disk convention. No real
+    /// `deaths` column — the `DTBCTC02` on-disk convention. No real
     /// allocation clock reaches it.
     pub const NO_DEATH: u64 = u64::MAX;
 
@@ -109,7 +108,6 @@ impl EventBlock {
     pub fn new(capacity: usize) -> EventBlock {
         let capacity = capacity.max(1);
         EventBlock {
-            ids: Vec::with_capacity(capacity),
             births: Vec::with_capacity(capacity),
             sizes: Vec::with_capacity(capacity),
             deaths: Vec::with_capacity(capacity),
@@ -135,7 +133,6 @@ impl EventBlock {
 
     /// Empties the block (and any stashed error) for the next fill.
     pub fn clear(&mut self) {
-        self.ids.clear();
         self.births.clear();
         self.sizes.clear();
         self.deaths.clear();
@@ -144,7 +141,6 @@ impl EventBlock {
 
     /// Appends one record.
     pub fn push(&mut self, life: ObjectLife) {
-        self.ids.push(life.id.0);
         self.births.push(life.birth.as_u64());
         self.sizes.push(life.size);
         self.deaths
@@ -152,19 +148,11 @@ impl EventBlock {
     }
 
     /// Bulk-appends records from borrowed column slices (the
-    /// [`CompiledSource`] fast path). Births and deaths share the block's
-    /// raw-word layout (`NO_DEATH` sentinel included), so three of the
-    /// four copies are straight `memcpy`s.
-    pub fn push_columns(
-        &mut self,
-        ids: &[ObjectId],
-        births: &[u64],
-        sizes: &[u32],
-        deaths: &[u64],
-    ) {
-        debug_assert!(ids.len() == births.len() && ids.len() == sizes.len());
-        debug_assert_eq!(ids.len(), deaths.len());
-        self.ids.extend(ids.iter().map(|id| id.0));
+    /// [`CompiledSource`] fast path). The columns share the block's
+    /// raw-word layout (`NO_DEATH` sentinel included), so each copy is a
+    /// straight `memcpy`.
+    pub fn push_columns(&mut self, births: &[u64], sizes: &[u32], deaths: &[u64]) {
+        debug_assert!(births.len() == sizes.len() && births.len() == deaths.len());
         self.births.extend_from_slice(births);
         self.sizes.extend_from_slice(sizes);
         self.deaths.extend_from_slice(deaths);
@@ -183,11 +171,6 @@ impl EventBlock {
     /// Takes the stashed error, leaving the block clean.
     pub fn take_error(&mut self) -> Option<SourceError> {
         self.error.take()
-    }
-
-    /// Object ids, one per record.
-    pub fn ids(&self) -> &[u64] {
-        &self.ids
     }
 
     /// Birth clocks, one per record (strictly increasing for a
@@ -214,7 +197,6 @@ impl EventBlock {
     /// Panics if `i >= len()`.
     pub fn life(&self, i: usize) -> ObjectLife {
         ObjectLife {
-            id: ObjectId(self.ids[i]),
             birth: VirtualTime::from_bytes(self.births[i]),
             size: self.sizes[i],
             death: (self.deaths[i] != Self::NO_DEATH)
@@ -254,7 +236,7 @@ pub trait EventSource {
     /// calls — and that is the default implementation, which
     /// [`SynthSource`] uses — but the stored sources override it with
     /// bulk column work: [`CompiledSource`] copies borrowed trace
-    /// columns, and the `DTBCTC01`
+    /// columns, and the `DTBCTC02`
     /// [`ShardReader`](crate::ctc::ShardReader) decodes whole shard
     /// chunks in one pass. A mid-block failure is stashed in the block
     /// (the good prefix is kept, per [`EventBlock`]'s deferred-error
@@ -308,13 +290,12 @@ impl<'a> CompiledSource<'a> {
     }
 
     /// The unconsumed remainder of the trace as borrowed column slices
-    /// `(ids, births, sizes, deaths)` — zero-copy views straight into the
+    /// `(births, sizes, deaths)` — zero-copy views straight into the
     /// compiled trace's struct-of-arrays storage. Births and deaths are
     /// raw clock words ([`CompiledTrace::NO_DEATH`] = immortal), the same
     /// layout [`EventBlock`] exposes.
-    pub fn columns(&self) -> (&'a [ObjectId], &'a [u64], &'a [u32], &'a [u64]) {
+    pub fn columns(&self) -> (&'a [u64], &'a [u32], &'a [u64]) {
         (
-            &self.trace.ids()[self.pos..],
             &self.trace.births()[self.pos..],
             &self.trace.sizes()[self.pos..],
             &self.trace.deaths()[self.pos..],
@@ -343,8 +324,8 @@ impl EventSource for CompiledSource<'_> {
     fn next_block(&mut self, block: &mut EventBlock) -> usize {
         block.clear();
         let n = (self.trace.len() - self.pos).min(block.capacity());
-        let (ids, births, sizes, deaths) = self.columns();
-        block.push_columns(&ids[..n], &births[..n], &sizes[..n], &deaths[..n]);
+        let (births, sizes, deaths) = self.columns();
+        block.push_columns(&births[..n], &sizes[..n], &deaths[..n]);
         self.pos += n;
         n
     }
@@ -362,8 +343,8 @@ impl EventSource for CompiledSource<'_> {
 /// preset is this stream with each death snapped to the first birth at
 /// or after it: [`WorkloadSpec::generate`] and [`WorkloadSpec::compile`]
 /// apply that rule, so their deaths can fall later than this stream's,
-/// and a death past the last birth becomes none. Ids, births and sizes
-/// are the same on every route. Use [`collect_source`] when a resident
+/// and a death past the last birth becomes none. Births and sizes are
+/// the same on every route. Use [`collect_source`] when a resident
 /// copy of exactly this stream is needed (e.g. for differential
 /// testing).
 ///
@@ -376,7 +357,7 @@ pub struct SynthSource {
     weights: Vec<f64>,
     weight_total: f64,
     clock: u64,
-    next_id: u64,
+    emitted: u64,
 }
 
 impl SynthSource {
@@ -406,20 +387,19 @@ impl SynthSource {
             weights,
             weight_total,
             clock: 0,
-            next_id: 0,
+            emitted: 0,
         })
     }
 
     /// Records generated so far.
     pub fn emitted(&self) -> u64 {
-        self.next_id
+        self.emitted
     }
 
     /// The generator: startup ramp, then the steady-state class mixture.
     /// A validated spec keeps every draw and the clock in range, so this
     /// cannot fail; a death past the top of the clock is none.
     pub(crate) fn next_life(&mut self) -> Option<ObjectLife> {
-        let id = ObjectId(self.next_id);
         // Startup: the initial permanent structure (never dies).
         if self.clock < self.spec.initial_permanent {
             let size = self
@@ -428,9 +408,8 @@ impl SynthSource {
                 .min((self.spec.initial_permanent - self.clock).max(1) as u32)
                 .max(1);
             self.clock += size as u64;
-            self.next_id += 1;
+            self.emitted += 1;
             return Some(ObjectLife {
-                id,
                 birth: VirtualTime::from_bytes(self.clock),
                 size,
                 death: None,
@@ -464,9 +443,8 @@ impl SynthSource {
                 .sample(&mut self.rng)
                 .and_then(|l| birth.checked_add(l))
         };
-        self.next_id += 1;
+        self.emitted += 1;
         Some(ObjectLife {
-            id,
             birth: VirtualTime::from_bytes(birth),
             size,
             death: death.map(VirtualTime::from_bytes),
@@ -598,7 +576,7 @@ mod tests {
     fn synth_source_startup_objects_are_permanent() {
         let c = collect_source(&mut SynthSource::new(synth_spec()).unwrap()).unwrap();
         for l in c.lives().take_while(|l| l.birth.as_u64() <= 20_000) {
-            assert_eq!(l.death, None, "startup object {:?} died", l.id);
+            assert_eq!(l.death, None, "startup object {l:?} died");
         }
     }
 
@@ -702,7 +680,6 @@ mod tests {
         assert_eq!(b.capacity(), 1);
         assert!(b.is_empty());
         b.push(ObjectLife {
-            id: ObjectId(7),
             birth: VirtualTime::from_bytes(10),
             size: 4,
             death: None,

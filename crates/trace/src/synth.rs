@@ -153,11 +153,12 @@ impl std::fmt::Display for SpecError {
 impl std::error::Error for SpecError {}
 
 /// One step of the snapped stream, as [`snap_deaths`] hands it to a
-/// sink.
+/// sink. An id is the record's position in the stream: `generate`
+/// writes it into its events, and `compile` indexes its columns by it.
 enum Step {
-    /// The next record, with no death yet.
-    Born(ObjectLife),
-    /// Object `id` dies at clock `at`.
+    /// Record `id`, with no death yet.
+    Born(ObjectId, ObjectLife),
+    /// Record `id` dies at clock `at`.
     Died(ObjectId, VirtualTime),
 }
 
@@ -230,8 +231,8 @@ impl WorkloadSpec {
         let mut events: Vec<Event> = Vec::with_capacity((self.total_alloc / 48).max(16) as usize);
         snap_deaths(&mut source, |step| {
             events.push(match step {
-                Step::Born(life) => Event::Alloc {
-                    id: life.id,
+                Step::Born(id, life) => Event::Alloc {
+                    id,
                     size: life.size,
                 },
                 Step::Died(id, _) => Event::Free { id },
@@ -254,8 +255,7 @@ impl WorkloadSpec {
         let mut source = SynthSource::new(self.clone())?;
         let mut trace = CompiledTrace::from_lives(source.meta().clone(), VirtualTime::ZERO, []);
         snap_deaths(&mut source, |step| match step {
-            Step::Born(life) => trace.push(life),
-            // Ids are dense from 0: an id is its record's position.
+            Step::Born(_, life) => trace.push(life),
             Step::Died(id, at) => trace.set_death(id.0 as usize, Some(at)),
         });
         trace.end = source.end();
@@ -298,33 +298,37 @@ impl WorkloadSpec {
 /// first birth at or after it, and a death that no birth reaches never
 /// happens, so the object lives to the end.
 ///
-/// Before each birth, and once after the last, every pending death at or
-/// before the latest birth dies there, in (sampled death, id) order: the
-/// order of `generate`'s `Free` events.
+/// Records are numbered from 0 in stream order. Before each birth, and
+/// once after the last, every pending death at or before the latest birth
+/// dies there, in (sampled death, id) order: the order of `generate`'s
+/// `Free` events.
 fn snap_deaths(source: &mut SynthSource, mut sink: impl FnMut(Step)) {
     // Pending deaths: min-heap of (sampled death, id).
     let mut pending: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
     let mut clock = 0;
-    loop {
+    for id in 0.. {
         let next = source.next_life();
-        while let Some(&Reverse((death, id))) = pending.peek() {
+        while let Some(&Reverse((death, dead))) = pending.peek() {
             if death > clock {
                 break;
             }
             pending.pop();
-            sink(Step::Died(ObjectId(id), VirtualTime::from_bytes(clock)));
+            sink(Step::Died(ObjectId(dead), VirtualTime::from_bytes(clock)));
         }
         let Some(life) = next else {
             return;
         };
         clock = life.birth.as_u64();
         if let Some(death) = life.death {
-            pending.push(Reverse((death.as_u64(), life.id.0)));
+            pending.push(Reverse((death.as_u64(), id)));
         }
-        sink(Step::Born(ObjectLife {
-            death: None,
-            ..life
-        }));
+        sink(Step::Born(
+            ObjectId(id),
+            ObjectLife {
+                death: None,
+                ..life
+            },
+        ));
     }
 }
 
@@ -396,7 +400,7 @@ mod tests {
         let t = spec().generate().unwrap();
         let c = t.compile().unwrap();
         for life in c.lives().take_while(|l| l.birth.as_u64() <= 50_000) {
-            assert_eq!(life.death, None, "initial object {:?} died", life.id);
+            assert_eq!(life.death, None, "initial object {life:?} died");
         }
     }
 

@@ -1,4 +1,4 @@
-//! Property tests for the `DTBCTC01` sharded compiled-trace store: round
+//! Property tests for the `DTBCTC02` sharded compiled-trace store: round
 //! trips are exact for any stride, the two-pass converter agrees with the
 //! in-memory compiler, and no byte-level corruption of a store may panic
 //! the reader — it either still round-trips or fails with a typed

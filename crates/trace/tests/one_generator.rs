@@ -214,7 +214,6 @@ proptest! {
         stream.validate().expect("the stream is a well-formed trace");
         prop_assert_eq!(&compiled.meta, &stream.meta);
         prop_assert_eq!(compiled.end, stream.end);
-        prop_assert_eq!(compiled.ids(), stream.ids());
         prop_assert_eq!(compiled.births(), stream.births());
         prop_assert_eq!(compiled.sizes(), stream.sizes());
         let births = stream.births();

@@ -1,6 +1,6 @@
 //! One rule set per trace format, pinned across every path that applies
 //! it: the event-stream rules (`Trace::compile`, `Trace::validate`, the
-//! `DTBCTC01` converter) and the `DTBTRC01` decoder (`format::decode`, a
+//! `DTBCTC02` converter) and the `DTBTRC01` decoder (`format::decode`, a
 //! `TraceEventReader` over a file, `read_trace`).
 
 use dtb_trace::ctc::{self, CtcError};
