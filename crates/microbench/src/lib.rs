@@ -10,7 +10,8 @@
 //! [`EventSource::next_block`](dtb_trace::EventSource::next_block)
 //! decoders, the autovectorizable dead-object reductions in
 //! [`dtb_core::soa`], and the streaming `No GC` / `LIVE` kernel in
-//! [`dtb_trace::stats`]. The smoke tests below pin each kernel's results
+//! [`dtb_trace::stats`] (on compiled traces and on a raw generator
+//! stream). The smoke tests below pin each kernel's results
 //! on the same large inputs the benches time, so a bench can never drift
 //! into measuring a wrong kernel.
 
@@ -18,7 +19,9 @@
 #![warn(missing_docs)]
 
 use dtb_core::fenwick::Fenwick;
-use dtb_trace::{CompiledTrace, ObjectId, TraceBuilder};
+use dtb_trace::lifetime::{LifetimeDist, SizeDist};
+use dtb_trace::synth::{ClassSpec, WorkloadSpec};
+use dtb_trace::{collect_source, CompiledTrace, ObjectId, SynthSource, TraceBuilder};
 
 /// A tiny deterministic generator (SplitMix64) so workloads are
 /// reproducible without pulling the `rand` stand-in into the benches.
@@ -114,6 +117,45 @@ pub fn die_at_end_trace(n: usize, seed: u64) -> CompiledTrace {
     b.finish().compile().expect("builder traces are valid")
 }
 
+/// About `n` objects of the `stream-shards` benchmark's mixture, straight
+/// from `SynthSource`: 95% die within ~50 KB of allocation, 4% live
+/// 1.1–2.2 MB and 1% never die, all with power-of-two sizes of 16–512
+/// bytes (56 B on average). Its deaths are not snapped to births, so they
+/// fall between births and, near the end, past the end of the trace.
+pub fn stream_trace(n: usize, seed: u64) -> CompiledTrace {
+    let small = SizeDist::PowerOfTwo { min: 16, max: 512 };
+    let spec = WorkloadSpec {
+        name: "stream".into(),
+        description: "churn-dominated stream, small live set".into(),
+        exec_seconds: 10.0,
+        total_alloc: n as u64 * 56,
+        initial_permanent: 0,
+        initial_object_size: 64,
+        classes: vec![
+            ClassSpec::new(
+                "short",
+                0.95,
+                small,
+                LifetimeDist::Exponential { mean: 50_000.0 },
+            ),
+            ClassSpec::new(
+                "medium",
+                0.04,
+                small,
+                LifetimeDist::Uniform {
+                    min: 1_100_000,
+                    max: 2_200_000,
+                },
+            ),
+            ClassSpec::new("immortal-ramp", 0.01, small, LifetimeDist::Immortal),
+        ],
+        phase_period: None,
+        seed,
+    };
+    let mut source = SynthSource::new(spec).expect("the stream spec validates");
+    collect_source(&mut source).expect("a validated generator never fails")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,12 +224,16 @@ mod tests {
 
     /// Pins the streaming stats kernel against a scalar reference — every
     /// birth and death as a delta, all of them sorted, folded in order —
-    /// on both bench shapes.
+    /// on all three bench shapes, the stream's deaths between births and
+    /// past the end included.
     #[test]
     fn trace_stats_match_scalar_reference_at_bench_size() {
         use dtb_core::stats::WeightedStats;
         use dtb_trace::stats::TraceStats;
-        for trace in [churn_trace(N, 13), die_at_end_trace(N, 17)] {
+        let stream = stream_trace(N, 19);
+        let end = stream.end.as_u64();
+        assert!(stream.deaths().iter().any(|&d| d != u64::MAX && d > end));
+        for trace in [churn_trace(N, 13), die_at_end_trace(N, 17), stream] {
             let mut deltas: Vec<(u64, i64)> = Vec::new();
             for l in trace.lives() {
                 deltas.push((l.birth.as_u64(), l.size as i64));
@@ -212,7 +258,7 @@ mod tests {
             assert_eq!(stats.live_mean.as_u64(), live.mean().unwrap() as u64);
             assert_eq!(stats.live_max.as_u64(), live.max().unwrap() as u64);
             assert_eq!(stats.nogc_mean.as_u64(), nogc.mean().unwrap() as u64);
-            assert_eq!(stats.object_count, N);
+            assert_eq!(stats.object_count, trace.len());
         }
     }
 }

@@ -17,11 +17,12 @@
 //!   [`WorkloadSpec`], for workloads that never exist as a file at all.
 //!
 //! Contract: records come in **strictly increasing birth order** (the
-//! engine re-checks and reports violations as typed errors), and
-//! [`EventSource::end`] is accurate once the source is exhausted.
+//! engine and the stats kernel re-check and report violations as typed
+//! errors), and [`EventSource::end`] is accurate once the source is
+//! exhausted.
 
 use crate::ctc::CtcError;
-use crate::event::{CompiledTrace, ObjectLife, TraceMeta};
+use crate::event::{CompiledTrace, ObjectLife, TraceError, TraceMeta};
 use crate::synth::{SpecError, WorkloadSpec};
 use dtb_core::time::VirtualTime;
 use rand::rngs::StdRng;
@@ -35,6 +36,12 @@ pub enum SourceError {
     /// A synthetic source failed. [`SynthSource`] never does once its
     /// spec validates; fault-injecting test sources use this variant.
     Synth(String),
+    /// A record breaks the stream's order contract: its birth does not
+    /// follow the previous record's
+    /// ([`TraceError::NonMonotoneBirth`]), or it dies before it is born
+    /// ([`TraceError::DeathBeforeBirth`]). `pos` is the record's index in
+    /// the stream.
+    Order(TraceError),
     /// [`EventSource::seek`] was called; no source repositions.
     SeekUnsupported {
         /// Name of the source's trace.
@@ -47,6 +54,7 @@ impl std::fmt::Display for SourceError {
         match self {
             SourceError::Shard(e) => write!(f, "shard store: {e}"),
             SourceError::Synth(msg) => write!(f, "synthetic source: {msg}"),
+            SourceError::Order(e) => write!(f, "record out of order: {e}"),
             SourceError::SeekUnsupported { source } => {
                 write!(f, "source `{source}` does not support seeking")
             }
@@ -58,6 +66,7 @@ impl std::error::Error for SourceError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             SourceError::Shard(e) => Some(e),
+            SourceError::Order(e) => Some(e),
             SourceError::Synth(_) | SourceError::SeekUnsupported { .. } => None,
         }
     }

@@ -1,11 +1,11 @@
 //! Workload statistics: the data behind Tables 5 and 6 and the `LIVE` /
 //! `No GC` rows of Table 2.
 
-use crate::event::CompiledTrace;
+use crate::event::{CompiledTrace, TraceError};
 use crate::source::{CompiledSource, EventBlock, EventSource, SourceError, DEFAULT_BLOCK_EVENTS};
-use dtb_core::stats::WeightedStats;
 use dtb_core::time::Bytes;
 use serde::{Deserialize, Serialize};
+use std::hint::select_unpredictable;
 
 /// Summary statistics of one workload trace.
 ///
@@ -45,9 +45,15 @@ pub struct TraceStats {
 impl TraceStats {
     /// Computes statistics for an already-compiled trace: the streaming
     /// kernel ([`TraceStats::compute_source`]) over a [`CompiledSource`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trace breaks the record order that
+    /// [`CompiledTrace::validate`] checks; a trace from
+    /// [`Trace::compile`](crate::event::Trace::compile) never does.
     pub fn compute_compiled(c: &CompiledTrace) -> TraceStats {
         TraceStats::compute_source(&mut CompiledSource::new(c))
-            .expect("an in-memory source never fails")
+            .unwrap_or_else(|e| panic!("an in-memory source fails only out of order: {e}"))
     }
 
     /// Computes statistics from a streaming [`EventSource`] in O(live set
@@ -57,16 +63,22 @@ impl TraceStats {
     /// (−size) in clock order, births before deaths at an equal clock
     /// (a zero-lifetime object must not drive the level negative); each
     /// level is weighted by how long it holds. Births arrive sorted, a
-    /// block at a time ([`EventSource::next_block`]). Pending deaths wait
-    /// in a radix heap; per block, only the deaths due by the block's
-    /// last birth are taken out, sorted, and merged with the block's
-    /// births. The weighted means accumulate in clock order whatever the
-    /// block size, so the result is bit-identical for every source and
-    /// block size.
+    /// block at a time ([`EventSource::next_block`]), and each record is
+    /// checked against that order as it is read. A death due by the
+    /// block's last birth goes straight to the block's due list; a later
+    /// one waits in a radix heap until a block's last birth reaches it.
+    /// Every due death lies after the previous block's last birth, so the
+    /// due list is radix-sorted on its offset from that clock, then
+    /// merged with the block's births and folded one event at a time.
+    /// The weighted means accumulate in clock order whatever the block
+    /// size, so the result is bit-identical for every source and block
+    /// size.
     ///
     /// # Errors
     ///
-    /// Propagates the source's [`SourceError`].
+    /// Propagates the source's [`SourceError`], and returns
+    /// [`SourceError::Order`] for the first record whose birth does not
+    /// follow the previous record's or whose death precedes its birth.
     pub fn compute_source(
         source: &mut (impl EventSource + ?Sized),
     ) -> Result<TraceStats, SourceError> {
@@ -74,34 +86,39 @@ impl TraceStats {
         let mut block = EventBlock::new(DEFAULT_BLOCK_EVENTS);
         let mut sweep = LevelSweep::default();
         let mut pending = DeathQueue::default();
-        let mut due: Vec<(u64, u32)> = Vec::new();
+        let mut due = DueList::with_capacity(DEFAULT_BLOCK_EVENTS);
         let mut object_count: usize = 0;
         while source.next_block(&mut block) > 0 {
+            check_order(block.births(), block.deaths(), object_count, pending.last)?;
             if let Some(e) = block.take_error() {
                 return Err(e);
             }
             let (births, sizes, deaths) = (block.births(), block.sizes(), block.deaths());
-            for (&death, &size) in deaths.iter().zip(sizes) {
-                if death != EventBlock::NO_DEATH {
-                    pending.push(death, size);
-                }
-            }
+            let base = pending.last;
             let last = *births.last().expect("a filled block is non-empty");
-            pending.drain_through(last, &mut due);
-            due.sort_unstable_by_key(|&(death, _)| death);
-            sweep.merge(births, sizes, &due);
-            due.clear();
+            due.route(deaths, sizes, last, &mut pending);
+            pending.drain_through(last, &mut due.list);
+            due.sort(base);
+            sweep.merge(births, sizes, &mut due.list);
             object_count += births.len();
         }
         if let Some(e) = block.take_error() {
             return Err(e);
         }
-        pending.drain_all(&mut due);
-        due.sort_unstable_by_key(|&(death, _)| death);
-        sweep.merge(&[], &[], &due);
+        let base = pending.last;
+        pending.drain_all(&mut due.list);
+        due.sort(base);
+        sweep.merge(&[], &[], &mut due.list);
         let total = Bytes::new(source.end().as_u64());
-        sweep.advance(total.as_u64());
+        sweep.finish(total.as_u64());
 
+        let mean = |sum: f64| {
+            if sweep.weight > 0.0 {
+                sum / sweep.weight
+            } else {
+                0.0
+            }
+        };
         Ok(TraceStats {
             name: meta.name,
             total_allocated: total,
@@ -111,9 +128,9 @@ impl TraceStats {
             } else {
                 total.as_u64() as f64 / object_count as f64
             },
-            live_mean: Bytes::new(sweep.live.mean().unwrap_or(0.0) as u64),
+            live_mean: Bytes::new(mean(sweep.live) as u64),
             live_max: Bytes::new(sweep.peak as u64),
-            nogc_mean: Bytes::new(sweep.nogc.mean().unwrap_or(0.0) as u64),
+            nogc_mean: Bytes::new(mean(sweep.nogc) as u64),
             nogc_max: total,
             exec_seconds: meta.exec_seconds,
             alloc_rate: if meta.exec_seconds > 0.0 {
@@ -126,12 +143,65 @@ impl TraceStats {
     }
 }
 
+/// Checks one block against the stream's order contract: births strictly
+/// increasing, within the block and after `prev_birth` (the previous
+/// block's last birth, when `first_pos > 0`), and no death before its
+/// birth. `first_pos` is the stream position of the block's first record.
+/// The fast path is one compare per record and condition, folded without
+/// branches; only a violation pays for finding its position.
+fn check_order(
+    births: &[u64],
+    deaths: &[u64],
+    first_pos: usize,
+    prev_birth: u64,
+) -> Result<(), SourceError> {
+    let backwards = |pos: usize, birth: u64, prev: u64| (pos > 0) & (birth <= prev);
+    let mut bad = backwards(first_pos, births[0], prev_birth);
+    bad |= births[1..]
+        .iter()
+        .zip(births)
+        .fold(false, |bad, (&birth, &prev)| bad | (birth <= prev));
+    bad |= deaths
+        .iter()
+        .zip(births)
+        .fold(false, |bad, (&death, &birth)| bad | (death < birth));
+    if !bad {
+        return Ok(());
+    }
+    let mut prev = prev_birth;
+    for (i, (&birth, &death)) in births.iter().zip(deaths).enumerate() {
+        let pos = first_pos + i;
+        if backwards(pos, birth, prev) {
+            return Err(SourceError::Order(TraceError::NonMonotoneBirth { pos }));
+        }
+        if death < birth {
+            return Err(SourceError::Order(TraceError::DeathBeforeBirth { pos }));
+        }
+        prev = birth;
+    }
+    unreachable!("the fast path found a violation")
+}
+
 /// The live and no-GC level sweep: folds births and deaths in clock
-/// order into the two weighted means and the peak live level.
-#[derive(Default)]
+/// order into the two weighted sums, their shared weight and the peak
+/// live level.
+///
+/// Every event is one [`LevelSweep::step`]. A step at the previous
+/// event's clock has weight `0.0`, and adding `+0.0` leaves a sum of
+/// non-negative terms unchanged, so the sums are bit-identical to
+/// recording only the segments of positive length. The live and no-GC
+/// means share their weight total: both weight every segment by its
+/// length.
+#[derive(Clone, Copy, Default)]
 struct LevelSweep {
-    live: WeightedStats,
-    nogc: WeightedStats,
+    /// Σ live level × segment length.
+    live: f64,
+    /// Σ no-GC level × segment length. "No GC" memory at clock `t` is `t`
+    /// itself (everything ever allocated), so a segment's value is the
+    /// ramp's midpoint.
+    nogc: f64,
+    /// Σ segment length.
+    weight: f64,
     level: i64,
     /// Highest level reached, spikes included: a level that holds for
     /// zero clock units counts toward the max but not the mean.
@@ -140,44 +210,162 @@ struct LevelSweep {
 }
 
 impl LevelSweep {
-    /// Closes the segment `[prev_t, t)`, weighting its level by its
-    /// length. "No GC" memory at clock `t` is `t` itself (everything ever
-    /// allocated), so its segment value is the ramp's midpoint.
-    #[inline]
-    fn advance(&mut self, t: u64) {
-        if t > self.prev_t {
-            let weight = (t - self.prev_t) as f64;
-            self.live.record(self.level as f64, weight);
-            self.nogc.record((self.prev_t + t) as f64 / 2.0, weight);
-            self.prev_t = t;
-        }
+    /// Closes the segment `[prev_t, t)` at the current level, then
+    /// applies `delta` at `t`. `t` is never before `prev_t`.
+    #[inline(always)]
+    fn step(&mut self, t: u64, delta: i64) {
+        let weight = (t - self.prev_t) as f64;
+        self.live += self.level as f64 * weight;
+        self.nogc += (self.prev_t + t) as f64 / 2.0 * weight;
+        self.weight += weight;
+        self.prev_t = t;
+        self.level += delta;
+        self.peak = self.peak.max(self.level);
     }
 
     /// Folds one block's births with the deaths due by its last birth
-    /// (`due`, sorted by clock; every one at or before that birth):
-    /// deaths strictly before a birth go first, deaths at its clock
-    /// after it.
-    fn merge(&mut self, births: &[u64], sizes: &[u32], due: &[(u64, u32)]) {
-        let mut next = 0;
-        for (&birth, &size) in births.iter().zip(sizes) {
-            while let Some(&(death, freed)) = due.get(next).filter(|d| d.0 < birth) {
-                self.die(death, freed);
-                next += 1;
-            }
-            self.advance(birth);
-            self.level += i64::from(size);
-            self.peak = self.peak.max(self.level);
+    /// (`due`, sorted by clock; every one at or before that birth, and
+    /// none before `prev_t`), births first at an equal clock, and leaves
+    /// `due` empty.
+    ///
+    /// A sentinel death at `u64::MAX` ends `due`, so each step takes the
+    /// earlier of the next birth and the next death by a select, not a
+    /// branch (which birth-death interleavings would mispredict); once the
+    /// births run out, the rest of `due` folds alone. The fold runs on a
+    /// local copy, so its state stays in registers.
+    fn merge(&mut self, births: &[u64], sizes: &[u32], due: &mut Vec<(u64, u32)>) {
+        let deaths = due.len();
+        due.push((u64::MAX, 0));
+        let mut sweep = *self;
+        let (mut born, mut next) = (0, 0);
+        while born < births.len() {
+            let (birth, size) = (births[born], sizes[born]);
+            let (death, freed) = due[next];
+            let birth_first = birth <= death;
+            sweep.step(
+                select_unpredictable(birth_first, birth, death),
+                select_unpredictable(birth_first, i64::from(size), -i64::from(freed)),
+            );
+            born += usize::from(birth_first);
+            next += usize::from(!birth_first);
         }
-        for &(death, freed) in &due[next..] {
-            self.die(death, freed);
+        for &(death, freed) in &due[next..deaths] {
+            sweep.step(death, -i64::from(freed));
+        }
+        *self = sweep;
+        due.clear();
+    }
+
+    /// Closes the last segment at the end-of-trace clock `end`. A
+    /// streamed death can lie past `end`, so this step alone is guarded.
+    fn finish(&mut self, end: u64) {
+        if end > self.prev_t {
+            self.step(end, 0);
+        }
+    }
+}
+
+/// One block's due deaths, with the two scratch buffers that fill and
+/// sort them: `later` holds a block's deaths on their way to the
+/// pending queue, and `spare` is where the radix sort scatters. All
+/// three are sized once per kernel call, before the first block.
+struct DueList {
+    list: Vec<(u64, u32)>,
+    later: Vec<(u64, u32)>,
+    spare: Vec<(u64, u32)>,
+}
+
+impl DueList {
+    /// Below this many deaths a comparison sort beats the radix passes'
+    /// fixed cost.
+    const RADIX_MIN: usize = 64;
+
+    /// Scratch for blocks of `block` records: the due list holds a block
+    /// plus the pending deaths falling due with it, so it gets twice that.
+    fn with_capacity(block: usize) -> DueList {
+        DueList {
+            list: Vec::with_capacity(2 * block),
+            later: Vec::with_capacity(block),
+            spare: Vec::with_capacity(2 * block),
         }
     }
 
-    #[inline]
-    fn die(&mut self, t: u64, size: u32) {
-        self.advance(t);
-        self.level -= i64::from(size);
-        debug_assert!(self.level >= 0, "live bytes went negative");
+    /// Routes a block's deaths into the empty list: those due by `last`,
+    /// the block's last birth, stay in it; the other mortal ones go to
+    /// `pending`. Whether a death is due is a coin toss on a churn
+    /// stream, so each is written to both buffers and only the right
+    /// cursor advances.
+    fn route(&mut self, deaths: &[u64], sizes: &[u32], last: u64, pending: &mut DeathQueue) {
+        self.list.resize(deaths.len(), (0, 0));
+        self.later.resize(deaths.len(), (0, 0));
+        let (mut due, mut later) = (0, 0);
+        for (&death, &size) in deaths.iter().zip(sizes) {
+            self.list[due] = (death, size);
+            self.later[later] = (death, size);
+            let now = death <= last;
+            due += usize::from(now);
+            later += usize::from(!now & (death != EventBlock::NO_DEATH));
+        }
+        self.list.truncate(due);
+        for &(death, size) in &self.later[..later] {
+            pending.push(death, size);
+        }
+    }
+
+    /// Sorts the list by clock. Every clock is at least `base`, the
+    /// previous drain point, so the sort key is the offset from `base`:
+    /// an LSD radix sort, one pass per significant byte of the largest
+    /// offset, skipping a byte every offset shares. A comparison sort
+    /// takes a tiny list, one whose offsets need more than four bytes
+    /// (only the end-of-trace batch can), and a nearly sorted one, with
+    /// under one descent per 16 deaths: the queue's buckets drain in
+    /// clock order, so a block whose due deaths all come from earlier
+    /// blocks is close to sorted, and the comparison sort finishes it in
+    /// near-linear time.
+    fn sort(&mut self, base: u64) {
+        let n = self.list.len();
+        let widest = self
+            .list
+            .iter()
+            .fold(0, |widest, &(clock, _)| widest | (clock - base));
+        let bytes = (u64::BITS - widest.leading_zeros()).div_ceil(8) as usize;
+        let descents = self.list[n.min(1)..]
+            .iter()
+            .zip(&self.list)
+            .fold(0, |descents, (next, prev)| {
+                descents + usize::from(next.0 < prev.0)
+            });
+        if n < Self::RADIX_MIN || bytes > 4 || descents < n / 16 {
+            self.list.sort_unstable_by_key(|&(clock, _)| clock);
+            return;
+        }
+        let mut counts = [[0u32; 256]; 4];
+        for &(clock, _) in &self.list {
+            let key = clock - base;
+            for (byte, count) in counts[..bytes].iter_mut().enumerate() {
+                count[(key >> (8 * byte)) as u8 as usize] += 1;
+            }
+        }
+        self.spare.resize(n, (0, 0));
+        for (byte, count) in counts[..bytes].iter().enumerate() {
+            let shift = 8 * byte;
+            let digit = |clock: u64| ((clock - base) >> shift) as u8 as usize;
+            if count[digit(self.list[0].0)] as usize == n {
+                continue;
+            }
+            let mut at = [0u32; 256];
+            let mut sum = 0;
+            for (at, &c) in at.iter_mut().zip(count) {
+                *at = sum;
+                sum += c;
+            }
+            for &entry in &self.list {
+                let d = digit(entry.0);
+                self.spare[at[d] as usize] = entry;
+                at[d] += 1;
+            }
+            std::mem::swap(&mut self.list, &mut self.spare);
+        }
     }
 }
 
@@ -185,10 +373,11 @@ impl LevelSweep {
 ///
 /// Every queued clock is compared with `last`, the clock the queue was
 /// last drained through: bucket 0 holds clocks `<= last`, bucket `b > 0`
-/// those whose highest bit differing from `last` is bit `b - 1`. Births
-/// are strictly increasing, so a new death is never earlier than the
-/// last drain, which keeps the layout valid (a stream out of birth order
-/// gets wrong statistics, never a panic). Draining through `limit`
+/// those whose highest bit differing from `last` is bit `b - 1`. A
+/// death is queued only when it falls after its block's last birth, so
+/// (with births strictly increasing, which the kernel checks before
+/// anything reaches the queue) a new death is never earlier than the
+/// last drain, which keeps the layout valid. Draining through `limit`
 /// empties every bucket below `limit`'s own, and splits that one bucket:
 /// due clocks go out, the rest move to strictly lower buckets. Buckets
 /// above it are untouched, so a drain costs its output plus moves that

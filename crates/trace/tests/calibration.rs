@@ -4,7 +4,9 @@
 //! Run with `--nocapture` to see the measured-vs-paper comparison for
 //! every preset.
 
+use dtb_core::time::Bytes;
 use dtb_trace::programs::Program;
+use dtb_trace::stats::TraceStats;
 
 fn pct_err(measured: u64, target: u64) -> f64 {
     if target == 0 {
@@ -90,5 +92,128 @@ fn nogc_mean_is_about_half_total() {
             "{}: nogc mean ratio {ratio:.3}",
             p.label()
         );
+    }
+}
+
+/// Every preset's `TraceStats`, bit for bit. The tolerance tests above
+/// let the kernel drift; this one does not: a change to the stats kernel
+/// must leave every `No GC` and `LIVE` number of the six presets, and so
+/// every published table, as it is.
+#[test]
+fn preset_stats_are_pinned_bit_for_bit() {
+    #[allow(clippy::too_many_arguments)]
+    fn stats(
+        name: &str,
+        total: u64,
+        objects: usize,
+        mean_object_size: f64,
+        live_mean: u64,
+        live_max: u64,
+        nogc_mean: u64,
+        exec_seconds: f64,
+        alloc_rate: f64,
+    ) -> TraceStats {
+        TraceStats {
+            name: name.into(),
+            total_allocated: Bytes::new(total),
+            object_count: objects,
+            mean_object_size,
+            live_mean: Bytes::new(live_mean),
+            live_max: Bytes::new(live_max),
+            nogc_mean: Bytes::new(nogc_mean),
+            nogc_max: Bytes::new(total),
+            exec_seconds,
+            alloc_rate,
+            collections_at_1mb: total / 1_000_000,
+        }
+    }
+    let pinned = [
+        (
+            Program::Ghost1,
+            stats(
+                "GHOST(1)",
+                51_380_224,
+                897_556,
+                57.244588638480494,
+                781_461,
+                1_142_144,
+                25_690_112,
+                31.0,
+                1657426.5806451612,
+            ),
+        ),
+        (
+            Program::Ghost2,
+            stats(
+                "GHOST(2)",
+                92_275_120,
+                1_618_407,
+                57.01601636671122,
+                1_334_815,
+                2_109_216,
+                46_137_560,
+                71.0,
+                1299649.5774647887,
+            ),
+        ),
+        (
+            Program::Espresso1,
+            stats(
+                "ESPRESSO(1)",
+                15_728_672,
+                276_700,
+                56.84377303939284,
+                99_412,
+                178_672,
+                7_864_336,
+                62.0,
+                253688.25806451612,
+            ),
+        ),
+        (
+            Program::Espresso2,
+            stats(
+                "ESPRESSO(2)",
+                109_051_904,
+                1_928_785,
+                56.539170514080105,
+                151_444,
+                273_808,
+                54_525_952,
+                240.0,
+                454382.93333333335,
+            ),
+        ),
+        (
+            Program::Sis,
+            stats(
+                "SIS",
+                15_728_656,
+                197_053,
+                79.81941914104327,
+                3_981_407,
+                6_493_088,
+                7_864_328,
+                30.0,
+                524288.5333333333,
+            ),
+        ),
+        (
+            Program::Cfrac,
+            stats(
+                "CFRAC",
+                4_200_120,
+                104_893,
+                40.04194750841334,
+                11_840,
+                20_568,
+                2_100_060,
+                8.0,
+                525015.0,
+            ),
+        ),
+    ];
+    for (p, want) in pinned {
+        assert_eq!(p.stats(), &want, "{}", p.label());
     }
 }

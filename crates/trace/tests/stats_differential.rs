@@ -6,26 +6,43 @@
 //! equal clock, smaller deaths first), and folds them into the weighted
 //! live and no-GC means. The streaming kernel must agree with it to the
 //! last bit on every shape that stresses the block merge — and fail with
-//! the same typed `SourceError` when the source fails.
+//! the same typed `SourceError` when the source fails or breaks the
+//! record order.
+//!
+//! Two kinds of input feed it. Compiled traces put every death on some
+//! birth's clock at or before the last birth. Raw record streams, like
+//! `SynthSource`'s and the stores written from them, also put deaths
+//! strictly between two births and past the end of the trace.
 
 use dtb_core::stats::WeightedStats;
 use dtb_core::time::{Bytes, VirtualTime};
+use dtb_trace::event::TraceError;
 use dtb_trace::stats::TraceStats;
 use dtb_trace::{
     ctc, CompiledSource, CompiledTrace, EventBlock, EventSource, ObjectId, ObjectLife, ShardReader,
-    SourceError, TraceBuilder, TraceMeta,
+    SourceError, TraceBuilder, TraceMeta, DEFAULT_BLOCK_EVENTS,
 };
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// The specification: reads the source record by record, sorts all 2n
-/// deltas, and folds them in order.
+/// The specification: reads the source record by record, checking each
+/// against the stream's order contract (births strictly increasing, no
+/// death before its birth), sorts all 2n deltas, and folds them in order.
 fn reference(source: &mut dyn EventSource) -> Result<TraceStats, SourceError> {
     let meta = source.meta().clone();
     let mut deltas: Vec<(u64, i64)> = Vec::new();
     let mut object_count = 0usize;
+    let mut prev_birth = None;
     while let Some(l) = source.next_record()? {
+        let pos = object_count;
+        if prev_birth.is_some_and(|p| l.birth <= p) {
+            return Err(SourceError::Order(TraceError::NonMonotoneBirth { pos }));
+        }
+        if l.death.is_some_and(|d| d < l.birth) {
+            return Err(SourceError::Order(TraceError::DeathBeforeBirth { pos }));
+        }
+        prev_birth = Some(l.birth);
         deltas.push((l.birth.as_u64(), l.size as i64));
         if let Some(d) = l.death {
             deltas.push((d.as_u64(), -(l.size as i64)));
@@ -110,6 +127,55 @@ impl EventSource for Chunked<'_> {
     }
 }
 
+/// One raw record: its size, and how far past its birth it dies (`None`
+/// is immortal).
+type Raw = (u32, Option<u32>);
+
+/// Raw records whose births step by their sizes. Most deaths come within
+/// three maximal sizes of their birth, so one gap between two births
+/// often holds several, at distinct clocks or on a birth's clock; one in
+/// ten comes up to 200k clock units later, mostly past the end; one in
+/// ten never comes.
+fn raws(max_len: usize) -> impl Strategy<Value = Vec<Raw>> {
+    prop::collection::vec(
+        (1u32..=400, 0u8..10, 0u32..=1_200, 0u32..=200_000).prop_map(|(size, kind, near, far)| {
+            match kind {
+                0 => (size, None),
+                1 => (size, Some(far)),
+                _ => (size, Some(near)),
+            }
+        }),
+        0..max_len,
+    )
+}
+
+/// The records of `raws`, unchecked, so deaths past the end stay. The
+/// end clock is `tail` past the last birth.
+fn raw_stream(raws: &[Raw], tail: u64) -> CompiledTrace {
+    let mut clock = 0u64;
+    let lives: Vec<ObjectLife> = raws
+        .iter()
+        .map(|&(size, after)| {
+            clock += u64::from(size);
+            ObjectLife {
+                birth: VirtualTime::from_bytes(clock),
+                size,
+                death: after.map(|a| VirtualTime::from_bytes(clock + u64::from(a))),
+            }
+        })
+        .collect();
+    let end = VirtualTime::from_bytes(clock + tail);
+    CompiledTrace::from_lives(TraceMeta::named("raw-stream"), end, lives)
+}
+
+/// The kernel over `trace` in blocks of at most `chunk` records.
+fn chunked(trace: &CompiledTrace, chunk: usize) -> Result<TraceStats, SourceError> {
+    TraceStats::compute_source(&mut Chunked {
+        inner: CompiledSource::new(trace),
+        chunk,
+    })
+}
+
 /// One allocation step: object size plus an optional death, scheduled
 /// `die_after` allocations later (0 = dies at its own birth clock).
 type Op = (u32, Option<u16>);
@@ -158,11 +224,7 @@ fn die_at_end(n: usize, spread: bool) -> CompiledTrace {
 fn assert_matches(trace: &CompiledTrace, chunk: usize) -> Result<(), TestCaseError> {
     let expected = reference(&mut CompiledSource::new(trace)).expect("in-memory source");
     prop_assert_eq!(&TraceStats::compute_compiled(trace), &expected);
-    let chunked = TraceStats::compute_source(&mut Chunked {
-        inner: CompiledSource::new(trace),
-        chunk,
-    })
-    .expect("in-memory source");
+    let chunked = chunked(trace, chunk).expect("in-memory source");
     prop_assert_eq!(&chunked, &expected, "chunk {}", chunk);
     Ok(())
 }
@@ -210,6 +272,30 @@ proptest! {
         chunk in 1usize..=1_500,
     ) {
         assert_matches(&die_at_end(n, spread), chunk)?;
+    }
+
+    /// Raw streams with several deaths per gap between births, deaths past
+    /// the end and immortals: in blocks of 1..=8 records, the whole stream
+    /// and the default, and through a shard store.
+    #[test]
+    fn raw_streams_match_the_specification(
+        raws in raws(2_500),
+        tail in prop::option::of(0u64..=5_000),
+        stride in 1u64..=700,
+    ) {
+        let trace = raw_stream(&raws, tail.unwrap_or(0));
+        let expected = reference(&mut CompiledSource::new(&trace)).expect("in-memory source");
+        for chunk in (1..=8).chain([trace.len().max(1), DEFAULT_BLOCK_EVENTS]) {
+            let streamed = chunked(&trace, chunk);
+            prop_assert_eq!(streamed.as_ref(), Ok(&expected), "chunk {}", chunk);
+        }
+        let dir = temp_dir();
+        ctc::write_shards(&dir, &trace, stride).expect("write store");
+        let streamed = ShardReader::open(&dir)
+            .map_err(SourceError::from)
+            .and_then(|mut r| TraceStats::compute_source(&mut r));
+        let _ = std::fs::remove_dir_all(&dir);
+        prop_assert_eq!(streamed, Ok(expected));
     }
 
     /// A corrupted shard store fails both folds with the same typed error
@@ -311,5 +397,54 @@ fn empty_and_single_object_traces_match() {
             TraceStats::compute_compiled(&trace),
             reference(&mut CompiledSource::new(&trace)).unwrap()
         );
+    }
+}
+
+/// A stream out of order is a typed error at the first bad record, from
+/// the kernel and the specification alike, wherever block boundaries
+/// fall: births that go backwards or repeat, within a block or across
+/// one, and a death before its birth.
+#[test]
+fn out_of_order_records_are_a_typed_error() {
+    let life = |birth: u64, size: u32, death: Option<u64>| ObjectLife {
+        birth: VirtualTime::from_bytes(birth),
+        size,
+        death: death.map(VirtualTime::from_bytes),
+    };
+    let unchecked = |lives: Vec<ObjectLife>| {
+        CompiledTrace::from_lives(TraceMeta::named("out-of-order"), VirtualTime::ZERO, lives)
+    };
+    let long = raw_stream(&[(16, Some(40)); 3_000], 0);
+    let mut backwards = long.clone();
+    backwards.swap_records(DEFAULT_BLOCK_EVENTS - 1, DEFAULT_BLOCK_EVENTS);
+    let mut early_death = long;
+    early_death.set_death(2_500, Some(early_death.life(2_499).birth));
+    let cases = [
+        (
+            unchecked(vec![life(100, 100, None), life(50, 50, Some(50))]),
+            TraceError::NonMonotoneBirth { pos: 1 },
+        ),
+        (
+            unchecked(vec![life(10, 10, None), life(10, 5, None)]),
+            TraceError::NonMonotoneBirth { pos: 1 },
+        ),
+        (
+            unchecked(vec![life(10, 10, None), life(20, 10, Some(15))]),
+            TraceError::DeathBeforeBirth { pos: 1 },
+        ),
+        (
+            backwards,
+            TraceError::NonMonotoneBirth {
+                pos: DEFAULT_BLOCK_EVENTS,
+            },
+        ),
+        (early_death, TraceError::DeathBeforeBirth { pos: 2_500 }),
+    ];
+    for (trace, error) in cases {
+        let expected = Err(SourceError::Order(error));
+        assert_eq!(reference(&mut CompiledSource::new(&trace)), expected);
+        for chunk in [1, 2, 7, DEFAULT_BLOCK_EVENTS] {
+            assert_eq!(chunked(&trace, chunk), expected, "chunk {chunk}");
+        }
     }
 }
