@@ -41,6 +41,18 @@ impl Fenwick {
         }
     }
 
+    /// Empties the tree and makes room for at least `n` slots, keeping
+    /// the storage it already holds when that is large enough (a smaller
+    /// buffer is freed, not grown, so its stale nodes are never copied).
+    pub fn reset(&mut self, n: usize) {
+        if self.tree.capacity() < n {
+            self.tree = Vec::new();
+        }
+        self.tree.clear();
+        self.tree.reserve(n);
+        self.total = 0;
+    }
+
     /// Number of slots in the tree.
     pub fn len(&self) -> usize {
         self.tree.len()

@@ -78,6 +78,7 @@ use dtb_core::history::BoundaryCandidates;
 use dtb_core::policy::{SurvivalEstimator, SurvivalLender};
 use dtb_core::soa::born_after_stats;
 use dtb_core::time::{Bytes, VirtualTime};
+use std::cell::Cell;
 
 /// One object in the oracle heap.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -207,10 +208,11 @@ struct DeadColumns {
 }
 
 impl DeadColumns {
-    fn with_capacity(n: usize) -> DeadColumns {
+    /// The columns emptied, with room for at least `n` entries.
+    fn emptied(self, n: usize) -> DeadColumns {
         DeadColumns {
-            births: Vec::with_capacity(n),
-            sizes: Vec::with_capacity(n),
+            births: emptied(self.births, n),
+            sizes: emptied(self.sizes, n),
         }
     }
 
@@ -247,10 +249,10 @@ struct Lane {
 }
 
 impl Lane {
-    fn new(capacity: usize) -> Lane {
+    fn new(tenured: DeadColumns) -> Lane {
         Lane {
             cursor: 0,
-            tenured: DeadColumns::with_capacity(capacity),
+            tenured,
             tenured_bytes: 0,
             tenured_latest: 0,
             reclaimed: 0,
@@ -336,21 +338,34 @@ impl OracleHeap {
 
     /// Creates an empty heap shared by `lanes` collectors, with index
     /// capacity for `n` objects.
+    ///
+    /// The heap takes over the storage the last heap dropped on this
+    /// thread left behind, if any, and reserves only what that lacks: a
+    /// thread running cell after cell reuses one set of columns.
     pub fn with_lanes(lanes: usize, n: usize) -> OracleHeap {
+        let mut spare = SPARE
+            .try_with(Cell::take)
+            .ok()
+            .flatten()
+            .unwrap_or_default();
+        let mut live = spare.live;
+        live.reset(n);
         OracleHeap {
-            births: Vec::with_capacity(n),
-            sizes: Vec::with_capacity(n),
-            deaths: Vec::with_capacity(n),
-            live: Fenwick::with_capacity(n),
+            births: emptied(spare.births, n),
+            sizes: emptied(spare.sizes, n),
+            deaths: emptied(spare.deaths, n),
+            live,
             dead_slots: 0,
-            pending: Vec::new(),
+            pending: emptied(spare.pending, 0),
             pending_min: NO_DEATH,
             staged_lo: 0,
-            log: DeadColumns::with_capacity(n),
+            log: spare.log.emptied(n),
             log_base: 0,
             allocated: 0,
             objects: 0,
-            lanes: (0..lanes).map(|_| Lane::new(n)).collect(),
+            lanes: (0..lanes)
+                .map(|_| Lane::new(spare.tenured.pop().unwrap_or_default().emptied(n)))
+                .collect(),
             clock: VirtualTime::ZERO,
         }
     }
@@ -713,6 +728,69 @@ impl OracleHeap {
             births: &self.births,
             index: &self.live,
         }
+    }
+}
+
+/// A heap's growable storage: its slot columns, live tree, pending set,
+/// death log and tenured columns, which a run grows to its trace's size.
+///
+/// A dropped [`OracleHeap`] leaves its storage to the next heap built on
+/// its thread ([`OracleHeap::with_lanes`]), so a thread that runs cell
+/// after cell reuses the same memory instead of freeing and re-faulting
+/// it, and what a cell costs does not depend on what the allocator did
+/// with the previous cell's memory. The thread keeps the storage of its
+/// last heap until it exits. Two heaps alive on one thread at once leave
+/// only one storage behind; the other is freed.
+#[derive(Default)]
+struct Storage {
+    births: Vec<u64>,
+    sizes: Vec<u32>,
+    deaths: Vec<u64>,
+    live: Fenwick,
+    pending: Vec<(u64, u32, u32)>,
+    log: DeadColumns,
+    tenured: Vec<DeadColumns>,
+}
+
+thread_local! {
+    /// The storage the last heap dropped on this thread left behind,
+    /// until the next heap takes it.
+    static SPARE: Cell<Option<Storage>> = const { Cell::new(None) };
+}
+
+/// `v` emptied, with room for at least `n` elements. A buffer too small
+/// is freed, not grown: growing it would copy its stale contents.
+fn emptied<T>(mut v: Vec<T>, n: usize) -> Vec<T> {
+    if v.capacity() < n {
+        v = Vec::new();
+    }
+    v.clear();
+    v.reserve(n);
+    v
+}
+
+impl Drop for OracleHeap {
+    fn drop(&mut self) {
+        let storage = Storage {
+            births: std::mem::take(&mut self.births),
+            sizes: std::mem::take(&mut self.sizes),
+            deaths: std::mem::take(&mut self.deaths),
+            live: std::mem::take(&mut self.live),
+            pending: std::mem::take(&mut self.pending),
+            log: std::mem::take(&mut self.log),
+            tenured: self
+                .lanes
+                .iter_mut()
+                .map(|lane| std::mem::take(&mut lane.tenured))
+                .collect(),
+        };
+        // A heap built meanwhile may have left its storage already; keep
+        // that one. During thread teardown the slot is gone, and the
+        // storage is simply freed.
+        let _ = SPARE.try_with(|spare| {
+            let kept = spare.take().unwrap_or(storage);
+            spare.set(Some(kept));
+        });
     }
 }
 

@@ -20,53 +20,73 @@
 //! harness and the sibling test allocate on other threads while a
 //! measured region runs, and the code under test runs on the test's own
 //! thread.
+//!
+//! A whole run allocates, but a thread's heap storage does not: a
+//! dropped heap leaves its columns to the next heap on its thread, so a
+//! thread's second run over a trace makes no large allocation.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use dtb_core::policy::{SurvivalEstimator, SurvivalLender};
+use dtb_core::policy::{PolicyConfig, PolicyKind, SurvivalEstimator, SurvivalLender};
 use dtb_core::time::{Bytes, VirtualTime};
+use dtb_sim::engine::{Sim, SimConfig};
 use dtb_sim::heap::{OracleHeap, SimObject};
+use dtb_trace::TraceBuilder;
 
 /// Counts every allocation (and growth reallocation) routed through the
 /// global allocator on a thread that called [`count_this_thread`].
 struct CountingAlloc;
 
+/// An allocation of at least this many bytes is *large*: a heap column,
+/// not a block buffer or a report.
+const LARGE: usize = 64 << 10;
+
+/// One thread's allocations: all of them, and the large ones.
+#[derive(Clone, Copy, Debug)]
+struct Counts {
+    all: u64,
+    large: u64,
+}
+
 thread_local! {
     /// This thread's allocations once it opted into counting (`None`: not
     /// counted). Const-initialized with no destructor, so the allocator
     /// can read it without allocating.
-    static LOCAL: Cell<Option<u64>> = const { Cell::new(None) };
+    static LOCAL: Cell<Option<Counts>> = const { Cell::new(None) };
 }
 
-fn count() {
+fn count(size: usize) {
     let _ = LOCAL.try_with(|c| {
         if let Some(n) = c.get() {
-            c.set(Some(n + 1));
+            c.set(Some(Counts {
+                all: n.all + 1,
+                large: n.large + u64::from(size >= LARGE),
+            }));
         }
     });
 }
 
 /// Starts counting this thread's allocations and returns a reader of the
-/// running count.
-fn count_this_thread() -> impl Fn() -> u64 {
-    LOCAL.with(|c| c.set(Some(0)));
+/// running counts.
+fn count_this_thread() -> impl Fn() -> Counts {
+    LOCAL.with(|c| c.set(Some(Counts { all: 0, large: 0 })));
     || LOCAL.with(|c| c.get().expect("counting this thread"))
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -109,7 +129,7 @@ fn steady_state_scavenge_path_is_allocation_free() {
     heap.live_bytes_at(warm_now);
     heap.scavenge(t(n * 25), warm_now);
 
-    let before = allocated();
+    let before = allocated().all;
 
     // Measured region: two full scavenge decision points — borrow the
     // survival view, probe candidate boundaries (as a policy would), read
@@ -143,7 +163,7 @@ fn steady_state_scavenge_path_is_allocation_free() {
         }
     }
 
-    let allocations = allocated() - before;
+    let allocations = allocated().all - before;
     assert!(observed > Bytes::ZERO, "queries must do real work");
     assert_eq!(
         allocations, 0,
@@ -185,7 +205,7 @@ fn steady_state_lane_scavenges_are_allocation_free() {
         heap.scavenge_lane(lane, t(n * 25), warm_now);
     }
 
-    let before = allocated();
+    let before = allocated().all;
     let mut observed = Bytes::ZERO;
     for round in 0..2u64 {
         let now = t(n * 60 + round * n * 30);
@@ -206,10 +226,48 @@ fn steady_state_lane_scavenges_are_allocation_free() {
         }
     }
 
-    let allocations = allocated() - before;
+    let allocations = allocated().all - before;
     assert!(observed > Bytes::ZERO, "queries must do real work");
     assert_eq!(
         allocations, 0,
         "steady-state lane scavenges must not allocate"
+    );
+}
+
+#[test]
+fn a_threads_second_run_reuses_the_heap_storage() {
+    let allocated = count_this_thread();
+    // 40k objects, a third immortal and the rest dying about 2,000
+    // allocations after their birth: every heap column outgrows LARGE,
+    // and every collector tenures, untenures or reclaims along the way.
+    let mut b = TraceBuilder::new("reuse");
+    let mut young = std::collections::VecDeque::new();
+    for i in 0..40_000u32 {
+        let id = b.alloc(64 + i % 512);
+        if i % 3 != 0 {
+            young.push_back(id);
+        }
+        if young.len() > 2_000 {
+            b.free(young.pop_front().expect("non-empty"));
+        }
+    }
+    let trace = b.finish().compile().expect("well-formed");
+    let run = |kind: PolicyKind| {
+        Sim::new(SimConfig::paper())
+            .run_trace(&trace, &mut kind.build(&PolicyConfig::paper()))
+            .expect("runs")
+            .report
+    };
+
+    let first: Vec<_> = PolicyKind::ALL.into_iter().map(run).collect();
+    let before = allocated().large;
+    let second: Vec<_> = PolicyKind::ALL.into_iter().map(run).collect();
+    let large = allocated().large - before;
+
+    assert!(first.iter().all(|r| r.collections > 0), "the runs scavenge");
+    assert_eq!(second, first, "a reused heap runs the same");
+    assert_eq!(
+        large, 0,
+        "a thread's second run must reuse its heap storage, not allocate it again"
     );
 }

@@ -618,7 +618,7 @@ pub fn write_shards(
 /// [`crate::event::Trace::compile`] runs, validating the stream exactly
 /// as `compile` would and resolving each object's death clock; pass 2
 /// replays the file, emitting one record per allocation. Memory is
-/// O(objects) — a `u64` death per object, plus the resolver's id map
+/// O(objects) — a `u64` death per object, plus the resolver's id table
 /// during pass 1 — far below the resident
 /// [`CompiledTrace`](crate::event::CompiledTrace) plus event list, and
 /// the output is byte-for-byte the store [`write_shards`] would produce
@@ -638,6 +638,11 @@ pub fn convert_trace_file(
     // Pass 1: resolve death clocks, validating the event stream. A read
     // failure ends the stream; the resolver saw only the good prefix.
     let mut reader = TraceEventReader::open(src).map_err(from_trace_io)?;
+    // The header's event count sizes the resolver's id table. Every
+    // event takes at least two bytes, so the file length bounds a corrupt
+    // count, as in `format::decode`.
+    let file_len = std::fs::metadata(src).map_or(0, |m| m.len());
+    let hint = usize::try_from(reader.remaining().min(file_len / 2)).unwrap_or(usize::MAX);
     let mut read_error = None;
     let events = std::iter::from_fn(|| {
         reader.next_event().unwrap_or_else(|e| {
@@ -645,7 +650,7 @@ pub fn convert_trace_file(
             None
         })
     });
-    let resolved = resolve(events, 0, |_, _| {});
+    let resolved = resolve(events, hint, |_, _| {});
     if let Some(e) = read_error {
         return Err(from_trace_io(e));
     }

@@ -116,6 +116,8 @@ impl Trace {
     /// free of an id, a zero-sized allocation, or totals that overflow
     /// the allocation clock.
     pub fn compile(&self) -> Result<CompiledTrace, TraceError> {
+        // The allocation count sizes the id table: a generated trace's
+        // ids are exactly `0..objects`.
         let objects = self.object_count();
         let mut births = Vec::with_capacity(objects);
         let mut sizes = Vec::with_capacity(objects);
@@ -156,15 +158,20 @@ impl Trace {
 /// alloc or double free; the first violation in event order is the
 /// error), calls `on_alloc(size, birth)` per allocation, and returns
 /// each object's death clock in birth order ([`CompiledTrace::NO_DEATH`]
-/// if never freed) with the end clock. `objects` is a capacity hint.
+/// if never freed) with the end clock.
+///
+/// `hint` sizes the id table (see [`SlotTable`]) and the death column:
+/// the allocation count when the caller knows it, otherwise a bound on
+/// it. Ids below it are looked up by index; a wrong hint costs speed or
+/// address space, never a different verdict.
 pub(crate) fn resolve(
     events: impl IntoIterator<Item = Event>,
-    objects: usize,
+    hint: usize,
     mut on_alloc: impl FnMut(u32, u64),
 ) -> Result<(Vec<u64>, VirtualTime), TraceError> {
     let mut clock = VirtualTime::ZERO;
-    let mut deaths: Vec<u64> = Vec::with_capacity(objects);
-    let mut index: HashMap<ObjectId, usize> = HashMap::with_capacity(objects);
+    let mut deaths: Vec<u64> = Vec::with_capacity(hint);
+    let mut index = SlotTable::new(hint);
     for (pos, event) in events.into_iter().enumerate() {
         match event {
             Event::Alloc { id, size } => {
@@ -177,14 +184,14 @@ pub(crate) fn resolve(
                     .checked_advance(Bytes::new(size as u64))
                     .filter(|c| c.as_u64() != CompiledTrace::NO_DEATH)
                     .ok_or(TraceError::ClockOverflow { pos })?;
-                if index.insert(id, deaths.len()).is_some() {
+                if !index.insert(id, deaths.len()) {
                     return Err(TraceError::DuplicateAlloc { id, pos });
                 }
                 deaths.push(CompiledTrace::NO_DEATH);
                 on_alloc(size, clock.as_u64());
             }
             Event::Free { id } => {
-                let Some(&slot) = index.get(&id) else {
+                let Some(slot) = index.get(id) else {
                     return Err(TraceError::FreeWithoutAlloc { id, pos });
                 };
                 if deaths[slot] != CompiledTrace::NO_DEATH {
@@ -195,6 +202,52 @@ pub(crate) fn resolve(
         }
     }
     Ok((deaths, clock))
+}
+
+/// The resolver's map from object id to slot (birth-order position).
+///
+/// Generators number objects densely from 0, so ids below the resolver's
+/// hint live in a flat table indexed by id; each entry holds `slot + 1`,
+/// and 0 means "not allocated", so the table starts as zeroed memory.
+/// Any other id goes to a hash map. Both sides answer the same two
+/// questions, so the rules cannot tell which side an id is on.
+struct SlotTable {
+    table: Vec<usize>,
+    far: HashMap<ObjectId, usize>,
+}
+
+impl SlotTable {
+    fn new(len: usize) -> SlotTable {
+        SlotTable {
+            table: vec![0; len],
+            far: HashMap::new(),
+        }
+    }
+
+    /// Records `id` at `slot`; false when `id` was already allocated.
+    fn insert(&mut self, id: ObjectId, slot: usize) -> bool {
+        match self.position(id) {
+            Some(i) if self.table[i] != 0 => false,
+            Some(i) => {
+                self.table[i] = slot + 1;
+                true
+            }
+            None => self.far.insert(id, slot).is_none(),
+        }
+    }
+
+    /// The slot `id` was allocated at, if it was.
+    fn get(&self, id: ObjectId) -> Option<usize> {
+        match self.position(id) {
+            Some(i) => self.table[i].checked_sub(1),
+            None => self.far.get(&id).copied(),
+        }
+    }
+
+    /// `id`'s index in the table, or `None` for an id outside it.
+    fn position(&self, id: ObjectId) -> Option<usize> {
+        usize::try_from(id.0).ok().filter(|&i| i < self.table.len())
+    }
 }
 
 /// A malformed event stream.

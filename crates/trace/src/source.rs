@@ -487,12 +487,12 @@ impl EventSource for SynthSource {
 pub fn collect_source(
     source: &mut (impl EventSource + ?Sized),
 ) -> Result<CompiledTrace, SourceError> {
-    let meta = source.meta().clone();
-    let mut lives = Vec::new();
+    let mut trace = CompiledTrace::from_lives(source.meta().clone(), VirtualTime::ZERO, []);
     while let Some(life) = source.next_record()? {
-        lives.push(life);
+        trace.push(life);
     }
-    Ok(CompiledTrace::from_lives(meta, source.end(), lives))
+    trace.end = source.end();
+    Ok(trace)
 }
 
 #[cfg(test)]

@@ -96,7 +96,7 @@ impl TraceStats {
             let (births, sizes, deaths) = (block.births(), block.sizes(), block.deaths());
             let base = pending.last;
             let last = *births.last().expect("a filled block is non-empty");
-            due.route(deaths, sizes, last, &mut pending);
+            due.route(deaths, sizes.iter().copied(), last, &mut pending);
             pending.drain_through(last, &mut due.list);
             due.sort(base);
             sweep.merge(births, sizes, &mut due.list);
@@ -265,24 +265,26 @@ impl LevelSweep {
     }
 }
 
-/// One block's due deaths, with the two scratch buffers that fill and
-/// sort them: `later` holds a block's deaths on their way to the
-/// pending queue, and `spare` is where the radix sort scatters. All
-/// three are sized once per kernel call, before the first block.
-struct DueList {
-    list: Vec<(u64, u32)>,
-    later: Vec<(u64, u32)>,
-    spare: Vec<(u64, u32)>,
+/// One block's due deaths, each a clock with a payload (the stats
+/// kernel's size, the preset snap's record id), with the two scratch
+/// buffers that fill and sort them: `later` holds a block's deaths on
+/// their way to the pending queue, and `spare` is where the radix sort
+/// scatters. All three are sized once per kernel call, before the first
+/// block.
+pub(crate) struct DueList<T> {
+    pub(crate) list: Vec<(u64, T)>,
+    later: Vec<(u64, T)>,
+    spare: Vec<(u64, T)>,
 }
 
-impl DueList {
+impl<T: Copy + Default> DueList<T> {
     /// Below this many deaths a comparison sort beats the radix passes'
     /// fixed cost.
     const RADIX_MIN: usize = 64;
 
     /// Scratch for blocks of `block` records: the due list holds a block
     /// plus the pending deaths falling due with it, so it gets twice that.
-    fn with_capacity(block: usize) -> DueList {
+    pub(crate) fn with_capacity(block: usize) -> DueList<T> {
         DueList {
             list: Vec::with_capacity(2 * block),
             later: Vec::with_capacity(block),
@@ -290,39 +292,46 @@ impl DueList {
         }
     }
 
-    /// Routes a block's deaths into the empty list: those due by `last`,
-    /// the block's last birth, stay in it; the other mortal ones go to
-    /// `pending`. Whether a death is due is a coin toss on a churn
-    /// stream, so each is written to both buffers and only the right
-    /// cursor advances.
-    fn route(&mut self, deaths: &[u64], sizes: &[u32], last: u64, pending: &mut DeathQueue) {
-        self.list.resize(deaths.len(), (0, 0));
-        self.later.resize(deaths.len(), (0, 0));
+    /// Routes a block's deaths, paired with `payloads`, into the empty
+    /// list: those due by `last`, the block's last birth, stay in it; the
+    /// other mortal ones go to `pending`. Whether a death is due is a
+    /// coin toss on a churn stream, so each is written to both buffers
+    /// and only the right cursor advances.
+    pub(crate) fn route(
+        &mut self,
+        deaths: &[u64],
+        payloads: impl Iterator<Item = T>,
+        last: u64,
+        pending: &mut DeathQueue<T>,
+    ) {
+        self.list.resize(deaths.len(), (0, T::default()));
+        self.later.resize(deaths.len(), (0, T::default()));
         let (mut due, mut later) = (0, 0);
-        for (&death, &size) in deaths.iter().zip(sizes) {
-            self.list[due] = (death, size);
-            self.later[later] = (death, size);
+        for (&death, payload) in deaths.iter().zip(payloads) {
+            self.list[due] = (death, payload);
+            self.later[later] = (death, payload);
             let now = death <= last;
             due += usize::from(now);
             later += usize::from(!now & (death != EventBlock::NO_DEATH));
         }
         self.list.truncate(due);
-        for &(death, size) in &self.later[..later] {
-            pending.push(death, size);
+        for &(death, payload) in &self.later[..later] {
+            pending.push(death, payload);
         }
     }
 
-    /// Sorts the list by clock. Every clock is at least `base`, the
-    /// previous drain point, so the sort key is the offset from `base`:
-    /// an LSD radix sort, one pass per significant byte of the largest
-    /// offset, skipping a byte every offset shares. A comparison sort
-    /// takes a tiny list, one whose offsets need more than four bytes
-    /// (only the end-of-trace batch can), and a nearly sorted one, with
-    /// under one descent per 16 deaths: the queue's buckets drain in
-    /// clock order, so a block whose due deaths all come from earlier
-    /// blocks is close to sorted, and the comparison sort finishes it in
-    /// near-linear time.
-    fn sort(&mut self, base: u64) {
+    /// Sorts the list by clock; the order among equal clocks is
+    /// unspecified. Every clock is at least `base`, the previous drain
+    /// point, so the sort key is the offset from `base`: an LSD radix
+    /// sort, one pass per significant byte of the largest offset,
+    /// skipping a byte every offset shares. A comparison sort takes a
+    /// tiny list, one whose offsets need more than four bytes (only the
+    /// end-of-trace batch can), and a nearly sorted one, with under one
+    /// descent per 16 deaths: the queue's buckets drain in clock order,
+    /// so a block whose due deaths all come from earlier blocks is close
+    /// to sorted, and the comparison sort finishes it in near-linear
+    /// time.
+    pub(crate) fn sort(&mut self, base: u64) {
         let n = self.list.len();
         let widest = self
             .list
@@ -346,7 +355,7 @@ impl DueList {
                 count[(key >> (8 * byte)) as u8 as usize] += 1;
             }
         }
-        self.spare.resize(n, (0, 0));
+        self.spare.resize(n, (0, T::default()));
         for (byte, count) in counts[..bytes].iter().enumerate() {
             let shift = 8 * byte;
             let digit = |clock: u64| ((clock - base) >> shift) as u8 as usize;
@@ -369,7 +378,8 @@ impl DueList {
     }
 }
 
-/// Pending deaths as a monotone radix heap keyed by death clock.
+/// Pending deaths as a monotone radix heap keyed by death clock, each
+/// with a payload.
 ///
 /// Every queued clock is compared with `last`, the clock the queue was
 /// last drained through: bucket 0 holds clocks `<= last`, bucket `b > 0`
@@ -383,13 +393,13 @@ impl DueList {
 /// above it are untouched, so a drain costs its output plus moves that
 /// each lower an entry's bucket — at most 64 per entry over its life —
 /// never a scan of the whole pending set.
-struct DeathQueue {
-    last: u64,
-    buckets: [Vec<(u64, u32)>; 65],
+pub(crate) struct DeathQueue<T> {
+    pub(crate) last: u64,
+    buckets: [Vec<(u64, T)>; 65],
 }
 
-impl Default for DeathQueue {
-    fn default() -> DeathQueue {
+impl<T> Default for DeathQueue<T> {
+    fn default() -> DeathQueue<T> {
         DeathQueue {
             last: 0,
             buckets: std::array::from_fn(|_| Vec::new()),
@@ -397,7 +407,7 @@ impl Default for DeathQueue {
     }
 }
 
-impl DeathQueue {
+impl<T: Copy> DeathQueue<T> {
     #[inline]
     fn bucket(last: u64, clock: u64) -> usize {
         if clock <= last {
@@ -408,24 +418,24 @@ impl DeathQueue {
     }
 
     #[inline]
-    fn push(&mut self, clock: u64, size: u32) {
-        self.buckets[Self::bucket(self.last, clock)].push((clock, size));
+    fn push(&mut self, clock: u64, payload: T) {
+        self.buckets[Self::bucket(self.last, clock)].push((clock, payload));
     }
 
     /// Moves every queued death with clock `<= limit` into `out`, in no
     /// particular order.
-    fn drain_through(&mut self, limit: u64, out: &mut Vec<(u64, u32)>) {
+    pub(crate) fn drain_through(&mut self, limit: u64, out: &mut Vec<(u64, T)>) {
         let split = Self::bucket(self.last, limit);
         for bucket in &mut self.buckets[..split] {
             out.append(bucket);
         }
         self.last = limit;
         let mut straddling = std::mem::take(&mut self.buckets[split]);
-        for &(clock, size) in &straddling {
+        for &(clock, payload) in &straddling {
             if clock <= limit {
-                out.push((clock, size));
+                out.push((clock, payload));
             } else {
-                self.buckets[Self::bucket(limit, clock)].push((clock, size));
+                self.buckets[Self::bucket(limit, clock)].push((clock, payload));
             }
         }
         straddling.clear();
@@ -433,7 +443,7 @@ impl DeathQueue {
     }
 
     /// Moves every queued death into `out`.
-    fn drain_all(&mut self, out: &mut Vec<(u64, u32)>) {
+    fn drain_all(&mut self, out: &mut Vec<(u64, T)>) {
         for bucket in &mut self.buckets {
             out.append(bucket);
         }

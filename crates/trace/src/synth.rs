@@ -29,11 +29,12 @@
 
 use crate::event::{CompiledTrace, Event, ObjectId, ObjectLife, Trace};
 use crate::lifetime::{LifetimeDist, SizeDist};
-use crate::source::{EventSource, SynthSource};
+use crate::source::{
+    collect_source, CompiledSource, EventBlock, EventSource, SynthSource, DEFAULT_BLOCK_EVENTS,
+};
+use crate::stats::{DeathQueue, DueList};
 use dtb_core::time::VirtualTime;
 use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// One object class in a workload mixture.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -228,8 +229,14 @@ impl WorkloadSpec {
     /// Returns [`SpecError`] when the spec fails [`WorkloadSpec::validate`].
     pub fn generate(&self) -> Result<Trace, SpecError> {
         let mut source = SynthSource::new(self.clone())?;
-        let mut events: Vec<Event> = Vec::with_capacity((self.total_alloc / 48).max(16) as usize);
-        snap_deaths(&mut source, |step| {
+        // The sampled stream first: its records and its deaths that fall
+        // by its last birth are exactly the `Alloc` and `Free` events the
+        // snap yields, so the event list is sized once.
+        let stream = collect_source(&mut source).expect("synthetic sources never fail");
+        let end = stream.end.as_u64();
+        let frees = stream.deaths().iter().filter(|&&d| d <= end).count();
+        let mut events: Vec<Event> = Vec::with_capacity(stream.len() + frees);
+        snap_deaths(&mut CompiledSource::new(&stream), |step| {
             events.push(match step {
                 Step::Born(id, life) => Event::Alloc {
                     id,
@@ -239,7 +246,7 @@ impl WorkloadSpec {
             })
         });
         Ok(Trace {
-            meta: source.meta().clone(),
+            meta: stream.meta,
             events,
         })
     }
@@ -298,37 +305,56 @@ impl WorkloadSpec {
 /// first birth at or after it, and a death that no birth reaches never
 /// happens, so the object lives to the end.
 ///
-/// Records are numbered from 0 in stream order. Before each birth, and
-/// once after the last, every pending death at or before the latest birth
-/// dies there, in (sampled death, id) order: the order of `generate`'s
-/// `Free` events.
-fn snap_deaths(source: &mut SynthSource, mut sink: impl FnMut(Step)) {
-    // Pending deaths: min-heap of (sampled death, id).
-    let mut pending: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
-    let mut clock = 0;
-    for id in 0.. {
-        let next = source.next_life();
-        while let Some(&Reverse((death, dead))) = pending.peek() {
-            if death > clock {
-                break;
+/// Records are numbered from 0 in stream order. Between a birth and the
+/// next, and once after the last, every pending death at or before that
+/// birth dies there, in (sampled death, id) order: the order of
+/// `generate`'s `Free` events. The snap works a block at a time, as the
+/// `TraceStats` kernel does: a block's deaths due by its last birth go
+/// straight to the due list, later ones wait in the radix
+/// [`DeathQueue`] until a block's last birth reaches them, and the due
+/// list, sorted on (sampled death, id), merges with the block's births.
+/// Deaths still queued after the last block fall past the last birth.
+///
+/// `source` must not fail and must keep the stream's order (births
+/// strictly increasing, no death before its birth): `SynthSource` and a
+/// [`CompiledSource`] over its collected stream do.
+fn snap_deaths(source: &mut impl EventSource, mut sink: impl FnMut(Step)) {
+    let mut block = EventBlock::new(DEFAULT_BLOCK_EVENTS);
+    let mut pending = DeathQueue::default();
+    let mut due = DueList::with_capacity(DEFAULT_BLOCK_EVENTS);
+    let mut first = 0;
+    while source.next_block(&mut block) > 0 {
+        debug_assert!(block.error().is_none(), "the snap's sources never fail");
+        let (births, sizes, deaths) = (block.births(), block.sizes(), block.deaths());
+        // The previous block's last birth: every due death lies after it.
+        let mut clock = pending.last;
+        let last = births[births.len() - 1];
+        due.route(deaths, first.., last, &mut pending);
+        pending.drain_through(last, &mut due.list);
+        due.sort(clock);
+        for tie in due.list.chunk_by_mut(|a, b| a.0 == b.0) {
+            tie.sort_unstable_by_key(|&(_, id)| id);
+        }
+        let mut dying = due.list.iter().peekable();
+        for (id, (&birth, &size)) in (first..).zip(births.iter().zip(sizes)) {
+            while let Some(&(_, dead)) = dying.next_if(|&&(death, _)| death <= clock) {
+                sink(Step::Died(ObjectId(dead), VirtualTime::from_bytes(clock)));
             }
-            pending.pop();
-            sink(Step::Died(ObjectId(dead), VirtualTime::from_bytes(clock)));
+            sink(Step::Born(
+                ObjectId(id),
+                ObjectLife {
+                    birth: VirtualTime::from_bytes(birth),
+                    size,
+                    death: None,
+                },
+            ));
+            clock = birth;
         }
-        let Some(life) = next else {
-            return;
-        };
-        clock = life.birth.as_u64();
-        if let Some(death) = life.death {
-            pending.push(Reverse((death.as_u64(), id)));
+        for &(_, dead) in dying {
+            sink(Step::Died(ObjectId(dead), VirtualTime::from_bytes(last)));
         }
-        sink(Step::Born(
-            ObjectId(id),
-            ObjectLife {
-                death: None,
-                ..life
-            },
-        ));
+        due.list.clear();
+        first += births.len() as u64;
     }
 }
 
