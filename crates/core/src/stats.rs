@@ -179,6 +179,76 @@ impl WeightedStats {
         self.max = Some(self.max.map_or(value, |m| m.max(value)));
     }
 
+    /// Records a ramp: the signal starts at `start` and, for each size
+    /// `s_i` in turn, holds its current level for weight `s_i` and then
+    /// rises by `s_i` — memory in use over a run of allocations. The
+    /// result is bit-identical to one [`record`](Self::record) per size:
+    ///
+    /// ```text
+    /// let mut level = start;
+    /// for &s in sizes {
+    ///     stats.record(level as f64, s as f64);
+    ///     level += s as u64;
+    /// }
+    /// ```
+    ///
+    /// While both running sums are integers below 2^53, every addition
+    /// of an integer product is exact, so the order stops mattering:
+    /// when the sums stay below 2^53 after the ramp's weighted total
+    /// `W = start·S + Σ_{i<j} s_i·s_j` and total weight `S` are added,
+    /// they are added in one integer step, and the last level is the
+    /// ramp's maximum. Otherwise the same f64 additions run in
+    /// per-sample order. The levels are `u64` byte counts, so
+    /// `start + S` must fit in a `u64`.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use dtb_core::stats::{Ramp, WeightedStats};
+    ///
+    /// let sizes = [100, 200, 50];
+    /// let (mut each, mut ramp) = (WeightedStats::new(), WeightedStats::new());
+    /// let mut level = 1_000u64;
+    /// for &s in &sizes {
+    ///     each.record(level as f64, s as f64);
+    ///     level += s as u64;
+    /// }
+    /// ramp.record_ramp(1_000, Ramp::new(&sizes));
+    /// assert_eq!(each, ramp);
+    /// assert_eq!(ramp.max(), Some(1_300.0));
+    /// ```
+    pub fn record_ramp(&mut self, start: u64, ramp: Ramp<'_>) {
+        let Some(&last) = ramp.sizes.last() else {
+            return;
+        };
+        // Levels only rise, and rounding a u64 to f64 is monotone, so the
+        // last level is the largest sample either way.
+        let top = (start + (ramp.sum - last as u64)) as f64;
+        let weighted = start as u128 * ramp.sum as u128 + ramp.pairwise;
+        match (
+            exact_integer(self.weighted_sum),
+            exact_integer(self.total_weight),
+        ) {
+            (Some(sum), Some(total))
+                if weighted < (EXACT - sum) as u128 && ramp.sum < EXACT - total =>
+            {
+                self.weighted_sum = (sum + weighted as u64) as f64;
+                self.total_weight = (total + ramp.sum) as f64;
+            }
+            _ => {
+                let (mut sum, mut total, mut level) = (self.weighted_sum, self.total_weight, start);
+                for &s in ramp.sizes {
+                    sum += level as f64 * s as f64;
+                    total += s as f64;
+                    level += s as u64;
+                }
+                self.weighted_sum = sum;
+                self.total_weight = total;
+            }
+        }
+        self.max = Some(self.max.map_or(top, |m| m.max(top)));
+    }
+
     /// The weight-averaged mean; `None` before any positive-weight sample.
     pub fn mean(&self) -> Option<f64> {
         if self.total_weight > 0.0 {
@@ -196,6 +266,54 @@ impl WeightedStats {
     /// Total weight recorded so far.
     pub fn total_weight(&self) -> f64 {
         self.total_weight
+    }
+}
+
+/// The first integer past the run of integers an f64 holds exactly:
+/// below it, adding integers to an integer sum never rounds.
+const EXACT: u64 = 1 << 53;
+
+/// `x` as an integer, if it is one in `0..2^53`.
+fn exact_integer(x: f64) -> Option<u64> {
+    (x >= 0.0 && x < EXACT as f64 && x as u64 as f64 == x).then_some(x as u64)
+}
+
+/// A run of allocation sizes for [`WeightedStats::record_ramp`], with the
+/// two moments the exact fold needs: the sum `S = Σ s_i` and the pairwise
+/// moment `Σ_{i<j} s_i·s_j`. A caller folding one run into several
+/// accumulators computes them once.
+#[derive(Clone, Copy, Debug)]
+pub struct Ramp<'a> {
+    sizes: &'a [u32],
+    sum: u64,
+    pairwise: u128,
+}
+
+impl<'a> Ramp<'a> {
+    /// The ramp of `sizes`, its moments computed here.
+    pub fn new(sizes: &'a [u32]) -> Ramp<'a> {
+        let sum = sizes.iter().map(|&s| s as u64).sum();
+        let squares = sizes.iter().map(|&s| (s as u64 * s as u64) as u128).sum();
+        Ramp::from_sums(sizes, sum, squares)
+    }
+
+    /// The ramp of `sizes` from its sum `Σ s_i` and sum of squares
+    /// `Σ s_i²`, say as differences of prefix sums over a larger run:
+    /// the pairwise moment is `(S² − Σ s_i²) / 2`.
+    pub fn from_sums(sizes: &'a [u32], sum: u64, squares: u128) -> Ramp<'a> {
+        debug_assert_eq!(sum, sizes.iter().map(|&s| s as u64).sum::<u64>());
+        debug_assert_eq!(
+            squares,
+            sizes
+                .iter()
+                .map(|&s| (s as u64 * s as u64) as u128)
+                .sum::<u128>()
+        );
+        Ramp {
+            sizes,
+            sum,
+            pairwise: (sum as u128 * sum as u128 - squares) / 2,
+        }
     }
 }
 

@@ -5,7 +5,7 @@ use dtb_core::policy::{
     DtbDual, DtbFm, DtbMem, FeedMed, Fixed, Full, LiveEstimate, NoSurvivalInfo, PolicyConfig,
     PolicyKind, ScavengeContext, SurvivalEstimator, TbPolicy,
 };
-use dtb_core::stats::{SampleStats, WeightedStats};
+use dtb_core::stats::{Ramp, SampleStats, WeightedStats};
 use dtb_core::time::{Bytes, VirtualTime};
 use proptest::prelude::*;
 
@@ -374,5 +374,100 @@ proptest! {
         }
         let mut dual = DtbDual::new(Bytes::ZERO, Bytes::ZERO);
         assert_legal_boundary(&mut dual, &ctx);
+    }
+}
+
+/// A value on one of the scales the ramp fold tells apart: small, just
+/// under 2^53, just over it, just under 2^63, or log-uniform anywhere in
+/// `u64`.
+fn scale(regime: u8, raw: u64) -> u64 {
+    const TWO_53: u64 = 1 << 53;
+    match regime {
+        0 => raw >> 40,
+        1 => TWO_53 - 1 - (raw >> 24),
+        2 => TWO_53 + (raw >> 24),
+        3 => (1 << 63) - (raw >> 26),
+        _ => raw >> (raw % 64),
+    }
+}
+
+/// An accumulator's state before a ramp: its weighted sum and total
+/// weight each fresh or on one of [`scale`]'s scales, and, half the
+/// time, a `record(0.5, 1.0)`, which leaves a weighted sum below 2^52 a
+/// non-integer.
+fn prior_strategy() -> impl Strategy<Value = WeightedStats> {
+    (
+        (0u8..=5, any::<u64>()),
+        (0u8..=5, any::<u64>()),
+        any::<bool>(),
+    )
+        .prop_map(|((wr, w), (tr, t), half)| {
+            let mut stats = WeightedStats::new();
+            if wr < 5 {
+                stats.record(scale(wr, w) as f64, 1.0);
+            }
+            if tr < 5 {
+                stats.record(0.0, scale(tr, t) as f64);
+            }
+            if half {
+                stats.record(0.5, 1.0);
+            }
+            stats
+        })
+}
+
+/// A ramp's start and sizes: sizes log-uniform in `1..=u32::MAX`, and a
+/// start on one of [`scale`]'s scales, capped so the last level fits in
+/// a `u64`.
+fn ramp_strategy() -> impl Strategy<Value = (u64, Vec<u32>)> {
+    (
+        prop::collection::vec((0u32..32, any::<u32>()), 0..48),
+        0u8..=4,
+        any::<u64>(),
+    )
+        .prop_map(|(raw, regime, start)| {
+            let sizes: Vec<u32> = raw.iter().map(|&(shift, s)| (s >> shift).max(1)).collect();
+            let sum: u64 = sizes.iter().map(|&s| s as u64).sum();
+            (scale(regime, start).min(u64::MAX - sum), sizes)
+        })
+}
+
+/// The bits of everything an accumulator reports.
+fn stats_bits(w: &WeightedStats) -> (Option<u64>, Option<u64>, u64) {
+    (
+        w.mean().map(f64::to_bits),
+        w.max().map(f64::to_bits),
+        w.total_weight().to_bits(),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// `record_ramp` is one `record` per size, bit for bit, whether the
+    /// sums start below 2^53, cross it inside the ramp or start above
+    /// it, and whether they start as integers or not.
+    #[test]
+    fn record_ramp_equals_a_record_per_sample(
+        prior in prior_strategy(),
+        ramp in ramp_strategy(),
+    ) {
+        let (start, sizes) = ramp;
+        let mut each = prior;
+        let mut level = start;
+        for &s in &sizes {
+            each.record(level as f64, s as f64);
+            level += s as u64;
+        }
+        let mut folded = prior;
+        folded.record_ramp(start, Ramp::new(&sizes));
+        prop_assert_eq!(
+            stats_bits(&each),
+            stats_bits(&folded),
+            "prior {:?}, start {}, sizes {:?}",
+            prior,
+            start,
+            sizes
+        );
     }
 }

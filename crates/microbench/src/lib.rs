@@ -1,25 +1,29 @@
 //! Deterministic workload builders shared by the hot-path kernel
 //! microbenches (`benches/fenwick.rs`, `benches/block_decode.rs`,
-//! `benches/dead_walk.rs`, `benches/trace_stats.rs`). The crate's one
-//! other bench, `benches/heap_ops.rs`, times the real collector
-//! (`dtb-heap`) and builds its own heap.
+//! `benches/dead_walk.rs`, `benches/trace_stats.rs`,
+//! `benches/memory_fold.rs`). The crate's one other bench,
+//! `benches/heap_ops.rs`, times the real collector (`dtb-heap`) and
+//! builds its own heap.
 //!
 //! The benches exist to keep the block-structured fast paths honest: the
 //! branchless Fenwick kernels of the oracle heap's live index
 //! ([`dtb_core::fenwick::Fenwick`]), the chunked
 //! [`EventSource::next_block`](dtb_trace::EventSource::next_block)
 //! decoders, the autovectorizable dead-object reductions in
-//! [`dtb_core::soa`], and the streaming `No GC` / `LIVE` kernel in
+//! [`dtb_core::soa`], the streaming `No GC` / `LIVE` kernel in
 //! [`dtb_trace::stats`] (on compiled traces and on a raw generator
-//! stream). The smoke tests below pin each kernel's results
-//! on the same large inputs the benches time, so a bench can never drift
-//! into measuring a wrong kernel.
+//! stream), and the per-segment memory fold
+//! ([`WeightedStats::record_ramp`]). The smoke tests below pin each
+//! kernel's results on the same large inputs the benches time, so a
+//! bench can never drift into measuring a wrong kernel.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use dtb_core::fenwick::Fenwick;
+use dtb_core::stats::{Ramp, WeightedStats};
 use dtb_trace::lifetime::{LifetimeDist, SizeDist};
+use dtb_trace::programs::Program;
 use dtb_trace::synth::{ClassSpec, WorkloadSpec};
 use dtb_trace::{collect_source, CompiledTrace, ObjectId, SynthSource, TraceBuilder};
 
@@ -156,6 +160,70 @@ pub fn stream_trace(n: usize, seed: u64) -> CompiledTrace {
     collect_source(&mut source).expect("a validated generator never fails")
 }
 
+/// Bytes of allocation per segment of [`size_segments`]: the
+/// allocation between two scavenges of the paper's 1 MB trigger.
+pub const SEGMENT_BYTES: u64 = 1_000_000;
+
+/// The memory level each segment of a fold starts from, as after a
+/// scavenge.
+pub const SEGMENT_BASE: u64 = 2 << 20;
+
+/// GHOST(1)'s object sizes over `bytes` of allocation, cut into segments
+/// of [`SEGMENT_BYTES`]: a segment ends with the object that brings it
+/// to that size.
+pub fn size_segments(bytes: u64) -> Vec<Vec<u32>> {
+    let spec = WorkloadSpec {
+        total_alloc: bytes,
+        ..Program::Ghost1.spec()
+    };
+    let trace = spec.compile().expect("a preset spec validates");
+    let mut segments = vec![Vec::new()];
+    let mut filled = 0u64;
+    for &size in trace.sizes() {
+        segments.last_mut().expect("never empty").push(size);
+        filled += size as u64;
+        if filled >= SEGMENT_BYTES {
+            segments.push(Vec::new());
+            filled = 0;
+        }
+    }
+    segments.retain(|s| !s.is_empty());
+    segments
+}
+
+/// Folds each segment's memory ramp from [`SEGMENT_BASE`] into `stats`
+/// with one `record` per object: the drive loop's fold before
+/// [`WeightedStats::record_ramp`].
+pub fn fold_per_sample(stats: &mut WeightedStats, segments: &[Vec<u32>]) {
+    for segment in segments {
+        let mut level = SEGMENT_BASE;
+        for &size in segment {
+            stats.record(level as f64, size as f64);
+            level += size as u64;
+        }
+    }
+}
+
+/// Folds the same ramps with one [`WeightedStats::record_ramp`] per
+/// segment, their moments computed beforehand, as the drive loop's block
+/// prelude computes them once for every lane.
+pub fn fold_ramps(stats: &mut WeightedStats, ramps: &[Ramp<'_>]) {
+    for &ramp in ramps {
+        stats.record_ramp(SEGMENT_BASE, ramp);
+    }
+}
+
+/// Allocation the memory-fold bench folds: 32 segments.
+pub const MEMORY_FOLD_BYTES: u64 = 32 * SEGMENT_BYTES;
+
+/// An accumulator whose weighted sum is already past 2^53, so every
+/// later fold runs per sample.
+pub fn past_2_pow_53() -> WeightedStats {
+    let mut stats = WeightedStats::new();
+    stats.record((1u64 << 54) as f64, 1.0);
+    stats
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -259,6 +327,44 @@ mod tests {
             assert_eq!(stats.live_max.as_u64(), live.max().unwrap() as u64);
             assert_eq!(stats.nogc_mean.as_u64(), nogc.mean().unwrap() as u64);
             assert_eq!(stats.object_count, trace.len());
+        }
+    }
+
+    /// Pins the per-segment memory fold against one `record` per object
+    /// on the exact bench workload, bit for bit, in both regimes the
+    /// bench times, and checks that the exact regime stays below 2^53.
+    #[test]
+    fn memory_fold_matches_per_sample_records_at_bench_size() {
+        let segments = size_segments(MEMORY_FOLD_BYTES);
+        assert!(segments.len() >= 30);
+        let ramps: Vec<Ramp<'_>> = segments.iter().map(|s| Ramp::new(s)).collect();
+        let weighted: u128 = segments
+            .iter()
+            .map(|segment| {
+                let mut level = SEGMENT_BASE as u128;
+                segment
+                    .iter()
+                    .map(|&s| {
+                        let w = level * s as u128;
+                        level += s as u128;
+                        w
+                    })
+                    .sum::<u128>()
+            })
+            .sum();
+        assert!(weighted < 1 << 53, "the exact regime stays exact");
+        for prior in [WeightedStats::new(), past_2_pow_53()] {
+            let (mut each, mut folded) = (prior, prior);
+            fold_per_sample(&mut each, &segments);
+            fold_ramps(&mut folded, &ramps);
+            let bits = |w: &WeightedStats| {
+                (
+                    w.mean().map(f64::to_bits),
+                    w.max().map(f64::to_bits),
+                    w.total_weight().to_bits(),
+                )
+            };
+            assert_eq!(bits(&each), bits(&folded));
         }
     }
 }

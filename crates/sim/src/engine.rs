@@ -33,6 +33,7 @@ use crate::trigger::Trigger;
 use dtb_core::cost::CostModel;
 use dtb_core::history::ScavengeRecord;
 use dtb_core::policy::{ScavengeContext, SurvivalLender, TbPolicy};
+use dtb_core::stats::Ramp;
 use dtb_core::time::{Bytes, VirtualTime};
 use dtb_trace::event::CompiledTrace;
 use dtb_trace::{CompiledSource, EventBlock, EventSource, DEFAULT_BLOCK_EVENTS};
@@ -655,9 +656,11 @@ fn drive<H: LaneHeap, S: EventSource + ?Sized>(
     };
     let per_event_reference = block_cap <= 1;
     let mut block = EventBlock::new(block_cap);
-    // Byte prefix sums over the current block: pb[i] = bytes of the first
-    // i records. Reused across blocks.
+    // Prefix sums over the current block: pb[i] = bytes of the first i
+    // records, pq[i] = the sum of their squared sizes (the metrics fold's
+    // second moment). Reused across blocks.
     let mut pb: Vec<u64> = Vec::with_capacity(block_cap + 1);
+    let mut pq: Vec<u128> = Vec::with_capacity(block_cap + 1);
 
     'drive: loop {
         if cancelled(cancel) {
@@ -676,10 +679,14 @@ fn drive<H: LaneHeap, S: EventSource + ?Sized>(
         let deaths = block.deaths();
         pb.clear();
         pb.push(0);
-        let mut acc = 0u64;
+        pq.clear();
+        pq.push(0);
+        let (mut acc, mut acc_sq) = (0u64, 0u128);
         for &sz in sizes {
             acc += sz as u64;
+            acc_sq += (sz as u64 * sz as u64) as u128;
             pb.push(acc);
+            pq.push(acc_sq);
         }
 
         let mut idx = 0usize;
@@ -753,19 +760,14 @@ fn drive<H: LaneHeap, S: EventSource + ?Sized>(
             if s > 0 {
                 let end = idx + s;
                 // Memory held its previous level while each object was
-                // being allocated: replay each lane's per-event
-                // record_memory sequence (same f64 operation order) with a
-                // running level — within a safe segment memory only moves
-                // by inserts, because deaths change no lane's memory.
+                // being allocated, and within a safe segment it moves only
+                // by inserts, because deaths change no lane's memory: each
+                // lane folds the segment as one ramp from its own level,
+                // bit-identical to its per-event record_memory sequence.
+                let ramp = Ramp::from_sums(&sizes[idx..end], pb[end] - pb[idx], pq[end] - pq[idx]);
                 for (k, lane) in lanes.iter_mut().enumerate() {
-                    if !lane.running() {
-                        continue;
-                    }
-                    let mut mem = heap.lane_mem(k);
-                    for &sz in &sizes[idx..end] {
-                        let size = Bytes::new(sz as u64);
-                        lane.metrics.record_memory(mem, size);
-                        mem += size;
+                    if lane.running() {
+                        lane.metrics.record_ramp(heap.lane_mem(k), ramp);
                     }
                 }
                 clock = VirtualTime::from_bytes(births[end - 1]);

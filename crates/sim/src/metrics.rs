@@ -3,7 +3,7 @@
 use dtb_core::cost::CostModel;
 use dtb_core::history::ScavengeHistory;
 use dtb_core::policy::Row;
-use dtb_core::stats::{SampleStats, WeightedStats};
+use dtb_core::stats::{Ramp, SampleStats, WeightedStats};
 use dtb_core::time::Bytes;
 use serde::{Deserialize, Serialize};
 
@@ -73,6 +73,13 @@ impl MetricsCollector {
     pub fn record_memory(&mut self, level: Bytes, span: Bytes) {
         self.memory
             .record(level.as_u64() as f64, span.as_u64() as f64);
+    }
+
+    /// Records the memory ramp of a run of allocations starting at
+    /// `level`: bit-identical to one [`record_memory`](Self::record_memory)
+    /// per allocation, each at the level before it and for its size.
+    pub fn record_ramp(&mut self, level: Bytes, ramp: Ramp<'_>) {
+        self.memory.record_ramp(level.as_u64(), ramp);
     }
 
     /// Records a completed scavenge.

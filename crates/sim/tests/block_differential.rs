@@ -298,3 +298,177 @@ fn typed_errors_match_the_reference_at_every_block_size() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// 2^53: below it a lane's f64 memory sums are exact integers, and the
+/// drive loop folds a segment in one step; past it, per sample.
+const EXACT: u128 = 1 << 53;
+
+/// Builds a trace on the allocation clock: objects with lifetimes in
+/// bytes, freed once the clock passes their death.
+struct ClockedTrace {
+    builder: TraceBuilder,
+    clock: u64,
+    /// (death clock, id) of every object not yet freed.
+    pending: Vec<(u64, ObjectId)>,
+    rng: u64,
+}
+
+impl ClockedTrace {
+    /// SplitMix64.
+    fn next(&mut self) -> u64 {
+        self.rng = self.rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.rng;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn alloc(&mut self, size: u32, life: Option<u64>) {
+        let (clock, builder) = (self.clock, &mut self.builder);
+        self.pending.retain(|&(death, id)| {
+            if death <= clock {
+                builder.free(id);
+            }
+            death > clock
+        });
+        let id = self.builder.alloc(size);
+        self.clock += size as u64;
+        if let Some(life) = life {
+            self.pending.push((self.clock + life, id));
+        }
+    }
+
+    /// `bytes` of churn in objects of 16 bytes up to `max_size`: three in
+    /// five die within 50 KB, one in five lives 1–3 MB, past a scavenge,
+    /// and one in five 4–12 MB, past four.
+    fn churn(&mut self, bytes: u64, max_size: u64) {
+        let until = self.clock + bytes;
+        while self.clock < until {
+            let size = 16 + (self.next() % (max_size - 15)) as u32;
+            let life = match self.next() % 5 {
+                0 => 1_000_000 + self.next() % 2_000_000,
+                1 => 4_000_000 + self.next() % 8_000_000,
+                _ => self.next() % 50_000,
+            };
+            self.alloc(size, Some(life));
+        }
+    }
+}
+
+/// A trace whose lanes leave the exact range mid-run, each at its own
+/// point. Four 16 MiB immortals start it. Then come 160 MiB of churn in
+/// objects under 16 KiB, so most events fall inside segments, and
+/// collectors that tenure keep garbage the others reclaim. Then three
+/// immortals near `u32::MAX` bytes, and churn in objects up to 1 MiB:
+/// from there on, `memory × size` products pass 2^53.
+fn exact_range_exit_trace() -> CompiledTrace {
+    let mut t = ClockedTrace {
+        builder: TraceBuilder::new("exact-range-exit"),
+        clock: 0,
+        pending: Vec::new(),
+        rng: 0x5eed,
+    };
+    t.builder.exec_seconds(1.0);
+    for _ in 0..4 {
+        t.alloc(16 << 20, None);
+    }
+    t.churn(160 << 20, 16 << 10);
+    for k in 0..3 {
+        t.alloc(u32::MAX - 4_096 * k, None);
+    }
+    t.churn(8 << 20, 1 << 20);
+    t.builder
+        .finish()
+        .compile()
+        .expect("builder traces are valid")
+}
+
+/// Each allocation's memory sample `(memory, size)` in a run, memory
+/// recomputed from the run's scavenge history: everything allocated
+/// before it, less what the scavenges before it reclaimed.
+fn memory_samples(trace: &CompiledTrace, run: &SimRun) -> Vec<(u64, u64)> {
+    let mut scavenges = run.report.history.iter().peekable();
+    let mut reclaimed = 0u64;
+    trace
+        .births()
+        .iter()
+        .zip(trace.sizes())
+        .map(|(&birth, &size)| {
+            let before = birth - size as u64;
+            while let Some(r) = scavenges.next_if(|r| r.at.as_u64() <= before) {
+                reclaimed += r.reclaimed.as_u64();
+            }
+            (before - reclaimed, size as u64)
+        })
+        .collect()
+}
+
+/// Lanes leave the exact range mid-run, inside a segment, at different
+/// segments, and later fold products past 2^53; every block size and
+/// the six-lane pass still equal the per-event reference.
+#[test]
+fn lanes_leaving_the_exact_range_mid_run_match_the_reference() {
+    let trace = exact_range_exit_trace();
+    let config = SimConfig::paper().with_curve().with_invariant_checks(true);
+    let mut crossings = Vec::new();
+    let mut references = Vec::new();
+    for kind in PolicyKind::ALL {
+        let reference = run_at(&mut CompiledSource::new(&trace), kind, &config, 1)
+            .unwrap_or_else(|e| panic!("{kind}: {e}"));
+        let samples = memory_samples(&trace, &reference);
+        let mut sum = 0u128;
+        let crossing = samples
+            .iter()
+            .position(|&(mem, size)| {
+                sum += mem as u128 * size as u128;
+                sum >= EXACT
+            })
+            .expect("the lane leaves the exact range");
+        // Every curve sample and scavenge ends a segment on the
+        // per-event body; the crossing is neither, so a segment folds it.
+        let at = trace.births()[crossing];
+        assert!(
+            reference.curve.points().iter().all(|p| p.at.as_u64() != at),
+            "{kind} leaves the exact range at a segment boundary"
+        );
+        let scavenges = reference
+            .report
+            .history
+            .iter()
+            .filter(|r| r.at.as_u64() < at)
+            .count();
+        assert!(
+            scavenges > 10,
+            "{kind} leaves the exact range after {scavenges} scavenges"
+        );
+        assert!(
+            samples
+                .iter()
+                .any(|&(mem, size)| mem as u128 * size as u128 >= EXACT),
+            "{kind}: no product reaches 2^53"
+        );
+        crossings.push(scavenges);
+        for &block in BLOCKS {
+            let blocked = run_at(&mut CompiledSource::new(&trace), kind, &config, block);
+            assert_eq!(Ok(&reference), blocked.as_ref(), "{kind} block {block}");
+        }
+        references.push(reference);
+    }
+    // Scavenges end segments, so lanes with different counts before
+    // their crossing leave the exact range at different segments.
+    crossings.sort_unstable();
+    crossings.dedup();
+    assert!(
+        crossings.len() >= 3,
+        "lanes leave the exact range together: {crossings:?}"
+    );
+
+    let mut policies: Vec<_> = PolicyKind::ALL
+        .iter()
+        .map(|k| k.build(&PolicyConfig::paper()))
+        .collect();
+    let lanes = Sim::new(config).run_trace_lanes(&trace, &mut policies);
+    for ((kind, lane), reference) in PolicyKind::ALL.into_iter().zip(lanes).zip(&references) {
+        assert_eq!(Ok(reference), lane.as_ref(), "{kind} lane");
+    }
+}
