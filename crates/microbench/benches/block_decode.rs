@@ -1,13 +1,13 @@
 //! Block-vs-record streaming microbenches: `next_block` against the
 //! per-record `next_record` loop for every source kind — the in-memory
 //! borrowed-column copy, the synthetic generator, and the sharded
-//! on-disk decoder.
+//! on-disk decoder, on the calling thread and read ahead.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dtb_trace::lifetime::{LifetimeDist, SizeDist};
 use dtb_trace::{
     collect_source, ctc, ClassSpec, CompiledSource, CompiledTrace, EventBlock, EventSource,
-    ShardReader, SynthSource, WorkloadSpec, DEFAULT_BLOCK_EVENTS,
+    ShardCursor, ShardReader, SynthSource, WorkloadSpec, DEFAULT_BLOCK_EVENTS,
 };
 use std::path::PathBuf;
 
@@ -111,17 +111,26 @@ fn bench_decode(c: &mut Criterion) {
     });
     group.finish();
 
-    // The first open verifies every shard checksum; later opens hit the
-    // process-wide memo, so the loop below times pure decode.
-    drop(ShardReader::open(&dir).expect("open bench store"));
+    // The first full read verifies every shard checksum; later reads hit
+    // the process-wide memo, so the loops below time pure decode: on the
+    // calling thread (`ShardCursor`), and handed over by the read-ahead
+    // helper (`ShardReader`), where a drain with no work of its own
+    // waits on the helper's decode.
+    drain_records(&mut ShardCursor::open(&dir).expect("open bench store"));
     let mut group = c.benchmark_group("decode/sharded");
     group.bench_function("per_record", |b| {
         b.iter(|| {
-            let mut source = ShardReader::open(&dir).expect("open bench store");
+            let mut source = ShardCursor::open(&dir).expect("open bench store");
             black_box(drain_records(&mut source))
         })
     });
     group.bench_function("blocks_1024", |b| {
+        b.iter(|| {
+            let mut source = ShardCursor::open(&dir).expect("open bench store");
+            black_box(drain_blocks(&mut source, &mut block))
+        })
+    });
+    group.bench_function("read_ahead_1024", |b| {
         b.iter(|| {
             let mut source = ShardReader::open(&dir).expect("open bench store");
             black_box(drain_blocks(&mut source, &mut block))

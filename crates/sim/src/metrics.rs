@@ -6,6 +6,9 @@ use dtb_core::policy::Row;
 use dtb_core::stats::{Ramp, SampleStats, WeightedStats};
 use dtb_core::time::Bytes;
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
+use std::thread::ThreadId;
 
 /// The measurements of one simulated collector run, in the units the
 /// paper's tables use.
@@ -46,6 +49,48 @@ impl SimReport {
     /// Table 4's traced column in binary kilobytes.
     pub fn traced_kb(&self) -> f64 {
         self.total_traced.as_u64() as f64 / 1024.0
+    }
+}
+
+/// The threads inside [`exact_memory_means`], innermost call last, each
+/// with the unrounded memory means of the reports it finished so far.
+static COLLECTING: Mutex<Vec<(ThreadId, Vec<u64>)>> = Mutex::new(Vec::new());
+
+/// `COLLECTING`'s length: [`MetricsCollector::finish`] reads this one
+/// atomic and touches nothing else while no test collects. (A
+/// thread-local here, touched by every `finish`, made the benchmark's
+/// `served-sweeps` sweeps 15% slower on a 2-vCPU VM, inline or not.)
+static COLLECTORS: AtomicUsize = AtomicUsize::new(0);
+
+/// Runs `f` and returns, beside its result, the bits of the unrounded
+/// memory mean behind [`SimReport::mem_mean`] for every report `f`
+/// finished on this thread, in finish order. `mem_mean` keeps whole
+/// bytes, so a differential that compares only reports cannot see a
+/// memory fold that drifts by less than a byte; these bits can. A test
+/// hook: reports, their serialized form and the journal are unchanged.
+#[doc(hidden)]
+pub fn exact_memory_means<R>(f: impl FnOnce() -> R) -> (R, Vec<u64>) {
+    let me = std::thread::current().id();
+    COLLECTING
+        .lock()
+        .expect("collectors")
+        .push((me, Vec::new()));
+    COLLECTORS.fetch_add(1, Ordering::SeqCst);
+    let result = f();
+    COLLECTORS.fetch_sub(1, Ordering::SeqCst);
+    let mut collecting = COLLECTING.lock().expect("collectors");
+    let at = collecting.iter().rposition(|(id, _)| *id == me);
+    let (_, means) = collecting.remove(at.expect("pushed above"));
+    (result, means)
+}
+
+/// Records `mean` for the innermost [`exact_memory_means`] on this
+/// thread, if any.
+fn collect_exact_mean(mean: f64) {
+    let me = std::thread::current().id();
+    let mut collecting = COLLECTING.lock().expect("collectors");
+    if let Some((_, means)) = collecting.iter_mut().rev().find(|(id, _)| *id == me) {
+        means.push(mean.to_bits());
     }
 }
 
@@ -101,10 +146,14 @@ impl MetricsCollector {
         exec_seconds: f64,
     ) -> SimReport {
         let total_traced = self.history.total_traced();
+        let mem_mean = self.memory.mean().unwrap_or(0.0);
+        if COLLECTORS.load(Ordering::Relaxed) > 0 {
+            collect_exact_mean(mem_mean);
+        }
         SimReport {
             policy: policy.into(),
             program: program.into(),
-            mem_mean: Bytes::new(self.memory.mean().unwrap_or(0.0) as u64),
+            mem_mean: Bytes::new(mem_mean as u64),
             mem_max: Bytes::new(self.memory.max().unwrap_or(0.0) as u64),
             pause_median_ms: self.pauses.median().unwrap_or(0.0),
             pause_p90_ms: self.pauses.percentile(90.0).unwrap_or(0.0),
@@ -146,6 +195,28 @@ mod tests {
         // 75 000 bytes traced at 500 KB/s = 0.15 s over 10 s = 1.5 %.
         assert!((r.overhead_pct - 1.5).abs() < 1e-9);
         assert!((r.traced_kb() - 75_000.0 / 1024.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn exact_means_are_the_unrounded_bits_of_each_finished_report() {
+        let finish = |level: u64, span: u64| {
+            let mut m = MetricsCollector::new(CostModel::paper());
+            m.record_memory(Bytes::new(level), Bytes::new(span));
+            m.record_memory(Bytes::new(level + 1), Bytes::new(span));
+            m.finish("FULL", "TEST", 1.0)
+        };
+        let ((a, b), means) = exact_memory_means(|| (finish(10, 3), finish(7, 1)));
+        assert_eq!((a.mem_mean, b.mem_mean), (Bytes::new(10), Bytes::new(7)));
+        assert_eq!(means, [10.5f64.to_bits(), 7.5f64.to_bits()]);
+        // Outside the hook nothing is collected.
+        finish(1, 1);
+        assert_eq!(exact_memory_means(|| ()).1, []);
+        // Another thread's reports are not this thread's, and a nested
+        // hook keeps its own.
+        let spawned = || std::thread::spawn(move || finish(5, 1)).join().unwrap();
+        assert_eq!(exact_memory_means(spawned).1, []);
+        let ((_, inner), outer) = exact_memory_means(|| exact_memory_means(|| finish(3, 1)));
+        assert_eq!((inner, outer), (vec![3.5f64.to_bits()], vec![]));
     }
 
     #[test]

@@ -17,6 +17,7 @@
 use dtb_core::policy::{PolicyConfig, PolicyKind};
 use dtb_core::time::Bytes;
 use dtb_sim::engine::{Sim, SimBudget, SimConfig, SimRun};
+use dtb_sim::metrics::exact_memory_means;
 use dtb_sim::trigger::Trigger;
 use dtb_sim::SimError;
 use dtb_trace::event::CompiledTrace;
@@ -356,12 +357,15 @@ impl ClockedTrace {
 }
 
 /// A trace whose lanes leave the exact range mid-run, each at its own
-/// point. Four 16 MiB immortals start it. Then come 160 MiB of churn in
+/// point. Four 16 MiB immortals start it. Then come 150 MiB of churn in
 /// objects under 16 KiB, so most events fall inside segments, and
-/// collectors that tenure keep garbage the others reclaim. Then three
-/// immortals near `u32::MAX` bytes, and churn in objects up to 1 MiB:
-/// from there on, `memory × size` products pass 2^53.
-fn exact_range_exit_trace() -> CompiledTrace {
+/// collectors that tenure keep garbage the others reclaim; the lanes'
+/// sums end it between 2^53 and 2^54, where a fold that rounds
+/// differently from the per-sample order still shows in the mean's
+/// bits. With `past_products`, three immortals near `u32::MAX` bytes and
+/// churn in objects up to 1 MiB follow: from there on, `memory × size`
+/// products pass 2^53.
+fn exact_range_exit_trace(past_products: bool) -> CompiledTrace {
     let mut t = ClockedTrace {
         builder: TraceBuilder::new("exact-range-exit"),
         clock: 0,
@@ -372,11 +376,13 @@ fn exact_range_exit_trace() -> CompiledTrace {
     for _ in 0..4 {
         t.alloc(16 << 20, None);
     }
-    t.churn(160 << 20, 16 << 10);
-    for k in 0..3 {
-        t.alloc(u32::MAX - 4_096 * k, None);
+    t.churn(150 << 20, 16 << 10);
+    if past_products {
+        for k in 0..3 {
+            t.alloc(u32::MAX - 4_096 * k, None);
+        }
+        t.churn(8 << 20, 1 << 20);
     }
-    t.churn(8 << 20, 1 << 20);
     t.builder
         .finish()
         .compile()
@@ -404,18 +410,26 @@ fn memory_samples(trace: &CompiledTrace, run: &SimRun) -> Vec<(u64, u64)> {
 }
 
 /// Lanes leave the exact range mid-run, inside a segment, at different
-/// segments, and later fold products past 2^53; every block size and
-/// the six-lane pass still equal the per-event reference.
+/// segments, and end either just past it or after products past 2^53;
+/// every block size and the six-lane pass still equal the per-event
+/// reference, down to the bits of each unrounded memory mean.
 #[test]
 fn lanes_leaving_the_exact_range_mid_run_match_the_reference() {
-    let trace = exact_range_exit_trace();
+    for past_products in [false, true] {
+        lanes_match_the_reference(&exact_range_exit_trace(past_products), past_products);
+    }
+}
+
+fn lanes_match_the_reference(trace: &CompiledTrace, past_products: bool) {
     let config = SimConfig::paper().with_curve().with_invariant_checks(true);
     let mut crossings = Vec::new();
     let mut references = Vec::new();
+    let mut reference_means = Vec::new();
     for kind in PolicyKind::ALL {
-        let reference = run_at(&mut CompiledSource::new(&trace), kind, &config, 1)
-            .unwrap_or_else(|e| panic!("{kind}: {e}"));
-        let samples = memory_samples(&trace, &reference);
+        let (reference, means) =
+            exact_memory_means(|| run_at(&mut CompiledSource::new(trace), kind, &config, 1));
+        let reference = reference.unwrap_or_else(|e| panic!("{kind}: {e}"));
+        let samples = memory_samples(trace, &reference);
         let mut sum = 0u128;
         let crossing = samples
             .iter()
@@ -441,18 +455,29 @@ fn lanes_leaving_the_exact_range_mid_run_match_the_reference() {
             scavenges > 10,
             "{kind} leaves the exact range after {scavenges} scavenges"
         );
-        assert!(
+        let total: u128 = samples.iter().map(|&(m, s)| m as u128 * s as u128).sum();
+        assert_eq!(
+            total >= 2 * EXACT,
+            past_products,
+            "{kind}: the sum ends at {total}, against 2^54"
+        );
+        assert_eq!(
             samples
                 .iter()
                 .any(|&(mem, size)| mem as u128 * size as u128 >= EXACT),
-            "{kind}: no product reaches 2^53"
+            past_products,
+            "{kind}: products against 2^53"
         );
         crossings.push(scavenges);
         for &block in BLOCKS {
-            let blocked = run_at(&mut CompiledSource::new(&trace), kind, &config, block);
+            let (blocked, blocked_means) = exact_memory_means(|| {
+                run_at(&mut CompiledSource::new(trace), kind, &config, block)
+            });
             assert_eq!(Ok(&reference), blocked.as_ref(), "{kind} block {block}");
+            assert_eq!(blocked_means, means, "{kind} block {block}: mean bits");
         }
         references.push(reference);
+        reference_means.extend(means);
     }
     // Scavenges end segments, so lanes with different counts before
     // their crossing leave the exact range at different segments.
@@ -467,8 +492,10 @@ fn lanes_leaving_the_exact_range_mid_run_match_the_reference() {
         .iter()
         .map(|k| k.build(&PolicyConfig::paper()))
         .collect();
-    let lanes = Sim::new(config).run_trace_lanes(&trace, &mut policies);
+    let (lanes, lane_means) =
+        exact_memory_means(|| Sim::new(config).run_trace_lanes(trace, &mut policies));
     for ((kind, lane), reference) in PolicyKind::ALL.into_iter().zip(lanes).zip(&references) {
         assert_eq!(Ok(reference), lane.as_ref(), "{kind} lane");
     }
+    assert_eq!(lane_means, reference_means, "lane mean bits");
 }

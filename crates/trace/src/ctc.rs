@@ -39,6 +39,7 @@ use crate::ckp::{fnv1a, FNV_OFFSET};
 use crate::event::{resolve, ObjectLife, TraceError, TraceMeta};
 use crate::format::FormatError;
 use crate::io::{TraceEventReader, TraceIoError};
+use crate::read_ahead::ReadAhead;
 use crate::source::{EventBlock, EventSource, SourceError, DEFAULT_BLOCK_EVENTS};
 use dtb_core::time::VirtualTime;
 use std::collections::HashSet;
@@ -143,6 +144,14 @@ pub enum CtcError {
         /// The event-stream failure.
         error: TraceError,
     },
+    /// A [`ShardReader`]'s helper thread ended before it handed over the
+    /// end of the stream (it panicked).
+    ReadAheadStopped {
+        /// The store being read.
+        path: PathBuf,
+        /// The helper's panic message.
+        reason: String,
+    },
 }
 
 impl std::fmt::Display for CtcError {
@@ -193,6 +202,11 @@ impl std::fmt::Display for CtcError {
             CtcError::SourceTrace { path, error } => {
                 write!(f, "{}: source trace inconsistent: {error}", path.display())
             }
+            CtcError::ReadAheadStopped { path, reason } => write!(
+                f,
+                "{}: read-ahead thread stopped before the end of the store: {reason}",
+                path.display()
+            ),
         }
     }
 }
@@ -855,7 +869,7 @@ fn verified_key(path: &Path, checksum: u64) -> Option<VerifiedKey> {
 }
 
 #[derive(Debug)]
-struct ShardCursor {
+struct ShardFile {
     reader: BufReader<File>,
     path: PathBuf,
     shard_index: usize,
@@ -867,18 +881,19 @@ struct ShardCursor {
     verified: bool,
 }
 
-/// Chunked [`EventSource`] over an on-disk compiled-trace store.
+/// Chunked [`EventSource`] over an on-disk compiled-trace store, read on
+/// the calling thread: the specification [`ShardReader`] runs ahead.
 ///
 /// Streams records shard by shard through a [`BufReader`], verifying each
 /// shard's checksum as its last record is consumed; memory is one read
 /// buffer plus the manifest, independent of trace length.
 #[derive(Debug)]
-pub struct ShardReader {
+pub struct ShardCursor {
     dir: PathBuf,
     manifest: ShardManifest,
     next_shard: usize,
     consumed: u64,
-    current: Option<ShardCursor>,
+    current: Option<ShardFile>,
     /// Reusable chunk buffer for [`EventSource::next_block`]: one read
     /// and one FNV pass per chunk instead of per record. Sized for a
     /// default block when the reader opens, before the consumer builds
@@ -887,11 +902,11 @@ pub struct ShardReader {
     /// run's freed heap pages resident into the next.
     buf: Vec<u8>,
     /// Full checksum verifications performed by *this* reader — see
-    /// [`ShardReader::checksum_validations`].
+    /// [`ShardCursor::checksum_validations`].
     validations: u64,
 }
 
-impl ShardReader {
+impl ShardCursor {
     /// Opens the store at `dir` by reading and verifying its manifest.
     ///
     /// Shard files are opened lazily as the stream reaches them.
@@ -899,10 +914,16 @@ impl ShardReader {
     /// # Errors
     ///
     /// Propagates [`read_manifest`] errors.
-    pub fn open(dir: impl AsRef<Path>) -> Result<ShardReader, CtcError> {
+    pub fn open(dir: impl AsRef<Path>) -> Result<ShardCursor, CtcError> {
         let dir = dir.as_ref().to_path_buf();
         let manifest = read_manifest(&dir)?;
-        Ok(ShardReader {
+        Ok(ShardCursor::with_manifest(dir, manifest))
+    }
+
+    /// A cursor at record 0 of the store at `dir`, whose manifest has
+    /// already been read and verified.
+    fn with_manifest(dir: PathBuf, manifest: ShardManifest) -> ShardCursor {
+        ShardCursor {
             dir,
             manifest,
             next_shard: 0,
@@ -910,7 +931,7 @@ impl ShardReader {
             current: None,
             buf: Vec::with_capacity(DEFAULT_BLOCK_EVENTS * RECORD_BYTES),
             validations: 0,
-        })
+        }
     }
 
     /// The verified manifest.
@@ -938,7 +959,7 @@ impl ShardReader {
         check_header(&header, &path, i, self.manifest.records_per_shard)?;
         let verified = verified_key(&path, self.manifest.shards[i].checksum)
             .is_some_and(|key| verified_shards().lock().expect("memo lock").contains(&key));
-        self.current = Some(ShardCursor {
+        self.current = Some(ShardFile {
             reader,
             path,
             shard_index: i,
@@ -996,6 +1017,18 @@ fn read_exact_ctc(reader: &mut impl Read, buf: &mut [u8], path: &Path) -> Result
     })
 }
 
+fn record_birth(raw: &[u8; RECORD_BYTES]) -> u64 {
+    u64::from_le_bytes(raw[0..8].try_into().expect("8 bytes"))
+}
+
+fn record_size(raw: &[u8; RECORD_BYTES]) -> u32 {
+    u32::from_le_bytes(raw[8..12].try_into().expect("4 bytes"))
+}
+
+fn record_death(raw: &[u8; RECORD_BYTES]) -> u64 {
+    u64::from_le_bytes(raw[12..20].try_into().expect("8 bytes"))
+}
+
 /// Decodes one 20-byte record — record `index` of the store, read from
 /// `path` — rejecting a zero size and a death before birth.
 #[inline(always)]
@@ -1004,9 +1037,7 @@ fn decode_record(
     path: &Path,
     index: u64,
 ) -> Result<ObjectLife, CtcError> {
-    let birth = u64::from_le_bytes(raw[0..8].try_into().expect("8 bytes"));
-    let size = u32::from_le_bytes(raw[8..12].try_into().expect("4 bytes"));
-    let death = u64::from_le_bytes(raw[12..20].try_into().expect("8 bytes"));
+    let (birth, size, death) = (record_birth(raw), record_size(raw), record_death(raw));
     let bad = |reason| CtcError::BadRecord {
         path: path.to_path_buf(),
         index,
@@ -1026,7 +1057,15 @@ fn decode_record(
     })
 }
 
-impl EventSource for ShardReader {
+/// True when no record of `records` would fail [`decode_record`]: one
+/// branch-free fold over the chunk.
+fn chunk_is_valid(records: &[[u8; RECORD_BYTES]]) -> bool {
+    records.iter().fold(true, |ok, raw| {
+        ok & (record_size(raw) != 0) & (record_death(raw) >= record_birth(raw))
+    })
+}
+
+impl EventSource for ShardCursor {
     fn meta(&self) -> &TraceMeta {
         &self.manifest.meta
     }
@@ -1113,7 +1152,16 @@ impl EventSource for ShardReader {
             if !cur.verified {
                 cur.fnv = fnv1a(cur.fnv, &self.buf);
             }
-            for raw in self.buf.as_chunks::<RECORD_BYTES>().0 {
+            let records = self.buf.as_chunks::<RECORD_BYTES>().0;
+            // A valid chunk appends its three columns; only a chunk that
+            // holds a bad record decodes record by record, to name it.
+            if chunk_is_valid(records) {
+                block.extend_columns(records, record_birth, record_size, record_death);
+                cur.read += want as u64;
+                self.consumed += want as u64;
+                continue;
+            }
+            for raw in records {
                 cur.read += 1;
                 let index = self.consumed;
                 self.consumed += 1;
@@ -1127,6 +1175,111 @@ impl EventSource for ShardReader {
             }
         }
         block.len()
+    }
+
+    fn end(&self) -> VirtualTime {
+        self.manifest.end
+    }
+}
+
+/// Chunked [`EventSource`] over an on-disk compiled-trace store, decoded
+/// ahead of the consumer on a helper thread.
+///
+/// Each reader runs a [`ShardCursor`] on one helper thread named
+/// `dtb-read-ahead`, which hands decoded blocks over in batches while the
+/// consumer works, so shard decode and checksums overlap the engine or
+/// stats kernel reading them. The stream is exactly the cursor's: the
+/// same records, end and typed errors at every block capacity, a block's
+/// deferred error after its good prefix. A helper that ends before the
+/// end of the stream ends it with [`CtcError::ReadAheadStopped`]. Memory
+/// is the cursor's plus a read-ahead window of 16 blocks of
+/// [`DEFAULT_BLOCK_EVENTS`] records (320 KB), independent of trace
+/// length. Dropping the reader joins its helper. If the helper cannot be
+/// spawned, the cursor runs on the calling thread instead.
+#[derive(Debug)]
+pub struct ShardReader {
+    manifest: ShardManifest,
+    read: Decode,
+}
+
+#[derive(Debug)]
+enum Decode {
+    /// A helper thread runs the cursor.
+    Ahead(ReadAhead),
+    /// The helper could not be spawned: the cursor runs here.
+    Inline(ShardCursor),
+}
+
+impl ShardReader {
+    /// Opens the store at `dir` by reading and verifying its manifest,
+    /// and starts its helper thread.
+    ///
+    /// Shard files are opened lazily as the helper reaches them.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`read_manifest`] errors.
+    pub fn open(dir: impl AsRef<Path>) -> Result<ShardReader, CtcError> {
+        let dir = dir.as_ref().to_path_buf();
+        let manifest = read_manifest(&dir)?;
+        let cursor = || ShardCursor::with_manifest(dir.clone(), manifest.clone());
+        let stopped = read_ahead_stopped(dir.clone());
+        let read = match ReadAhead::spawn(cursor(), ShardCursor::checksum_validations, stopped) {
+            Ok(ahead) => Decode::Ahead(ahead),
+            // Typically out of threads or memory: the reader still works,
+            // only without the overlap.
+            Err(_) => Decode::Inline(cursor()),
+        };
+        Ok(ShardReader { manifest, read })
+    }
+
+    /// The verified manifest.
+    pub fn manifest(&self) -> &ShardManifest {
+        &self.manifest
+    }
+
+    /// Full shard checksum verifications this reader has performed, as
+    /// [`ShardCursor::checksum_validations`] counts them, up to the
+    /// latest batch the helper handed over: once the stream has ended,
+    /// every verification of the read.
+    pub fn checksum_validations(&self) -> u64 {
+        match &self.read {
+            Decode::Ahead(ahead) => ahead.tally(),
+            Decode::Inline(cursor) => cursor.checksum_validations(),
+        }
+    }
+}
+
+/// The error a [`ShardReader`] of the store at `path` ends with when its
+/// helper stops early, built from the helper's panic message.
+fn read_ahead_stopped(path: PathBuf) -> impl Fn(String) -> SourceError + Send + 'static {
+    move |reason| {
+        let path = path.clone();
+        SourceError::Shard(CtcError::ReadAheadStopped { path, reason })
+    }
+}
+
+impl EventSource for ShardReader {
+    fn meta(&self) -> &TraceMeta {
+        &self.manifest.meta
+    }
+
+    fn len_hint(&self) -> Option<usize> {
+        usize::try_from(self.manifest.total_records).ok()
+    }
+
+    fn next_record(&mut self) -> Result<Option<ObjectLife>, SourceError> {
+        match &mut self.read {
+            Decode::Ahead(ahead) => ahead.next_record(),
+            Decode::Inline(cursor) => cursor.next_record(),
+        }
+    }
+
+    fn next_block(&mut self, block: &mut EventBlock) -> usize {
+        match &mut self.read {
+            Decode::Ahead(ahead) => ahead.next_block(block),
+            Decode::Inline(cursor) => cursor.next_block(block),
+        }
     }
 
     fn end(&self) -> VirtualTime {
@@ -1160,6 +1313,38 @@ mod tests {
             }
         }
         b.finish().compile().unwrap()
+    }
+
+    /// Everything a stream yields one record at a time: its records, then
+    /// its error if it ends on one.
+    fn drain_records(source: &mut impl EventSource) -> (Vec<ObjectLife>, Option<SourceError>) {
+        let mut lives = Vec::new();
+        loop {
+            match source.next_record() {
+                Ok(Some(life)) => lives.push(life),
+                Ok(None) => return (lives, None),
+                Err(e) => return (lives, Some(e)),
+            }
+        }
+    }
+
+    /// The same, read through `next_block` at `capacity`.
+    fn drain_blocks(
+        source: &mut impl EventSource,
+        capacity: usize,
+    ) -> (Vec<ObjectLife>, Option<SourceError>) {
+        let mut block = EventBlock::new(capacity);
+        let mut lives = Vec::new();
+        loop {
+            let n = source.next_block(&mut block);
+            lives.extend((0..n).map(|i| block.life(i)));
+            if let Some(e) = block.take_error() {
+                return (lives, Some(e));
+            }
+            if n == 0 {
+                return (lives, None);
+            }
+        }
     }
 
     #[test]
@@ -1243,22 +1428,15 @@ mod tests {
         for stride in [1u64, 7, 64, u64::MAX] {
             let dir = temp_dir(&format!("blk{stride}"));
             write_shards(&dir, &trace, stride).unwrap();
-            let expected: Vec<_> = trace.lives().collect();
+            let expected = drain_records(&mut ShardCursor::open(&dir).unwrap());
+            assert_eq!(expected, (trace.lives().collect(), None));
             for cap in [1usize, 3, 7, 100, 4096] {
-                let mut reader = ShardReader::open(&dir).unwrap();
-                let mut block = EventBlock::new(cap);
-                let mut got = Vec::new();
-                loop {
-                    let n = reader.next_block(&mut block);
-                    assert!(block.take_error().is_none());
-                    if n == 0 {
-                        break;
-                    }
-                    for i in 0..n {
-                        got.push(block.life(i));
-                    }
-                }
-                assert_eq!(got, expected, "stride {stride} capacity {cap}");
+                // The cursor's chunk decode, and the reader's hand-over of
+                // the blocks its helper decoded.
+                let blocked = drain_blocks(&mut ShardCursor::open(&dir).unwrap(), cap);
+                assert_eq!(blocked, expected, "cursor: stride {stride} capacity {cap}");
+                let ahead = drain_blocks(&mut ShardReader::open(&dir).unwrap(), cap);
+                assert_eq!(ahead, expected, "reader: stride {stride} capacity {cap}");
             }
             std::fs::remove_dir_all(&dir).unwrap();
         }
@@ -1310,33 +1488,22 @@ mod tests {
         let mid = raw.len() / 2;
         raw[mid] ^= 0x40;
         std::fs::write(&path, raw).unwrap();
-        // Per-record reference: where does the stream fail, and after how
-        // many good records?
-        let mut reference = ShardReader::open(&dir).unwrap();
-        let mut good = Vec::new();
-        let expected_err = loop {
-            match reference.next_record() {
-                Ok(Some(l)) => good.push(l),
-                Ok(None) => panic!("corruption must surface"),
-                Err(e) => break e,
-            }
-        };
-        // Block path: same records, then the same typed error, deferred.
-        let mut blocked = ShardReader::open(&dir).unwrap();
-        let mut block = EventBlock::new(33);
-        let mut got = Vec::new();
-        let got_err = 'outer: loop {
-            let n = blocked.next_block(&mut block);
-            for i in 0..n {
-                got.push(block.life(i));
-            }
-            if let Some(e) = block.take_error() {
-                break 'outer e;
-            }
-            assert!(n > 0, "stream ended without surfacing corruption");
-        };
-        assert_eq!(got, good);
-        assert_eq!(format!("{got_err:?}"), format!("{expected_err:?}"));
+        // Per-record reference on this thread: where does the stream
+        // fail, and after how many good records?
+        let expected = drain_records(&mut ShardCursor::open(&dir).unwrap());
+        assert!(
+            matches!(
+                expected.1,
+                Some(SourceError::Shard(CtcError::ChecksumMismatch { .. }))
+            ),
+            "corruption must surface: {:?}",
+            expected.1
+        );
+        // Block paths: same records, then the same typed error, deferred.
+        let blocked = drain_blocks(&mut ShardCursor::open(&dir).unwrap(), 33);
+        assert_eq!(blocked, expected, "cursor");
+        let ahead = drain_blocks(&mut ShardReader::open(&dir).unwrap(), 33);
+        assert_eq!(ahead, expected, "reader");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1348,37 +1515,21 @@ mod tests {
         let path = shard_path(&dir, 0);
         let raw = std::fs::read(&path).unwrap();
         std::fs::write(&path, &raw[..raw.len() - 12]).unwrap();
-        let mut reference = ShardReader::open(&dir).unwrap();
-        let mut good = Vec::new();
-        let expected_err = loop {
-            match reference.next_record() {
-                Ok(Some(l)) => good.push(l),
-                Ok(None) => panic!("truncation must surface"),
-                Err(e) => break e,
-            }
-        };
-        let mut blocked = ShardReader::open(&dir).unwrap();
-        let mut block = EventBlock::new(1024);
-        let mut got = Vec::new();
-        let got_err = loop {
-            let n = blocked.next_block(&mut block);
-            for i in 0..n {
-                got.push(block.life(i));
-            }
-            if let Some(e) = block.take_error() {
-                break e;
-            }
-            assert!(n > 0, "stream ended without surfacing truncation");
-        };
-        assert_eq!(got, good, "good prefix before the truncation point");
-        assert!(matches!(
-            got_err,
-            SourceError::Shard(CtcError::Truncated { .. })
-        ));
-        assert!(matches!(
-            expected_err,
-            SourceError::Shard(CtcError::Truncated { .. })
-        ));
+        let expected = drain_records(&mut ShardCursor::open(&dir).unwrap());
+        assert!(
+            matches!(
+                expected.1,
+                Some(SourceError::Shard(CtcError::Truncated { .. }))
+            ),
+            "truncation must surface: {:?}",
+            expected.1
+        );
+        // The same good prefix before the truncation point, then the same
+        // error, from the cursor's blocks and the reader's.
+        let blocked = drain_blocks(&mut ShardCursor::open(&dir).unwrap(), 1024);
+        assert_eq!(blocked, expected, "cursor");
+        let ahead = drain_blocks(&mut ShardReader::open(&dir).unwrap(), 1024);
+        assert_eq!(ahead, expected, "reader");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1618,6 +1769,78 @@ mod tests {
             CtcError::BadMagic { .. }
         ));
         assert_eq!(snapshot(), stamped, "a refused store is left as it was");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A cursor that panics, on the helper's thread, when asked for more
+    /// than its first `.1` records.
+    struct PanicAfter(ShardCursor, usize);
+
+    impl EventSource for PanicAfter {
+        fn meta(&self) -> &TraceMeta {
+            self.0.meta()
+        }
+        fn next_record(&mut self) -> Result<Option<ObjectLife>, SourceError> {
+            self.1 = self.1.checked_sub(1).expect("injected helper failure");
+            self.0.next_record()
+        }
+        fn end(&self) -> VirtualTime {
+            self.0.end()
+        }
+    }
+
+    #[test]
+    fn a_helper_that_stops_early_ends_the_stream_with_a_typed_error() {
+        let trace = sample_trace(20_000);
+        let dir = temp_dir("stopped");
+        write_shards(&dir, &trace, 3_000).unwrap();
+        for (records, capacity) in [(0, 1024), (10, 7), (9_000, 1024), (19_999, 4096)] {
+            let cursor = PanicAfter(ShardCursor::open(&dir).unwrap(), records);
+            let tally = |s: &PanicAfter| s.0.checksum_validations();
+            let stopped = read_ahead_stopped(dir.clone());
+            let mut reader = ShardReader {
+                manifest: cursor.0.manifest.clone(),
+                read: Decode::Ahead(ReadAhead::spawn(cursor, tally, stopped).unwrap()),
+            };
+            let mut block = EventBlock::new(capacity);
+            let mut got = Vec::new();
+            let error = loop {
+                let n = reader.next_block(&mut block);
+                got.extend((0..n).map(|i| block.life(i)));
+                if let Some(e) = block.take_error() {
+                    break e;
+                }
+                assert!(n > 0, "the stream ended without its last records");
+            };
+            // The error names the helper's panic.
+            assert!(
+                matches!(&error, SourceError::Shard(CtcError::ReadAheadStopped { path, reason })
+                    if *path == dir && reason == "injected helper failure"),
+                "{error}"
+            );
+            assert!(error.to_string().contains("read-ahead thread stopped"));
+            assert!(got.len() <= records);
+            assert_eq!(
+                got[..],
+                trace.lives().take(got.len()).collect::<Vec<_>>()[..]
+            );
+            assert_eq!(reader.next_block(&mut block), 0, "the stream stays ended");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn the_spawn_fallback_reads_the_store_on_the_calling_thread() {
+        let trace = sample_trace(3_000);
+        let dir = temp_dir("inline");
+        write_shards(&dir, &trace, 1_000).unwrap();
+        let cursor = ShardCursor::open(&dir).unwrap();
+        let mut reader = ShardReader {
+            manifest: cursor.manifest.clone(),
+            read: Decode::Inline(cursor),
+        };
+        assert_eq!(collect_source(&mut reader).unwrap(), trace);
+        assert_eq!(reader.checksum_validations(), 3);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -50,6 +50,7 @@ pub mod format;
 pub mod io;
 pub mod lifetime;
 pub mod programs;
+mod read_ahead;
 pub mod record_log;
 pub mod source;
 pub mod stats;
@@ -57,7 +58,7 @@ pub mod synth;
 
 pub use builder::TraceBuilder;
 pub use ckp::CkpError;
-pub use ctc::{verify_store, ShardReader, ShardStatus, StoreReport};
+pub use ctc::{verify_store, ShardCursor, ShardReader, ShardStatus, StoreReport};
 pub use event::{CompiledTrace, Event, ObjectId, ObjectLife, Trace, TraceMeta};
 pub use programs::Program;
 pub use source::{

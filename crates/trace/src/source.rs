@@ -12,7 +12,10 @@
 //!   Replay through it is bit-identical to the resident path; the engine's
 //!   `&CompiledTrace` entry points are thin wrappers around it.
 //! * [`crate::ctc::ShardReader`] — chunked replay of the on-disk
-//!   `DTBCTC02` sharded compiled-trace format, for traces larger than RAM.
+//!   `DTBCTC02` sharded compiled-trace format, for traces larger than RAM,
+//!   decoded ahead of the consumer on a helper thread
+//!   ([`crate::ctc::ShardCursor`] is the same replay on the calling
+//!   thread).
 //! * [`SynthSource`] — unbounded on-the-fly synthetic generation from a
 //!   [`WorkloadSpec`], for workloads that never exist as a file at all.
 //!
@@ -167,6 +170,21 @@ impl EventBlock {
         self.deaths.extend_from_slice(deaths);
     }
 
+    /// Bulk-appends records of any fixed layout, one column at a time:
+    /// each column is a single pass of its field reader over `records`
+    /// (the `DTBCTC02` chunk decode).
+    pub(crate) fn extend_columns<R>(
+        &mut self,
+        records: &[R],
+        birth: impl Fn(&R) -> u64,
+        size: impl Fn(&R) -> u32,
+        death: impl Fn(&R) -> u64,
+    ) {
+        self.births.extend(records.iter().map(birth));
+        self.sizes.extend(records.iter().map(size));
+        self.deaths.extend(records.iter().map(death));
+    }
+
     /// Stashes a deferred source error (see the type docs).
     pub fn set_error(&mut self, error: SourceError) {
         self.error = Some(error);
@@ -245,11 +263,13 @@ pub trait EventSource {
     /// calls — and that is the default implementation, which
     /// [`SynthSource`] uses — but the stored sources override it with
     /// bulk column work: [`CompiledSource`] copies borrowed trace
-    /// columns, and the `DTBCTC02`
-    /// [`ShardReader`](crate::ctc::ShardReader) decodes whole shard
-    /// chunks in one pass. A mid-block failure is stashed in the block
-    /// (the good prefix is kept, per [`EventBlock`]'s deferred-error
-    /// contract); `0` with no stashed error means end of stream.
+    /// columns, the `DTBCTC02` [`ShardCursor`](crate::ctc::ShardCursor)
+    /// decodes whole shard chunks column by column, and
+    /// [`ShardReader`](crate::ctc::ShardReader) hands over blocks its
+    /// helper thread decoded ahead. A mid-block failure is stashed in
+    /// the block (the good prefix is kept, per [`EventBlock`]'s
+    /// deferred-error contract); `0` with no stashed error means end of
+    /// stream.
     fn next_block(&mut self, block: &mut EventBlock) -> usize {
         block.clear();
         while block.len() < block.capacity() {

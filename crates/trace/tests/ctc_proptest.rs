@@ -1,12 +1,16 @@
 //! Property tests for the `DTBCTC02` sharded compiled-trace store: round
 //! trips are exact for any stride, the two-pass converter agrees with the
 //! in-memory compiler, and no byte-level corruption of a store may panic
-//! the reader — it either still round-trips or fails with a typed
+//! the decoder — it either still round-trips or fails with a typed
 //! [`CtcError`] (mirroring `corruption_proptest.rs` for the event
-//! format).
+//! format). The decoder runs on the test's thread, in a [`ShardCursor`],
+//! and the read-ahead [`ShardReader`] must yield exactly what it yields.
 
 use dtb_trace::ctc::{self, CtcError};
-use dtb_trace::{collect_source, io, ShardReader, Trace, TraceBuilder};
+use dtb_trace::{
+    collect_source, io, EventBlock, EventSource, ObjectLife, ShardCursor, ShardReader, SourceError,
+    Trace, TraceBuilder, DEFAULT_BLOCK_EVENTS,
+};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -49,21 +53,59 @@ fn store_files(dir: &PathBuf) -> Vec<PathBuf> {
     files
 }
 
-/// Drains a possibly corrupted store; any outcome is fine as long as it
-/// is a value, not a panic. Reads record-by-record (not through
-/// `collect_source`) so even streams whose records would no longer form a
-/// valid trace are fully exercised.
-fn drain_store(dir: &PathBuf) -> Result<usize, CtcError> {
-    use dtb_trace::EventSource;
-    let mut reader = ShardReader::open(dir)?;
-    let mut n = 0usize;
+/// Everything a stream yields: its records, then its error if it ends on
+/// one.
+type Drained = (Vec<ObjectLife>, Option<SourceError>);
+
+fn drain_records(source: &mut impl EventSource) -> Drained {
+    let mut lives = Vec::new();
     loop {
-        match reader.next_record() {
-            Ok(Some(_)) => n += 1,
-            Ok(None) => return Ok(n),
-            Err(dtb_trace::SourceError::Shard(e)) => return Err(e),
-            Err(other) => panic!("shard reader raised a non-shard error: {other}"),
+        match source.next_record() {
+            Ok(Some(life)) => lives.push(life),
+            Ok(None) => return (lives, None),
+            Err(e) => return (lives, Some(e)),
         }
+    }
+}
+
+fn drain_blocks(source: &mut impl EventSource, capacity: usize) -> Drained {
+    let mut block = EventBlock::new(capacity);
+    let mut lives = Vec::new();
+    loop {
+        let n = source.next_block(&mut block);
+        lives.extend((0..n).map(|i| block.life(i)));
+        if let Some(e) = block.take_error() {
+            return (lives, Some(e));
+        }
+        if n == 0 {
+            return (lives, None);
+        }
+    }
+}
+
+/// Drains a possibly corrupted store; any outcome is fine as long as it
+/// is a value, not a panic. Reads record by record and in blocks (not
+/// through `collect_source`) so even streams whose records would no
+/// longer form a valid trace are fully exercised. Both reads run a
+/// [`ShardCursor`] on this thread, so a decoder panic fails the property;
+/// the [`ShardReader`], whose helper thread would turn a panic into a
+/// typed error, must then yield the cursor's records and error.
+fn drain_store(dir: &PathBuf) -> Result<usize, CtcError> {
+    let by_record = drain_records(&mut ShardCursor::open(dir)?);
+    let by_block = drain_blocks(&mut ShardCursor::open(dir)?, 7);
+    assert_eq!(
+        by_block, by_record,
+        "the cursor's blocks differ from its records"
+    );
+    let ahead = drain_blocks(&mut ShardReader::open(dir)?, DEFAULT_BLOCK_EVENTS);
+    assert_eq!(
+        ahead, by_record,
+        "the read-ahead reader differs from the cursor"
+    );
+    match by_record {
+        (lives, None) => Ok(lives.len()),
+        (_, Some(SourceError::Shard(e))) => Err(e),
+        (_, Some(other)) => panic!("shard cursor raised a non-shard error: {other}"),
     }
 }
 
